@@ -29,7 +29,7 @@ from .errors import (
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
 from .model1 import Model1Solution, solve_model1
-from .model2 import evaluate_model2, gain_residual, solve_model2
+from .model2 import Model2Solution, evaluate_model2, gain_residual, solve_model2
 from .model3 import (
     Model3Solution,
     gain_bound_constant,
@@ -91,7 +91,9 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates matrix rows, so only '#' may start an inline comment;
+    # whole-line ';' comments still work
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -172,29 +174,38 @@ class SolvedCase:
     T: float
     m1: Model1Solution | None
     m1_error: str | None
-    m2: object  # Model2Solution
+    m2: Model2Solution  # shared by every gamma of one horizon
     m3: Model3Solution
 
 
-def _solve_case(cfg: ScenarioConfig, gamma: float, T: float) -> SolvedCase:
-    obj = ObjectiveSpec(gamma, T)
+def _solve_horizon(cfg: ScenarioConfig, T: float) -> list[SolvedCase]:
+    """Every gamma at one horizon, from one solve of the gain equation:
+    model 2's k is model 3's k1, which does not depend on gamma."""
     grid = _grid_for(cfg, T)
-    m1, m1_error = None, None
-    try:
-        m1 = solve_model1(cfg.params, obj)
-    except SingularMarketError as exc:
-        m1_error = str(exc)
     m2 = solve_model2(cfg.params, grid, cfg.picard, record_history=True)
-    m3 = solve_model3(cfg.params, obj, grid, cfg.picard, record_history=True)
-    return SolvedCase(gamma, T, m1, m1_error, m2, m3)
+    cases = []
+    for gamma in cfg.gammas:
+        obj = ObjectiveSpec(gamma, T)
+        m1, m1_error = None, None
+        try:
+            m1 = solve_model1(cfg.params, obj)
+        except SingularMarketError as exc:
+            m1_error = str(exc)
+        m3 = solve_model3(
+            cfg.params, obj, grid, cfg.picard, record_history=True, gain=m2
+        )
+        cases.append(SolvedCase(gamma, T, m1, m1_error, m2, m3))
+    return cases
 
 
 def _solve_all(cfg: ScenarioConfig, threads: int) -> list[SolvedCase]:
-    combos = [(g, T) for g in cfg.gammas for T in cfg.horizons]
-    if threads > 1 and len(combos) > 1:
+    """All (gamma, T) cases in gamma-major order; threads fan out over T."""
+    if threads > 1 and len(cfg.horizons) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _solve_case(cfg, *c), combos))
-    return [_solve_case(cfg, g, T) for g, T in combos]
+            by_horizon = list(pool.map(lambda T: _solve_horizon(cfg, T), cfg.horizons))
+    else:
+        by_horizon = [_solve_horizon(cfg, T) for T in cfg.horizons]
+    return [cases[i] for i in range(len(cfg.gammas)) for cases in by_horizon]
 
 
 class _Emitter:
@@ -318,34 +329,51 @@ def bound_table_text(history: list[np.ndarray], solution: np.ndarray, K: float, 
     return lines
 
 
+def _gains(cases: list[SolvedCase]) -> dict[float, Model2Solution]:
+    """The one gain solution of each horizon."""
+    return {case.T: case.m2 for case in cases}
+
+
+def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, float]:
+    """k1 iterate error-bound constant per horizon; it does not depend on gamma."""
+    return {
+        T: gain_bound_constant(cfg.params, m2.grid, m2.history)
+        for T, m2 in _gains(cases).items()
+    }
+
+
 def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str]:
+    residuals = {
+        T: gain_residual(cfg.params, m2.grid, m2.k.values)
+        for T, m2 in _gains(cases).items()
+    }
+    k1_bounds = _gain_bounds(cfg, cases)
     lines = []
     for case in cases:
-        grid = case.m3.grid
         lines.append(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
         if case.m1 is not None:
             lines.append(f"model1: theta_sq={fmt(case.m1.theta_sq)}")
         else:
             lines.append(f"model1: {case.m1_error}")
-        res2 = gain_residual(cfg.params, grid, case.m2.k.values)
+        gain_res = residuals[case.T]
         lines.append(
             f"model2 k: iterations={case.m2.iterations} "
-            f"delta={fmt(case.m2.delta)} residual={fmt(res2)}"
+            f"delta={fmt(case.m2.delta)} residual={fmt(gain_res)}"
         )
-        res31 = gain_residual(cfg.params, grid, case.m3.k1.values)
-        res32 = intercept_residual(case.m3.kernels, case.gamma, case.m3.k2.values)
+        k2_res = intercept_residual(case.m3.kernels, case.gamma, case.m3.k2.values)
         lines.append(
             f"model3 k1: iterations={case.m3.k1_meta.iterations} "
-            f"delta={fmt(case.m3.k1_meta.delta)} residual={fmt(res31)}"
+            f"delta={fmt(case.m3.k1_meta.delta)} residual={fmt(gain_res)}"
         )
         lines.append(
             f"model3 k2: iterations={case.m3.k2_meta.iterations} "
-            f"delta={fmt(case.m3.k2_meta.delta)} residual={fmt(res32)}"
+            f"delta={fmt(case.m3.k2_meta.delta)} residual={fmt(k2_res)}"
         )
-        k1_bound = gain_bound_constant(cfg.params, grid, case.m3.k1_history)
         k2_bound = intercept_bound_constant(case.m3.kernels, case.m3.k2_history)
         lines.append("k1 iterate error bound:")
-        lines += bound_table_text(case.m3.k1_history, case.m3.k1.values, k1_bound, case.T)
+        lines += bound_table_text(
+            case.m3.k1_history, case.m3.k1.values, k1_bounds[case.T], case.T
+        )
         lines.append("k2 iterate error bound:")
         lines += bound_table_text(case.m3.k2_history, case.m3.k2.values, k2_bound, case.T)
         lines.append("")
@@ -407,12 +435,12 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 def run_bounds(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg, threads)
+    k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
-        grid = case.m3.grid
         print(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
-        k1_bound = gain_bound_constant(cfg.params, grid, case.m3.k1_history)
         print("k1 iterate error bound:")
-        print("\n".join(bound_table_text(case.m3.k1_history, case.m3.k1.values, k1_bound, case.T)))
+        print("\n".join(bound_table_text(
+            case.m3.k1_history, case.m3.k1.values, k1_bounds[case.T], case.T)))
         k2_bound = intercept_bound_constant(case.m3.kernels, case.m3.k2_history)
         print("k2 iterate error bound:")
         print("\n".join(bound_table_text(case.m3.k2_history, case.m3.k2.values, k2_bound, case.T)))
@@ -438,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", default=None, help="output directory "
                          f"(default: ${OUT_DIR_ENV} or the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads across (gamma, T) combinations")
+                         help="worker threads across horizons T (each solves "
+                         "the gain once and then every gamma)")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

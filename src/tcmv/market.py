@@ -83,7 +83,7 @@ class CorrelationSpec:
         if not np.all(np.isfinite(rho)):
             raise InvalidCorrelationError("correlations must be finite")
         if not np.allclose(rho, rho.T, atol=1e-12, rtol=0.0):
-            raise MarketValidationError("correlation matrix must be symmetric")
+            raise InvalidCorrelationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12, rtol=0.0):
             raise InvalidCorrelationError("correlation diagonal must be 1")
         if np.any(np.abs(rho) > 1.0 + 1e-12):

@@ -66,6 +66,22 @@ def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
     return min(a, b), max(a, b)
 
 
+def solve_gain(
+    params: MarketParams,
+    grid: TimeGrid,
+    cfg: PicardConfig | None = None,
+    record_history: bool = False,
+) -> PicardResult:
+    """Picard solve of the gain equation: the variance-only k, and the
+    mean-variance k1, which does not depend on risk aversion."""
+    check = validate_distinct_volatility(params)
+    if not check.passed:
+        raise DegenerateMarketError(check)
+    return picard_solve(
+        gain_equation_map(params, grid), grid.n_nodes, cfg, record_history
+    )
+
+
 @dataclass(frozen=True)
 class Model2Solution:
     params: MarketParams
@@ -88,12 +104,7 @@ def solve_model2(
     record_history: bool = False,
 ) -> Model2Solution:
     """Solve the backward integral equation for k by Picard iteration."""
-    check = validate_distinct_volatility(params)
-    if not check.passed:
-        raise DegenerateMarketError(check)
-    result: PicardResult = picard_solve(
-        gain_equation_map(params, grid), grid.n_nodes, cfg, record_history
-    )
+    result = solve_gain(params, grid, cfg, record_history)
     return Model2Solution(
         params,
         grid,

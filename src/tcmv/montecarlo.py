@@ -43,6 +43,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_time_steps < 1:
             raise ValueError("need at least one path and one time step")
+        if not 0 <= self.seed < 2**64:
+            # the seed is one 64-bit word of the Philox key
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

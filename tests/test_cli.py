@@ -74,6 +74,29 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, capsys, seed):
+        path = tmp_path / "seed.cfg"
+        path.write_text(FIGURE_CFG.replace("seed = 9", f"seed = {seed}"))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("sigma = 0.25 0; 0 0.25", "sigma = 0.25 0 ; 0 0.25"),
+            ("rho = identity", "rho = 1 0.5 ; 0.5 1"),
+        ],
+    )
+    def test_semicolon_with_spaces_separates_rows(self, tmp_path, old, new):
+        path = tmp_path / "semi.cfg"
+        path.write_text(FIGURE_CFG.replace(old, new) + "; a whole-line comment\n")
+        cfg = load_config(str(path))
+        assert cfg.params.sigma.shape == (2, 2)
+        cov = cfg.params.sigma @ cfg.params.sigma.T
+        rho = 0.5 if "rho" in new else 0.0
+        assert cov[0, 1] == pytest.approx(rho * 0.25 * 0.25, abs=1e-15)
+
 
 class TestSolveCommand:
     def test_emits_tables(self, figure_cfg, tmp_path):
@@ -106,11 +129,30 @@ class TestSolveCommand:
         for name in ("k_curves.csv", "mean_variance_vs_wealth.csv", "diagnostics.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_threads_give_same_output(self, figure_cfg, tmp_path):
+    def test_threads_give_same_output(self, tmp_path):
+        # two horizons, so the solves fan out over threads
+        path = tmp_path / "two.cfg"
+        path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["solve", figure_cfg, "--out-dir", str(out_a), "--threads", "1"])
-        main(["solve", figure_cfg, "--out-dir", str(out_b), "--threads", "4"])
-        assert (out_a / "k_curves.csv").read_bytes() == (out_b / "k_curves.csv").read_bytes()
+        assert main(["solve", str(path), "--out-dir", str(out_a), "--threads", "1"]) == 0
+        assert main(["solve", str(path), "--out-dir", str(out_b), "--threads", "4"]) == 0
+        for name in (
+            "k_curves.csv",
+            "allocation_vs_wealth.csv",
+            "mean_variance_vs_wealth.csv",
+            "diagnostics.txt",
+        ):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        headers = [
+            line for line in (out_b / "diagnostics.txt").read_text().splitlines()
+            if line.startswith("==")
+        ]
+        assert headers == [  # gamma-major, horizons in config order
+            "== gamma=1 T=1 ==",
+            "== gamma=1 T=0.5 ==",
+            "== gamma=3 T=1 ==",
+            "== gamma=3 T=0.5 ==",
+        ]
 
     def test_constant_column_count_and_lf_endings(self, figure_cfg, tmp_path):
         out = tmp_path / "out"

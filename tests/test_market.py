@@ -47,7 +47,7 @@ class TestCorrelationSpec:
             CorrelationSpec([[1.0, 1.5], [1.5, 1.0]])
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(MarketValidationError):
+        with pytest.raises(InvalidCorrelationError):
             CorrelationSpec([[1.0, 0.2], [0.3, 1.0]])
 
     def test_rejects_bad_diagonal(self):

@@ -13,6 +13,7 @@ from tcmv import (
 from tcmv import model3
 from tcmv.model2 import gain_residual
 from tcmv.model3 import (
+    _inflate_for_domination,
     build_kernels,
     constant_gain_equal_drifts,
     gain_bound_constant,
@@ -21,7 +22,7 @@ from tcmv.model3 import (
     iterate_sup_errors,
     solve_k1,
 )
-from tcmv.numerics import convergence_bound
+from tcmv.numerics import SampledFunction, convergence_bound
 from .conftest import random_distinct_market
 
 # intercept at t=0 for the symmetric-volatility market with
@@ -30,6 +31,40 @@ from .conftest import random_distinct_market
 K2_AT_ZERO = 0.5290028504822771
 MEAN_AT_ZERO = 1.2229899581022097
 VAR_AT_ZERO = 0.09407671998680726
+
+
+def brute_force_M3(kernels) -> float:
+    """Reference O(N^2) sup over grid pairs t <= v of |I1(t,v) I3(t,v)|."""
+    n = kernels.grid.n_nodes
+    idx = np.arange(n)
+    best = 0.0
+    for i in range(n):
+        j = idx[i:]
+        best = max(best, float(np.max(np.abs(kernels.I1(i, j) * kernels.I3(i, j)))))
+    return best
+
+
+def reference_inflate(base: float, omega1: float, horizon: float) -> float:
+    """Reference linear search for the bound constant: every 5% step checks
+    n = 1..10 against targets recomputed on the spot."""
+    base = max(base, 1e-12)
+    omega1 = max(omega1, 1e-12)
+    k = 1.01 * max(base, omega1 * base)
+    for _ in range(400):
+        ok = True
+        for n in range(1, 11):
+            target = omega1 * (
+                convergence_bound(base, horizon, n - 1)
+                if n > 1
+                else base * np.exp(base * horizon)
+            )
+            if convergence_bound(k, horizon, n) < target:
+                ok = False
+                break
+        if ok:
+            return k
+        k *= 1.05
+    return k
 
 
 @pytest.fixture
@@ -53,8 +88,35 @@ class TestGainAndIntercept:
         from tcmv import solve_model2
 
         k1, _ = solve_k1(symmetric_params, unit_grid)
-        k = solve_model2(symmetric_params, unit_grid).k
-        assert np.array_equal(k1.values, k.values)
+        m2 = solve_model2(symmetric_params, unit_grid)
+        m3 = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
+        assert np.array_equal(k1.values, m2.k.values)
+        assert np.array_equal(m3.k1.values, m2.k.values)
+        assert (m3.k1_meta.iterations, m3.k1_meta.delta) == (m2.iterations, m2.delta)
+
+    def test_shared_gain_is_bitwise_identical(self, symmetric_params, unit_grid):
+        from tcmv import solve_model2
+
+        gain = solve_model2(symmetric_params, unit_grid, record_history=True)
+        for gamma in (1.0, 3.0):
+            obj = ObjectiveSpec(gamma, 1.0)
+            alone = solve_model3(symmetric_params, obj, unit_grid, record_history=True)
+            shared = solve_model3(
+                symmetric_params, obj, unit_grid, record_history=True, gain=gain
+            )
+            assert shared.k1_meta == alone.k1_meta
+            assert shared.k2_meta == alone.k2_meta
+            for a, b in [
+                (shared.k1.values, alone.k1.values),
+                (shared.k2.values, alone.k2.values),
+                (shared.moments.c2.values, alone.moments.c2.values),
+                *zip(shared.k1_history, alone.k1_history, strict=True),
+            ]:
+                assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            solve_model3(
+                symmetric_params, ObjectiveSpec(1.0, 2.0), TimeGrid(2.0, 1000), gain=gain
+            )
 
     def test_gamma_linearity(self, symmetric_params, unit_grid):
         base = solve_model3(symmetric_params, ObjectiveSpec(1.0, 1.0), unit_grid)
@@ -104,6 +166,29 @@ class TestKernels:
         assert kernels.I1(0, unit_grid.n_steps) == pytest.approx(
             np.exp(-0.12), abs=1e-10
         )
+
+    @pytest.mark.parametrize("shape", ["constant", "linear"])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_M3_matches_brute_force_off_equilibrium(self, symmetric_params, shape, seed):
+        # a k1 that does not solve its equation leaves I3 != 0
+        p = symmetric_params if seed is None else random_distinct_market(
+            np.random.default_rng(seed)
+        )
+        grid = TimeGrid(2.0, 300)
+        if shape == "constant":
+            values = np.full(grid.n_nodes, 0.3)
+        else:
+            values = np.linspace(-0.5, 1.2, grid.n_nodes)
+        kernels = build_kernels(p, SampledFunction(grid, values), 2.0, grid)
+        expected = brute_force_M3(kernels)
+        assert expected > 1e-3
+        assert kernels.M3 == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_M3_matches_brute_force_at_solution(self, figure_solution):
+        # at the solved k1 the kernel vanishes up to roundoff
+        expected = brute_force_M3(figure_solution.kernels)
+        assert expected < 1e-12
+        assert abs(figure_solution.kernels.M3 - expected) < 1e-13
 
     def test_forcing_scales_inversely_with_gamma(self, symmetric_params, unit_grid):
         k1, _ = solve_k1(symmetric_params, unit_grid)
@@ -204,6 +289,16 @@ class TestIterateErrorBound:
             errors = iterate_sup_errors(history, solution)
             for n in range(1, min(10, len(errors)) + 1):
                 assert errors[n - 1] <= convergence_bound(K, 1.0, n)
+
+    def test_inflation_matches_reference_search(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            base = 10.0 ** rng.uniform(-14.0, 0.0)
+            omega1 = 10.0 ** rng.uniform(-16.0, 1.0)
+            horizon = rng.uniform(0.1, 10.0)
+            assert _inflate_for_domination(base, omega1, horizon) == reference_inflate(
+                base, omega1, horizon
+            )
 
     def test_bound_dominates_random_markets(self, unit_grid):
         rng = np.random.default_rng(5)
