@@ -8,6 +8,7 @@ with analytic terminal-wealth moments and Monte Carlo validation.
 """
 
 from .errors import (
+    CoefficientRangeError,
     ConfigError,
     DegenerateAssetError,
     DegenerateMarketError,
@@ -36,6 +37,7 @@ from .numerics import PicardConfig, SampledFunction, TimeGrid, convergence_bound
 __version__ = "0.1.0"
 
 __all__ = [
+    "CoefficientRangeError",
     "ConfigError",
     "CorrelationSpec",
     "DegenerateAssetError",

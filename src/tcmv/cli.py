@@ -391,7 +391,7 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
         if "mean_variance_vs_wealth" in cfg.tables:
             emitter.write("mean_variance_vs_wealth.csv", _mean_variance_lines(cases))
         emitter.write("diagnostics.txt", _diagnostics_lines(cfg, cases))
-    except Exception:
+    except BaseException:  # a KeyboardInterrupt must not leave partial files
         emitter.cleanup()
         raise
     if verbose:
@@ -424,7 +424,7 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
             for case in cases:
                 suffix = f"_g{fmt(case.gamma)}_T{fmt(case.T)}" if len(cases) > 1 else ""
                 emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(cfg, case))
-    except Exception:
+    except BaseException:  # a KeyboardInterrupt must not leave partial files
         emitter.cleanup()
         raise
     if verbose:

@@ -41,6 +41,10 @@ class SingularMarketError(MarketValidationError):
         self.diagnosis = diagnosis
 
 
+class CoefficientRangeError(MarketValidationError):
+    """The market's equilibrium coefficients exceed the float64 range."""
+
+
 class NonConvergenceError(TcmvError):
     """Fixed-point iteration hit its cap without meeting the tolerance."""
 

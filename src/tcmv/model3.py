@@ -6,12 +6,13 @@ is independent of risk aversion; the intercept k2 solves a linear Volterra
 equation of the second kind built from the exponential kernels of k1 and
 scales as 1/gamma.
 
-All kernels are separable in (t, v), so each is generated from a single
-cumulative integral and every Picard sweep as well as the nested double
-integral in the variance coefficients runs in O(N).  So does the kernel
-supremum behind the k2 error bound: with A = cum_drift and B = cum_vol,
-I1(t,v) I3(t,v) = f(t) g(v) where f(t) = e^{A(t)+B(t)} > 0 and
-g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}.
+The kernels depend on k1 alone and serve every gamma.  All kernels are
+separable in (t, v), so each is generated from a single cumulative integral
+and every Picard sweep runs in O(N).  So does the kernel supremum behind
+the k2 error bound: with A = cum_drift and B = cum_vol, I1(t,v) I3(t,v) =
+f(t) g(v) where f(t) = e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha
+e^{-B(T)} - h(v) e^{-B(v)}}.  At the solved k1, h(v) = dalpha e^{B(v)-B(T)}
+makes g and so I3 vanish: the moments carry no I3 term.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import CoefficientRangeError
 from .market import MarketParams, ObjectiveSpec
 from .model2 import (
     Model2Solution,
     _coeffs,
     portfolio_variance_rate,
-    solve_gain,
     solve_model2,
 )
 from .numerics import (
@@ -38,17 +39,6 @@ from .numerics import (
     picard_solve,
     tail_integrals,
 )
-
-
-def solve_k1(
-    params: MarketParams,
-    grid: TimeGrid,
-    cfg: PicardConfig | None = None,
-    record_history: bool = False,
-) -> tuple[SampledFunction, PicardResult]:
-    """Solve the wealth-proportional gain; identical to the variance-only k."""
-    result = solve_gain(params, grid, cfg, record_history)
-    return SampledFunction(grid, result.values), result
 
 
 def constant_gain_equal_drifts(params: MarketParams) -> float:
@@ -69,7 +59,6 @@ class KernelTables:
     """
 
     grid: TimeGrid
-    gamma: float
     lam: float  # dalpha / denom
     dalpha: float
     denom: float
@@ -86,11 +75,10 @@ class KernelTables:
     def I3(self, i, j):
         return self.dalpha * self.I2(i, -1) - self.h[j] * self.I2(i, j)
 
-    def forcing(self) -> np.ndarray:
+    def forcing(self, gamma: float) -> np.ndarray:
         """phi(t) = (lam / gamma) I1(t,T) I2(t,T) at every node."""
-        return (self.lam / self.gamma) * np.exp(
-            (self.cum_drift - self.cum_drift[-1]) + (self.cum_vol - self.cum_vol[-1])
-        )
+        a, b = self.cum_drift, self.cum_vol
+        return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
 
     @cached_property
     def M3(self) -> float:
@@ -107,23 +95,28 @@ class KernelTables:
 
 
 def build_kernels(
-    params: MarketParams, k1: SampledFunction, gamma: float, grid: TimeGrid
+    params: MarketParams, k1: SampledFunction, grid: TimeGrid
 ) -> KernelTables:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    """Kernel tables of the gain k1; CoefficientRangeError when e^{2A+B},
+    the largest exponential the intercept map and the moments form, overflows."""
     s21, s22, ds1, ds2, denom, _, dalpha = _coeffs(params)
     k = k1.values
     drift = params.alpha[1] + k * dalpha
     cum_drift = forward_integrals(drift, grid.dt)
     cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
+    exponent = 2.0 * np.max(np.abs(cum_drift)) + np.max(np.abs(cum_vol))
+    if not exponent <= np.log(np.finfo(float).max):
+        raise CoefficientRangeError(
+            f"coefficients exceed the float64 range over the horizon T={grid.T:g}"
+        )
     h = dalpha + ds1 * (s21 + k * ds1) + ds2 * (s22 + k * ds2)
-    return KernelTables(
-        grid, float(gamma), dalpha / denom, dalpha, denom, cum_drift, cum_vol, h
-    )
+    return KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
 
 
 def intercept_equation_map(kernels: KernelTables, gamma: float):
     """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     grid = kernels.grid
     dt = grid.dt
     lam, dalpha = kernels.lam, kernels.dalpha
@@ -133,7 +126,7 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
     exp_ab = np.exp(cum_a + cum_b)
     inv_ab_h = np.exp(-(cum_a + cum_b)) * kernels.h
     i2_tT = np.exp(cum_b - cum_b[-1])
-    phi = (lam / gamma) * np.exp(cum_a - cum_a[-1]) * i2_tT
+    phi = kernels.forcing(gamma)
 
     def step(k2: np.ndarray) -> np.ndarray:
         u = exp_a * tail_integrals(inv_a * k2, dt)  # int I1 k2
@@ -168,13 +161,13 @@ class MomentCoefficients:
     """Conditional moments of terminal wealth under u^ = k1 x + k2.
 
     mean(t, x)     = I1(t,T)^{-1} {x + dalpha int_t^T I1(t,v) k2(v) dv}
-    variance(t, x) = I1(t,T)^{-2} {c0(t) x^2 + c1(t) x + c2(t)}
+    variance(t, x) = I1(t,T)^{-2} {c0(t) x^2 + c2(t)}
+    with no x-linear term, because I3 vanishes at the solved k1.
     """
 
     grid: TimeGrid
     gamma: float
     c0: SampledFunction
-    c1: SampledFunction
     c2: SampledFunction
     i1_inv: SampledFunction  # I1(t,T)^{-1}
     drift_load: SampledFunction  # dalpha int_t^T I1(t,v) k2(v) dv
@@ -184,7 +177,7 @@ class MomentCoefficients:
 
     def variance(self, t, x):
         inv = self.i1_inv(t)
-        return inv * inv * (self.c0(t) * x * x + self.c1(t) * x + self.c2(t))
+        return inv * inv * (self.c0(t) * x * x + self.c2(t))
 
     def second_moment(self, t, x):
         m = self.mean(t, x)
@@ -198,14 +191,13 @@ class MomentCoefficients:
 
 
 def moments(
-    params: MarketParams,
-    k1: SampledFunction,
-    k2: SampledFunction,
-    gamma: float,
-    grid: TimeGrid,
+    kernels: KernelTables, k2: SampledFunction, gamma: float
 ) -> MomentCoefficients:
-    """Build c0, c1, c2 and the mean loading from the solved pair (k1, k2)."""
-    kernels = build_kernels(params, k1, gamma, grid)
+    """Build c0, c2 and the mean loading from the kernels and k2.
+
+    Valid only for the kernels of the solved k1, where I3 = 0.
+    """
+    grid = kernels.grid
     dt = grid.dt
     dalpha, denom = kernels.dalpha, kernels.denom
     cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
@@ -213,34 +205,22 @@ def moments(
 
     inv_a = np.exp(-cum_a)  # e^{-cumA(v)}
     inv_b = np.exp(-cum_b)
-    i2_tT = np.exp(cum_b - cum_b[-1])
     i2_tT_inv = np.exp(cum_b[-1] - cum_b)
     i1_tT_inv = np.exp(cum_a[-1] - cum_a)
 
-    # int_t^T I1 k2 and int_t^T I1 I3 k2
+    # int_t^T I1 k2
     u = np.exp(cum_a) * tail_integrals(inv_a * kv, dt)
-    w = np.exp(cum_a + cum_b) * tail_integrals(inv_a * inv_b * kernels.h * kv, dt)
-    j = dalpha * i2_tT * u - w
 
     c0 = np.expm1(cum_b[-1] - cum_b)
-    c1 = -2.0 * i2_tT_inv * j
 
     # int_t^T I1^2 I2 k2^2
     s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * inv_b * kv**2, dt)
-    # nested double integral: int_t^T I1 I3 k2 (int_t^v I1 k2 dw) dv, written
-    # with the forward cumulative Q(v) = int_0^v e^{-cumA} k2 dw
-    q = forward_integrals(inv_a * kv, dt)
-    m = kv * inv_a * (dalpha * inv_b[-1] - kernels.h * inv_b)
-    z = np.exp(2 * cum_a + cum_b) * (
-        tail_integrals(m * q, dt) - q * tail_integrals(m, dt)
-    )
-    c2 = i2_tT_inv * (denom * s - 2.0 * dalpha * z)
+    c2 = i2_tT_inv * (denom * s)
 
     return MomentCoefficients(
         grid,
         float(gamma),
         SampledFunction(grid, c0),
-        SampledFunction(grid, c1),
         SampledFunction(grid, c2),
         SampledFunction(grid, i1_tT_inv),
         SampledFunction(grid, dalpha * u),
@@ -288,9 +268,9 @@ def solve_model3(
     elif gain.grid != grid:
         raise ValueError("gain was solved on a different grid")
     k1 = gain.k
-    kernels = build_kernels(params, k1, obj.gamma, grid)
+    kernels = build_kernels(params, k1, grid)
     k2, res2 = solve_k2(kernels, obj.gamma, cfg, record_history)
-    mom = moments(params, k1, k2, obj.gamma, grid)
+    mom = moments(kernels, k2, obj.gamma)
     return Model3Solution(
         params,
         obj,

@@ -174,6 +174,7 @@ def convergence_bound(K: float, horizon: float, n: int) -> float:
     """Factorial-tail error bound sum_{i>=n} K^{i+1} h^i / i! after n sweeps.
 
     The series is truncated once a term falls below 1e-16 of the partial sum.
+    Returns inf once a term overflows (K * horizon beyond about 709).
     """
     if not (np.isfinite(K) and K > 0):
         raise ValueError("K must be a positive constant")
@@ -189,10 +190,10 @@ def convergence_bound(K: float, horizon: float, n: int) -> float:
         term *= K * horizon / i
     total = 0.0
     i = n
-    while True:
+    while np.isfinite(term):
         total += term
         i += 1
         term *= K * horizon / i
-        if term < 1e-16 * total:
-            break
-    return total
+        if term <= 1e-16 * total:
+            return total
+    return float("inf")

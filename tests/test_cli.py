@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from tcmv import cli
 from tcmv.cli import OUT_DIR_ENV, fmt, load_config, main
 
 FIGURE_CFG = """\
@@ -190,6 +191,39 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--out-dir", str(out)]) == 4
         # no partial outputs left behind
         assert not out.exists() or not any(out.iterdir())
+
+    def test_float64_overflow_is_market_error(self, tmp_path, capsys):
+        # nearly equal volatility rows and a long horizon drive the kernel
+        # exponents far past the float64 range
+        text = (
+            FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.9, -0.5")
+            .replace("0.25 0; 0 0.25", "0.25 0.0; 0.2501 0.0001")
+            .replace("T = 1", "T = 30")
+            .replace("n_steps = 200", "n_steps = 100")
+        )
+        path = tmp_path / "extreme.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "exceed the float64 range" in err and "T=30" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, stage", [("solve", "_diagnostics_lines"), ("simulate", "_paths_lines")]
+    )
+    def test_interrupt_leaves_no_partial_outputs(
+        self, figure_cfg, tmp_path, monkeypatch, command, stage
+    ):
+        # the stage runs after at least one file has been written
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, stage, interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main([command, figure_cfg, "--out-dir", str(out)])
+        assert not any(out.iterdir())
 
 
 class TestSimulateCommand:

@@ -8,6 +8,7 @@ from tcmv import (
     TimeGrid,
     evaluate_model2,
     solve_model1,
+    solve_model2,
     solve_model3,
 )
 from tcmv import model3
@@ -18,11 +19,17 @@ from tcmv.model3 import (
     constant_gain_equal_drifts,
     gain_bound_constant,
     intercept_bound_constant,
+    intercept_equation_map,
     intercept_residual,
     iterate_sup_errors,
-    solve_k1,
+    solve_k2,
 )
-from tcmv.numerics import SampledFunction, convergence_bound
+from tcmv.numerics import (
+    SampledFunction,
+    convergence_bound,
+    forward_integrals,
+    tail_integrals,
+)
 from .conftest import random_distinct_market
 
 # intercept at t=0 for the symmetric-volatility market with
@@ -42,6 +49,42 @@ def brute_force_M3(kernels) -> float:
         j = idx[i:]
         best = max(best, float(np.max(np.abs(kernels.I1(i, j) * kernels.I3(i, j)))))
     return best
+
+
+def reference_moments(kernels, k2: np.ndarray) -> dict[str, np.ndarray]:
+    """Reference moment coefficients for a general pair (k1, k2).
+
+    variance = I1(t,T)^{-2} {c0 x^2 + c1 x + c2} with
+    c1 = -2 I2(t,T)^{-1} int_t^T I1 I3 k2 and
+    c2 = I2(t,T)^{-1} {denom int_t^T I1^2 I2 k2^2
+                       - 2 dalpha int_t^T I1 I3 k2 (int_t^v I1 k2 dw) dv};
+    the terms that carry I3 vanish only at the solved k1.
+    """
+    dt = kernels.grid.dt
+    dalpha, denom = kernels.dalpha, kernels.denom
+    cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
+    inv_a = np.exp(-cum_a)
+    inv_b = np.exp(-cum_b)
+    i2_tT = np.exp(cum_b - cum_b[-1])
+    i2_tT_inv = np.exp(cum_b[-1] - cum_b)
+
+    # int_t^T I1 k2 and int_t^T I1 I3 k2
+    u = np.exp(cum_a) * tail_integrals(inv_a * k2, dt)
+    w = np.exp(cum_a + cum_b) * tail_integrals(inv_a * inv_b * kernels.h * k2, dt)
+    j = dalpha * i2_tT * u - w
+    # int_t^T I1^2 I2 k2^2
+    s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * inv_b * k2**2, dt)
+    # the nested double integral, written with the forward cumulative
+    # Q(v) = int_0^v e^{-cumA} k2 dw
+    q = forward_integrals(inv_a * k2, dt)
+    m = k2 * inv_a * (dalpha * inv_b[-1] - kernels.h * inv_b)
+    z = np.exp(2 * cum_a + cum_b) * (tail_integrals(m * q, dt) - q * tail_integrals(m, dt))
+    return {
+        "c0": np.expm1(cum_b[-1] - cum_b),
+        "c1": -2.0 * i2_tT_inv * j,
+        "c2": i2_tT_inv * (denom * s - 2.0 * dalpha * z),
+        "drift_load": dalpha * u,
+    }
 
 
 def reference_inflate(base: float, omega1: float, horizon: float) -> float:
@@ -85,18 +128,12 @@ class TestGainAndIntercept:
         assert figure_solution.k2.values[0] == pytest.approx(K2_AT_ZERO, abs=1e-9)
 
     def test_k1_equals_variance_only_gain(self, symmetric_params, unit_grid):
-        from tcmv import solve_model2
-
-        k1, _ = solve_k1(symmetric_params, unit_grid)
         m2 = solve_model2(symmetric_params, unit_grid)
         m3 = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
-        assert np.array_equal(k1.values, m2.k.values)
         assert np.array_equal(m3.k1.values, m2.k.values)
         assert (m3.k1_meta.iterations, m3.k1_meta.delta) == (m2.iterations, m2.delta)
 
     def test_shared_gain_is_bitwise_identical(self, symmetric_params, unit_grid):
-        from tcmv import solve_model2
-
         gain = solve_model2(symmetric_params, unit_grid, record_history=True)
         for gamma in (1.0, 3.0):
             obj = ObjectiveSpec(gamma, 1.0)
@@ -135,6 +172,21 @@ class TestGainAndIntercept:
             assert np.max(np.abs(s.k1.values - expected)) < 1e-12
             assert np.max(np.abs(s.k2.values)) < 1e-9
 
+    def test_kernels_built_once(self, symmetric_params, unit_grid, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_kernels(*args, **kwargs)
+
+        monkeypatch.setattr(model3, "build_kernels", counting)
+        solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
+        assert len(calls) == 1
+
+    def test_intercept_map_rejects_nonpositive_gamma(self, figure_solution):
+        with pytest.raises(ValueError):
+            intercept_equation_map(figure_solution.kernels, 0.0)
+
     def test_residuals(self, symmetric_params, unit_grid):
         cfg = PicardConfig(tol=1e-11)
         s = solve_model3(symmetric_params, ObjectiveSpec(3.0, 1.0), unit_grid, cfg)
@@ -160,9 +212,9 @@ class TestKernels:
     def test_zero_gain_drift_kernel(self, unit_grid):
         # k1 = 0 and alpha_2 = 0.12 make I1 over the full horizon e^{-0.12}
         p = MarketParams([0.2, 0.04], [[0.3, 0.0], [0.0, 0.0]], 0.04)
-        k1, _ = solve_k1(p, unit_grid)
+        k1 = solve_model2(p, unit_grid).k
         p12 = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.0]], 0.04)
-        kernels = build_kernels(p12, k1, 1.0, unit_grid)
+        kernels = build_kernels(p12, k1, unit_grid)
         assert kernels.I1(0, unit_grid.n_steps) == pytest.approx(
             np.exp(-0.12), abs=1e-10
         )
@@ -179,7 +231,7 @@ class TestKernels:
             values = np.full(grid.n_nodes, 0.3)
         else:
             values = np.linspace(-0.5, 1.2, grid.n_nodes)
-        kernels = build_kernels(p, SampledFunction(grid, values), 2.0, grid)
+        kernels = build_kernels(p, SampledFunction(grid, values), grid)
         expected = brute_force_M3(kernels)
         assert expected > 1e-3
         assert kernels.M3 == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -191,10 +243,9 @@ class TestKernels:
         assert abs(figure_solution.kernels.M3 - expected) < 1e-13
 
     def test_forcing_scales_inversely_with_gamma(self, symmetric_params, unit_grid):
-        k1, _ = solve_k1(symmetric_params, unit_grid)
-        f1 = build_kernels(symmetric_params, k1, 1.0, unit_grid).forcing()
-        f4 = build_kernels(symmetric_params, k1, 4.0, unit_grid).forcing()
-        assert np.allclose(4.0 * f4, f1)
+        k1 = solve_model2(symmetric_params, unit_grid).k
+        kernels = build_kernels(symmetric_params, k1, unit_grid)
+        assert np.allclose(4.0 * kernels.forcing(4.0), kernels.forcing(1.0))
 
 
 class TestMoments:
@@ -213,6 +264,35 @@ class TestMoments:
         assert m.variance(0.0, 1.0) == pytest.approx(VAR_AT_ZERO, abs=1e-8)
         assert m.value(0.0, 1.0) == pytest.approx(
             MEAN_AT_ZERO - 0.5 * VAR_AT_ZERO, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("seed", [None, *range(20)])
+    def test_reduced_moments_match_general_formula(self, symmetric_params, seed):
+        # at the solved k1 the terms carrying I3 drop out of the general formula
+        p = symmetric_params if seed is None else random_distinct_market(
+            np.random.default_rng(100 + seed)
+        )
+        s = solve_model3(p, ObjectiveSpec(2.0, 1.0), TimeGrid(1.0, 500))
+        ref = reference_moments(s.kernels, s.k2.values)
+        m = s.moments
+        assert np.array_equal(m.c0.values, ref["c0"])
+        assert np.array_equal(m.drift_load.values, ref["drift_load"])
+        scale = np.max(np.abs(ref["c2"]))
+        assert np.max(np.abs(m.c2.values - ref["c2"])) <= 1e-12 * scale
+        assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(
+            np.sqrt(m.c0.values * m.c2.values)
+        )
+
+    def test_general_formula_has_linear_term_off_equilibrium(self, symmetric_params):
+        # a constant k1 = 0.3 does not solve the gain equation, so I3 != 0
+        grid = TimeGrid(1.0, 500)
+        kernels = build_kernels(
+            symmetric_params, SampledFunction.constant(grid, 0.3), grid
+        )
+        k2, _ = solve_k2(kernels, 2.0)
+        ref = reference_moments(kernels, k2.values)
+        assert np.max(np.abs(ref["c1"])) > 1e-3 * np.max(
+            np.sqrt(ref["c0"] * np.abs(ref["c2"]))
         )
 
     def test_reduces_to_variance_only_shape(self, unit_grid):

@@ -141,6 +141,14 @@ class TestConvergenceBound:
     def test_vanishes_for_large_n(self):
         assert convergence_bound(2.0, 1.5, 60) < 1e-30
 
+    def test_overflowing_series_returns_inf(self):
+        # K * horizon = 1000: the terms overflow before the series peaks
+        assert convergence_bound(100.0, 10.0, 1) == np.inf
+        assert convergence_bound(50.0, 10.0, 1) == pytest.approx(7.0179610892642e218, rel=1e-12)
+
+    def test_underflowing_series_returns_zero(self):
+        assert convergence_bound(1e-300, 1.0, 5) == 0.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             convergence_bound(0.0, 1.0, 1)
