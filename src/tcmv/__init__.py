@@ -31,7 +31,13 @@ from .market import (
 from .model1 import Model1Solution, diagnose_one_factor, solve_model1
 from .model2 import Model2Solution, Model2Values, evaluate_model2, solve_model2
 from .model3 import Model3Solution, solve_model3
-from .montecarlo import FeedbackStrategy, SimConfig, SimulationReport, simulate
+from .montecarlo import (
+    FeedbackStrategy,
+    SimConfig,
+    SimulationReport,
+    simulate,
+    simulate_models,
+)
 from .numerics import PicardConfig, SampledFunction, TimeGrid, convergence_bound
 
 __version__ = "0.1.0"
@@ -67,6 +73,7 @@ __all__ = [
     "market_price_of_risk",
     "price_covariance",
     "simulate",
+    "simulate_models",
     "solve_model1",
     "solve_model2",
     "solve_model3",

@@ -39,11 +39,13 @@ from .model3 import (
     solve_model3,
 )
 from .montecarlo import (
+    MAX_BLOCK_BYTES,
     FeedbackStrategy,
+    Model1Strategy,
     SimConfig,
-    model1_strategy,
+    block_nbytes,
     reproduce_figure_paths,
-    simulate,
+    simulate_models,
 )
 from .numerics import PicardConfig, TimeGrid, convergence_bound
 
@@ -159,6 +161,12 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 
     if steps_per_year < 2:
         raise ConfigError("n_steps must be at least 2 per year")
+    nbytes = block_nbytes(sim, params.n_factors)
+    if nbytes > MAX_BLOCK_BYTES:
+        raise ConfigError(
+            f"n_time_steps = {sim.n_time_steps} needs {nbytes / 2**20:.1f} MiB of "
+            f"increments per Monte Carlo block, above the {MAX_BLOCK_BYTES // 2**20} MiB limit"
+        )
     return ScenarioConfig(
         params, gammas, horizons, steps_per_year, picard, sim, tables, out_dir
     )
@@ -208,27 +216,43 @@ def _solve_all(cfg: ScenarioConfig, threads: int) -> list[SolvedCase]:
     return [cases[i] for i in range(len(cfg.gammas)) for cases in by_horizon]
 
 
+def _discard(path: str):
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
 class _Emitter:
-    """Tracks written files so partial outputs can be removed on failure."""
+    """Writes each file whole or not at all (a temporary file, then
+    os.replace) and tracks written files so partial outputs can be removed
+    on failure.  An unusable output directory is a config error."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     def write(self, name: str, lines: list[str]) -> str:
         path = os.path.join(self.out_dir, name)
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tmp = os.path.join(self.out_dir, f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        finally:
+            _discard(tmp)  # already gone unless the write failed
         self.written.append(path)
         return path
 
     def cleanup(self):
         for path in self.written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            _discard(path)
 
 
 def _k_curves_lines(cases: list[SolvedCase]) -> list[str]:
@@ -293,7 +317,7 @@ def _mean_variance_lines(cases: list[SolvedCase]) -> list[str]:
 def _strategies(case: SolvedCase) -> dict:
     strategies = {}
     if case.m1 is not None:
-        strategies["model1"] = model1_strategy(case.m1)
+        strategies["model1"] = Model1Strategy(case.m1)
     strategies["model2"] = FeedbackStrategy(case.m2.k)
     strategies["model3"] = FeedbackStrategy(case.m3.k1, case.m3.k2)
     return strategies
@@ -407,8 +431,8 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     try:
         for case in cases:
             obj = ObjectiveSpec(case.gamma, case.T)
-            for name, strategy in _strategies(case).items():
-                report = simulate(cfg.params, strategy, obj, cfg.sim)
+            reports = simulate_models(cfg.params, _strategies(case), obj, cfg.sim, threads)
+            for name, report in reports.items():
                 lines.append(
                     f"{fmt(case.gamma)},{fmt(case.T)},{name},"
                     f"{fmt(report.mean_estimate)},{fmt(report.variance_estimate)},"
@@ -466,8 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", default=None, help="output directory "
                          f"(default: ${OUT_DIR_ENV} or the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads across horizons T (each solves "
-                         "the gain once and then every gamma)")
+                         help="worker threads: the solve fans out over horizons T "
+                         "(each solves the gain once and then every gamma); "
+                         "simulate draws up to N-1 Monte Carlo path blocks "
+                         "ahead of the one being stepped")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

@@ -17,7 +17,7 @@ from tcmv import (
     SimConfig,
     TimeGrid,
     evaluate_model2,
-    simulate,
+    simulate_models,
     solve_model1,
     solve_model2,
     solve_model3,
@@ -31,7 +31,7 @@ from tcmv.model3 import (
     intercept_residual,
     iterate_sup_errors,
 )
-from tcmv.montecarlo import model1_strategy, reproduce_figure_paths
+from tcmv.montecarlo import Model1Strategy, reproduce_figure_paths
 from tcmv.numerics import convergence_bound
 from .conftest import random_distinct_market
 
@@ -184,15 +184,21 @@ def test_08_monte_carlo_consistency():
     s2 = solve_model2(DIAGONAL, grid)
     v2 = evaluate_model2(DIAGONAL, s2.k, 3.0)
     s3 = solve_model3(DIAGONAL, obj, grid)
-    cases = [
-        ("model1", model1_strategy(s1), s1.expected_wealth(0.0, 1.0), s1.terminal_variance(0.0)),
-        ("model2", FeedbackStrategy(s2.k), v2.mean(0.0, 1.0), v2.variance(0.0, 1.0)),
-        ("model3", FeedbackStrategy(s3.k1, s3.k2), s3.moments.mean(0.0, 1.0), s3.moments.variance(0.0, 1.0)),
-    ]
+    strategies = {
+        "model1": Model1Strategy(s1),
+        "model2": FeedbackStrategy(s2.k),
+        "model3": FeedbackStrategy(s3.k1, s3.k2),
+    }
+    analytic = {
+        "model1": (s1.expected_wealth(0.0, 1.0), s1.terminal_variance(0.0)),
+        "model2": (v2.mean(0.0, 1.0), v2.variance(0.0, 1.0)),
+        "model3": (s3.moments.mean(0.0, 1.0), s3.moments.variance(0.0, 1.0)),
+    }
+    reports = simulate_models(DIAGONAL, strategies, obj, cfg, threads=2)
     ok = True
     zs = []
-    for _, strategy, mean_a, var_a in cases:
-        r = simulate(DIAGONAL, strategy, obj, cfg)
+    for name, (mean_a, var_a) in analytic.items():
+        r = reports[name]
         z_mean = abs(r.mean_estimate - mean_a) / r.se_mean
         z_var = abs(r.variance_estimate - var_a) / r.se_variance
         zs.append(max(z_mean, z_var))
@@ -214,7 +220,7 @@ def test_09_qualitative_orderings():
     mean_ok = all(s3.moments.mean(0.0, x) >= v2.mean(0.0, x) - 1e-12 for x in xs)
     var_ok = all(v2.variance(0.0, x) <= s3.moments.variance(0.0, x) + 1e-12 for x in xs)
     strategies = {
-        "model1": model1_strategy(s1),
+        "model1": Model1Strategy(s1),
         "model2": FeedbackStrategy(s2.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }

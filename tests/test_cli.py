@@ -1,3 +1,5 @@
+import builtins
+import errno
 import os
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from tcmv import cli
 from tcmv.cli import OUT_DIR_ENV, fmt, load_config, main
+from tcmv.montecarlo import MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
 [market]
@@ -97,6 +100,65 @@ class TestConfigParsing:
         cov = cfg.params.sigma @ cfg.params.sigma.T
         rho = 0.5 if "rho" in new else 0.0
         assert cov[0, 1] == pytest.approx(rho * 0.25 * 0.25, abs=1e-15)
+
+
+    def test_block_memory_bound(self, tmp_path, capsys):
+        # 4096 paths x 8192 steps x 2 factors x 8 bytes is exactly the bound
+        assert MAX_BLOCK_BYTES == 4096 * 8192 * 2 * 8
+        path = tmp_path / "steps.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
+                        .replace("n_time_steps = 100", "n_time_steps = 8192"))
+        assert load_config(str(path)).sim.n_time_steps == 8192
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
+                        .replace("n_time_steps = 100", "n_time_steps = 8193"))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "n_time_steps = 8193" in err and "512.1 MiB" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_block_memory_bound_uses_the_path_count(self, tmp_path):
+        # fewer paths than one block: the block is only that large
+        path = tmp_path / "few.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 10")
+                        .replace("n_time_steps = 100", "n_time_steps = 1000000"))
+        assert load_config(str(path)).sim.n_paths == 10
+        path.write_text(FIGURE_CFG.replace("n_time_steps = 100", "n_time_steps = 1000000"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+
+class TestOutputDirectory:
+    def test_existing_file_is_config_error(self, figure_cfg, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        assert main(["solve", figure_cfg, "--out-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(target) in err
+        assert target.read_text() == "not a directory"
+
+    def test_path_below_a_file_is_config_error(self, figure_cfg, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["simulate", figure_cfg, "--out-dir", str(target / "sub")]) == 2
+        assert str(target / "sub") in capsys.readouterr().err
+
+    def test_unwritable_directory_is_config_error(
+        self, figure_cfg, tmp_path, capsys, monkeypatch
+    ):
+        # directory modes do not bind a superuser, so the refusal a
+        # read-only directory gives is simulated at the open call
+        out = tmp_path / "readonly"
+        out.mkdir()
+
+        def refuse(path, *args, **kwargs):
+            if os.path.dirname(path) == str(out):
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert main(["solve", figure_cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err and "Permission denied" in err
+        assert not any(out.iterdir())
 
 
 class TestSolveCommand:
@@ -225,6 +287,53 @@ class TestSolveCommand:
             main([command, figure_cfg, "--out-dir", str(out)])
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_interrupt_inside_a_write_leaves_no_temporary_file(
+        self, figure_cfg, tmp_path, monkeypatch, command
+    ):
+        # the second file is interrupted half written, after the first one
+        # has been put in place
+        opened = []
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise KeyboardInterrupt
+
+        def open_(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            opened.append(path)
+            return HalfWrite(fh) if len(opened) == 2 else fh
+
+        monkeypatch.setattr(cli, "open", open_, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main([command, figure_cfg, "--out-dir", str(out)])
+        assert len(opened) == 2 and opened[1].endswith(".tmp")
+        assert not any(out.iterdir())
+
+    def test_outputs_replace_old_files_whole(self, figure_cfg, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "k_curves.csv").write_text("stale\n")
+        assert main(["solve", figure_cfg, "--out-dir", str(out)]) == 0
+        assert (out / "k_curves.csv").read_text().startswith("gamma,T,t,")
+        assert sorted(f.name for f in out.iterdir()) == [
+            "allocation_vs_wealth.csv",
+            "diagnostics.txt",
+            "k_curves.csv",
+            "mean_variance_vs_wealth.csv",
+        ]
+
 
 class TestSimulateCommand:
     def test_emits_summary_and_paths(self, figure_cfg, tmp_path):
@@ -233,6 +342,20 @@ class TestSimulateCommand:
         assert (out / "simulation_summary.csv").exists()
         paths = sorted(f.name for f in out.iterdir() if f.name.startswith("simulated"))
         assert len(paths) == 2  # one per (gamma, T) combination
+
+    def test_threads_give_same_output(self, tmp_path):
+        # 9000 paths: two full Monte Carlo blocks and a partial one
+        path = tmp_path / "blocks.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 9000")
+                        .replace("n_time_steps = 100", "n_time_steps = 20"))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", str(path), "--out-dir", str(out_a), "--threads", "1"]) == 0
+        assert main(["simulate", str(path), "--out-dir", str(out_b), "--threads", "2"]) == 0
+        names = sorted(f.name for f in out_a.iterdir())
+        assert names == sorted(f.name for f in out_b.iterdir())
+        assert "simulation_summary.csv" in names and len(names) == 3
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_paths_have_all_models(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
