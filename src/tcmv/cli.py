@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model3
 from .errors import (
     ConfigError,
     MarketValidationError,
@@ -60,6 +59,13 @@ _ALL_TABLES = (
 
 # wealth lattice used by the per-wealth tables
 _WEALTH_GRID = np.linspace(0.1, 5.0, 50)
+
+# Most solver grid steps of one horizon: each Picard iterate, all of which
+# are kept for the error-bound tables, is 8 bytes a node (8 MB here).
+MAX_GRID_STEPS = 10**6
+
+# The variance's standard error needs more than three paths.
+_MIN_PATHS = 4
 
 
 def fmt(x: float) -> str:
@@ -161,6 +167,17 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 
     if steps_per_year < 2:
         raise ConfigError("n_steps must be at least 2 per year")
+    for T in horizons:
+        if steps_per_year > MAX_GRID_STEPS / T:
+            raise ConfigError(
+                f"T={fmt(T)} at n_steps = {steps_per_year} per year needs more "
+                f"than MAX_GRID_STEPS = {MAX_GRID_STEPS} grid steps"
+            )
+    if sim.n_paths < _MIN_PATHS:
+        raise ConfigError(
+            f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
+            f"at least {_MIN_PATHS} paths"
+        )
     nbytes = block_nbytes(sim, params.n_factors)
     if nbytes > MAX_BLOCK_BYTES:
         raise ConfigError(
@@ -182,15 +199,14 @@ class SolvedCase:
     T: float
     m1: Model1Solution | None
     m1_error: str | None
-    m2: Model2Solution  # shared by every gamma of one horizon
-    m3: Model3Solution
+    m3: Model3Solution  # m3.gain is model 2, shared by every gamma of one horizon
 
 
 def _solve_horizon(cfg: ScenarioConfig, T: float) -> list[SolvedCase]:
     """Every gamma at one horizon, from one solve of the gain equation:
     model 2's k is model 3's k1, which does not depend on gamma."""
     grid = _grid_for(cfg, T)
-    m2 = solve_model2(cfg.params, grid, cfg.picard, record_history=True)
+    m2 = solve_model2(cfg.params, grid, cfg.picard)
     cases = []
     for gamma in cfg.gammas:
         obj = ObjectiveSpec(gamma, T)
@@ -199,10 +215,8 @@ def _solve_horizon(cfg: ScenarioConfig, T: float) -> list[SolvedCase]:
             m1 = solve_model1(cfg.params, obj)
         except SingularMarketError as exc:
             m1_error = str(exc)
-        m3 = solve_model3(
-            cfg.params, obj, grid, cfg.picard, record_history=True, gain=m2
-        )
-        cases.append(SolvedCase(gamma, T, m1, m1_error, m2, m3))
+        m3 = solve_model3(cfg.params, obj, grid, cfg.picard, gain=m2)
+        cases.append(SolvedCase(gamma, T, m1, m1_error, m3))
     return cases
 
 
@@ -225,16 +239,28 @@ def _discard(path: str):
 
 class _Emitter:
     """Writes each file whole or not at all (a temporary file, then
-    os.replace) and tracks written files so partial outputs can be removed
-    on failure.  An unusable output directory is a config error."""
+    os.replace).  Used as a context manager: on any exception, an interrupt
+    included, the files written so far are removed; on success they are
+    listed under --verbose.  An unusable output directory is a config error."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, verbose: bool):
         self.out_dir = out_dir
+        self.verbose = verbose
         self.written: list[str] = []
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+    def __enter__(self) -> "_Emitter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for path in self.written:
+            if exc_type is not None:
+                _discard(path)
+            elif self.verbose:
+                print(f"wrote {path}")
 
     def write(self, name: str, lines: list[str]) -> str:
         path = os.path.join(self.out_dir, name)
@@ -250,16 +276,12 @@ class _Emitter:
         self.written.append(path)
         return path
 
-    def cleanup(self):
-        for path in self.written:
-            _discard(path)
-
 
 def _k_curves_lines(cases: list[SolvedCase]) -> list[str]:
     lines = ["gamma,T,t,k_model2,k1,k2"]
     for case in cases:
         nodes = case.m3.grid.nodes
-        k_m2, k1, k2 = case.m2.k.values, case.m3.k1.values, case.m3.k2.values
+        k_m2, k1, k2 = case.m3.gain.k.values, case.m3.k1.values, case.m3.k2.values
         for i, t in enumerate(nodes):
             lines.append(
                 f"{fmt(case.gamma)},{fmt(case.T)},{fmt(t)},"
@@ -271,21 +293,13 @@ def _k_curves_lines(cases: list[SolvedCase]) -> list[str]:
 def _allocation_lines(cases: list[SolvedCase]) -> list[str]:
     lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
     for case in cases:
-        rows = []
-        if case.m1 is not None:
-            u = case.m1.control(0.0)
-            rows += [("model1", x, u[0], u[1]) for x in _WEALTH_GRID]
-        for x in _WEALTH_GRID:
-            u1, u2 = case.m2.control(0.0, x)
-            rows.append(("model2", x, u1, u2))
-        for x in _WEALTH_GRID:
-            u1, u2 = model3.control(case.m3, 0.0, x)
-            rows.append(("model3", x, u1, u2))
-        for model, x, u1, u2 in rows:
-            lines.append(
-                f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
-                f"{fmt(u1)},{fmt(u2)},{fmt(u1 / x)},{fmt(u2 / x)}"
-            )
+        for model, strategy in _strategies(case).items():
+            dollars = strategy(0.0, _WEALTH_GRID)
+            for x, (u1, u2) in zip(_WEALTH_GRID, dollars[:, :2]):
+                lines.append(
+                    f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
+                    f"{fmt(u1)},{fmt(u2)},{fmt(u1 / x)},{fmt(u2 / x)}"
+                )
     return lines
 
 
@@ -298,7 +312,7 @@ def _mean_variance_lines(cases: list[SolvedCase]) -> list[str]:
                 ("model1", x, case.m1.expected_wealth(0.0, x), case.m1.terminal_variance(0.0))
                 for x in _WEALTH_GRID
             ]
-        vals2 = evaluate_model2(case.m2.params, case.m2.k, case.gamma)
+        vals2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
         rows += [
             ("model2", x, vals2.mean(0.0, x), vals2.variance(0.0, x))
             for x in _WEALTH_GRID
@@ -318,7 +332,7 @@ def _strategies(case: SolvedCase) -> dict:
     strategies = {}
     if case.m1 is not None:
         strategies["model1"] = Model1Strategy(case.m1)
-    strategies["model2"] = FeedbackStrategy(case.m2.k)
+    strategies["model2"] = FeedbackStrategy(case.m3.gain.k)
     strategies["model3"] = FeedbackStrategy(case.m3.k1, case.m3.k2)
     return strategies
 
@@ -355,7 +369,7 @@ def bound_table_text(history: list[np.ndarray], solution: np.ndarray, K: float, 
 
 def _gains(cases: list[SolvedCase]) -> dict[float, Model2Solution]:
     """The one gain solution of each horizon."""
-    return {case.T: case.m2 for case in cases}
+    return {case.T: case.m3.gain for case in cases}
 
 
 def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, float]:
@@ -364,6 +378,18 @@ def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, fl
         T: gain_bound_constant(cfg.params, m2.grid, m2.history)
         for T, m2 in _gains(cases).items()
     }
+
+
+def _bound_tables(case: SolvedCase, k1_bound: float) -> list[str]:
+    """The k1 and k2 iterate error-bound tables of one case."""
+    m3 = case.m3
+    k2_bound = intercept_bound_constant(m3.kernels, m3.k2_solve.history)
+    return [
+        "k1 iterate error bound:",
+        *bound_table_text(m3.gain.history, m3.k1.values, k1_bound, case.T),
+        "k2 iterate error bound:",
+        *bound_table_text(m3.k2_solve.history, m3.k2.values, k2_bound, case.T),
+    ]
 
 
 def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str]:
@@ -379,35 +405,26 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str
             lines.append(f"model1: theta_sq={fmt(case.m1.theta_sq)}")
         else:
             lines.append(f"model1: {case.m1_error}")
-        gain_res = residuals[case.T]
-        lines.append(
-            f"model2 k: iterations={case.m2.iterations} "
-            f"delta={fmt(case.m2.delta)} residual={fmt(gain_res)}"
+        gain, k2_solve = case.m3.gain, case.m3.k2_solve
+        gain_text = (
+            f"iterations={gain.iterations} delta={fmt(gain.delta)} "
+            f"residual={fmt(residuals[case.T])}"
         )
         k2_res = intercept_residual(case.m3.kernels, case.gamma, case.m3.k2.values)
-        lines.append(
-            f"model3 k1: iterations={case.m3.k1_meta.iterations} "
-            f"delta={fmt(case.m3.k1_meta.delta)} residual={fmt(gain_res)}"
-        )
-        lines.append(
-            f"model3 k2: iterations={case.m3.k2_meta.iterations} "
-            f"delta={fmt(case.m3.k2_meta.delta)} residual={fmt(k2_res)}"
-        )
-        k2_bound = intercept_bound_constant(case.m3.kernels, case.m3.k2_history)
-        lines.append("k1 iterate error bound:")
-        lines += bound_table_text(
-            case.m3.k1_history, case.m3.k1.values, k1_bounds[case.T], case.T
-        )
-        lines.append("k2 iterate error bound:")
-        lines += bound_table_text(case.m3.k2_history, case.m3.k2.values, k2_bound, case.T)
-        lines.append("")
+        lines += [
+            f"model2 k: {gain_text}",
+            f"model3 k1: {gain_text}",
+            f"model3 k2: iterations={k2_solve.iterations} "
+            f"delta={fmt(k2_solve.delta)} residual={fmt(k2_res)}",
+            *_bound_tables(case, k1_bounds[case.T]),
+            "",
+        ]
     return lines
 
 
 def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg, threads)
-    emitter = _Emitter(cfg.out_dir)
-    try:
+    with _Emitter(cfg.out_dir, verbose) as emitter:
         if "k_curves" in cfg.tables:
             emitter.write("k_curves.csv", _k_curves_lines(cases))
         if "allocation_vs_wealth" in cfg.tables:
@@ -415,20 +432,13 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
         if "mean_variance_vs_wealth" in cfg.tables:
             emitter.write("mean_variance_vs_wealth.csv", _mean_variance_lines(cases))
         emitter.write("diagnostics.txt", _diagnostics_lines(cfg, cases))
-    except BaseException:  # a KeyboardInterrupt must not leave partial files
-        emitter.cleanup()
-        raise
-    if verbose:
-        for path in emitter.written:
-            print(f"wrote {path}")
     return 0
 
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg, threads)
-    emitter = _Emitter(cfg.out_dir)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded"]
-    try:
+    with _Emitter(cfg.out_dir, verbose) as emitter:
         for case in cases:
             obj = ObjectiveSpec(case.gamma, case.T)
             reports = simulate_models(cfg.params, _strategies(case), obj, cfg.sim, threads)
@@ -448,12 +458,6 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
             for case in cases:
                 suffix = f"_g{fmt(case.gamma)}_T{fmt(case.T)}" if len(cases) > 1 else ""
                 emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(cfg, case))
-    except BaseException:  # a KeyboardInterrupt must not leave partial files
-        emitter.cleanup()
-        raise
-    if verbose:
-        for path in emitter.written:
-            print(f"wrote {path}")
     return 0
 
 
@@ -462,12 +466,7 @@ def run_bounds(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
         print(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
-        print("k1 iterate error bound:")
-        print("\n".join(bound_table_text(
-            case.m3.k1_history, case.m3.k1.values, k1_bounds[case.T], case.T)))
-        k2_bound = intercept_bound_constant(case.m3.kernels, case.m3.k2_history)
-        print("k2 iterate error bound:")
-        print("\n".join(bound_table_text(case.m3.k2_history, case.m3.k2.values, k2_bound, case.T)))
+        print("\n".join(_bound_tables(case, k1_bounds[case.T])))
     return 0
 
 

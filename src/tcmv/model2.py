@@ -70,16 +70,13 @@ def solve_gain(
     params: MarketParams,
     grid: TimeGrid,
     cfg: PicardConfig | None = None,
-    record_history: bool = False,
 ) -> PicardResult:
     """Picard solve of the gain equation: the variance-only k, and the
     mean-variance k1, which does not depend on risk aversion."""
     check = validate_distinct_volatility(params)
     if not check.passed:
         raise DegenerateMarketError(check)
-    return picard_solve(
-        gain_equation_map(params, grid), grid.n_nodes, cfg, record_history
-    )
+    return picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)
 
 
 @dataclass(frozen=True)
@@ -89,22 +86,16 @@ class Model2Solution:
     k: SampledFunction  # fraction of wealth in stock 1
     iterations: int
     delta: float
-    history: list[np.ndarray] | None = None
-
-    def control(self, t, x):
-        """Dollar amounts (stock 1, stock 2) at time t and wealth x."""
-        u1 = self.k(t) * x
-        return u1, x - u1
+    history: list[np.ndarray]  # the Picard iterates, the start included
 
 
 def solve_model2(
     params: MarketParams,
     grid: TimeGrid,
     cfg: PicardConfig | None = None,
-    record_history: bool = False,
 ) -> Model2Solution:
     """Solve the backward integral equation for k by Picard iteration."""
-    result = solve_gain(params, grid, cfg, record_history)
+    result = solve_gain(params, grid, cfg)
     return Model2Solution(
         params,
         grid,

@@ -137,16 +137,10 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
 
 
 def solve_k2(
-    kernels: KernelTables,
-    gamma: float,
-    cfg: PicardConfig | None = None,
-    record_history: bool = False,
+    kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
 ) -> tuple[SampledFunction, PicardResult]:
     result = picard_solve(
-        intercept_equation_map(kernels, gamma),
-        kernels.grid.n_nodes,
-        cfg,
-        record_history,
+        intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg
     )
     return SampledFunction(kernels.grid, result.values), result
 
@@ -228,24 +222,19 @@ def moments(
 
 
 @dataclass(frozen=True)
-class PicardMeta:
-    iterations: int
-    delta: float
-
-
-@dataclass(frozen=True)
 class Model3Solution:
     params: MarketParams
     obj: ObjectiveSpec
     grid: TimeGrid
-    k1: SampledFunction
-    k2: SampledFunction
+    gain: Model2Solution  # k1 is the variance-only gain, free of gamma
     kernels: KernelTables
+    k2: SampledFunction
+    k2_solve: PicardResult
     moments: MomentCoefficients
-    k1_meta: PicardMeta
-    k2_meta: PicardMeta
-    k1_history: list[np.ndarray] | None = None
-    k2_history: list[np.ndarray] | None = None
+
+    @property
+    def k1(self) -> SampledFunction:
+        return self.gain.k
 
 
 def solve_model3(
@@ -253,7 +242,6 @@ def solve_model3(
     obj: ObjectiveSpec,
     grid: TimeGrid | None = None,
     cfg: PicardConfig | None = None,
-    record_history: bool = False,
     gain: Model2Solution | None = None,
 ) -> Model3Solution:
     """Full pipeline: k1 -> kernels -> k2 -> moment coefficients.
@@ -264,26 +252,13 @@ def solve_model3(
     """
     grid = grid or TimeGrid.default(obj.horizon_T)
     if gain is None:
-        gain = solve_model2(params, grid, cfg, record_history)
+        gain = solve_model2(params, grid, cfg)
     elif gain.grid != grid:
         raise ValueError("gain was solved on a different grid")
-    k1 = gain.k
-    kernels = build_kernels(params, k1, grid)
-    k2, res2 = solve_k2(kernels, obj.gamma, cfg, record_history)
+    kernels = build_kernels(params, gain.k, grid)
+    k2, k2_solve = solve_k2(kernels, obj.gamma, cfg)
     mom = moments(kernels, k2, obj.gamma)
-    return Model3Solution(
-        params,
-        obj,
-        grid,
-        k1,
-        k2,
-        kernels,
-        mom,
-        PicardMeta(gain.iterations, gain.delta),
-        PicardMeta(res2.iterations, res2.delta),
-        gain.history,
-        res2.history,
-    )
+    return Model3Solution(params, obj, grid, gain, kernels, k2, k2_solve, mom)
 
 
 def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]:
@@ -302,7 +277,7 @@ def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]
 
 def _first_sweep_l1(history: list[np.ndarray], dt: float) -> float:
     """omega_1(0) = int_0^T |k^(1) - k^(0)| ds from the recorded iterates."""
-    if history is None or len(history) < 2:
+    if len(history) < 2:
         raise ValueError("need a recorded history with at least one sweep")
     diff = np.abs(history[1] - history[0])
     return float(forward_integrals(diff, dt)[-1])

@@ -57,6 +57,8 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             # the seed is one 64-bit word of the Philox key
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not np.isfinite(self.x0):
+            raise ValueError(f"initial wealth x0 must be finite, got {self.x0}")
 
 
 def block_nbytes(cfg: SimConfig, n_factors: int) -> int:

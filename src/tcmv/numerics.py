@@ -134,20 +134,20 @@ class PicardResult:
     values: np.ndarray
     iterations: int
     delta: float  # final sup-norm change
-    history: list[np.ndarray] | None = None  # iterates incl. the start, if recorded
+    history: list[np.ndarray]  # every iterate, the constant start included
 
 
 def picard_solve(
     step: Callable[[np.ndarray], np.ndarray],
     n_nodes: int,
     cfg: PicardConfig | None = None,
-    record_history: bool = False,
 ) -> PicardResult:
     """Iterate x <- step(x) from the constant start until the sup-norm change
-    drops below tol.  Raises NonConvergenceError when the cap is hit."""
+    drops below tol, keeping every iterate for the error-bound tables.
+    Raises NonConvergenceError when the cap is hit."""
     cfg = cfg or PicardConfig()
     current = np.full(n_nodes, cfg.initial_value)
-    history = [current] if record_history else None
+    history = [current]
     delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):
         new = np.asarray(step(current), dtype=float)
@@ -159,8 +159,7 @@ def picard_solve(
             )
         delta = float(np.max(np.abs(new - current)))
         current = new
-        if record_history:
-            history.append(current)
+        history.append(current)
         if delta < cfg.tol:
             return PicardResult(current, iteration, delta, history)
     raise NonConvergenceError(

@@ -161,12 +161,12 @@ def test_07_iterate_error_bound_domination():
         ObjectiveSpec(1.0, 1.0),
         grid,
         PicardConfig(tol=1e-13, max_iter=300),
-        record_history=True,
     )
+    k1_history, k2_history = s.gain.history, s.k2_solve.history
     ok = True
     for history, solution, K in (
-        (s.k1_history, s.k1.values, gain_bound_constant(SYMMETRIC, grid, s.k1_history)),
-        (s.k2_history, s.k2.values, intercept_bound_constant(s.kernels, s.k2_history)),
+        (k1_history, s.k1.values, gain_bound_constant(SYMMETRIC, grid, k1_history)),
+        (k2_history, s.k2.values, intercept_bound_constant(s.kernels, k2_history)),
     ):
         errors = iterate_sup_errors(history, solution)
         for n in range(1, 11):
@@ -240,14 +240,14 @@ def test_10_randomized_property_suite():
     ok = True
     for _ in range(100):
         p = random_distinct_market(rng)
-        s = solve_model3(p, ObjectiveSpec(2.0, 1.0), grid, cfg, record_history=True)
+        s = solve_model3(p, ObjectiveSpec(2.0, 1.0), grid, cfg)
         diffs = np.diff(s.k1.values)
         if p.alpha[0] > p.alpha[1]:
             ok &= bool(np.all(diffs >= -1e-12))
         elif p.alpha[0] < p.alpha[1]:
             ok &= bool(np.all(diffs <= 1e-12))
         lo, hi = gain_iterate_bounds(p)
-        for iterate in s.k1_history[1:]:
+        for iterate in s.gain.history[1:]:
             ok &= bool(np.all(iterate >= lo - 1e-10) and np.all(iterate <= hi + 1e-10))
         for t in np.linspace(0.0, 1.0, 5):
             for x in np.linspace(0.1, 10.0, 8):

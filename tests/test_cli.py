@@ -4,9 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmv import cli
-from tcmv.cli import OUT_DIR_ENV, fmt, load_config, main
+from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, load_config, main
+from tcmv.errors import ConfigError
+from tcmv.market import MarketParams
 from tcmv.montecarlo import MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
@@ -40,6 +44,41 @@ def figure_cfg(tmp_path):
     path = tmp_path / "figure.cfg"
     path.write_text(FIGURE_CFG)
     return str(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def scenarios(draw):
+    """A market of 1-3 stocks and 1-3 factors, gammas and horizons."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    alpha = draw(st.lists(finite, min_size=n, max_size=n))
+    sigma = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=n, max_size=n))
+    r = draw(finite)
+    gammas = draw(st.lists(positive, min_size=1, max_size=3))
+    # at the default 1000 steps a year, T <= 1000 keeps within MAX_GRID_STEPS
+    horizons = draw(st.lists(
+        st.floats(min_value=0.0, exclude_min=True, max_value=1000.0), min_size=1, max_size=3
+    ))
+    return MarketParams(alpha, sigma, r), gammas, horizons
+
+
+def _scenario_text(params, gammas, horizons):
+    def row(values):
+        return ", ".join(repr(float(v)) for v in values)
+
+    return "\n".join([
+        "[market]",
+        f"alpha = {row(params.alpha)}",
+        "sigma = " + " ; ".join(" ".join(repr(float(v)) for v in r) for r in params.sigma),
+        f"r = {params.r!r}",
+        "[objective]",
+        f"gamma = {row(gammas)}",
+        f"T = {row(horizons)}",
+        "",
+    ])
 
 
 def _read_rows(path):
@@ -101,6 +140,53 @@ class TestConfigParsing:
         rho = 0.5 if "rho" in new else 0.0
         assert cov[0, 1] == pytest.approx(rho * 0.25 * 0.25, abs=1e-15)
 
+
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_written_config_parses_back(self, tmp_path_factory, scenario):
+        params, gammas, horizons = scenario
+        path = tmp_path_factory.mktemp("roundtrip") / "scenario.cfg"
+        path.write_text(_scenario_text(params, gammas, horizons))
+        cfg = load_config(str(path))
+        assert np.array_equal(cfg.params.alpha, params.alpha)
+        assert np.array_equal(cfg.params.sigma, params.sigma)
+        assert cfg.params.sigma.shape == params.sigma.shape
+        assert cfg.params.r == params.r
+        assert cfg.gammas == gammas and cfg.horizons == horizons
+
+    @pytest.mark.parametrize("x0", ["nan", "inf"])
+    def test_non_finite_initial_wealth_is_config_error(self, tmp_path, capsys, x0):
+        path = tmp_path / "x0.cfg"
+        path.write_text(FIGURE_CFG.replace("seed = 9", f"seed = 9\nx0 = {x0}"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "x0" in err
+        assert not out.exists()
+
+    def test_grid_step_bound(self, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_text(FIGURE_CFG.replace("n_steps = 200", f"n_steps = {MAX_GRID_STEPS}"))
+        assert load_config(str(path)).steps_per_year == MAX_GRID_STEPS  # T = 1
+        path.write_text(FIGURE_CFG.replace("n_steps = 200", "n_steps = 100000000")
+                        .replace("T = 1", "T = 1, 10"))
+        with pytest.raises(ConfigError):  # refused before any solve starts
+            load_config(str(path))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "T=1 " in err and "n_steps = 100000000" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_too_few_paths_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "paths.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 4"))
+        assert load_config(str(path)).sim.n_paths == 4
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 3"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert "n_paths = 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_block_memory_bound(self, tmp_path, capsys):
         # 4096 paths x 8192 steps x 2 factors x 8 bytes is exactly the bound

@@ -67,9 +67,7 @@ class TestGainEquation:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_distinct_market(rng)
-            sol = solve_model2(
-                p, unit_grid, PicardConfig(max_iter=500), record_history=True
-            )
+            sol = solve_model2(p, unit_grid, PicardConfig(max_iter=500))
             lo, hi = gain_iterate_bounds(p)
             for iterate in sol.history[1:]:
                 assert np.all(iterate >= lo - 1e-12)

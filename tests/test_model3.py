@@ -113,7 +113,7 @@ def reference_inflate(base: float, omega1: float, horizon: float) -> float:
 @pytest.fixture
 def figure_solution(symmetric_params, unit_grid):
     obj = ObjectiveSpec(1.0, 1.0)
-    return solve_model3(symmetric_params, obj, unit_grid, record_history=True)
+    return solve_model3(symmetric_params, obj, unit_grid)
 
 
 class TestGainAndIntercept:
@@ -131,25 +131,29 @@ class TestGainAndIntercept:
         m2 = solve_model2(symmetric_params, unit_grid)
         m3 = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
         assert np.array_equal(m3.k1.values, m2.k.values)
-        assert (m3.k1_meta.iterations, m3.k1_meta.delta) == (m2.iterations, m2.delta)
+        assert (m3.gain.iterations, m3.gain.delta) == (m2.iterations, m2.delta)
 
     def test_shared_gain_is_bitwise_identical(self, symmetric_params, unit_grid):
-        gain = solve_model2(symmetric_params, unit_grid, record_history=True)
+        gain = solve_model2(symmetric_params, unit_grid)
         for gamma in (1.0, 3.0):
             obj = ObjectiveSpec(gamma, 1.0)
-            alone = solve_model3(symmetric_params, obj, unit_grid, record_history=True)
-            shared = solve_model3(
-                symmetric_params, obj, unit_grid, record_history=True, gain=gain
-            )
-            assert shared.k1_meta == alone.k1_meta
-            assert shared.k2_meta == alone.k2_meta
+            alone = solve_model3(symmetric_params, obj, unit_grid)
+            shared = solve_model3(symmetric_params, obj, unit_grid, gain=gain)
+            assert shared.gain is gain
+            for a, b in (shared.gain, alone.gain), (shared.k2_solve, alone.k2_solve):
+                assert (a.iterations, a.delta) == (b.iterations, b.delta)
             for a, b in [
                 (shared.k1.values, alone.k1.values),
                 (shared.k2.values, alone.k2.values),
                 (shared.moments.c2.values, alone.moments.c2.values),
-                *zip(shared.k1_history, alone.k1_history, strict=True),
+                *zip(shared.gain.history, alone.gain.history, strict=True),
+                *zip(shared.k2_solve.history, alone.k2_solve.history, strict=True),
             ]:
                 assert np.array_equal(a, b)
+            # a shared gain keeps its iterates, so both bound tables can be formed
+            assert gain_bound_constant(
+                symmetric_params, unit_grid, shared.gain.history
+            ) == gain_bound_constant(symmetric_params, unit_grid, alone.gain.history)
         with pytest.raises(ValueError):
             solve_model3(
                 symmetric_params, ObjectiveSpec(1.0, 2.0), TimeGrid(2.0, 1000), gain=gain
@@ -359,11 +363,11 @@ class TestIterateErrorBound:
             ObjectiveSpec(1.0, 1.0),
             unit_grid,
             PicardConfig(tol=1e-13, max_iter=300),
-            record_history=True,
         )
+        k1_history, k2_history = s.gain.history, s.k2_solve.history
         cases = [
-            (s.k1_history, s.k1.values, gain_bound_constant(symmetric_params, unit_grid, s.k1_history)),
-            (s.k2_history, s.k2.values, intercept_bound_constant(s.kernels, s.k2_history)),
+            (k1_history, s.k1.values, gain_bound_constant(symmetric_params, unit_grid, k1_history)),
+            (k2_history, s.k2.values, intercept_bound_constant(s.kernels, k2_history)),
         ]
         for history, solution, K in cases:
             errors = iterate_sup_errors(history, solution)
@@ -389,10 +393,9 @@ class TestIterateErrorBound:
                 ObjectiveSpec(2.0, 1.0),
                 unit_grid,
                 PicardConfig(tol=1e-13, max_iter=500),
-                record_history=True,
             )
-            K = intercept_bound_constant(s.kernels, s.k2_history)
-            errors = iterate_sup_errors(s.k2_history, s.k2.values)
+            K = intercept_bound_constant(s.kernels, s.k2_solve.history)
+            errors = iterate_sup_errors(s.k2_solve.history, s.k2.values)
             for n in range(1, min(10, len(errors)) + 1):
                 assert errors[n - 1] <= convergence_bound(K, 1.0, n)
 

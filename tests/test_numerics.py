@@ -120,7 +120,7 @@ class TestPicardSolve:
         assert np.max(np.abs(step(result.values) - result.values)) <= cfg.tol
 
     def test_history_records_start(self):
-        result = picard_solve(lambda k: 0.5 * k, 3, record_history=True)
+        result = picard_solve(lambda k: 0.5 * k, 3)
         assert np.all(result.history[0] == 1.0)
         assert len(result.history) == result.iterations + 1
 
