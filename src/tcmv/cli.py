@@ -125,6 +125,12 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
             rho = CorrelationSpec(_parse_matrix(rho_text))
             sigma = decorrelate(sigma, rho)
         params = MarketParams(alpha, sigma, r)
+        n, d = params.sigma.shape
+        if (n, d) != (2, 2):
+            raise MarketValidationError(
+                f"models 2 and 3 need 2 stocks on 2 factors; got {n} stock"
+                f"{'s' * (n != 1)} on {d} factor{'s' * (d != 1)}"
+            )
 
         gammas = [float(g) for g in _parse_vector(objective["gamma"])]
         horizons = [float(t) for t in _parse_vector(objective["T"])]
@@ -294,8 +300,8 @@ def _allocation_lines(cases: list[SolvedCase]) -> list[str]:
     lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
     for case in cases:
         for model, strategy in _strategies(case).items():
-            dollars = strategy(0.0, _WEALTH_GRID)
-            for x, (u1, u2) in zip(_WEALTH_GRID, dollars[:, :2]):
+            G, b = strategy.coefficients(np.zeros(1))
+            for x, (u1, u2) in zip(_WEALTH_GRID, G * _WEALTH_GRID[:, None] + b):
                 lines.append(
                     f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
                     f"{fmt(u1)},{fmt(u2)},{fmt(u1 / x)},{fmt(u2 / x)}"
@@ -439,20 +445,25 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg, threads)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded"]
     with _Emitter(cfg.out_dir, verbose) as emitter:
-        for case in cases:
-            obj = ObjectiveSpec(case.gamma, case.T)
-            reports = simulate_models(cfg.params, _strategies(case), obj, cfg.sim, threads)
-            for name, report in reports.items():
-                lines.append(
-                    f"{fmt(case.gamma)},{fmt(case.T)},{name},"
-                    f"{fmt(report.mean_estimate)},{fmt(report.variance_estimate)},"
-                    f"{fmt(report.reward_estimate)},{fmt(report.se_mean)},"
-                    f"{fmt(report.se_variance)},{fmt(report.se_reward)},"
-                    f"{report.n_excluded}"
-                )
-                if verbose:
-                    print(f"{name} gamma={case.gamma} T={case.T}: "
-                          f"mean={report.mean_estimate:.6f}")
+        # every (case, model) column in one pass, so each block is drawn once
+        columns = {
+            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
+            for i, case in enumerate(cases)
+            for name, strategy in _strategies(case).items()
+        }
+        reports = simulate_models(cfg.params, columns, cfg.sim, threads)
+        for (i, name), report in reports.items():
+            case = cases[i]
+            lines.append(
+                f"{fmt(case.gamma)},{fmt(case.T)},{name},"
+                f"{fmt(report.mean_estimate)},{fmt(report.variance_estimate)},"
+                f"{fmt(report.reward_estimate)},{fmt(report.se_mean)},"
+                f"{fmt(report.se_variance)},{fmt(report.se_reward)},"
+                f"{report.n_excluded}"
+            )
+            if verbose:
+                print(f"{name} gamma={case.gamma} T={case.T}: "
+                      f"mean={report.mean_estimate:.6f}")
         emitter.write("simulation_summary.csv", lines)
         if "simulated_paths" in cfg.tables:
             for case in cases:
@@ -491,8 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=1,
                          help="worker threads: the solve fans out over horizons T "
                          "(each solves the gain once and then every gamma); "
-                         "simulate draws up to N-1 Monte Carlo path blocks "
-                         "ahead of the one being stepped")
+                         "simulate draws Monte Carlo path blocks ahead of the "
+                         "one being stepped on min(N, CPUs, blocks, blocks that "
+                         "fit in 512 MiB) - 1 workers")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

@@ -17,6 +17,7 @@ makes g and so I3 vanish: the moments carry no I3 term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +82,11 @@ class KernelTables:
         return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
 
     @cached_property
+    def log_scale(self) -> float:
+        """The exponent of e^{2A+B}, with A and B at their largest."""
+        return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
+
+    @cached_property
     def M3(self) -> float:
         """sup over grid pairs t <= v of |I1(t,v) I3(t,v)|, in O(N).
 
@@ -104,13 +110,16 @@ def build_kernels(
     drift = params.alpha[1] + k * dalpha
     cum_drift = forward_integrals(drift, grid.dt)
     cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
-    exponent = 2.0 * np.max(np.abs(cum_drift)) + np.max(np.abs(cum_vol))
-    if not exponent <= np.log(np.finfo(float).max):
-        raise CoefficientRangeError(
-            f"coefficients exceed the float64 range over the horizon T={grid.T:g}"
-        )
     h = dalpha + ds1 * (s21 + k * ds1) + ds2 * (s22 + k * ds2)
-    return KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
+    kernels = KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
+    _require_in_range(kernels.log_scale, f"over the horizon T={grid.T:g}")
+    return kernels
+
+
+def _require_in_range(log_size: float, where: str):
+    """CoefficientRangeError unless e^log_size is within the float64 range."""
+    if not log_size <= np.log(np.finfo(float).max):
+        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
 
 
 def intercept_equation_map(kernels: KernelTables, gamma: float):
@@ -121,6 +130,9 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
     dt = grid.dt
     lam, dalpha = kernels.lam, kernels.dalpha
     cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
+    if lam != 0.0:  # k2 scales as lam / gamma, so a tiny gamma can overflow it
+        log_k2 = kernels.log_scale + math.log(abs(lam)) - math.log(gamma)
+        _require_in_range(log_k2, f"over the horizon T={grid.T:g} at gamma={gamma:g}")
     exp_a = np.exp(cum_a)
     inv_a = np.exp(-cum_a)
     exp_ab = np.exp(cum_a + cum_b)

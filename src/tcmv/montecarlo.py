@@ -1,6 +1,13 @@
-"""Euler-Maruyama simulation of the wealth process under feedback
+"""Euler-Maruyama simulation of the wealth process under the equilibrium
 strategies, with Monte Carlo estimates of the terminal mean, variance and
 mean-variance reward.
+
+Every equilibrium of the package is affine in wealth: a strategy is its
+coefficients G(t) and b(t), with u = G x + b dollars in the stocks and the
+rest of the wealth in cash at the risk-free rate.  Wealth then follows the
+linear SDE dX = (a X + beta) dt + (c X + e) dW, with a = r + G (alpha - r 1),
+beta = b (alpha - r 1), c = G sigma and e = b sigma, and one Euler step on
+standard normals z is x <- x (1 + a dt + c z sqrt(dt)) + beta dt + e z sqrt(dt).
 
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
@@ -12,6 +19,7 @@ zero.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,19 +37,13 @@ from .numerics import SampledFunction
 _BLOCK = 4096
 
 # A block's normals are min(n_paths, _BLOCK) x n_time_steps x n_factors
-# float64s, and up to `threads` blocks are alive at once; larger blocks are
-# refused when the config is loaded instead of exhausting memory mid-run.
+# float64s; larger blocks are refused when the config is loaded instead of
+# exhausting memory mid-run, and fewer are drawn ahead than would pass it.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Paths may explode under aggressive dollar strategies; more than this
 # fraction of non-finite paths is an error instead of a silent exclusion.
 _MAX_EXPLODED_FRACTION = 1e-3
-
-Strategy = Callable[[float, np.ndarray], np.ndarray]
-"""Maps (time, wealth vector of shape (m,)) to dollars of shape (m, n_stocks)."""
-
-Allocation = Callable[[int, np.ndarray], np.ndarray]
-"""A strategy on a fixed time grid: maps (node index, wealth) to dollars."""
 
 
 @dataclass(frozen=True)
@@ -78,57 +80,30 @@ class SimulationReport:
     n_excluded: int
 
 
-def _feedback_dollars(k1, k2, x: np.ndarray) -> np.ndarray:
-    u1 = k1 * x
-    if k2 is not None:
-        u1 = u1 + k2
-    return np.stack([u1, x - u1], axis=-1)
-
-
 @dataclass(frozen=True)
 class FeedbackStrategy:
-    """u^(t, x) = k1(t) x + k2(t) dollars in stock 1, remainder in stock 2."""
+    """u^(t, x) = k1(t) x + k2(t) dollars in stock 1, the rest of x in stock 2."""
 
     k1: SampledFunction
     k2: SampledFunction | None = None
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        return _feedback_dollars(self.k1(t), None if self.k2 is None else self.k2(t), x)
-
-    def on_grid(self, times: np.ndarray) -> Allocation:
-        """The same dollars with k1 and k2 interpolated once, at every node."""
+    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = (k1, 1 - k1) and b = (k2, -k2) at each time, (len(times), 2) each."""
         k1 = self.k1(times)
-        if self.k2 is None:
-            return lambda i, x: _feedback_dollars(k1[i], None, x)
-        k2 = self.k2(times)
-        return lambda i, x: _feedback_dollars(k1[i], k2[i], x)
-
-
-def _constant_dollars(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(u, (x.shape[0], u.size)).copy()
+        k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
+        return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
 
 
 @dataclass(frozen=True)
 class Model1Strategy:
-    """Wealth-independent dollar vector from the closed-form equilibrium."""
+    """Wealth-independent dollars from the closed-form equilibrium."""
 
     solution: Model1Solution
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        return _constant_dollars(self.solution.control(t), x)
-
-    def on_grid(self, times: np.ndarray) -> Allocation:
-        u = [self.solution.control(t) for t in times]
-        return lambda i, x: _constant_dollars(u[i], x)
-
-
-def _on_grid(strategy: Strategy, times: np.ndarray) -> Allocation:
-    """A strategy sampled at the nodes, or evaluated at each node if it
-    cannot sample itself."""
-    on_grid = getattr(strategy, "on_grid", None)
-    if on_grid is not None:
-        return on_grid(times)
-    return lambda i, x: strategy(times[i], x)
+    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = 0 and b = the closed-form control at each time."""
+        b = np.array([self.solution.control(t) for t in times])
+        return np.zeros_like(b), b
 
 
 def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,51 +111,63 @@ def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1), bitwise.  numpy sums a two-column row as
-    (0.0 + a0) + a1 in a loop of its own per row, which costs several times
-    the arithmetic, so two columns are added whole in that order."""
-    if a.shape[1] != 2:
-        return a.sum(axis=1)
-    return (a[:, 0] + 0.0) + a[:, 1]
+def _step_table(params: MarketParams, columns: list[tuple]) -> np.ndarray:
+    """Per step and column (G, b, dt), with G and b at the n + 1 nodes: an
+    (n, 2 + 2d, M, 1) array of 1 + a dt, beta dt, c sqrt(dt) and e sqrt(dt)
+    at the node each step starts from.  Sums over the stocks are
+    elementwise, not BLAS, like those of :func:`_step`."""
+    load = np.column_stack([params.alpha - params.r, params.sigma])  # (s, 1 + d)
+    rows = []
+    for G, b, dt in columns:
+        g = (G[:-1, :, None] * load).sum(axis=1)  # (n, 1 + d)
+        h = (b[:-1, :, None] * load).sum(axis=1)
+        rows.append(np.column_stack([1.0 + (params.r + g[:, 0]) * dt, h[:, 0] * dt,
+                                     g[:, 1:] * np.sqrt(dt), h[:, 1:] * np.sqrt(dt)]))
+    return np.stack(rows, axis=-1)[..., None]
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum("ij,ij->i", a, b), bitwise: for two columns einsum also
-    forms (0.0 + a0 b0) + a1 b1."""
-    if a.shape[1] != 2:
-        return np.einsum("ij,ij->i", a, b)
-    return _row_sums(a * b)
+def _step(x: np.ndarray, z: np.ndarray, coef: np.ndarray, work: np.ndarray):
+    """x <- x (A + C z) + (B + E z) in place, for x of shape (M, m), the d
+    rows of z of m standard normals, coef one step of the table and work
+    a (3, M, m) scratch array.  Each operation is elementwise, so a row's
+    bits depend on its own coefficients alone, and a non-finite wealth
+    stays non-finite."""
+    d = len(z)
+    gain, shift, tmp = work
+    np.multiply(coef[2], z[0], out=gain)
+    np.multiply(coef[2 + d], z[0], out=shift)
+    for j in range(1, d):
+        gain += np.multiply(coef[2 + j], z[j], out=tmp)
+        shift += np.multiply(coef[2 + d + j], z[j], out=tmp)
+    gain += coef[0]
+    shift += coef[1]
+    x *= gain
+    x += shift
 
 
-def _euler_step(
-    params: MarketParams, u: np.ndarray, x: np.ndarray, dt: float, dw: np.ndarray
-) -> np.ndarray:
-    """Wealth after one step from x under dollars u, (m, n_stocks), on the
-    Brownian increments dw, (m, d)."""
-    cash = x - _row_sums(u)
-    drift = params.r * cash + u @ params.alpha
-    vol = u @ params.sigma  # (m, d) diffusion loadings
-    return x + drift * dt + _row_dots(vol, dw)
+def _draw_ahead(threads: int, n_blocks: int, nbytes: int) -> int:
+    """Workers drawing blocks ahead of the one being stepped: fewer than the
+    threads, the blocks and the CPUs, and the blocks alive at once fit in
+    MAX_BLOCK_BYTES."""
+    return max(0, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes) - 1)
 
 
 def _run_blocks(
     draw: Callable[[int], np.ndarray],
     step: Callable[[int, np.ndarray], None],
     n_blocks: int,
-    threads: int,
+    ahead: int,
 ):
     """step(b, draw(b)) for b = 0, ..., n_blocks - 1, in order, with up to
-    threads - 1 blocks drawn ahead on worker threads.
+    ``ahead`` blocks drawn ahead on worker threads.
 
     numpy releases the GIL for a whole Philox fill, so the draws overlap
     the stepping of the block before them.  Stepping stays on the calling
     thread: its numpy calls on one block take a few microseconds each, and
     threads stepping blocks side by side lose more to handing the GIL back
-    and forth than they gain.  At most ``threads`` blocks are alive at
-    once: the one being stepped and those drawn ahead.
+    and forth than they gain.  At most ahead + 1 blocks are alive at once:
+    the one being stepped and those drawn ahead.
     """
-    ahead = min(threads, n_blocks) - 1
     if ahead < 1:
         for block in range(n_blocks):
             step(block, draw(block))
@@ -195,83 +182,74 @@ def _run_blocks(
 
 def simulate_models(
     params: MarketParams,
-    strategies: dict[str, Strategy],
-    obj: ObjectiveSpec,
+    columns: dict[object, tuple[FeedbackStrategy | Model1Strategy, ObjectiveSpec]],
     cfg: SimConfig,
     threads: int = 1,
-) -> dict[str, SimulationReport]:
-    """Euler-Maruyama over [0, T] for every strategy on common increments;
-    cash (wealth minus invested dollars) accrues the risk-free rate, which
-    is vacuous for strategies investing the full wealth.
+) -> dict[object, SimulationReport]:
+    """Euler-Maruyama of every (strategy, objective) column in one pass.
 
-    Each block's normals are drawn once; every step scales one contiguous
-    slice of them and drives every strategy with it.  Strategies are
-    sampled once on the time grid.  With ``threads`` > 1, worker threads
-    draw the next blocks while this one steps (see :func:`_run_blocks`);
-    each block is drawn from its own stream and stepped in order, so every
-    thread count gives identical reports.
+    Each column samples its strategy's coefficients once on its own grid,
+    dt = T / n_time_steps, and reports with its own gamma.  Each block's
+    normals are drawn once and drive every column; the columns step as
+    rows of one array, and each row's arithmetic is its own, so a column
+    reports what its :func:`simulate` run does.  Paths whose terminal
+    wealth is not finite are excluded.  Up to :func:`_draw_ahead` worker
+    threads draw the next blocks while this one steps; every thread count
+    gives identical reports.
     """
-    T = obj.horizon_T
-    n_steps = cfg.n_time_steps
-    dt = T / n_steps
-    sqdt = np.sqrt(dt)
-    times = np.linspace(0.0, T, n_steps + 1)
-    allocations = {name: _on_grid(s, times) for name, s in strategies.items()}
-    terminal = {name: np.empty(cfg.n_paths) for name in strategies}
-    alive = {name: np.empty(cfg.n_paths, dtype=bool) for name in strategies}
+    n_steps, d = cfg.n_time_steps, params.n_factors
+    table = _step_table(params, [
+        (*strategy.coefficients(np.linspace(0.0, obj.horizon_T, n_steps + 1)),
+         obj.horizon_T / n_steps)
+        for strategy, obj in columns.values()
+    ])
+    terminal = np.empty((len(columns), cfg.n_paths))
 
     def draw(block: int) -> np.ndarray:
         m = min(_BLOCK, cfg.n_paths - block * _BLOCK)
-        return _block_normals(cfg.seed, block, (m, n_steps, params.n_factors))
+        return _block_normals(cfg.seed, block, (m, n_steps, d))
 
     def run_block(block: int, normals: np.ndarray):
-        m, d = normals.shape[0], normals.shape[2]
-        start, stop = block * _BLOCK, block * _BLOCK + m
-        x = {name: np.full(m, cfg.x0) for name in strategies}
-        ok = {name: np.ones(m, dtype=bool) for name in strategies}
+        m = normals.shape[0]
+        x = np.full((len(columns), m), cfg.x0)
+        work = np.empty((3, len(columns), m))
         # a step's normals lie one path apart; as one d-float record per
         # path they are gathered in one strided copy, not one per path
         records = normals.view(np.dtype((np.void, 8 * d)))[..., 0]
-        # exploded paths are detected and zeroed out, so overflow inside a
-        # step is expected and must not warn
+        # overflow is how a path explodes, and its non-finite wealth is
+        # excluded at the end, so it must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_steps):
-                dw = records[:, i].copy().view(np.float64).reshape(m, d)
-                dw *= sqdt
-                for name, alloc in allocations.items():
-                    xi = _euler_step(params, alloc(i, x[name]), x[name], dt, dw)
-                    finite = np.isfinite(xi)
-                    if not finite.all():
-                        ok[name] &= finite
-                        xi = np.where(finite, xi, 0.0)
-                    x[name] = xi
-        for name in strategies:
-            terminal[name][start:stop] = x[name]
-            alive[name][start:stop] = ok[name]
+                z = records[:, i].copy().view(np.float64).reshape(m, d).T
+                _step(x, z, table[i], work)
+        terminal[:, block * _BLOCK : block * _BLOCK + m] = x
 
-    _run_blocks(draw, run_block, -(-cfg.n_paths // _BLOCK), threads)
+    n_blocks = -(-cfg.n_paths // _BLOCK)
+    ahead = _draw_ahead(threads, n_blocks, block_nbytes(cfg, d))
+    _run_blocks(draw, run_block, n_blocks, ahead)
 
     reports = {}
-    for name in strategies:
-        n_excluded = int(np.count_nonzero(~alive[name]))
+    for (key, (_, obj)), values in zip(columns.items(), terminal):
+        alive = np.isfinite(values)
+        n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
         if n_excluded > _MAX_EXPLODED_FRACTION * cfg.n_paths:
             raise SimulationExplosionError(
                 f"{n_excluded} of {cfg.n_paths} paths went non-finite",
                 n_excluded,
                 cfg.n_paths,
             )
-        reports[name] = _report(terminal[name][alive[name]], obj.gamma, n_excluded)
+        reports[key] = _report(values[alive], obj.gamma, n_excluded)
     return reports
 
 
 def simulate(
     params: MarketParams,
-    strategy: Strategy,
+    strategy: FeedbackStrategy | Model1Strategy,
     obj: ObjectiveSpec,
     cfg: SimConfig,
 ) -> SimulationReport:
-    """:func:`simulate_models` for one strategy."""
-    return simulate_models(params, {"": strategy}, obj, cfg)[""]
+    """:func:`simulate_models` for one column."""
+    return simulate_models(params, {"": (strategy, obj)}, cfg)[""]
 
 
 def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationReport:
@@ -308,43 +286,38 @@ class PathTables:
 def reproduce_figure_paths(
     params: MarketParams,
     obj: ObjectiveSpec,
-    strategies: dict[str, Strategy],
+    strategies: dict[str, FeedbackStrategy | Model1Strategy],
     cfg: SimConfig,
 ) -> PathTables:
     """Drive every model with the same Brownian increments.
 
     Prices are sampled exactly (log-space GBM on the shared increments);
-    wealth follows the Euler scheme of :func:`simulate_models` on one path.
+    wealth follows the Euler step of :func:`simulate_models` on one path.
     """
     T = obj.horizon_T
     n_steps = cfg.n_time_steps
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
     # separate key namespace from the block streams used by simulate_models()
-    dw = _block_normals(cfg.seed, 2**63, (n_steps, params.n_factors)) * np.sqrt(dt)
-    w = np.vstack([np.zeros(params.n_factors), np.cumsum(dw, axis=0)])
+    z = _block_normals(cfg.seed, 2**63, (n_steps, params.n_factors))
+    w = np.vstack([np.zeros(params.n_factors), np.cumsum(z * np.sqrt(dt), axis=0)])
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
     prices = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
+    coefficients = [s.coefficients(times) for s in strategies.values()]
+    table = _step_table(params, [(G, b, dt) for G, b in coefficients])
+    wealth = np.empty((n_steps + 1, len(strategies), 1))
+    wealth[0] = cfg.x0
+    work = np.empty((3, len(strategies), 1))
+    for i in range(n_steps):
+        wealth[i + 1] = wealth[i]
+        _step(wealth[i + 1], z[i, :, None], table[i], work)
+
     tables = PathTables(times, prices)
-    for name, strategy in strategies.items():
-        alloc = _on_grid(strategy, times)
-        x = np.array([cfg.x0])
-        wealth = np.empty(n_steps + 1)
-        u1 = np.empty(n_steps + 1)
-        u2 = np.empty(n_steps + 1)
-        for i in range(n_steps + 1):
-            u = alloc(i, x)
-            wealth[i] = x[0]
-            u1[i], u2[i] = u[0, 0], u[0, 1]
-            if i == n_steps:
-                break
-            cash = x - u.sum(axis=1)
-            drift = params.r * cash + u @ params.alpha
-            vol = u @ params.sigma
-            x = x + drift * dt + vol @ dw[i]
-        tables.wealth[name] = wealth
-        tables.stock1_dollars[name] = u1
-        tables.stock2_dollars[name] = u2
+    for name, (G, b), path in zip(strategies, coefficients, wealth[:, :, 0].T):
+        dollars = G * path[:, None] + b
+        tables.wealth[name] = path
+        tables.stock1_dollars[name] = dollars[:, 0]
+        tables.stock2_dollars[name] = dollars[:, 1]
     return tables

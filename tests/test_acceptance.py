@@ -194,7 +194,8 @@ def test_08_monte_carlo_consistency():
         "model2": (v2.mean(0.0, 1.0), v2.variance(0.0, 1.0)),
         "model3": (s3.moments.mean(0.0, 1.0), s3.moments.variance(0.0, 1.0)),
     }
-    reports = simulate_models(DIAGONAL, strategies, obj, cfg, threads=2)
+    columns = {name: (strategy, obj) for name, strategy in strategies.items()}
+    reports = simulate_models(DIAGONAL, columns, cfg, threads=2)
     ok = True
     zs = []
     for name, (mean_a, var_a) in analytic.items():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, load_config, main
-from tcmv.errors import ConfigError
+from tcmv import montecarlo
+from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams
-from tcmv.montecarlo import MAX_BLOCK_BYTES
+from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
 [market]
@@ -147,6 +148,11 @@ class TestConfigParsing:
         params, gammas, horizons = scenario
         path = tmp_path_factory.mktemp("roundtrip") / "scenario.cfg"
         path.write_text(_scenario_text(params, gammas, horizons))
+        if params.sigma.shape != (2, 2):
+            n, d = params.sigma.shape
+            with pytest.raises(MarketValidationError, match=f"got {n} stocks? on {d} factor"):
+                load_config(str(path))
+            return
         cfg = load_config(str(path))
         assert np.array_equal(cfg.params.alpha, params.alpha)
         assert np.array_equal(cfg.params.sigma, params.sigma)
@@ -210,6 +216,31 @@ class TestConfigParsing:
         assert load_config(str(path)).sim.n_paths == 10
         path.write_text(FIGURE_CFG.replace("n_time_steps = 100", "n_time_steps = 1000000"))
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+
+    @pytest.mark.parametrize(
+        "alpha, sigma, shape",
+        [
+            ("0.2, 0.12, 0.1", "0.25 0 0; 0 0.25 0; 0 0 0.2", "3 stocks on 3 factors"),
+            ("0.2, 0.12", "0.2; 0.3", "2 stocks on 1 factor"),
+            ("0.2, 0.12", "0.25 0 0.1; 0 0.25 0", "2 stocks on 3 factors"),
+        ],
+    )
+    def test_market_not_two_by_two_is_market_error(
+        self, tmp_path, capsys, alpha, sigma, shape
+    ):
+        path = tmp_path / "shape.cfg"
+        path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
+                        .replace("0.25 0; 0 0.25", sigma))
+        out = tmp_path / "out"
+        for command in ("solve", "simulate"):
+            assert main([command, str(path), "--out-dir", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err == (
+                "market validation error: models 2 and 3 need 2 stocks on 2 factors; "
+                f"got {shape}\n"
+            )
+        assert not out.exists()
 
 
 class TestOutputDirectory:
@@ -357,6 +388,18 @@ class TestSolveCommand:
         assert "exceed the float64 range" in err and "T=30" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_tiny_gamma_is_market_error(self, tmp_path, capsys):
+        # k2 scales as 1/gamma: at gamma = 1e-320 it overflows, which the
+        # range check reports before the forcing is formed (a warning would
+        # fail the suite)
+        path = tmp_path / "gamma.cfg"
+        path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1e-320"))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "exceed the float64 range" in err and "T=1 at gamma=9.99989e-321" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, stage", [("solve", "_diagnostics_lines"), ("simulate", "_paths_lines")]
     )
@@ -442,6 +485,25 @@ class TestSimulateCommand:
         assert "simulation_summary.csv" in names and len(names) == 3
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
+        # two gammas x two horizons share every block; the figure paths
+        # draw their own stream once per case
+        draws = []
+
+        def counted(seed, block, shape):
+            draws.append(block)
+            return block_normals(seed, block, shape)
+
+        block_normals = montecarlo._block_normals
+        monkeypatch.setattr(montecarlo, "_block_normals", counted)
+        path = tmp_path / "cases.cfg"
+        path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5")
+                        .replace("n_paths = 2000", "n_paths = 9000")
+                        .replace("n_time_steps = 100", "n_time_steps = 5"))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        n_blocks = -(-9000 // _BLOCK)
+        assert sorted(draws) == list(range(n_blocks)) + [2**63] * 4
 
     def test_paths_have_all_models(self, figure_cfg, tmp_path):
         out = tmp_path / "out"

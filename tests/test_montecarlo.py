@@ -1,7 +1,10 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmv import (
     FeedbackStrategy,
@@ -19,8 +22,10 @@ from tcmv import (
 )
 from tcmv.montecarlo import (
     _BLOCK,
+    MAX_BLOCK_BYTES,
     Model1Strategy,
     _block_normals,
+    _draw_ahead,
     _report,
     reproduce_figure_paths,
 )
@@ -107,12 +112,13 @@ class TestSimulate:
 
 
 def reference_simulate(params, strategy, obj, cfg):
-    """The per-strategy Euler loop the shared engine replaced: the strategy
-    is called at every node, rows are reduced by u.sum and np.einsum."""
+    """The per-strategy Euler loop in dollars: u = G x + b at every node,
+    cash at the risk-free rate, rows reduced by u.sum and np.einsum, and
+    exploded paths masked at every step."""
     T = obj.horizon_T
     n_steps = cfg.n_time_steps
     dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
+    G, b = strategy.coefficients(np.linspace(0.0, T, n_steps + 1))
     terminal = np.empty(cfg.n_paths)
     alive = np.ones(cfg.n_paths, dtype=bool)
     for block, start in enumerate(range(0, cfg.n_paths, _BLOCK)):
@@ -123,7 +129,7 @@ def reference_simulate(params, strategy, obj, cfg):
         ok = np.ones(stop - start, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_steps):
-                u = strategy(times[i], x)
+                u = G[i] * x[:, None] + b[i]
                 cash = x - u.sum(axis=1)
                 drift = params.r * cash + u @ params.alpha
                 vol = u @ params.sigma
@@ -135,6 +141,35 @@ def reference_simulate(params, strategy, obj, cfg):
         terminal[start:stop] = x
         alive[start:stop] = ok
     return _report(terminal[alive], obj.gamma, int(np.count_nonzero(~alive)))
+
+
+def assert_close(report, reference, rel=1e-12):
+    """Every float field within rel of the reference, n_excluded equal: the
+    engine factors the Euler step as x (1 + a dt + c dW) + beta dt + e dW,
+    which rounds differently from the dollar loop.  A field that vanishes
+    is compared on the scale of the mean, or of its square for the
+    variance and its standard error."""
+    assert report.n_excluded == reference.n_excluded
+    assert report.n_effective == reference.n_effective
+    mean = abs(reference.mean_estimate)
+    for f, scale in (("mean_estimate", mean), ("variance_estimate", mean**2),
+                     ("reward_estimate", mean), ("se_mean", mean),
+                     ("se_variance", mean**2), ("se_reward", mean)):
+        new, old = getattr(report, f), getattr(reference, f)
+        assert abs(new - old) <= rel * max(abs(old), scale), (f, new, old)
+
+
+@dataclasses.dataclass(frozen=True)
+class Affine:
+    """u = G x + b dollars with G and b given per node (n + 1 rows) or as
+    one row for every node."""
+
+    G: np.ndarray
+    b: np.ndarray
+
+    def coefficients(self, times):
+        shape = (len(times), np.shape(self.G)[-1])
+        return np.broadcast_to(self.G, shape), np.broadcast_to(self.b, shape)
 
 
 @pytest.fixture
@@ -150,6 +185,10 @@ def three_strategies(diagonal_params, unit_grid):
     }
 
 
+def columns_of(strategies, obj):
+    return {name: (strategy, obj) for name, strategy in strategies.items()}
+
+
 class TestSimulateModels:
     # two full Philox blocks and a partial one
     CFG = SimConfig(9000, 20, 31)
@@ -157,46 +196,99 @@ class TestSimulateModels:
     def test_thread_counts_and_separate_calls_agree(self, diagonal_params, three_strategies):
         assert 2 * _BLOCK < self.CFG.n_paths < 3 * _BLOCK
         obj = ObjectiveSpec(3.0, 1.0)
-        serial = simulate_models(diagonal_params, three_strategies, obj, self.CFG)
+        columns = columns_of(three_strategies, obj)
+        serial = simulate_models(diagonal_params, columns, self.CFG)
         assert list(serial) == list(three_strategies)
         for threads in (2, 3):
-            assert simulate_models(
-                diagonal_params, three_strategies, obj, self.CFG, threads
-            ) == serial
+            assert simulate_models(diagonal_params, columns, self.CFG, threads) == serial
         for name, strategy in three_strategies.items():
             assert simulate(diagonal_params, strategy, obj, self.CFG) == serial[name]
 
-    @pytest.mark.parametrize("n_paths", [1000, 9000])
-    def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
-        obj = ObjectiveSpec(3.0, 1.0)
-        cfg = SimConfig(n_paths, 20, 31)
-        assert simulate_models(
-            diagonal_params, three_strategies, obj, cfg, threads=8
-        ) == simulate_models(diagonal_params, three_strategies, obj, cfg)
-
-    def test_draws_ahead_survive_frequent_thread_switches(
+    def test_columns_are_independent_of_their_company(
         self, diagonal_params, three_strategies
     ):
-        # more drawing workers than blocks or cores and a tiny switch
-        # interval must neither reorder nor lose a block
-        obj = ObjectiveSpec(3.0, 1.0)
-        serial = simulate_models(diagonal_params, three_strategies, obj, self.CFG)
+        # two cases of different gamma and T in one pass: each column
+        # reports bitwise what it reports alone, at every thread count
+        cases = [ObjectiveSpec(3.0, 1.0), ObjectiveSpec(1.0, 0.5)]
+        columns = {
+            (obj, name): (strategy, obj)
+            for obj in cases for name, strategy in three_strategies.items()
+        }
+        solo = {
+            key: simulate(diagonal_params, strategy, obj, self.CFG)
+            for key, (strategy, obj) in columns.items()
+        }
+        for threads in (1, 2, 3):
+            assert simulate_models(diagonal_params, columns, self.CFG, threads) == solo
+        pair = {key: columns[key] for key in list(columns)[2:4]}
+        assert simulate_models(diagonal_params, pair, self.CFG, 2) == {
+            key: solo[key] for key in pair
+        }
+
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_affine_columns_are_independent(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        params = MarketParams(
+            rng.uniform(-0.1, 0.3, n), rng.uniform(-0.4, 0.4, (n, d)), rng.uniform(0, 0.05)
+        )
+        columns = {
+            i: (Affine(rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)), ObjectiveSpec(2.0, T))
+            for i, T in enumerate([1.0, 0.5, 2.0])
+        }
+        cfg = SimConfig(300, 8, seed)
+        together = simulate_models(params, columns, cfg)
+        for key, (strategy, obj) in columns.items():
+            assert simulate(params, strategy, obj, cfg) == together[key]
+
+    def test_draw_ahead_is_bounded(self, monkeypatch):
+        # computed only: no thread is started
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
+        assert _draw_ahead(10**6, 10**6, 8) == 3  # the CPUs
+        assert _draw_ahead(10**6, 2, 8) == 1  # the blocks
+        assert _draw_ahead(10**6, 10**6, MAX_BLOCK_BYTES // 2) == 1  # the memory
+        assert _draw_ahead(10**6, 10**6, MAX_BLOCK_BYTES) == 0
+        assert _draw_ahead(2, 10**6, 8) == 1
+        assert _draw_ahead(1, 10**6, 8) == 0
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: None)
+        assert _draw_ahead(10**6, 10**6, 8) == 0
+
+    @pytest.mark.parametrize("n_paths", [1000, 9000])
+    def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        cfg = SimConfig(n_paths, 20, 31)
+        assert simulate_models(
+            diagonal_params, columns, cfg, threads=8
+        ) == simulate_models(diagonal_params, columns, cfg)
+
+    def test_draws_ahead_survive_frequent_thread_switches(
+        self, diagonal_params, three_strategies, monkeypatch
+    ):
+        # more drawing workers than cores and a tiny switch interval must
+        # neither reorder nor lose a block
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        serial = simulate_models(diagonal_params, columns, self.CFG)
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert simulate_models(
-                    diagonal_params, three_strategies, obj, self.CFG, threads=8
-                ) == serial
+                assert simulate_models(diagonal_params, columns, self.CFG, threads=8) == serial
         finally:
             sys.setswitchinterval(interval)
 
     def test_equals_the_reference_loop(self, diagonal_params, three_strategies):
         obj = ObjectiveSpec(3.0, 1.0)
-        reports = simulate_models(diagonal_params, three_strategies, obj, self.CFG, 2)
+        reports = simulate_models(
+            diagonal_params, columns_of(three_strategies, obj), self.CFG, 2
+        )
         for name, strategy in three_strategies.items():
-            assert reports[name] == reference_simulate(
-                diagonal_params, strategy, obj, self.CFG
+            assert_close(
+                reports[name], reference_simulate(diagonal_params, strategy, obj, self.CFG)
             )
 
     @pytest.mark.parametrize(
@@ -216,8 +308,8 @@ class TestSimulateModels:
         )
         obj = ObjectiveSpec(2.0, 1.0)
         cfg = SimConfig(5000, 15, 3)
-        assert simulate(params, strategy, obj, cfg) == reference_simulate(
-            params, strategy, obj, cfg
+        assert_close(
+            simulate(params, strategy, obj, cfg), reference_simulate(params, strategy, obj, cfg)
         )
 
     def test_equals_the_reference_loop_with_three_stocks(self):
@@ -227,51 +319,55 @@ class TestSimulateModels:
         obj = ObjectiveSpec(3.0, 2.0)
         strategy = Model1Strategy(solve_model1(params, obj))
         cfg = SimConfig(5000, 15, 4)
-        assert simulate(params, strategy, obj, cfg) == reference_simulate(
-            params, strategy, obj, cfg
+        assert_close(
+            simulate(params, strategy, obj, cfg), reference_simulate(params, strategy, obj, cfg)
         )
 
-    def test_equals_the_reference_loop_with_excluded_paths(
-        self, diagonal_params, monkeypatch
-    ):
-        # paths whose wealth passes 1.3 get an infinite position and are
-        # excluded; the tolerated fraction is lifted so both loops report
+    def test_equals_the_reference_loop_with_excluded_paths(self, monkeypatch):
+        # Two steps of dt = 1 on a market whose stock 2 is riskless at
+        # alpha2 = -1, so that G = (0, 1) makes the gain 1 + a dt exactly 0.
+        # The first step's intercept in stock 1 overflows e dW on the paths
+        # with |z| > 1.5 and leaves the rest finite; the second step's gain
+        # of 0 leaves the survivors its intercept's noise alone, while the
+        # exploded paths stay non-finite.  The tolerated fraction is lifted
+        # so that both loops report.
         monkeypatch.setattr("tcmv.montecarlo._MAX_EXPLODED_FRACTION", 1.0)
-
-        def strategy(t, x):
-            u1 = np.where(x > 1.3, np.inf, 0.5 * x)
-            return np.stack([u1, x - u1], axis=-1)
-
-        obj = ObjectiveSpec(1.0, 1.0)
-        report = simulate(diagonal_params, strategy, obj, self.CFG)
-        assert 0 < report.n_excluded < self.CFG.n_paths
-        assert report == reference_simulate(diagonal_params, strategy, obj, self.CFG)
+        params = MarketParams([0.0, -1.0], [[4.0], [0.0]])
+        huge = np.finfo(float).max / (4.0 * 1.5)
+        strategy = Affine(np.array([0.0, 1.0]), np.array([[huge, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+        obj = ObjectiveSpec(1.0, 2.0)
+        cfg = SimConfig(9000, 2, 31)
+        report = simulate(params, strategy, obj, cfg)
+        assert 0 < report.n_excluded < cfg.n_paths
+        assert_close(report, reference_simulate(params, strategy, obj, cfg))
 
     def test_grid_sampling_matches_calls_bitwise(self, three_strategies):
-        # the engine reads coefficients sampled once on the MC grid; they
-        # must give the dollars a call at each node gives
+        # the engine reads G and b sampled once on the MC grid; they must be
+        # the coefficients each solution gives at every node
         times = np.linspace(0.0, 1.0, 301)
-        x = np.linspace(-2.0, 5.0, 7)
-        for strategy in three_strategies.values():
-            alloc = strategy.on_grid(times)
-            for i, t in enumerate(times):
-                assert np.array_equal(alloc(i, x), strategy(t, x))
-
-    def test_plain_callable_strategy(self, diagonal_params, three_strategies):
-        strategy = three_strategies["model3"]
-        obj = ObjectiveSpec(3.0, 1.0)
-        plain = simulate(diagonal_params, lambda t, x: strategy(t, x), obj, self.CFG)
-        assert plain == simulate(diagonal_params, strategy, obj, self.CFG)
+        s1 = three_strategies["model1"].solution
+        k = three_strategies["model2"].k1
+        k1, k2 = three_strategies["model3"].k1, three_strategies["model3"].k2
+        G, b = three_strategies["model1"].coefficients(times)
+        assert np.array_equal(G, np.zeros((301, 2)))
+        assert np.array_equal(b, [s1.control(t) for t in times])
+        G, b = three_strategies["model2"].coefficients(times)
+        assert np.array_equal(G, [[k(t), 1.0 - k(t)] for t in times])
+        assert np.array_equal(b, np.zeros((301, 2)))
+        G, b = three_strategies["model3"].coefficients(times)
+        assert np.array_equal(G, [[k1(t), 1.0 - k1(t)] for t in times])
+        assert np.array_equal(b, [[k2(t), -k2(t)] for t in times])
 
     def test_one_exploding_model_is_reported(self, three_strategies):
         p = MarketParams([0.2, 0.12], [[0.9, 0.0], [0.0, 0.9]])
         grid = TimeGrid(1.0, 10)
-        strategies = {
-            "model2": three_strategies["model2"],
-            "wild": FeedbackStrategy(SampledFunction.constant(grid, 1e150)),
+        obj = ObjectiveSpec(1.0, 1.0)
+        columns = {
+            "model2": (three_strategies["model2"], obj),
+            "wild": (FeedbackStrategy(SampledFunction.constant(grid, 1e150)), obj),
         }
         with pytest.raises(SimulationExplosionError) as err:
-            simulate_models(p, strategies, ObjectiveSpec(1.0, 1.0), SimConfig(5000, 50, 5), 2)
+            simulate_models(p, columns, SimConfig(5000, 50, 5), 2)
         assert err.value.n_excluded > 0
 
 
