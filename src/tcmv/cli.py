@@ -14,7 +14,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,14 @@ from .errors import (
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
 from .model1 import Model1Solution, solve_model1
-from .model2 import Model2Solution, evaluate_model2, gain_residual, solve_model2
+from .model2 import Model2Solution, evaluate_model2, gain_residual
 from .model3 import (
     Model3Solution,
     gain_bound_constant,
     intercept_bound_constant,
     intercept_residual,
     iterate_sup_errors,
-    solve_model3,
+    solve_horizon,
 )
 from .montecarlo import (
     MAX_BLOCK_BYTES,
@@ -137,6 +136,13 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
         for g in gammas:
             for T in horizons:
                 ObjectiveSpec(g, T)  # validate eagerly
+        # the printed values name the rows and the path files
+        for key, values in (("gamma", gammas), ("T", horizons)):
+            printed = [fmt(v) for v in values]
+            if not printed:
+                raise ConfigError(f"{key} lists no values")
+            if len(set(printed)) < len(printed):
+                raise ConfigError(f"{key} lists a value twice: {', '.join(printed)}")
 
         solver = parser["solver"] if parser.has_section("solver") else {}
         steps_per_year = int(solver.get("n_steps", "1000"))
@@ -205,35 +211,25 @@ class SolvedCase:
     T: float
     m1: Model1Solution | None
     m1_error: str | None
-    m3: Model3Solution  # m3.gain is model 2, shared by every gamma of one horizon
+    m3: Model3Solution  # m3.gain is model 2; gain and kernels are one per horizon
 
 
-def _solve_horizon(cfg: ScenarioConfig, T: float) -> list[SolvedCase]:
-    """Every gamma at one horizon, from one solve of the gain equation:
-    model 2's k is model 3's k1, which does not depend on gamma."""
-    grid = _grid_for(cfg, T)
-    m2 = solve_model2(cfg.params, grid, cfg.picard)
+def _solve_all(cfg: ScenarioConfig) -> list[SolvedCase]:
+    """All (gamma, T) cases in gamma-major order, from one solve_horizon per T."""
+    by_horizon = [
+        solve_horizon(cfg.params, cfg.gammas, _grid_for(cfg, T), cfg.picard)
+        for T in cfg.horizons
+    ]
     cases = []
-    for gamma in cfg.gammas:
-        obj = ObjectiveSpec(gamma, T)
-        m1, m1_error = None, None
-        try:
-            m1 = solve_model1(cfg.params, obj)
-        except SingularMarketError as exc:
-            m1_error = str(exc)
-        m3 = solve_model3(cfg.params, obj, grid, cfg.picard, gain=m2)
-        cases.append(SolvedCase(gamma, T, m1, m1_error, m3))
+    for i, gamma in enumerate(cfg.gammas):
+        for T, solutions in zip(cfg.horizons, by_horizon):
+            m1, m1_error = None, None
+            try:
+                m1 = solve_model1(cfg.params, ObjectiveSpec(gamma, T))
+            except SingularMarketError as exc:
+                m1_error = str(exc)
+            cases.append(SolvedCase(gamma, T, m1, m1_error, solutions[i]))
     return cases
-
-
-def _solve_all(cfg: ScenarioConfig, threads: int) -> list[SolvedCase]:
-    """All (gamma, T) cases in gamma-major order; threads fan out over T."""
-    if threads > 1 and len(cfg.horizons) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            by_horizon = list(pool.map(lambda T: _solve_horizon(cfg, T), cfg.horizons))
-    else:
-        by_horizon = [_solve_horizon(cfg, T) for T in cfg.horizons]
-    return [cases[i] for i in range(len(cfg.gammas)) for cases in by_horizon]
 
 
 def _discard(path: str):
@@ -429,7 +425,7 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str
 
 
 def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
-    cases = _solve_all(cfg, threads)
+    cases = _solve_all(cfg)
     with _Emitter(cfg.out_dir, verbose) as emitter:
         if "k_curves" in cfg.tables:
             emitter.write("k_curves.csv", _k_curves_lines(cases))
@@ -442,7 +438,7 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
-    cases = _solve_all(cfg, threads)
+    cases = _solve_all(cfg)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded"]
     with _Emitter(cfg.out_dir, verbose) as emitter:
         # every (case, model) column in one pass, so each block is drawn once
@@ -473,7 +469,7 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 
 def run_bounds(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
-    cases = _solve_all(cfg, threads)
+    cases = _solve_all(cfg)
     k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
         print(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
@@ -500,11 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", default=None, help="output directory "
                          f"(default: ${OUT_DIR_ENV} or the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads: the solve fans out over horizons T "
-                         "(each solves the gain once and then every gamma); "
-                         "simulate draws Monte Carlo path blocks ahead of the "
-                         "one being stepped on min(N, CPUs, blocks, blocks that "
-                         "fit in 512 MiB) - 1 workers")
+                         help="simulate draws Monte Carlo path blocks ahead of "
+                         "the one being stepped on min(N, CPUs, blocks, blocks "
+                         "that fit in 512 MiB) - 1 worker threads; solve and "
+                         "bounds accept it and run on one thread")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

@@ -55,7 +55,8 @@ class NonConvergenceError(TcmvError):
 
 
 class SimulationExplosionError(TcmvError):
-    """More than the tolerated fraction of Monte Carlo paths went non-finite."""
+    """More than the tolerated fraction of Monte Carlo paths went non-finite,
+    or the moments of the finite ones exceed the float64 range."""
 
     def __init__(self, message, n_excluded, n_paths):
         super().__init__(message)

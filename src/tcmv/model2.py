@@ -66,19 +66,6 @@ def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
     return min(a, b), max(a, b)
 
 
-def solve_gain(
-    params: MarketParams,
-    grid: TimeGrid,
-    cfg: PicardConfig | None = None,
-) -> PicardResult:
-    """Picard solve of the gain equation: the variance-only k, and the
-    mean-variance k1, which does not depend on risk aversion."""
-    check = validate_distinct_volatility(params)
-    if not check.passed:
-        raise DegenerateMarketError(check)
-    return picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)
-
-
 @dataclass(frozen=True)
 class Model2Solution:
     params: MarketParams
@@ -94,8 +81,13 @@ def solve_model2(
     grid: TimeGrid,
     cfg: PicardConfig | None = None,
 ) -> Model2Solution:
-    """Solve the backward integral equation for k by Picard iteration."""
-    result = solve_gain(params, grid, cfg)
+    """Solve the backward integral equation for k by Picard iteration: the
+    variance-only k, and the mean-variance k1, which does not depend on
+    risk aversion."""
+    check = validate_distinct_volatility(params)
+    if not check.passed:
+        raise DegenerateMarketError(check)
+    result = picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)
     return Model2Solution(
         params,
         grid,

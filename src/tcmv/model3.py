@@ -6,7 +6,9 @@ is independent of risk aversion; the intercept k2 solves a linear Volterra
 equation of the second kind built from the exponential kernels of k1 and
 scales as 1/gamma.
 
-The kernels depend on k1 alone and serve every gamma.  All kernels are
+The kernels depend on k1 alone and serve every gamma: solve_horizon solves
+k1 and builds the kernels once per horizon, then k2 and the moments once
+per gamma; solve_model3 is its one-gamma call.  All kernels are
 separable in (t, v), so each is generated from a single cumulative integral
 and every Picard sweep runs in O(N).  So does the kernel supremum behind
 the k2 error bound: with A = cum_drift and B = cum_vol, I1(t,v) I3(t,v) =
@@ -185,10 +187,6 @@ class MomentCoefficients:
         inv = self.i1_inv(t)
         return inv * inv * (self.c0(t) * x * x + self.c2(t))
 
-    def second_moment(self, t, x):
-        m = self.mean(t, x)
-        return self.variance(t, x) + m * m
-
     def expected_wealth(self, t, x):
         return self.mean(t, x)
 
@@ -249,28 +247,41 @@ class Model3Solution:
         return self.gain.k
 
 
+def solve_horizon(
+    params: MarketParams,
+    gammas: list[float],
+    grid: TimeGrid,
+    cfg: PicardConfig | None = None,
+) -> list[Model3Solution]:
+    """Every gamma at one horizon: k1 -> kernels once, then k2 -> moments
+    per gamma.
+
+    k1 is the variance-only gain k and does not depend on gamma, nor do the
+    kernels built from it, so the solutions share one ``gain`` and one
+    ``kernels`` object.
+    """
+    gain = solve_model2(params, grid, cfg)
+    kernels = build_kernels(params, gain.k, grid)
+    solutions = []
+    for gamma in gammas:
+        k2, k2_solve = solve_k2(kernels, gamma, cfg)
+        mom = moments(kernels, k2, gamma)
+        obj = ObjectiveSpec(gamma, grid.T)
+        solutions.append(
+            Model3Solution(params, obj, grid, gain, kernels, k2, k2_solve, mom)
+        )
+    return solutions
+
+
 def solve_model3(
     params: MarketParams,
     obj: ObjectiveSpec,
     grid: TimeGrid | None = None,
     cfg: PicardConfig | None = None,
-    gain: Model2Solution | None = None,
 ) -> Model3Solution:
-    """Full pipeline: k1 -> kernels -> k2 -> moment coefficients.
-
-    k1 is the variance-only gain k and does not depend on gamma: pass
-    solve_model2 on the same grid as ``gain`` to share one solve of it
-    across risk aversions.
-    """
+    """One gamma of :func:`solve_horizon`: k1 -> kernels -> k2 -> moments."""
     grid = grid or TimeGrid.default(obj.horizon_T)
-    if gain is None:
-        gain = solve_model2(params, grid, cfg)
-    elif gain.grid != grid:
-        raise ValueError("gain was solved on a different grid")
-    kernels = build_kernels(params, gain.k, grid)
-    k2, k2_solve = solve_k2(kernels, obj.gamma, cfg)
-    mom = moments(kernels, k2, obj.gamma)
-    return Model3Solution(params, obj, grid, gain, kernels, k2, k2_solve, mom)
+    return solve_horizon(params, [obj.gamma], grid, cfg)[0]
 
 
 def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]:

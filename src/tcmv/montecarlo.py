@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -193,9 +193,10 @@ def simulate_models(
     normals are drawn once and drive every column; the columns step as
     rows of one array, and each row's arithmetic is its own, so a column
     reports what its :func:`simulate` run does.  Paths whose terminal
-    wealth is not finite are excluded.  Up to :func:`_draw_ahead` worker
-    threads draw the next blocks while this one steps; every thread count
-    gives identical reports.
+    wealth is not finite are excluded; too many of them, or estimates
+    beyond float64, raise SimulationExplosionError.  Up to
+    :func:`_draw_ahead` worker threads draw the next blocks while this one
+    steps; every thread count gives identical reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
     table = _step_table(params, [
@@ -238,7 +239,18 @@ def simulate_models(
                 n_excluded,
                 cfg.n_paths,
             )
-        reports[key] = _report(values[alive], obj.gamma, n_excluded)
+        # finite paths can still have moments beyond float64 (a huge x0):
+        # refused below, so the overflow must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = _report(values[alive], obj.gamma, n_excluded)
+        if not np.all(np.isfinite(astuple(report))):
+            raise SimulationExplosionError(
+                f"the moments of terminal wealth exceed the float64 range "
+                f"(x0 = {cfg.x0:g})",
+                n_excluded,
+                cfg.n_paths,
+            )
+        reports[key] = report
     return reports
 
 

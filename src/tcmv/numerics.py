@@ -110,17 +110,17 @@ def trapezoid_tail_integral(f: SampledFunction, t_index: int) -> float:
     return float(tail_integrals(f.values, f.grid.dt)[t_index])
 
 
+# Every Picard iteration starts from this constant; the constant start at 1
+# keeps the iterate sequence comparable to the factorial-tail error bound.
+PICARD_START = 1.0
+
+
 @dataclass(frozen=True)
 class PicardConfig:
-    """Stopping rule of the successive-substitution iteration.
-
-    The constant start at 1 keeps the iterate sequence comparable to the
-    factorial-tail error bound.
-    """
+    """Stopping rule of the successive-substitution iteration."""
 
     tol: float = 1e-10
     max_iter: int = 200
-    initial_value: float = 1.0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -146,7 +146,7 @@ def picard_solve(
     drops below tol, keeping every iterate for the error-bound tables.
     Raises NonConvergenceError when the cap is hit."""
     cfg = cfg or PicardConfig()
-    current = np.full(n_nodes, cfg.initial_value)
+    current = np.full(n_nodes, PICARD_START)
     history = [current]
     delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):

@@ -1,6 +1,8 @@
 import builtins
 import errno
 import os
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, load_config, main
-from tcmv import montecarlo
+from tcmv import model3, montecarlo
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams
 from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
@@ -58,10 +60,12 @@ def scenarios(draw):
     alpha = draw(st.lists(finite, min_size=n, max_size=n))
     sigma = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=n, max_size=n))
     r = draw(finite)
-    gammas = draw(st.lists(positive, min_size=1, max_size=3))
+    # load_config refuses a value listed twice as printed, so draw distinct ones
+    gammas = draw(st.lists(positive, min_size=1, max_size=3, unique_by=fmt))
     # at the default 1000 steps a year, T <= 1000 keeps within MAX_GRID_STEPS
     horizons = draw(st.lists(
-        st.floats(min_value=0.0, exclude_min=True, max_value=1000.0), min_size=1, max_size=3
+        st.floats(min_value=0.0, exclude_min=True, max_value=1000.0),
+        min_size=1, max_size=3, unique_by=fmt,
     ))
     return MarketParams(alpha, sigma, r), gammas, horizons
 
@@ -168,6 +172,24 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "x0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("gamma = 1, 3", "gamma =", "gamma"),
+        ("T = 1", "T =", "T"),
+        ("gamma = 1, 3", "gamma = 1, 1", "gamma"),
+        ("T = 1", "T = 1, 1.00000000000001", "T"),  # both print as 1
+    ])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_empty_or_repeated_list_is_config_error(
+        self, tmp_path, capsys, old, new, key, command
+    ):
+        path = tmp_path / "lists.cfg"
+        path.write_text(FIGURE_CFG.replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} lists ") and "Traceback" not in err
         assert not out.exists()
 
     def test_grid_step_bound(self, tmp_path, capsys):
@@ -310,7 +332,7 @@ class TestSolveCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_threads_give_same_output(self, tmp_path):
-        # two horizons, so the solves fan out over threads
+        # two horizons, solved one after the other whatever --threads says
         path = tmp_path / "two.cfg"
         path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -333,6 +355,18 @@ class TestSolveCommand:
             "== gamma=3 T=1 ==",
             "== gamma=3 T=0.5 ==",
         ]
+
+    def test_kernels_are_built_once_per_horizon(self, tmp_path, monkeypatch):
+        calls = []
+        build_kernels = model3.build_kernels
+        monkeypatch.setattr(
+            model3, "build_kernels", lambda *a: calls.append(a) or build_kernels(*a)
+        )
+        path = tmp_path / "cases.cfg"
+        path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
+                        .replace("T = 1", "T = 1, 0.5"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert [grid.T for _, _, grid in calls] == [1.0, 0.5]
 
     def test_constant_column_count_and_lf_endings(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
@@ -505,6 +539,20 @@ class TestSimulateCommand:
         n_blocks = -(-9000 // _BLOCK)
         assert sorted(draws) == list(range(n_blocks)) + [2**63] * 4
 
+    def test_overflowing_moments_are_an_explosion(self, tmp_path, capsys):
+        # every path stays finite, but its square overflows float64
+        path = tmp_path / "x0.cfg"
+        path.write_text(FIGURE_CFG.replace("seed = 9", "seed = 9\nx0 = 1e200")
+                        .replace("n_paths = 2000", "n_paths = 500")
+                        .replace("n_time_steps = 100", "n_time_steps = 20"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out-dir", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("simulation explosion:") and "x0 = 1e+200" in err
+        assert not any(out.iterdir())
+
     def test_paths_have_all_models(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
         main(["simulate", figure_cfg, "--out-dir", str(out)])
@@ -526,6 +574,32 @@ class TestBoundsCommand:
                 n, emp, bound = int(parts[0]), float(parts[1]), float(parts[2])
                 assert n >= 1  # bound table starts at the first sweep
                 assert emp <= bound
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", ["figure1.cfg", "section4.cfg"])
+    def test_solve_and_bounds(self, name, tmp_path, capsys):
+        with resources.as_file(resources.files("tcmv") / "configs" / name) as path:
+            cfg = load_config(str(path))
+            out = tmp_path / "out"
+            assert main(["solve", str(path), "--out-dir", str(out)]) == 0
+            assert main(["bounds", str(path)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "allocation_vs_wealth.csv",
+            "diagnostics.txt",
+            "k_curves.csv",
+            "mean_variance_vs_wealth.csv",
+        ]
+        diagnostics = (out / "diagnostics.txt").read_text()
+        n_cases = len(cfg.gammas) * len(cfg.horizons)
+        assert diagnostics.count("== gamma=") == n_cases
+        residuals = [float(w[len("residual="):]) for w in diagnostics.split()
+                     if w.startswith("residual=")]
+        assert len(residuals) == 3 * n_cases
+        assert max(residuals) <= 10 * cfg.picard.tol
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        bounds = [(float(r[1]), float(r[2])) for r in rows if len(r) == 3 and r[0].isdigit()]
+        assert bounds and all(emp <= bound for emp, bound in bounds)
 
 
 class TestFormatting:

@@ -22,6 +22,7 @@ from tcmv.model3 import (
     intercept_equation_map,
     intercept_residual,
     iterate_sup_errors,
+    solve_horizon,
     solve_k2,
 )
 from tcmv.numerics import (
@@ -134,30 +135,32 @@ class TestGainAndIntercept:
         assert (m3.gain.iterations, m3.gain.delta) == (m2.iterations, m2.delta)
 
     def test_shared_gain_is_bitwise_identical(self, symmetric_params, unit_grid):
-        gain = solve_model2(symmetric_params, unit_grid)
-        for gamma in (1.0, 3.0):
-            obj = ObjectiveSpec(gamma, 1.0)
-            alone = solve_model3(symmetric_params, obj, unit_grid)
-            shared = solve_model3(symmetric_params, obj, unit_grid, gain=gain)
-            assert shared.gain is gain
-            for a, b in (shared.gain, alone.gain), (shared.k2_solve, alone.k2_solve):
+        shared = solve_horizon(symmetric_params, [1.0, 3.0], unit_grid)
+        assert shared[0].gain is shared[1].gain
+        assert shared[0].kernels is shared[1].kernels
+        for gamma, one in zip((1.0, 3.0), shared, strict=True):
+            alone = solve_model3(symmetric_params, ObjectiveSpec(gamma, 1.0), unit_grid)
+            assert one.obj == alone.obj
+            for a, b in (one.gain, alone.gain), (one.k2_solve, alone.k2_solve):
                 assert (a.iterations, a.delta) == (b.iterations, b.delta)
             for a, b in [
-                (shared.k1.values, alone.k1.values),
-                (shared.k2.values, alone.k2.values),
-                (shared.moments.c2.values, alone.moments.c2.values),
-                *zip(shared.gain.history, alone.gain.history, strict=True),
-                *zip(shared.k2_solve.history, alone.k2_solve.history, strict=True),
+                (one.k1.values, alone.k1.values),
+                (one.k2.values, alone.k2.values),
+                (one.kernels.cum_drift, alone.kernels.cum_drift),
+                (one.kernels.cum_vol, alone.kernels.cum_vol),
+                (one.kernels.h, alone.kernels.h),
+                (one.moments.c0.values, alone.moments.c0.values),
+                (one.moments.c2.values, alone.moments.c2.values),
+                (one.moments.i1_inv.values, alone.moments.i1_inv.values),
+                (one.moments.drift_load.values, alone.moments.drift_load.values),
+                *zip(one.gain.history, alone.gain.history, strict=True),
+                *zip(one.k2_solve.history, alone.k2_solve.history, strict=True),
             ]:
                 assert np.array_equal(a, b)
             # a shared gain keeps its iterates, so both bound tables can be formed
             assert gain_bound_constant(
-                symmetric_params, unit_grid, shared.gain.history
+                symmetric_params, unit_grid, one.gain.history
             ) == gain_bound_constant(symmetric_params, unit_grid, alone.gain.history)
-        with pytest.raises(ValueError):
-            solve_model3(
-                symmetric_params, ObjectiveSpec(1.0, 2.0), TimeGrid(2.0, 1000), gain=gain
-            )
 
     def test_gamma_linearity(self, symmetric_params, unit_grid):
         base = solve_model3(symmetric_params, ObjectiveSpec(1.0, 1.0), unit_grid)

@@ -176,11 +176,10 @@ class Affine:
 def three_strategies(diagonal_params, unit_grid):
     obj = ObjectiveSpec(3.0, 1.0)
     s1 = solve_model1(diagonal_params, obj)
-    s2 = solve_model2(diagonal_params, unit_grid)
-    s3 = solve_model3(diagonal_params, obj, unit_grid, gain=s2)
+    s3 = solve_model3(diagonal_params, obj, unit_grid)
     return {
         "model1": Model1Strategy(s1),
-        "model2": FeedbackStrategy(s2.k),
+        "model2": FeedbackStrategy(s3.gain.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }
 
