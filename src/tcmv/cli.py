@@ -71,6 +71,16 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def fmt_column(values) -> list[str]:
+    """[fmt(v) for v in values], formatted as one column."""
+    return ["%.12g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _rows(prefix: str, *columns: list[str]) -> str:
+    """One CSV row per index: the prefix, then each column's cell."""
+    return "".join(prefix + ",".join(cells) + "\n" for cells in zip(*columns))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     params: MarketParams
@@ -240,10 +250,10 @@ def _discard(path: str):
 
 
 class _Emitter:
-    """Writes each file whole or not at all (a temporary file, then
-    os.replace).  Used as a context manager: on any exception, an interrupt
-    included, the files written so far are removed; on success they are
-    listed under --verbose.  An unusable output directory is a config error."""
+    """Writes each file whole or not at all: its text chunks stream into a
+    temporary file, then os.replace.  Used as a context manager: on any exception,
+    an interrupt included, the files written so far are removed; on success
+    they are listed under --verbose.  An unusable output directory is a config error."""
 
     def __init__(self, out_dir: str, verbose: bool):
         self.out_dir = out_dir
@@ -264,12 +274,13 @@ class _Emitter:
             elif self.verbose:
                 print(f"wrote {path}")
 
-    def write(self, name: str, lines: list[str]) -> str:
+    def write(self, name: str, chunks) -> str:
         path = os.path.join(self.out_dir, name)
         tmp = os.path.join(self.out_dir, f".{name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -279,55 +290,46 @@ class _Emitter:
         return path
 
 
-def _k_curves_lines(cases: list[SolvedCase]) -> list[str]:
-    lines = ["gamma,T,t,k_model2,k1,k2"]
+def _k_curves_lines(cases: list[SolvedCase]):
+    # k_model2 and k1 are the one gain of a horizon: t and k are formatted
+    # once per horizon, k2 once per case
+    yield "gamma,T,t,k_model2,k1,k2\n"
+    shared = {
+        T: [f"{t},{k},{k}" for t, k in zip(fmt_column(m2.grid.nodes), fmt_column(m2.k.values))]
+        for T, m2 in _gains(cases).items()
+    }
     for case in cases:
-        nodes = case.m3.grid.nodes
-        k_m2, k1, k2 = case.m3.gain.k.values, case.m3.k1.values, case.m3.k2.values
-        for i, t in enumerate(nodes):
-            lines.append(
-                f"{fmt(case.gamma)},{fmt(case.T)},{fmt(t)},"
-                f"{fmt(k_m2[i])},{fmt(k1[i])},{fmt(k2[i])}"
-            )
-    return lines
+        prefix = f"{fmt(case.gamma)},{fmt(case.T)},"
+        yield _rows(prefix, shared[case.T], fmt_column(case.m3.k2.values))
 
 
-def _allocation_lines(cases: list[SolvedCase]) -> list[str]:
-    lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
+def _allocation_lines(cases: list[SolvedCase]):
+    yield "gamma,T,model,x,u1,u2,prop1,prop2\n"
+    x, x_text = _WEALTH_GRID[:, None], fmt_column(_WEALTH_GRID)
     for case in cases:
         for model, strategy in _strategies(case).items():
             G, b = strategy.coefficients(np.zeros(1))
-            for x, (u1, u2) in zip(_WEALTH_GRID, G * _WEALTH_GRID[:, None] + b):
-                lines.append(
-                    f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
-                    f"{fmt(u1)},{fmt(u2)},{fmt(u1 / x)},{fmt(u2 / x)}"
-                )
-    return lines
+            u = G * x + b
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
+                        *map(fmt_column, np.hstack([u, u / x]).T))
 
 
-def _mean_variance_lines(cases: list[SolvedCase]) -> list[str]:
-    lines = ["gamma,T,model,x,mean,variance"]
+def _mean_variance_lines(cases: list[SolvedCase]):
+    yield "gamma,T,model,x,mean,variance\n"
+    x, x_text = _WEALTH_GRID, fmt_column(_WEALTH_GRID)
+    # model 2's mean and variance do not depend on gamma
+    model2 = {T: evaluate_model2(m2.params, m2.k, cases[0].gamma)
+              for T, m2 in _gains(cases).items()}
     for case in cases:
-        rows = []
+        moments = {}
         if case.m1 is not None:
-            rows += [
-                ("model1", x, case.m1.expected_wealth(0.0, x), case.m1.terminal_variance(0.0))
-                for x in _WEALTH_GRID
-            ]
-        vals2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
-        rows += [
-            ("model2", x, vals2.mean(0.0, x), vals2.variance(0.0, x))
-            for x in _WEALTH_GRID
-        ]
-        mom = case.m3.moments
-        rows += [
-            ("model3", x, mom.mean(0.0, x), mom.variance(0.0, x)) for x in _WEALTH_GRID
-        ]
-        for model, x, mean, var in rows:
-            lines.append(
-                f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},{fmt(mean)},{fmt(var)}"
-            )
-    return lines
+            variance = np.full_like(x, case.m1.terminal_variance(0.0))
+            moments["model1"] = (case.m1.expected_wealth(0.0, x), variance)
+        for model, m in (("model2", model2[case.T]), ("model3", case.m3.moments)):
+            moments[model] = (m.mean(0.0, x), m.variance(0.0, x))
+        for model, columns in moments.items():
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
+                        *map(fmt_column, columns))
 
 
 def _strategies(case: SolvedCase) -> dict:
@@ -339,25 +341,20 @@ def _strategies(case: SolvedCase) -> dict:
     return strategies
 
 
-def _paths_lines(cfg: ScenarioConfig, case: SolvedCase) -> list[str]:
+def _paths_lines(cfg: ScenarioConfig, case: SolvedCase, by_horizon: dict) -> list[str]:
+    """t and the prices depend on T alone: by_horizon keeps their cells."""
     obj = ObjectiveSpec(case.gamma, case.T)
     strategies = _strategies(case)
     tables = reproduce_figure_paths(cfg.params, obj, strategies, cfg.sim)
-    names = list(strategies)
+    if case.T not in by_horizon:
+        by_horizon[case.T] = list(map(fmt_column, (tables.times, *tables.prices.T)))
     header = ["t", "price1", "price2"]
-    for name in names:
+    columns = []
+    for name in strategies:
         header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
-    lines = [",".join(header)]
-    for i, t in enumerate(tables.times):
-        row = [fmt(t), fmt(tables.prices[i, 0]), fmt(tables.prices[i, 1])]
-        for name in names:
-            row += [
-                fmt(tables.wealth[name][i]),
-                fmt(tables.stock1_dollars[name][i]),
-                fmt(tables.stock2_dollars[name][i]),
-            ]
-        lines.append(",".join(row))
-    return lines
+        columns += map(fmt_column, (tables.wealth[name], tables.stock1_dollars[name],
+                                    tables.stock2_dollars[name]))
+    return [",".join(header) + "\n", _rows("", *by_horizon[case.T], *columns)]
 
 
 def bound_table_text(history: list[np.ndarray], solution: np.ndarray, K: float, T: float) -> list[str]:
@@ -394,15 +391,14 @@ def _bound_tables(case: SolvedCase, k1_bound: float) -> list[str]:
     ]
 
 
-def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str]:
+def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]):
     residuals = {
         T: gain_residual(cfg.params, m2.grid, m2.k.values)
         for T, m2 in _gains(cases).items()
     }
     k1_bounds = _gain_bounds(cfg, cases)
-    lines = []
     for case in cases:
-        lines.append(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
+        lines = [f"== gamma={fmt(case.gamma)} T={fmt(case.T)} =="]
         if case.m1 is not None:
             lines.append(f"model1: theta_sq={fmt(case.m1.theta_sq)}")
         else:
@@ -421,7 +417,7 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]) -> list[str
             *_bound_tables(case, k1_bounds[case.T]),
             "",
         ]
-    return lines
+        yield "\n".join(lines) + "\n"
 
 
 def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
@@ -439,7 +435,7 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg)
-    lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded"]
+    lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]
     with _Emitter(cfg.out_dir, verbose) as emitter:
         # every (case, model) column in one pass, so each block is drawn once
         columns = {
@@ -455,16 +451,17 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
                 f"{fmt(report.mean_estimate)},{fmt(report.variance_estimate)},"
                 f"{fmt(report.reward_estimate)},{fmt(report.se_mean)},"
                 f"{fmt(report.se_variance)},{fmt(report.se_reward)},"
-                f"{report.n_excluded}"
+                f"{report.n_excluded}\n"
             )
             if verbose:
                 print(f"{name} gamma={case.gamma} T={case.T}: "
                       f"mean={report.mean_estimate:.6f}")
         emitter.write("simulation_summary.csv", lines)
         if "simulated_paths" in cfg.tables:
+            by_horizon = {}
             for case in cases:
                 suffix = f"_g{fmt(case.gamma)}_T{fmt(case.T)}" if len(cases) > 1 else ""
-                emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(cfg, case))
+                emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(cfg, case, by_horizon))
     return 0
 
 

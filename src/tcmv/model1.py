@@ -29,10 +29,11 @@ class Model1Solution:
     weights: np.ndarray  # (sigma sigma^T)^{-1} (alpha - r 1)
     theta_sq: float  # (alpha - r 1)^T (sigma sigma^T)^{-1} (alpha - r 1)
 
-    def control(self, t: float) -> np.ndarray:
-        """Dollar amounts in each stock at time t; independent of wealth."""
+    def control(self, t) -> np.ndarray:
+        """Dollar amounts in each stock at time t, independent of wealth:
+        (n_stocks,) at one time, (len(t), n_stocks) at an array of times."""
         r, T = self.params.r, self.obj.horizon_T
-        return (np.exp(-r * (T - t)) / self.obj.gamma) * self.weights
+        return np.multiply.outer(np.exp(-r * (T - t)) / self.obj.gamma, self.weights)
 
     def expected_wealth(self, t: float, x: float) -> float:
         """g(t, x) = E[X_T] under the equilibrium control."""

@@ -102,7 +102,7 @@ class Model1Strategy:
 
     def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = 0 and b = the closed-form control at each time."""
-        b = np.array([self.solution.control(t) for t in times])
+        b = self.solution.control(times)
         return np.zeros_like(b), b
 
 

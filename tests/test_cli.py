@@ -1,19 +1,21 @@
 import builtins
 import errno
+import itertools
 import os
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcmv import cli
-from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, load_config, main
+from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
 from tcmv import model3, montecarlo
 from tcmv.errors import ConfigError, MarketValidationError
-from tcmv.market import MarketParams
+from tcmv.market import MarketParams, ObjectiveSpec
+from tcmv.model2 import evaluate_model2
 from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
@@ -84,6 +86,94 @@ def _scenario_text(params, gammas, horizons):
         f"T = {row(horizons)}",
         "",
     ])
+
+
+def reference_k_curves_lines(cases):
+    """k_curves.csv one fmt call per cell, as the emitter once wrote it."""
+    lines = ["gamma,T,t,k_model2,k1,k2"]
+    for case in cases:
+        nodes = case.m3.grid.nodes
+        k_m2, k1, k2 = case.m3.gain.k.values, case.m3.k1.values, case.m3.k2.values
+        for i, t in enumerate(nodes):
+            lines.append(
+                f"{fmt(case.gamma)},{fmt(case.T)},{fmt(t)},"
+                f"{fmt(k_m2[i])},{fmt(k1[i])},{fmt(k2[i])}"
+            )
+    return lines
+
+
+def reference_allocation_lines(cases):
+    """allocation_vs_wealth.csv one fmt call per cell."""
+    lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
+    for case in cases:
+        for model, strategy in cli._strategies(case).items():
+            G, b = strategy.coefficients(np.zeros(1))
+            for x, (u1, u2) in zip(cli._WEALTH_GRID, G * cli._WEALTH_GRID[:, None] + b):
+                lines.append(
+                    f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
+                    f"{fmt(u1)},{fmt(u2)},{fmt(u1 / x)},{fmt(u2 / x)}"
+                )
+    return lines
+
+
+def reference_mean_variance_lines(cases):
+    """mean_variance_vs_wealth.csv one scalar moment and fmt call per cell,
+    model 2 evaluated once per case."""
+    lines = ["gamma,T,model,x,mean,variance"]
+    for case in cases:
+        rows = []
+        if case.m1 is not None:
+            rows += [
+                ("model1", x, case.m1.expected_wealth(0.0, x), case.m1.terminal_variance(0.0))
+                for x in cli._WEALTH_GRID
+            ]
+        vals2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
+        rows += [
+            ("model2", x, vals2.mean(0.0, x), vals2.variance(0.0, x))
+            for x in cli._WEALTH_GRID
+        ]
+        mom = case.m3.moments
+        rows += [
+            ("model3", x, mom.mean(0.0, x), mom.variance(0.0, x)) for x in cli._WEALTH_GRID
+        ]
+        for model, x, mean, var in rows:
+            lines.append(
+                f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},{fmt(mean)},{fmt(var)}"
+            )
+    return lines
+
+
+def reference_paths_lines(cfg, case):
+    """One case's simulated_paths file one fmt call per cell."""
+    obj = ObjectiveSpec(case.gamma, case.T)
+    strategies = cli._strategies(case)
+    tables = montecarlo.reproduce_figure_paths(cfg.params, obj, strategies, cfg.sim)
+    names = list(strategies)
+    header = ["t", "price1", "price2"]
+    for name in names:
+        header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
+    lines = [",".join(header)]
+    for i, t in enumerate(tables.times):
+        row = [fmt(t), fmt(tables.prices[i, 0]), fmt(tables.prices[i, 1])]
+        for name in names:
+            row += [
+                fmt(tables.wealth[name][i]),
+                fmt(tables.stock1_dollars[name][i]),
+                fmt(tables.stock2_dollars[name][i]),
+            ]
+        lines.append(",".join(row))
+    return lines
+
+
+def assert_same_text(text, lines):
+    """text is the lines, each ended by a newline.  A mismatch names the
+    first line that differs; pytest's own diff of megabyte strings would
+    take minutes."""
+    expected = "\n".join(lines) + "\n"
+    if text != expected:
+        pairs = itertools.zip_longest(text.splitlines(True), expected.splitlines(True))
+        i, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {i}: {got!r}, expected {want!r}")
 
 
 def _read_rows(path):
@@ -368,6 +458,21 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
         assert [grid.T for _, _, grid in calls] == [1.0, 0.5]
 
+    def test_k_curves_formats_each_column_once(self, tmp_path, monkeypatch):
+        # t and k once per horizon, k2 once per case
+        columns = []
+        format_column = cli.fmt_column
+        monkeypatch.setattr(
+            cli, "fmt_column", lambda values: columns.append(len(values)) or format_column(values)
+        )
+        path = tmp_path / "cases.cfg"
+        path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
+                        .replace("T = 1", "T = 1, 0.5")
+                        .replace("tables = k_curves, allocation_vs_wealth, "
+                                 "mean_variance_vs_wealth, simulated_paths", "tables = k_curves"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert columns == [201, 201, 101, 101] + [201, 101] * 3
+
     def test_constant_column_count_and_lf_endings(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
         main(["solve", figure_cfg, "--out-dir", str(out)])
@@ -448,6 +553,25 @@ class TestSolveCommand:
         out = tmp_path / "out"
         with pytest.raises(KeyboardInterrupt):
             main([command, figure_cfg, "--out-dir", str(out)])
+        assert not any(out.iterdir())
+
+    def test_interrupt_while_streaming_leaves_no_partial_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        k_curves_lines = cli._k_curves_lines
+
+        def interrupted(cases):
+            chunks = k_curves_lines(cases)
+            yield next(chunks)  # the header
+            yield next(chunks)  # the first case's rows
+            # both went to the temporary file, and nothing is in place yet
+            assert [f.name for f in out.iterdir()] == [f".k_curves.csv.{os.getpid()}.tmp"]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_k_curves_lines", interrupted)
+        path = tmp_path / "two.cfg"
+        path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5"))
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", str(path), "--out-dir", str(out)])
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
@@ -602,8 +726,62 @@ class TestShippedConfigs:
         assert bounds and all(emp <= bound for emp, bound in bounds)
 
 
+class TestEmitters:
+    """Each table emitter against its per-cell reference, byte for byte."""
+
+    @pytest.fixture(scope="class", params=["figure1.cfg", "section4.cfg", "3 gammas x 2 T"])
+    def solved(self, request, tmp_path_factory):
+        if request.param.endswith(".cfg"):
+            with resources.as_file(resources.files("tcmv") / "configs" / request.param) as path:
+                cfg = load_config(str(path))
+        else:
+            path = tmp_path_factory.mktemp("emitters") / "cases.cfg"
+            path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
+                            .replace("T = 1", "T = 1, 0.5"))
+            cfg = load_config(str(path))
+        return cfg, cli._solve_all(cfg)
+
+    @pytest.mark.parametrize("emitter, reference", [
+        (cli._k_curves_lines, reference_k_curves_lines),
+        (cli._allocation_lines, reference_allocation_lines),
+        (cli._mean_variance_lines, reference_mean_variance_lines),
+    ])
+    def test_tables_match_the_per_cell_reference(self, solved, emitter, reference):
+        _, cases = solved
+        assert_same_text("".join(emitter(cases)), reference(cases))
+
+    def test_paths_match_the_per_cell_reference(self, solved):
+        cfg, cases = solved
+        by_horizon = {}
+        for case in cases:
+            text = "".join(cli._paths_lines(cfg, case, by_horizon))
+            assert_same_text(text, reference_paths_lines(cfg, case))
+        assert sorted(by_horizon) == sorted(cfg.horizons)
+
+
 class TestFormatting:
     def test_twelve_significant_digits(self):
         assert fmt(1 / 3) == "0.333333333333"
         assert fmt(1.0) == "1"
         assert fmt(1.5e-7) == "1.5e-07"
+        assert fmt_column([1 / 3, -0.0, float("nan"), 1e16]) == ["0.333333333333", "-0", "nan", "1e+16"]
+
+    # signed zeros, subnormals, non-finite values, the switch to exponent
+    # notation at 1e12 and the float64 extremes
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4,
+            float("inf"), float("-inf"), float("nan"), 99999999999.95, 999999999999.4,
+            999999999999.5, 1e12, 1e15, 1e16, -1e16, 2.0**53 + 2, np.finfo(float).max,
+            -np.finfo(float).max]
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.floats(min_value=1e11, max_value=1e17),
+        st.floats(min_value=-1e17, max_value=-1e11),
+        st.sampled_from(EDGE),
+    )))
+    @example(EDGE)
+    @settings(max_examples=300, deadline=None)
+    def test_column_formatter_matches_fmt(self, values):
+        expected = [fmt(v) for v in values]
+        assert fmt_column(values) == expected
+        assert fmt_column(np.array(values, dtype=float)) == expected

@@ -357,6 +357,20 @@ class TestSimulateModels:
         assert np.array_equal(G, [[k1(t), 1.0 - k1(t)] for t in times])
         assert np.array_equal(b, [[k2(t), -k2(t)] for t in times])
 
+    @pytest.mark.parametrize("T", [0.7, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("n_times", [1, 2, 3, 301])
+    def test_model1_coefficients_in_one_call(self, diagonal_params, T, n_times):
+        # two times on two stocks is where a plain broadcast of the time
+        # factor against the weights would give a (2,) array
+        gamma, r = 3.0, diagonal_params.r
+        s1 = solve_model1(diagonal_params, ObjectiveSpec(gamma, T))
+        times = np.linspace(0.0, T, n_times)
+        G, b = Model1Strategy(s1).coefficients(times)
+        assert G.shape == b.shape == (n_times, 2) and not G.any()
+        # the closed-form control evaluated one time at a time
+        assert np.array_equal(b, [(np.exp(-r * (T - t)) / gamma) * s1.weights for t in times])
+        assert np.array_equal(b, [s1.control(t) for t in times])  # one time a call
+
     def test_one_exploding_model_is_reported(self, three_strategies):
         p = MarketParams([0.2, 0.12], [[0.9, 0.0], [0.0, 0.9]])
         grid = TimeGrid(1.0, 10)
