@@ -27,7 +27,7 @@ from .errors import (
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
 from .model1 import Model1Solution, solve_model1
-from .model2 import Model2Solution, evaluate_model2, gain_residual
+from .model2 import Model2Solution, gain_moments, gain_residual
 from .model3 import (
     Model3Solution,
     gain_bound_constant,
@@ -253,7 +253,8 @@ class _Emitter:
     """Writes each file whole or not at all: its text chunks stream into a
     temporary file, then os.replace.  Used as a context manager: on any exception,
     an interrupt included, the files written so far are removed; on success
-    they are listed under --verbose.  An unusable output directory is a config error."""
+    they are listed under --verbose.  An unusable output directory is a config error.
+    A SIGKILL runs no cleanup and can leave the .<name>.<pid>.tmp file behind."""
 
     def __init__(self, out_dir: str, verbose: bool):
         self.out_dir = out_dir
@@ -317,15 +318,14 @@ def _allocation_lines(cases: list[SolvedCase]):
 def _mean_variance_lines(cases: list[SolvedCase]):
     yield "gamma,T,model,x,mean,variance\n"
     x, x_text = _WEALTH_GRID, fmt_column(_WEALTH_GRID)
-    # model 2's mean and variance do not depend on gamma
-    model2 = {T: evaluate_model2(m2.params, m2.k, cases[0].gamma)
-              for T, m2 in _gains(cases).items()}
     for case in cases:
         moments = {}
         if case.m1 is not None:
             variance = np.full_like(x, case.m1.terminal_variance(0.0))
             moments["model1"] = (case.m1.expected_wealth(0.0, x), variance)
-        for model, m in (("model2", model2[case.T]), ("model3", case.m3.moments)):
+        # model 2 is model 3 with k2 = 0, on the same kernels
+        model2 = gain_moments(case.m3.kernels, case.gamma)
+        for model, m in (("model2", model2), ("model3", case.m3.moments)):
             moments[model] = (m.mean(0.0, x), m.variance(0.0, x))
         for model, columns in moments.items():
             yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,

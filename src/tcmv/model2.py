@@ -1,23 +1,29 @@
-"""Variance-only objective with two stocks and no bank account.
+"""Variance-only objective with two stocks and no bank account, and the
+moment layer it shares with the mean-variance model.
 
 The equilibrium allocation is u^(t, x) = k(t) x where k solves a nonlinear
-backward integral equation; given k, expected wealth and variance follow
-from exponentials of backward integrals.
+backward integral equation.  The mean-variance model's gain k1 solves the
+same equation, so its wealth under u^ = k1 x + k2 is this model's with
+k2 = 0: one MomentCoefficients serves both.  The k2-free coefficients,
+I1(t,T)^{-1} and c0, are exponentials of the forward integrals in the
+KernelTables of k and do not depend on risk aversion; they are formed once
+per kernel build and shared by this model and every gamma of model 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMarketError
+from .errors import CoefficientRangeError, DegenerateMarketError
 from .market import MarketParams, validate_distinct_volatility
 from .numerics import (
     PicardConfig,
-    PicardResult,
     SampledFunction,
     TimeGrid,
+    forward_integrals,
     picard_solve,
     tail_integrals,
 )
@@ -99,47 +105,143 @@ def solve_model2(
 
 
 @dataclass(frozen=True)
-class Model2Values:
-    """Expected-wealth multiplier a, value multiplier A, and the terminal
-    moments they generate: E = a(t) x, Var = -(2/gamma) A(t) x^2."""
+class KernelTables:
+    """Exponential kernels of a gain k1, stored separably.
+
+    I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
+    I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
+    I3(t,v) = dalpha * I2(t,T) - h(v) * I2(t,v),
+    with h(v) = dalpha + (s11-s21){s21 + k1(v)(s11-s21)}
+              + (s12-s22){s22 + k1(v)(s12-s22)}.
+
+    I1 and I2 give the moments of wealth under u = k1 x; the mean-variance
+    model's intercept equation adds I3.
+    """
+
+    grid: TimeGrid
+    lam: float  # dalpha / denom
+    dalpha: float
+    denom: float
+    cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
+    cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
+    h: np.ndarray
+
+    def I1(self, i, j):
+        return np.exp(self.cum_drift[i] - self.cum_drift[j])
+
+    def I2(self, i, j):
+        return np.exp(self.cum_vol[i] - self.cum_vol[j])
+
+    def I3(self, i, j):
+        return self.dalpha * self.I2(i, -1) - self.h[j] * self.I2(i, j)
+
+    @cached_property
+    def i1_inv(self) -> SampledFunction:
+        """I1(t,T)^{-1} = e^{A(T)-A(t)}, A = cum_drift."""
+        a = self.cum_drift
+        return SampledFunction(self.grid, np.exp(a[-1] - a))
+
+    @cached_property
+    def c0(self) -> SampledFunction:
+        """e^{B(T)-B(t)} - 1, B = cum_vol: the x^2 coefficient of the variance."""
+        b = self.cum_vol
+        return SampledFunction(self.grid, np.expm1(b[-1] - b))
+
+    def forcing(self, gamma: float) -> np.ndarray:
+        """phi(t) = (lam / gamma) I1(t,T) I2(t,T) at every node."""
+        a, b = self.cum_drift, self.cum_vol
+        return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
+
+    @cached_property
+    def log_scale(self) -> float:
+        """The exponent of e^{2A+B}, with A and B at their largest."""
+        return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
+
+    @cached_property
+    def M3(self) -> float:
+        """sup over grid pairs t <= v of |I1(t,v) I3(t,v)|, in O(N).
+
+        The kernel factors as f(t) g(v) with f(t) = e^{A(t)+B(t)} > 0 and
+        g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}, A = cum_drift,
+        B = cum_vol, so the supremum is max_v |g(v)| max_{t<=v} f(t).
+        """
+        a, b = self.cum_drift, self.cum_vol
+        f = np.exp(a + b)
+        g = np.exp(-a) * (self.dalpha * np.exp(-b[-1]) - self.h * np.exp(-b))
+        return float(np.max(np.abs(g) * np.maximum.accumulate(f)))
+
+
+def build_kernels(
+    params: MarketParams, k1: SampledFunction, grid: TimeGrid
+) -> KernelTables:
+    """Kernel tables of the gain k1; CoefficientRangeError when e^{2A+B},
+    the largest exponential the intercept map and the moments form, overflows."""
+    s21, s22, ds1, ds2, denom, _, dalpha = _coeffs(params)
+    k = k1.values
+    drift = params.alpha[1] + k * dalpha
+    cum_drift = forward_integrals(drift, grid.dt)
+    cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
+    h = dalpha + ds1 * (s21 + k * ds1) + ds2 * (s22 + k * ds2)
+    kernels = KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
+    _require_in_range(kernels.log_scale, f"over the horizon T={grid.T:g}")
+    return kernels
+
+
+def _require_in_range(log_size: float, where: str):
+    """CoefficientRangeError unless e^log_size is within the float64 range."""
+    if not log_size <= np.log(np.finfo(float).max):
+        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
+
+
+@dataclass(frozen=True)
+class MomentCoefficients:
+    """Conditional moments of terminal wealth under u = k1 x + k2, for the
+    solved gain k1 of either no-bank model.
+
+    mean(t, x)     = I1(t,T)^{-1} {x + dalpha int_t^T I1(t,v) k2(v) dv}
+    variance(t, x) = I1(t,T)^{-2} {c0(t) x^2 + c2(t)}
+    with no x-linear term, because I3 vanishes at the solved k1.  The
+    variance-only model is k2 = 0: c2 and the drift load vanish.
+    """
 
     grid: TimeGrid
     gamma: float
-    a: SampledFunction
-    A: SampledFunction
-    var_factor: SampledFunction  # Var(t, x) = var_factor(t) x^2
+    c0: SampledFunction
+    c2: SampledFunction
+    i1_inv: SampledFunction  # I1(t,T)^{-1}
+    drift_load: SampledFunction  # dalpha int_t^T I1(t,v) k2(v) dv
 
     def mean(self, t, x):
-        return self.a(t) * x
+        return self.i1_inv(t) * (x + self.drift_load(t))
 
     def variance(self, t, x):
-        return self.var_factor(t) * x * x
+        inv = self.i1_inv(t)
+        return inv * inv * (self.c0(t) * x * x + self.c2(t))
 
     def expected_wealth(self, t, x):
         return self.mean(t, x)
 
     def value(self, t, x):
-        return self.A(t) * x * x
+        return self.mean(t, x) - 0.5 * self.gamma * self.variance(t, x)
+
+
+class Model2Values(MomentCoefficients):
+    """The moments of u = k x, whose objective is the variance alone."""
+
+    def value(self, t, x):
+        return -0.5 * self.gamma * self.variance(t, x)
+
+
+def gain_moments(kernels: KernelTables, gamma: float) -> Model2Values:
+    """Moments of the gain alone: the kernels' c0 and I1(t,T)^{-1}, k2 = 0."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    zero = SampledFunction.constant(kernels.grid, 0.0)
+    return Model2Values(kernels.grid, float(gamma), kernels.c0, zero, kernels.i1_inv, zero)
 
 
 def evaluate_model2(
     params: MarketParams, k: SampledFunction, gamma: float
 ) -> Model2Values:
-    """Evaluate a(t), A(t) and the terminal wealth moments from a solved k."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    grid = k.grid
-    _, _, _, _, _, _, dalpha = _coeffs(params)
-    drift = params.alpha[1] + k.values * dalpha
-    tail_drift = tail_integrals(drift, grid.dt)
-    tail_var = tail_integrals(portfolio_variance_rate(params, k.values), grid.dt)
-    a = np.exp(tail_drift)
-    var_factor = a * a * np.expm1(tail_var)
-    big_a = -(gamma / 2.0) * var_factor
-    return Model2Values(
-        grid,
-        gamma,
-        SampledFunction(grid, a),
-        SampledFunction(grid, big_a),
-        SampledFunction(grid, var_factor),
-    )
+    """Terminal wealth moments and value of a solved k."""
+    return gain_moments(build_kernels(params, k, k.grid), gamma)

@@ -8,7 +8,10 @@ scales as 1/gamma.
 
 The kernels depend on k1 alone and serve every gamma: solve_horizon solves
 k1 and builds the kernels once per horizon, then k2 and the moments once
-per gamma; solve_model3 is its one-gamma call.  All kernels are
+per gamma; solve_model3 is its one-gamma call.  With k2 = 0 this model's
+wealth is the variance-only model's, so the kernels and the moment layer
+live in model2: the kernels hold the gamma-free c0 and I1(t,T)^{-1}, and
+moments() adds the c2 and drift load of each k2.  All kernels are
 separable in (t, v), so each is generated from a single cumulative integral
 and every Picard sweep runs in O(N).  So does the kernel supremum behind
 the k2 error bound: with A = cum_drift and B = cum_vol, I1(t,v) I3(t,v) =
@@ -21,16 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientRangeError
 from .market import MarketParams, ObjectiveSpec
 from .model2 import (
+    KernelTables,
     Model2Solution,
+    MomentCoefficients,
     _coeffs,
-    portfolio_variance_rate,
+    _require_in_range,
+    build_kernels,
     solve_model2,
 )
 from .numerics import (
@@ -48,80 +52,6 @@ def constant_gain_equal_drifts(params: MarketParams) -> float:
     """Closed-form k1 when the two drifts coincide (time-independent)."""
     _, _, _, _, denom, csig, _ = _coeffs(params)
     return -csig / denom
-
-
-@dataclass(frozen=True)
-class KernelTables:
-    """Exponential kernels of the Volterra equation, stored separably.
-
-    I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
-    I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
-    I3(t,v) = dalpha * I2(t,T) - h(v) * I2(t,v),
-    with h(v) = dalpha + (s11-s21){s21 + k1(v)(s11-s21)}
-              + (s12-s22){s22 + k1(v)(s12-s22)}.
-    """
-
-    grid: TimeGrid
-    lam: float  # dalpha / denom
-    dalpha: float
-    denom: float
-    cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
-    cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
-    h: np.ndarray
-
-    def I1(self, i, j):
-        return np.exp(self.cum_drift[i] - self.cum_drift[j])
-
-    def I2(self, i, j):
-        return np.exp(self.cum_vol[i] - self.cum_vol[j])
-
-    def I3(self, i, j):
-        return self.dalpha * self.I2(i, -1) - self.h[j] * self.I2(i, j)
-
-    def forcing(self, gamma: float) -> np.ndarray:
-        """phi(t) = (lam / gamma) I1(t,T) I2(t,T) at every node."""
-        a, b = self.cum_drift, self.cum_vol
-        return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
-
-    @cached_property
-    def log_scale(self) -> float:
-        """The exponent of e^{2A+B}, with A and B at their largest."""
-        return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
-
-    @cached_property
-    def M3(self) -> float:
-        """sup over grid pairs t <= v of |I1(t,v) I3(t,v)|, in O(N).
-
-        The kernel factors as f(t) g(v) with f(t) = e^{A(t)+B(t)} > 0 and
-        g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}, A = cum_drift,
-        B = cum_vol, so the supremum is max_v |g(v)| max_{t<=v} f(t).
-        """
-        a, b = self.cum_drift, self.cum_vol
-        f = np.exp(a + b)
-        g = np.exp(-a) * (self.dalpha * np.exp(-b[-1]) - self.h * np.exp(-b))
-        return float(np.max(np.abs(g) * np.maximum.accumulate(f)))
-
-
-def build_kernels(
-    params: MarketParams, k1: SampledFunction, grid: TimeGrid
-) -> KernelTables:
-    """Kernel tables of the gain k1; CoefficientRangeError when e^{2A+B},
-    the largest exponential the intercept map and the moments form, overflows."""
-    s21, s22, ds1, ds2, denom, _, dalpha = _coeffs(params)
-    k = k1.values
-    drift = params.alpha[1] + k * dalpha
-    cum_drift = forward_integrals(drift, grid.dt)
-    cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
-    h = dalpha + ds1 * (s21 + k * ds1) + ds2 * (s22 + k * ds2)
-    kernels = KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
-    _require_in_range(kernels.log_scale, f"over the horizon T={grid.T:g}")
-    return kernels
-
-
-def _require_in_range(log_size: float, where: str):
-    """CoefficientRangeError unless e^log_size is within the float64 range."""
-    if not log_size <= np.log(np.finfo(float).max):
-        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
 
 
 def intercept_equation_map(kernels: KernelTables, gamma: float):
@@ -164,70 +94,34 @@ def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> f
     return float(np.max(np.abs(intercept_equation_map(kernels, gamma)(k2) - k2)))
 
 
-@dataclass(frozen=True)
-class MomentCoefficients:
-    """Conditional moments of terminal wealth under u^ = k1 x + k2.
-
-    mean(t, x)     = I1(t,T)^{-1} {x + dalpha int_t^T I1(t,v) k2(v) dv}
-    variance(t, x) = I1(t,T)^{-2} {c0(t) x^2 + c2(t)}
-    with no x-linear term, because I3 vanishes at the solved k1.
-    """
-
-    grid: TimeGrid
-    gamma: float
-    c0: SampledFunction
-    c2: SampledFunction
-    i1_inv: SampledFunction  # I1(t,T)^{-1}
-    drift_load: SampledFunction  # dalpha int_t^T I1(t,v) k2(v) dv
-
-    def mean(self, t, x):
-        return self.i1_inv(t) * (x + self.drift_load(t))
-
-    def variance(self, t, x):
-        inv = self.i1_inv(t)
-        return inv * inv * (self.c0(t) * x * x + self.c2(t))
-
-    def expected_wealth(self, t, x):
-        return self.mean(t, x)
-
-    def value(self, t, x):
-        return self.mean(t, x) - 0.5 * self.gamma * self.variance(t, x)
-
-
 def moments(
     kernels: KernelTables, k2: SampledFunction, gamma: float
 ) -> MomentCoefficients:
-    """Build c0, c2 and the mean loading from the kernels and k2.
+    """The moments of one gamma: c2 and the drift load from k2, beside the
+    kernels' gamma-free c0 and I1(t,T)^{-1}.
 
     Valid only for the kernels of the solved k1, where I3 = 0.
     """
     grid = kernels.grid
     dt = grid.dt
-    dalpha, denom = kernels.dalpha, kernels.denom
     cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
     kv = k2.values
-
     inv_a = np.exp(-cum_a)  # e^{-cumA(v)}
-    inv_b = np.exp(-cum_b)
-    i2_tT_inv = np.exp(cum_b[-1] - cum_b)
-    i1_tT_inv = np.exp(cum_a[-1] - cum_a)
 
     # int_t^T I1 k2
     u = np.exp(cum_a) * tail_integrals(inv_a * kv, dt)
 
-    c0 = np.expm1(cum_b[-1] - cum_b)
-
     # int_t^T I1^2 I2 k2^2
-    s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * inv_b * kv**2, dt)
-    c2 = i2_tT_inv * (denom * s)
+    s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * np.exp(-cum_b) * kv**2, dt)
+    c2 = np.exp(cum_b[-1] - cum_b) * (kernels.denom * s)
 
     return MomentCoefficients(
         grid,
         float(gamma),
-        SampledFunction(grid, c0),
+        kernels.c0,
         SampledFunction(grid, c2),
-        SampledFunction(grid, i1_tT_inv),
-        SampledFunction(grid, dalpha * u),
+        kernels.i1_inv,
+        SampledFunction(grid, kernels.dalpha * u),
     )
 
 

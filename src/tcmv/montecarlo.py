@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from typing import Callable
 
@@ -172,6 +171,9 @@ def _run_blocks(
         for block in range(n_blocks):
             step(block, draw(block))
         return
+    # imported here: only a run drawing ahead pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=ahead) as pool:
         pending = deque(pool.submit(draw, b) for b in range(ahead))
         for block in range(n_blocks):

@@ -2,6 +2,8 @@ import builtins
 import errno
 import itertools
 import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
-from tcmv import model3, montecarlo
+from tcmv import montecarlo
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
-from tcmv.model2 import evaluate_model2
+from tcmv.model2 import KernelTables, evaluate_model2
 from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
@@ -447,16 +449,20 @@ class TestSolveCommand:
         ]
 
     def test_kernels_are_built_once_per_horizon(self, tmp_path, monkeypatch):
-        calls = []
-        build_kernels = model3.build_kernels
-        monkeypatch.setattr(
-            model3, "build_kernels", lambda *a: calls.append(a) or build_kernels(*a)
-        )
+        # every build constructs one KernelTables, whichever module calls it
+        horizons = []
+        init = KernelTables.__init__
+
+        def counting(self, grid, *rest):
+            horizons.append(grid.T)
+            init(self, grid, *rest)
+
+        monkeypatch.setattr(KernelTables, "__init__", counting)
         path = tmp_path / "cases.cfg"
         path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
                         .replace("T = 1", "T = 1, 0.5"))
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-        assert [grid.T for _, _, grid in calls] == [1.0, 0.5]
+        assert horizons == [1.0, 0.5]
 
     def test_k_curves_formats_each_column_once(self, tmp_path, monkeypatch):
         # t and k once per horizon, k2 once per case
@@ -757,6 +763,16 @@ class TestEmitters:
             text = "".join(cli._paths_lines(cfg, case, by_horizon))
             assert_same_text(text, reference_paths_lines(cfg, case))
         assert sorted(by_horizon) == sorted(cfg.horizons)
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures is imported only when simulate draws blocks ahead
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tcmv.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "False\n"
 
 
 class TestFormatting:

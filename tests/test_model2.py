@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,31 @@ from tcmv import (
     evaluate_model2,
     solve_model2,
 )
-from tcmv.model2 import gain_iterate_bounds, gain_residual
+from tcmv.cli import load_config
+from tcmv.model2 import gain_iterate_bounds, gain_residual, portfolio_variance_rate
+from tcmv.numerics import tail_integrals
 from .conftest import random_distinct_market
 
 # fraction of wealth in stock 1 at t=0 for the symmetric-volatility market
 # with alpha = (0.2, 0.12), sigma = 0.25 I, T = 1; frozen from a
 # tol=1e-13 solve on a 10^4-node grid
 K_AT_ZERO = 0.480299164228281
+
+
+def reference_model2_values(params, k, gamma):
+    """The variance-only moments from their own backward quadrature:
+    E = a(t) x and Var = var_factor(t) x^2, with a = e^{int_t^T drift} and
+    var_factor = a^2 (e^{int_t^T variance rate} - 1); value = -(gamma/2) Var."""
+    dt = k.grid.dt
+    dalpha = params.alpha[0] - params.alpha[1]
+    a = np.exp(tail_integrals(params.alpha[1] + k.values * dalpha, dt))
+    var_factor = a * a * np.expm1(tail_integrals(portfolio_variance_rate(params, k.values), dt))
+    return {"a": a, "var_factor": var_factor, "A": -(gamma / 2.0) * var_factor}
+
+
+def shipped_market(name):
+    with resources.as_file(resources.files("tcmv") / "configs" / name) as path:
+        return load_config(str(path)).params
 
 
 class TestGainEquation:
@@ -104,11 +124,13 @@ class TestValues:
         sol = solve_model2(symmetric_params, unit_grid)
         v1 = evaluate_model2(symmetric_params, sol.k, 1.0)
         v7 = evaluate_model2(symmetric_params, sol.k, 7.0)
-        assert np.array_equal(v1.a.values, v7.a.values)
-        assert np.allclose(7.0 * v1.A.values, v7.A.values)
+        assert np.array_equal(v1.i1_inv.values, v7.i1_inv.values)
+        assert np.array_equal(v1.c0.values, v7.c0.values)
+        t = unit_grid.nodes
+        assert np.allclose(7.0 * v1.value(t, 1.0), v7.value(t, 1.0))
         # value multiplier is nonpositive, variance nonnegative
-        assert np.all(v1.A.values <= 0.0)
-        assert np.all(v1.var_factor.values >= 0.0)
+        assert np.all(v1.value(t, 1.0) <= 0.0)
+        assert np.all(v1.c0.values >= 0.0)
 
     def test_variance_matches_value_identity(self, symmetric_params, unit_grid):
         sol = solve_model2(symmetric_params, unit_grid)
@@ -117,3 +139,22 @@ class TestValues:
             assert vals.value(t, 1.5) == pytest.approx(
                 -0.5 * 3.0 * vals.variance(t, 1.5)
             )
+
+
+MARKETS = [("figure1.cfg", None), ("section4.cfg", None), *((None, seed) for seed in range(20))]
+
+
+@pytest.mark.parametrize("name,seed", MARKETS)
+@pytest.mark.parametrize("T", [1.0, 5.0])
+def test_moments_match_reference_quadrature(name, seed, T):
+    # the kernels' forward integrals give the moments the tail integrals gave
+    p = shipped_market(name) if name else random_distinct_market(np.random.default_rng(300 + seed))
+    grid = TimeGrid(T, int(500 * T))
+    k = solve_model2(p, grid, PicardConfig(tol=1e-12, max_iter=500)).k
+    ref = reference_model2_values(p, k, 3.0)
+    vals = evaluate_model2(p, k, 3.0)
+    t = grid.nodes
+    assert np.max(np.abs(vals.mean(t, 1.0) / ref["a"] - 1.0)) <= 1e-13
+    variance = vals.variance(t, 1.0)
+    assert np.max(np.abs(variance - ref["var_factor"])) <= 1e-12 * np.max(ref["var_factor"])
+    assert np.max(np.abs(vals.value(t, 1.0) - ref["A"])) <= 1e-12 * np.max(np.abs(ref["A"]))
