@@ -41,7 +41,7 @@ from .montecarlo import (
     FeedbackStrategy,
     Model1Strategy,
     SimConfig,
-    block_nbytes,
+    array_nbytes,
     reproduce_figure_paths,
     simulate_models,
 )
@@ -200,12 +200,14 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
             f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
             f"at least {_MIN_PATHS} paths"
         )
-    nbytes = block_nbytes(sim, params.n_factors)
-    if nbytes > MAX_BLOCK_BYTES:
-        raise ConfigError(
-            f"n_time_steps = {sim.n_time_steps} needs {nbytes / 2**20:.1f} MiB of "
-            f"increments per Monte Carlo block, above the {MAX_BLOCK_BYTES // 2**20} MiB limit"
-        )
+    n_columns = 3 * len(gammas) * len(horizons)  # models 1 to 3 per case
+    for what, nbytes in array_nbytes(sim, *params.sigma.shape, n_columns).items():
+        if nbytes > MAX_BLOCK_BYTES:
+            raise ConfigError(
+                f"n_paths = {sim.n_paths} and n_time_steps = {sim.n_time_steps} over "
+                f"{n_columns} Monte Carlo columns need {nbytes / 2**20:.1f} MiB of {what}, "
+                f"above the {MAX_BLOCK_BYTES // 2**20} MiB limit per array"
+            )
     return ScenarioConfig(
         params, gammas, horizons, steps_per_year, picard, sim, tables, out_dir
     )
@@ -341,20 +343,17 @@ def _strategies(case: SolvedCase) -> dict:
     return strategies
 
 
-def _paths_lines(cfg: ScenarioConfig, case: SolvedCase, by_horizon: dict) -> list[str]:
-    """t and the prices depend on T alone: by_horizon keeps their cells."""
-    obj = ObjectiveSpec(case.gamma, case.T)
-    strategies = _strategies(case)
-    tables = reproduce_figure_paths(cfg.params, obj, strategies, cfg.sim)
-    if case.T not in by_horizon:
-        by_horizon[case.T] = list(map(fmt_column, (tables.times, *tables.prices.T)))
+def _paths_lines(T: float, records: dict, by_horizon: dict) -> list[str]:
+    """One case's simulated_paths file; by_horizon keeps the cells of t and the prices."""
+    if T not in by_horizon:
+        first = next(iter(records.values()))
+        by_horizon[T] = list(map(fmt_column, (first.times, *first.prices.T)))
     header = ["t", "price1", "price2"]
     columns = []
-    for name in strategies:
+    for name, record in records.items():
         header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
-        columns += map(fmt_column, (tables.wealth[name], tables.stock1_dollars[name],
-                                    tables.stock2_dollars[name]))
-    return [",".join(header) + "\n", _rows("", *by_horizon[case.T], *columns)]
+        columns += map(fmt_column, (record.wealth, *record.dollars.T))
+    return [",".join(header) + "\n", _rows("", *by_horizon[T], *columns)]
 
 
 def bound_table_text(history: list[np.ndarray], solution: np.ndarray, K: float, T: float) -> list[str]:
@@ -437,11 +436,12 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     cases = _solve_all(cfg)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]
     with _Emitter(cfg.out_dir, verbose) as emitter:
-        # every (case, model) column in one pass, so each block is drawn once
+        # every (case, model) column in one pass, figure paths included
+        strategies = [_strategies(case) for case in cases]
         columns = {
             (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
             for i, case in enumerate(cases)
-            for name, strategy in _strategies(case).items()
+            for name, strategy in strategies[i].items()
         }
         reports = simulate_models(cfg.params, columns, cfg.sim, threads)
         for (i, name), report in reports.items():
@@ -458,10 +458,12 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
                       f"mean={report.mean_estimate:.6f}")
         emitter.write("simulation_summary.csv", lines)
         if "simulated_paths" in cfg.tables:
+            paths = reproduce_figure_paths(cfg.params, columns, cfg.sim)
             by_horizon = {}
-            for case in cases:
+            for i, case in enumerate(cases):
                 suffix = f"_g{fmt(case.gamma)}_T{fmt(case.T)}" if len(cases) > 1 else ""
-                emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(cfg, case, by_horizon))
+                records = {name: paths[i, name] for name in strategies[i]}
+                emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(case.T, records, by_horizon))
     return 0
 
 

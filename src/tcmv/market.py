@@ -26,6 +26,10 @@ NO_EQUILIBRIUM = "no-equilibrium"
 # Below this squared row gap the two stocks count as the same asset.
 DISTINCT_VOLATILITY_TOL = 1e-12
 
+# Below this relative gap two market prices of risk on one Brownian motion
+# count as equal.
+EQUAL_PRICE_OF_RISK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -196,10 +200,9 @@ class VolatilityCheck:
     message: str
 
 
-def validate_distinct_volatility(
-    params: MarketParams, tol: float = DISTINCT_VOLATILITY_TOL
-) -> VolatilityCheck:
-    """Check (s11-s21)^2 + (s12-s22)^2 > tol, classifying the failure mode.
+def validate_distinct_volatility(params: MarketParams) -> VolatilityCheck:
+    """Check (s11-s21)^2 + (s12-s22)^2 > DISTINCT_VOLATILITY_TOL, classifying
+    the failure mode.
 
     Equal volatility rows with equal drifts mean the stocks are
     interchangeable (any split is admissible); equal rows with different
@@ -209,7 +212,7 @@ def validate_distinct_volatility(
         raise ValueError("distinct-volatility check applies to two-stock markets")
     diff = params.sigma[0] - params.sigma[1]
     gap = float(diff @ diff)
-    if gap > tol:
+    if gap > DISTINCT_VOLATILITY_TOL:
         return VolatilityCheck(True, gap, None, "volatility rows are distinct")
     if abs(params.alpha[0] - params.alpha[1]) <= 1e-12:
         return VolatilityCheck(

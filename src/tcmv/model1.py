@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, SingularMarketError
-from .market import MarketParams, ObjectiveSpec
+from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
 CONDITION_LIMIT = 1e10
@@ -116,9 +116,7 @@ class OneFactorDiagnosis:
         return np.exp(r * (T - t)) * x + theta**2 * (T - t) / (2 * self.obj.gamma)
 
 
-def diagnose_one_factor(
-    params: MarketParams, obj: ObjectiveSpec, tol: float = 1e-9
-) -> OneFactorDiagnosis:
+def diagnose_one_factor(params: MarketParams, obj: ObjectiveSpec) -> OneFactorDiagnosis:
     """Classify a two-stock market driven by a single Brownian motion."""
     if params.n_stocks != 2:
         raise ValueError("one-factor diagnosis applies to two-stock markets")
@@ -130,7 +128,7 @@ def diagnose_one_factor(
         raise DegenerateAssetError("one-factor diagnosis needs both loadings nonzero")
     theta1 = (params.alpha[0] - params.r) / s1
     theta2 = (params.alpha[1] - params.r) / s2
-    if abs(theta1 - theta2) <= tol * max(1.0, abs(theta1), abs(theta2)):
+    if abs(theta1 - theta2) <= EQUAL_PRICE_OF_RISK_TOL * max(1.0, abs(theta1), abs(theta2)):
         return OneFactorDiagnosis(
             params,
             obj,

@@ -12,16 +12,17 @@ standard normals z is x <- x (1 + a dt + c z sqrt(dt)) + beta dt + e z sqrt(dt).
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
-order and thread count.  The wealth SDE is simulated in levels, not logs:
-dollar strategies with an intercept can legitimately push wealth through
-zero.
+order and thread count.  The figure paths of every column share one more
+stream, keyed by (seed, 2**63) and drawn once per call.  The wealth SDE is
+simulated in levels, not logs: dollar strategies with an intercept can
+legitimately push wealth through zero.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,9 +36,10 @@ from .numerics import SampledFunction
 # reproducibility contract, do not make it configurable.
 _BLOCK = 4096
 
-# A block's normals are min(n_paths, _BLOCK) x n_time_steps x n_factors
-# float64s; larger blocks are refused when the config is loaded instead of
-# exhausting memory mid-run, and fewer are drawn ahead than would pass it.
+# Most bytes of any one array a run sizes (see array_nbytes), a block's
+# normals included: larger ones are refused when the config is loaded
+# instead of exhausting memory mid-run, and fewer blocks are drawn ahead
+# than would pass it.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Paths may explode under aggressive dollar strategies; more than this
@@ -65,6 +67,20 @@ class SimConfig:
 def block_nbytes(cfg: SimConfig, n_factors: int) -> int:
     """Bytes of Gaussian increments in the largest block of one simulation."""
     return min(cfg.n_paths, _BLOCK) * cfg.n_time_steps * n_factors * 8
+
+
+def array_nbytes(cfg: SimConfig, n_stocks: int, n_factors: int, n_columns: int) -> dict[str, int]:
+    """Bytes of each array that :func:`simulate_models` and
+    :func:`reproduce_figure_paths` size for n_columns columns."""
+    n, m = cfg.n_time_steps, min(cfg.n_paths, _BLOCK)
+    return {
+        "Gaussian increments per block": block_nbytes(cfg, n_factors),
+        "step table": n * n_columns * (2 + 2 * n_factors) * 8,
+        "sampled strategy coefficients": (n + 1) * n_columns * 2 * n_stocks * 8,
+        "column state": 4 * n_columns * m * 8,  # x and the (3, M, m) work array
+        "terminal wealth": n_columns * cfg.n_paths * 8,
+        "figure paths": (n + 1) * n_columns * (1 + n_stocks) * 8,  # wealth and dollars
+    }
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,15 @@ def _step_table(params: MarketParams, columns: list[tuple]) -> np.ndarray:
         rows.append(np.column_stack([1.0 + (params.r + g[:, 0]) * dt, h[:, 0] * dt,
                                      g[:, 1:] * np.sqrt(dt), h[:, 1:] * np.sqrt(dt)]))
     return np.stack(rows, axis=-1)[..., None]
+
+
+def _sample(columns: dict, n: int) -> tuple[dict, list]:
+    """Every column on its own grid of n uniform steps on [0, T]: the nodes
+    of each distinct T, and each column's (G, b) at its nodes with its
+    dt = T / n, as :func:`_step_table` takes them."""
+    grids = {obj.horizon_T: np.linspace(0.0, obj.horizon_T, n + 1) for _, obj in columns.values()}
+    return grids, [(*strategy.coefficients(grids[obj.horizon_T]), obj.horizon_T / n)
+                   for strategy, obj in columns.values()]
 
 
 def _step(x: np.ndarray, z: np.ndarray, coef: np.ndarray, work: np.ndarray):
@@ -201,11 +226,7 @@ def simulate_models(
     steps; every thread count gives identical reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
-    table = _step_table(params, [
-        (*strategy.coefficients(np.linspace(0.0, obj.horizon_T, n_steps + 1)),
-         obj.horizon_T / n_steps)
-        for strategy, obj in columns.values()
-    ])
+    table = _step_table(params, _sample(columns, n_steps)[1])
     terminal = np.empty((len(columns), cfg.n_paths))
 
     def draw(block: int) -> np.ndarray:
@@ -286,52 +307,47 @@ def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationRepo
 
 
 @dataclass(frozen=True)
-class PathTables:
-    """One shared pair of stock-price paths plus per-model wealth and
-    allocation time series on a common grid (common random numbers)."""
+class PathRecord:
+    """One column's common-noise path: the grid and stock prices of its T,
+    shared by the columns of that T, and its own wealth and stock dollars."""
 
-    times: np.ndarray
-    prices: np.ndarray  # (n_nodes, 2)
-    wealth: dict[str, np.ndarray] = field(default_factory=dict)
-    stock1_dollars: dict[str, np.ndarray] = field(default_factory=dict)
-    stock2_dollars: dict[str, np.ndarray] = field(default_factory=dict)
+    times: np.ndarray  # (n_nodes,)
+    prices: np.ndarray  # (n_nodes, n_stocks)
+    wealth: np.ndarray  # (n_nodes,)
+    dollars: np.ndarray  # (n_nodes, n_stocks)
 
 
 def reproduce_figure_paths(
     params: MarketParams,
-    obj: ObjectiveSpec,
-    strategies: dict[str, FeedbackStrategy | Model1Strategy],
+    columns: dict[object, tuple[FeedbackStrategy | Model1Strategy, ObjectiveSpec]],
     cfg: SimConfig,
-) -> PathTables:
-    """Drive every model with the same Brownian increments.
+) -> dict[object, PathRecord]:
+    """One path of every column of :func:`simulate_models`, all driven by
+    the same normals, drawn once and scaled by each column's sqrt(dt).
 
-    Prices are sampled exactly (log-space GBM on the shared increments);
-    wealth follows the Euler step of :func:`simulate_models` on one path.
+    Prices are sampled exactly (log-space GBM), once per distinct T; wealth
+    follows the Euler step of :func:`simulate_models`, each column on its
+    own row, so a column's path does not depend on its company.
     """
-    T = obj.horizon_T
-    n_steps = cfg.n_time_steps
-    dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
+    n_steps, d = cfg.n_time_steps, params.n_factors
+    grids, sampled = _sample(columns, n_steps)
+    table = _step_table(params, sampled)
     # separate key namespace from the block streams used by simulate_models()
-    z = _block_normals(cfg.seed, 2**63, (n_steps, params.n_factors))
-    w = np.vstack([np.zeros(params.n_factors), np.cumsum(z * np.sqrt(dt), axis=0)])
+    z = _block_normals(cfg.seed, 2**63, (n_steps, d))
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
-    prices = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
+    prices = {}
+    for T, times in grids.items():
+        w = np.vstack([np.zeros(d), np.cumsum(z * np.sqrt(T / n_steps), axis=0)])
+        prices[T] = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    coefficients = [s.coefficients(times) for s in strategies.values()]
-    table = _step_table(params, [(G, b, dt) for G, b in coefficients])
-    wealth = np.empty((n_steps + 1, len(strategies), 1))
-    wealth[0] = cfg.x0
-    work = np.empty((3, len(strategies), 1))
+    wealth = np.full((n_steps + 1, len(columns), 1), cfg.x0)
+    work = np.empty((3, len(columns), 1))
     for i in range(n_steps):
         wealth[i + 1] = wealth[i]
         _step(wealth[i + 1], z[i, :, None], table[i], work)
 
-    tables = PathTables(times, prices)
-    for name, (G, b), path in zip(strategies, coefficients, wealth[:, :, 0].T):
-        dollars = G * path[:, None] + b
-        tables.wealth[name] = path
-        tables.stock1_dollars[name] = dollars[:, 0]
-        tables.stock2_dollars[name] = dollars[:, 1]
-    return tables
+    return {
+        key: PathRecord(grids[obj.horizon_T], prices[obj.horizon_T], path, G * path[:, None] + b)
+        for (key, (_, obj)), (G, b, _), path in zip(columns.items(), sampled, wealth[:, :, 0].T)
+    }

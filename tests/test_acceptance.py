@@ -225,9 +225,10 @@ def test_09_qualitative_orderings():
         "model2": FeedbackStrategy(s2.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }
-    tables = reproduce_figure_paths(DIAGONAL, obj, strategies, SimConfig(1, 1000, 5))
+    columns = {name: (strategy, obj) for name, strategy in strategies.items()}
+    paths = reproduce_figure_paths(DIAGONAL, columns, SimConfig(1, 1000, 5))
     alloc_ok = bool(
-        np.all(tables.stock1_dollars["model2"] <= tables.stock1_dollars["model3"] + 1e-12)
+        np.all(paths["model2"].dollars[:, 0] <= paths["model3"].dollars[:, 0] + 1e-12)
     )
     borrow_ok = float(np.sum(s1.control(0.0))) > 1.0
     ok = mean_ok and var_ok and alloc_ok and borrow_ok

@@ -2,6 +2,7 @@ import builtins
 import errno
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -146,22 +147,25 @@ def reference_mean_variance_lines(cases):
 
 
 def reference_paths_lines(cfg, case):
-    """One case's simulated_paths file one fmt call per cell."""
+    """One case's simulated_paths file one fmt call per cell, from the
+    figure paths of that case's columns alone."""
     obj = ObjectiveSpec(case.gamma, case.T)
     strategies = cli._strategies(case)
-    tables = montecarlo.reproduce_figure_paths(cfg.params, obj, strategies, cfg.sim)
+    columns = {name: (strategy, obj) for name, strategy in strategies.items()}
+    paths = montecarlo.reproduce_figure_paths(cfg.params, columns, cfg.sim)
     names = list(strategies)
     header = ["t", "price1", "price2"]
     for name in names:
         header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
     lines = [",".join(header)]
-    for i, t in enumerate(tables.times):
-        row = [fmt(t), fmt(tables.prices[i, 0]), fmt(tables.prices[i, 1])]
+    shared = paths[names[0]]
+    for i, t in enumerate(shared.times):
+        row = [fmt(t), fmt(shared.prices[i, 0]), fmt(shared.prices[i, 1])]
         for name in names:
             row += [
-                fmt(tables.wealth[name][i]),
-                fmt(tables.stock1_dollars[name][i]),
-                fmt(tables.stock2_dollars[name][i]),
+                fmt(paths[name].wealth[i]),
+                fmt(paths[name].dollars[i, 0]),
+                fmt(paths[name].dollars[i, 1]),
             ]
         lines.append(",".join(row))
     return lines
@@ -330,6 +334,38 @@ class TestConfigParsing:
         assert load_config(str(path)).sim.n_paths == 10
         path.write_text(FIGURE_CFG.replace("n_time_steps = 100", "n_time_steps = 1000000"))
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("name, n_paths, n_time_steps, what, size", [
+        # 4,000,000 steps x 12 columns x (2 + 2 d) float64s
+        ("figure1.cfg", 4, 4_000_000, "of step table", "2197.3 MiB"),
+        # 3 columns x 100,000,000 paths
+        ("section4.cfg", 100_000_000, 1, "of terminal wealth", "2288.8 MiB"),
+    ])
+    def test_run_memory_bound(self, tmp_path, capsys, name, n_paths, n_time_steps, what, size):
+        # each block fits, but another array of the run does not; refused
+        # before anything is allocated or written
+        text = (resources.files("tcmv") / "configs" / name).read_text()
+        text = re.sub(r"(?m)^n_paths = .*", f"n_paths = {n_paths}", text)
+        text = re.sub(r"(?m)^n_time_steps = .*", f"n_time_steps = {n_time_steps}", text)
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert what in err and size in err and "Traceback" not in err
+        assert f"n_paths = {n_paths} and n_time_steps = {n_time_steps}" in err
+        assert not out.exists()
+
+    def test_run_memory_bound_at_the_limit(self, tmp_path):
+        # 3 columns x n_paths x 8 bytes: just at and just above 512 MiB
+        limit = MAX_BLOCK_BYTES // 24
+        path = tmp_path / "paths.cfg"
+        text = FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1")
+        path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit}"))
+        assert load_config(str(path)).sim.n_paths == limit
+        path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit + 1}"))
+        with pytest.raises(ConfigError, match="3 Monte Carlo columns need 512.0 MiB of terminal"):
+            load_config(str(path))
 
 
     @pytest.mark.parametrize(
@@ -651,8 +687,8 @@ class TestSimulateCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
-        # two gammas x two horizons share every block; the figure paths
-        # draw their own stream once per case
+        # two gammas x two horizons share every block, and the figure paths
+        # of every case share one draw of their own stream
         draws = []
 
         def counted(seed, block, shape):
@@ -667,7 +703,7 @@ class TestSimulateCommand:
                         .replace("n_time_steps = 100", "n_time_steps = 5"))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
         n_blocks = -(-9000 // _BLOCK)
-        assert sorted(draws) == list(range(n_blocks)) + [2**63] * 4
+        assert sorted(draws) == list(range(n_blocks)) + [2**63]
 
     def test_overflowing_moments_are_an_explosion(self, tmp_path, capsys):
         # every path stays finite, but its square overflows float64
@@ -757,10 +793,19 @@ class TestEmitters:
         assert_same_text("".join(emitter(cases)), reference(cases))
 
     def test_paths_match_the_per_cell_reference(self, solved):
+        # one figure-path call over every column of the run, as tcmv
+        # simulate makes it, formatted case by case
         cfg, cases = solved
+        strategies = [cli._strategies(case) for case in cases]
+        columns = {
+            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
+            for i, case in enumerate(cases) for name, strategy in strategies[i].items()
+        }
+        paths = montecarlo.reproduce_figure_paths(cfg.params, columns, cfg.sim)
         by_horizon = {}
-        for case in cases:
-            text = "".join(cli._paths_lines(cfg, case, by_horizon))
+        for i, case in enumerate(cases):
+            records = {name: paths[i, name] for name in strategies[i]}
+            text = "".join(cli._paths_lines(case.T, records, by_horizon))
             assert_same_text(text, reference_paths_lines(cfg, case))
         assert sorted(by_horizon) == sorted(cfg.horizons)
 

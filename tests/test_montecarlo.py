@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tcmv import (
     solve_model2,
     solve_model3,
 )
+from tcmv import cli
 from tcmv.montecarlo import (
     _BLOCK,
     MAX_BLOCK_BYTES,
@@ -27,6 +30,8 @@ from tcmv.montecarlo import (
     _block_normals,
     _draw_ahead,
     _report,
+    _step,
+    _step_table,
     reproduce_figure_paths,
 )
 from tcmv.numerics import SampledFunction
@@ -384,6 +389,59 @@ class TestSimulateModels:
         assert err.value.n_excluded > 0
 
 
+@dataclasses.dataclass(frozen=True)
+class PathTables:
+    """One shared pair of stock-price paths plus per-model wealth and
+    allocation time series on a common grid (common random numbers)."""
+
+    times: np.ndarray
+    prices: np.ndarray  # (n_nodes, 2)
+    wealth: dict = dataclasses.field(default_factory=dict)
+    stock1_dollars: dict = dataclasses.field(default_factory=dict)
+    stock2_dollars: dict = dataclasses.field(default_factory=dict)
+
+
+def reference_figure_paths(params, obj, strategies, cfg):
+    """The figure paths of one (gamma, T) case: its own draw of the 2**63
+    stream, its own grid and step table, and one row per model."""
+    T = obj.horizon_T
+    n_steps = cfg.n_time_steps
+    dt = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    z = _block_normals(cfg.seed, 2**63, (n_steps, params.n_factors))
+    w = np.vstack([np.zeros(params.n_factors), np.cumsum(z * np.sqrt(dt), axis=0)])
+
+    log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
+    prices = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
+
+    coefficients = [s.coefficients(times) for s in strategies.values()]
+    table = _step_table(params, [(G, b, dt) for G, b in coefficients])
+    wealth = np.empty((n_steps + 1, len(strategies), 1))
+    wealth[0] = cfg.x0
+    work = np.empty((3, len(strategies), 1))
+    for i in range(n_steps):
+        wealth[i + 1] = wealth[i]
+        _step(wealth[i + 1], z[i, :, None], table[i], work)
+
+    tables = PathTables(times, prices)
+    for name, (G, b), path in zip(strategies, coefficients, wealth[:, :, 0].T):
+        dollars = G * path[:, None] + b
+        tables.wealth[name] = path
+        tables.stock1_dollars[name] = dollars[:, 0]
+        tables.stock2_dollars[name] = dollars[:, 1]
+    return tables
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_record(record, other):
+    for field in ("times", "prices", "wealth", "dollars"):
+        assert same_bits(getattr(record, field), getattr(other, field)), field
+
+
 class TestFigurePaths:
     @pytest.fixture
     def strategies(self, diagonal_params, unit_grid):
@@ -398,30 +456,90 @@ class TestFigurePaths:
         }
 
     def test_bitwise_reproducible(self, diagonal_params, strategies):
-        obj = ObjectiveSpec(3.0, 1.0)
+        columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
         cfg = SimConfig(1, 100, 77)
-        a = reproduce_figure_paths(diagonal_params, obj, strategies, cfg)
-        b = reproduce_figure_paths(diagonal_params, obj, strategies, cfg)
-        assert np.array_equal(a.prices, b.prices)
+        a = reproduce_figure_paths(diagonal_params, columns, cfg)
+        b = reproduce_figure_paths(diagonal_params, columns, cfg)
+        assert list(a) == list(b) == list(strategies)
         for name in strategies:
-            assert np.array_equal(a.wealth[name], b.wealth[name])
+            assert_same_record(a[name], b[name])
 
     def test_shared_prices_and_ordering(self, diagonal_params, strategies):
-        obj = ObjectiveSpec(3.0, 1.0)
-        tables = reproduce_figure_paths(
-            diagonal_params, obj, strategies, SimConfig(1, 250, 5)
-        )
-        assert tables.prices.shape == (251, 2)
-        assert np.all(tables.prices > 0)
+        columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
+        paths = reproduce_figure_paths(diagonal_params, columns, SimConfig(1, 250, 5))
+        prices = paths["model1"].prices
+        assert prices.shape == (251, 2)
+        assert np.all(prices > 0)
+        # one horizon: every column holds the same grid and prices
+        assert all(p.prices is prices and p.times is paths["model1"].times
+                   for p in paths.values())
+        assert all(p.wealth.shape == (251,) and p.dollars.shape == (251, 2)
+                   for p in paths.values())
         # variance-only model holds less of the high-drift stock throughout
-        assert np.all(
-            tables.stock1_dollars["model2"] <= tables.stock1_dollars["model3"] + 1e-12
-        )
+        assert np.all(paths["model2"].dollars[:, 0] <= paths["model3"].dollars[:, 0] + 1e-12)
 
     def test_model1_borrows_at_start(self, diagonal_params, strategies):
-        obj = ObjectiveSpec(3.0, 1.0)
-        tables = reproduce_figure_paths(
-            diagonal_params, obj, strategies, SimConfig(1, 50, 5)
-        )
-        total = tables.stock1_dollars["model1"][0] + tables.stock2_dollars["model1"][0]
-        assert total > tables.wealth["model1"][0]
+        columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
+        model1 = reproduce_figure_paths(diagonal_params, columns, SimConfig(1, 50, 5))["model1"]
+        assert model1.dollars[0].sum() > model1.wealth[0]
+
+    def test_columns_are_independent_of_their_company(self, diagonal_params, strategies):
+        # two cases of different gamma and T, and a third horizon: each
+        # column's path alone is bitwise its path among the others
+        cfg = SimConfig(1, 120, 8)
+        columns = {
+            (obj, name): (strategy, obj)
+            for obj in (ObjectiveSpec(3.0, 1.0), ObjectiveSpec(1.0, 0.5), ObjectiveSpec(3.0, 2.0))
+            for name, strategy in strategies.items()
+        }
+        together = reproduce_figure_paths(diagonal_params, columns, cfg)
+        assert list(together) == list(columns)
+        for key, column in columns.items():
+            alone = reproduce_figure_paths(diagonal_params, {key: column}, cfg)[key]
+            assert_same_record(alone, together[key])
+        pair = {key: columns[key] for key in list(columns)[2:4]}
+        for key, record in reproduce_figure_paths(diagonal_params, pair, cfg).items():
+            assert_same_record(record, together[key])
+
+
+def config_text(name):
+    """A shipped config's text; "figure1.cfg:3x2" widens figure1.cfg to 3
+    gammas x 2 horizons."""
+    text = (resources.files("tcmv") / "configs" / name.split(":")[0]).read_text()
+    if name.endswith(":3x2"):
+        text = re.sub(r"(?m)^gamma = .*", "gamma = 1, 3, 10", text)
+        text = re.sub(r"(?m)^T = .*", "T = 1, 0.5", text)
+    return text
+
+
+class TestFigurePathsOnePass:
+    """One call over every (case, model) column of a run against the
+    per-case reference, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["figure1.cfg", "section4.cfg", "figure1.cfg:3x2"])
+    def run(self, request, tmp_path_factory):
+        path = tmp_path_factory.mktemp("paths") / "run.cfg"
+        path.write_text(config_text(request.param))
+        cfg = cli.load_config(str(path))
+        return cfg, cli._solve_all(cfg)
+
+    def test_every_column_matches_the_per_case_reference(self, run):
+        cfg, cases = run
+        strategies = [cli._strategies(case) for case in cases]
+        columns = {
+            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
+            for i, case in enumerate(cases) for name, strategy in strategies[i].items()
+        }
+        paths = reproduce_figure_paths(cfg.params, columns, cfg.sim)
+        assert list(paths) == list(columns)
+        for i, case in enumerate(cases):
+            ref = reference_figure_paths(
+                cfg.params, ObjectiveSpec(case.gamma, case.T), strategies[i], cfg.sim
+            )
+            for name in strategies[i]:
+                record = paths[i, name]
+                assert same_bits(record.times, ref.times)
+                assert same_bits(record.prices, ref.prices)
+                assert same_bits(record.wealth, ref.wealth[name])
+                assert same_bits(record.dollars[:, 0], ref.stock1_dollars[name])
+                assert same_bits(record.dollars[:, 1], ref.stock2_dollars[name])
