@@ -200,17 +200,27 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
             f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
             f"at least {_MIN_PATHS} paths"
         )
-    n_columns = 3 * len(gammas) * len(horizons)  # models 1 to 3 per case
-    for what, nbytes in array_nbytes(sim, *params.sigma.shape, n_columns).items():
-        if nbytes > MAX_BLOCK_BYTES:
-            raise ConfigError(
-                f"n_paths = {sim.n_paths} and n_time_steps = {sim.n_time_steps} over "
-                f"{n_columns} Monte Carlo columns need {nbytes / 2**20:.1f} MiB of {what}, "
-                f"above the {MAX_BLOCK_BYTES // 2**20} MiB limit per array"
-            )
     return ScenarioConfig(
         params, gammas, horizons, steps_per_year, picard, sim, tables, out_dir
     )
+
+
+def check_simulation_size(cfg: ScenarioConfig):
+    """ConfigError when any array a simulate run would allocate passes
+    MAX_BLOCK_BYTES.  Models 1 to 3 make 3 columns per case, stepped as 3
+    rows per horizon: Y, the gain of models 2 and 3, and the unit
+    intercepts Z3 and Z1 of models 3 and 1."""
+    sim = cfg.sim
+    n_rows = 3 * len(cfg.horizons)
+    n_columns = n_rows * len(cfg.gammas)
+    for what, nbytes in array_nbytes(sim, *cfg.params.sigma.shape, n_rows, n_columns).items():
+        if nbytes > MAX_BLOCK_BYTES:
+            raise ConfigError(
+                f"n_paths = {sim.n_paths} and n_time_steps = {sim.n_time_steps} over "
+                f"{n_columns} Monte Carlo columns on {n_rows} rows need "
+                f"{nbytes / 2**20:.1f} MiB of {what}, "
+                f"above the {MAX_BLOCK_BYTES // 2**20} MiB limit per array"
+            )
 
 
 def _grid_for(cfg: ScenarioConfig, T: float) -> TimeGrid:
@@ -339,7 +349,9 @@ def _strategies(case: SolvedCase) -> dict:
     if case.m1 is not None:
         strategies["model1"] = Model1Strategy(case.m1)
     strategies["model2"] = FeedbackStrategy(case.m3.gain.k)
-    strategies["model3"] = FeedbackStrategy(case.m3.k1, case.m3.k2)
+    # k2 = phi_1 / gamma: every gamma of a horizon shares phi_1 and its rows
+    unit_k2 = case.m3.kernels.unit_intercept
+    strategies["model3"] = FeedbackStrategy(case.m3.k1, unit_k2, case.gamma)
     return strategies
 
 
@@ -379,14 +391,15 @@ def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, fl
 
 
 def _bound_tables(case: SolvedCase, k1_bound: float) -> list[str]:
-    """The k1 and k2 iterate error-bound tables of one case."""
-    m3 = case.m3
-    k2_bound = intercept_bound_constant(m3.kernels, m3.k2_solve.history)
+    """The k1 and k2 iterate error-bound tables of one case; the k2 table
+    measures the Picard iterates against their own limit."""
+    m3, k2_solve = case.m3, case.m3.k2_solve
+    k2_bound = intercept_bound_constant(m3.kernels, k2_solve.history)
     return [
         "k1 iterate error bound:",
         *bound_table_text(m3.gain.history, m3.k1.values, k1_bound, case.T),
         "k2 iterate error bound:",
-        *bound_table_text(m3.k2_solve.history, m3.k2.values, k2_bound, case.T),
+        *bound_table_text(k2_solve.history, k2_solve.values, k2_bound, case.T),
     ]
 
 
@@ -407,7 +420,7 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]):
             f"iterations={gain.iterations} delta={fmt(gain.delta)} "
             f"residual={fmt(residuals[case.T])}"
         )
-        k2_res = intercept_residual(case.m3.kernels, case.gamma, case.m3.k2.values)
+        k2_res = intercept_residual(case.m3.kernels, case.gamma, k2_solve.values)
         lines += [
             f"model2 k: {gain_text}",
             f"model3 k1: {gain_text}",
@@ -433,6 +446,7 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
+    check_simulation_size(cfg)
     cases = _solve_all(cfg)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]
     with _Emitter(cfg.out_dir, verbose) as emitter:

@@ -35,6 +35,11 @@ class Model1Solution:
         r, T = self.params.r, self.obj.horizon_T
         return np.multiply.outer(np.exp(-r * (T - t)) / self.obj.gamma, self.weights)
 
+    def unit_control(self, t) -> np.ndarray:
+        """The control at gamma = 1, which control() scales by 1/gamma."""
+        r, T = self.params.r, self.obj.horizon_T
+        return np.multiply.outer(np.exp(-r * (T - t)), self.weights)
+
     def expected_wealth(self, t: float, x: float) -> float:
         """g(t, x) = E[X_T] under the equilibrium control."""
         r, T = self.params.r, self.obj.horizon_T

@@ -4,10 +4,11 @@ moment layer it shares with the mean-variance model.
 The equilibrium allocation is u^(t, x) = k(t) x where k solves a nonlinear
 backward integral equation.  The mean-variance model's gain k1 solves the
 same equation, so its wealth under u^ = k1 x + k2 is this model's with
-k2 = 0: one MomentCoefficients serves both.  The k2-free coefficients,
-I1(t,T)^{-1} and c0, are exponentials of the forward integrals in the
-KernelTables of k and do not depend on risk aversion; they are formed once
-per kernel build and shared by this model and every gamma of model 3.
+k2 = 0: one MomentCoefficients serves both.  Everything the moments need
+is in the KernelTables of k and free of risk aversion: I1(t,T)^{-1}, c0
+and the tail S(t) = int_t^T I2(v,T) dv, formed once per kernel build and
+shared by this model and every gamma of model 3, which scales S by
+theta~^2 / gamma and theta~^2 / gamma^2.
 """
 
 from __future__ import annotations
@@ -153,6 +154,22 @@ class KernelTables:
         return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
 
     @cached_property
+    def unit_intercept(self) -> SampledFunction:
+        """phi_1 = lam I1(t,T) I2(t,T), the forcing at gamma = 1."""
+        return SampledFunction(self.grid, self.forcing(1.0))
+
+    @cached_property
+    def i2_tail(self) -> SampledFunction:
+        """S(t) = int_t^T I2(v,T) dv."""
+        b = self.cum_vol
+        return SampledFunction(self.grid, tail_integrals(np.exp(b - b[-1]), self.grid.dt))
+
+    @property
+    def theta_sq(self) -> float:
+        """dalpha^2 / denom, the squared Sharpe ratio of long stock 1, short stock 2."""
+        return self.lam * self.dalpha
+
+    @cached_property
     def log_scale(self) -> float:
         """The exponent of e^{2A+B}, with A and B at their largest."""
         return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
@@ -198,25 +215,27 @@ class MomentCoefficients:
     """Conditional moments of terminal wealth under u = k1 x + k2, for the
     solved gain k1 of either no-bank model.
 
-    mean(t, x)     = I1(t,T)^{-1} {x + dalpha int_t^T I1(t,v) k2(v) dv}
-    variance(t, x) = I1(t,T)^{-2} {c0(t) x^2 + c2(t)}
+    mean(t, x)     = I1(t,T)^{-1} x + mean_load(t)
+    variance(t, x) = I1(t,T)^{-2} c0(t) x^2 + variance_load(t)
     with no x-linear term, because I3 vanishes at the solved k1.  The
-    variance-only model is k2 = 0: c2 and the drift load vanish.
+    mean-variance model's k2 = (lam / gamma) I1(t,T) I2(t,T) makes the loads
+    theta~^2 S(t) / gamma and theta~^2 S(t) / gamma^2; the variance-only
+    model is k2 = 0, where both vanish.
     """
 
     grid: TimeGrid
     gamma: float
     c0: SampledFunction
-    c2: SampledFunction
     i1_inv: SampledFunction  # I1(t,T)^{-1}
-    drift_load: SampledFunction  # dalpha int_t^T I1(t,v) k2(v) dv
+    mean_load: SampledFunction
+    variance_load: SampledFunction
 
     def mean(self, t, x):
-        return self.i1_inv(t) * (x + self.drift_load(t))
+        return self.i1_inv(t) * x + self.mean_load(t)
 
     def variance(self, t, x):
         inv = self.i1_inv(t)
-        return inv * inv * (self.c0(t) * x * x + self.c2(t))
+        return inv * inv * (self.c0(t) * x * x) + self.variance_load(t)
 
     def expected_wealth(self, t, x):
         return self.mean(t, x)
@@ -237,7 +256,7 @@ def gain_moments(kernels: KernelTables, gamma: float) -> Model2Values:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     zero = SampledFunction.constant(kernels.grid, 0.0)
-    return Model2Values(kernels.grid, float(gamma), kernels.c0, zero, kernels.i1_inv, zero)
+    return Model2Values(kernels.grid, float(gamma), kernels.c0, kernels.i1_inv, zero, zero)
 
 
 def evaluate_model2(

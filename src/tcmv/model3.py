@@ -3,27 +3,33 @@
 The equilibrium allocation is u^(t, x) = k1(t) x + k2(t).  The gain k1
 solves the same nonlinear backward equation as the variance-only model and
 is independent of risk aversion; the intercept k2 solves a linear Volterra
-equation of the second kind built from the exponential kernels of k1 and
-scales as 1/gamma.
+equation of the second kind built from the exponential kernels of k1.
 
-The kernels depend on k1 alone and serve every gamma: solve_horizon solves
-k1 and builds the kernels once per horizon, then k2 and the moments once
-per gamma; solve_model3 is its one-gamma call.  With k2 = 0 this model's
-wealth is the variance-only model's, so the kernels and the moment layer
-live in model2: the kernels hold the gamma-free c0 and I1(t,T)^{-1}, and
-moments() adds the c2 and drift load of each k2.  All kernels are
-separable in (t, v), so each is generated from a single cumulative integral
-and every Picard sweep runs in O(N).  So does the kernel supremum behind
-the k2 error bound: with A = cum_drift and B = cum_vol, I1(t,v) I3(t,v) =
-f(t) g(v) where f(t) = e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha
-e^{-B(T)} - h(v) e^{-B(v)}}.  At the solved k1, h(v) = dalpha e^{B(v)-B(T)}
-makes g and so I3 vanish: the moments carry no I3 term.
+At the solved k1 that equation's kernel I3 vanishes, so k2 is its own
+forcing term: k2 = phi_1 / gamma with phi_1 = lam I1(t,T) I2(t,T), and
+risk aversion is a scale factor.  solve_horizon solves k1 and builds the
+kernels once per horizon; every gamma then takes phi_1 / gamma and the
+moments mean = I1(t,T)^{-1} x + theta~^2 S(t) / gamma and variance =
+I1(t,T)^{-2} c0(t) x^2 + theta~^2 S(t) / gamma^2, with S(t) = int_t^T
+I2(v,T) dv, and forms no integral of its own.  The moment layer lives in
+model2, which is this model with k2 = 0.  Model3Solution.k2_solve keeps the
+Volterra equation as the check: its Picard solve runs on first use, for
+the diagnostics, the bound tables and the tests, never on the way to the
+closed form.
+
+Every Volterra kernel is separable in (t, v), so each is generated from a
+single cumulative integral and every Picard sweep runs in O(N).  So does
+the kernel supremum behind the k2 error bound: with A = cum_drift and B =
+cum_vol, I1(t,v) I3(t,v) = f(t) g(v) where f(t) = e^{A(t)+B(t)} > 0 and
+g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}.  At the solved k1,
+h(v) = dalpha e^{B(v)-B(T)} makes g and so I3 vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,17 +60,28 @@ def constant_gain_equal_drifts(params: MarketParams) -> float:
     return -csig / denom
 
 
-def intercept_equation_map(kernels: KernelTables, gamma: float):
-    """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv."""
+def _require_gamma_in_range(kernels: KernelTables, gamma: float):
+    """ValueError unless gamma > 0; CoefficientRangeError when k2, which
+    scales as lam / gamma, or the variance load theta~^2 S / gamma^2
+    overflows at a tiny gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if kernels.lam != 0.0:
+        where = f"over the horizon T={kernels.grid.T:g} at gamma={gamma:g}"
+        log_gamma = math.log(gamma)
+        _require_in_range(kernels.log_scale + math.log(abs(kernels.lam)) - log_gamma, where)
+        # S is largest at t = 0
+        log_s = math.log(kernels.theta_sq * kernels.i2_tail.values[0])
+        _require_in_range(log_s - 2.0 * log_gamma, where)
+
+
+def intercept_equation_map(kernels: KernelTables, gamma: float):
+    """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv."""
+    _require_gamma_in_range(kernels, gamma)
     grid = kernels.grid
     dt = grid.dt
     lam, dalpha = kernels.lam, kernels.dalpha
     cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
-    if lam != 0.0:  # k2 scales as lam / gamma, so a tiny gamma can overflow it
-        log_k2 = kernels.log_scale + math.log(abs(lam)) - math.log(gamma)
-        _require_in_range(log_k2, f"over the horizon T={grid.T:g} at gamma={gamma:g}")
     exp_a = np.exp(cum_a)
     inv_a = np.exp(-cum_a)
     exp_ab = np.exp(cum_a + cum_b)
@@ -82,11 +99,9 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
 
 def solve_k2(
     kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
-) -> tuple[SampledFunction, PicardResult]:
-    result = picard_solve(
-        intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg
-    )
-    return SampledFunction(kernels.grid, result.values), result
+) -> PicardResult:
+    """Picard solve of the Volterra equation for k2."""
+    return picard_solve(intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg)
 
 
 def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> float:
@@ -94,34 +109,28 @@ def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> f
     return float(np.max(np.abs(intercept_equation_map(kernels, gamma)(k2) - k2)))
 
 
-def moments(
-    kernels: KernelTables, k2: SampledFunction, gamma: float
-) -> MomentCoefficients:
-    """The moments of one gamma: c2 and the drift load from k2, beside the
-    kernels' gamma-free c0 and I1(t,T)^{-1}.
+def intercept(kernels: KernelTables, gamma: float) -> SampledFunction:
+    """k2 = phi_1 / gamma, the solution of the intercept equation at the
+    kernels of the solved k1, where I3 = 0."""
+    _require_gamma_in_range(kernels, gamma)
+    return SampledFunction(kernels.grid, kernels.unit_intercept.values / gamma)
+
+
+def moments(kernels: KernelTables, gamma: float) -> MomentCoefficients:
+    """The moments of one gamma: the kernels' gamma-free c0, I1(t,T)^{-1}
+    and S, with the loads theta~^2 S / gamma and theta~^2 S / gamma^2.
 
     Valid only for the kernels of the solved k1, where I3 = 0.
     """
-    grid = kernels.grid
-    dt = grid.dt
-    cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
-    kv = k2.values
-    inv_a = np.exp(-cum_a)  # e^{-cumA(v)}
-
-    # int_t^T I1 k2
-    u = np.exp(cum_a) * tail_integrals(inv_a * kv, dt)
-
-    # int_t^T I1^2 I2 k2^2
-    s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * np.exp(-cum_b) * kv**2, dt)
-    c2 = np.exp(cum_b[-1] - cum_b) * (kernels.denom * s)
-
+    _require_gamma_in_range(kernels, gamma)
+    tail = kernels.i2_tail.values
     return MomentCoefficients(
-        grid,
+        kernels.grid,
         float(gamma),
         kernels.c0,
-        SampledFunction(grid, c2),
         kernels.i1_inv,
-        SampledFunction(grid, kernels.dalpha * u),
+        SampledFunction(kernels.grid, (kernels.theta_sq / gamma) * tail),
+        SampledFunction(kernels.grid, (kernels.theta_sq / gamma**2) * tail),
     )
 
 
@@ -132,13 +141,20 @@ class Model3Solution:
     grid: TimeGrid
     gain: Model2Solution  # k1 is the variance-only gain, free of gamma
     kernels: KernelTables
-    k2: SampledFunction
-    k2_solve: PicardResult
+    k2: SampledFunction  # the closed form phi_1 / gamma
     moments: MomentCoefficients
+    picard: PicardConfig | None = None
 
     @property
     def k1(self) -> SampledFunction:
         return self.gain.k
+
+    @cached_property
+    def k2_solve(self) -> PicardResult:
+        """The Picard solve of the Volterra equation for k2, run on first
+        use: the check of the closed form, and the iterates of the k2
+        error-bound table."""
+        return solve_k2(self.kernels, self.obj.gamma, self.picard)
 
 
 def solve_horizon(
@@ -147,24 +163,22 @@ def solve_horizon(
     grid: TimeGrid,
     cfg: PicardConfig | None = None,
 ) -> list[Model3Solution]:
-    """Every gamma at one horizon: k1 -> kernels once, then k2 -> moments
-    per gamma.
+    """Every gamma at one horizon: k1 -> kernels once, then k2 = phi_1 /
+    gamma and the moments per gamma.
 
     k1 is the variance-only gain k and does not depend on gamma, nor do the
     kernels built from it, so the solutions share one ``gain`` and one
-    ``kernels`` object.
+    ``kernels`` object, and with it phi_1 and S.
     """
     gain = solve_model2(params, grid, cfg)
     kernels = build_kernels(params, gain.k, grid)
-    solutions = []
-    for gamma in gammas:
-        k2, k2_solve = solve_k2(kernels, gamma, cfg)
-        mom = moments(kernels, k2, gamma)
-        obj = ObjectiveSpec(gamma, grid.T)
-        solutions.append(
-            Model3Solution(params, obj, grid, gain, kernels, k2, k2_solve, mom)
+    return [
+        Model3Solution(
+            params, ObjectiveSpec(gamma, grid.T), grid, gain, kernels,
+            intercept(kernels, gamma), moments(kernels, gamma), cfg,
         )
-    return solutions
+        for gamma in gammas
+    ]
 
 
 def solve_model3(
@@ -173,7 +187,7 @@ def solve_model3(
     grid: TimeGrid | None = None,
     cfg: PicardConfig | None = None,
 ) -> Model3Solution:
-    """One gamma of :func:`solve_horizon`: k1 -> kernels -> k2 -> moments."""
+    """One gamma of :func:`solve_horizon`: k1 -> kernels -> k2 and moments."""
     grid = grid or TimeGrid.default(obj.horizon_T)
     return solve_horizon(params, [obj.gamma], grid, cfg)[0]
 

@@ -9,6 +9,17 @@ linear SDE dX = (a X + beta) dt + (c X + e) dW, with a = r + G (alpha - r 1),
 beta = b (alpha - r 1), c = G sigma and e = b sigma, and one Euler step on
 standard normals z is x <- x (1 + a dt + c z sqrt(dt)) + beta dt + e z sqrt(dt).
 
+Risk aversion is a scale factor: a strategy gives G and its intercept at
+gamma = 1, b1, with b = b1 / gamma.  Each step is x <- A x + B with A from G
+alone and B linear in b, so terminal wealth is x0 Y + Z / gamma, where the
+row Y steps the gain (b = 0) from 1 and the row Z steps (G, b1) from 0.
+The engine steps each distinct row once, however many columns share it:
+per horizon Y (the gain k1 of models 2 and 3), Z3 (model 3's unit
+intercept) and Z1 (model 1 at gamma = 1, whose G = 0).  A gain G = 0 needs
+no row: its Y is the compounding prod (1 + r dt).  Each column combines its
+rows at the end: model 2 = x0 Y, model 3 = x0 Y + Z3 / gamma and model 1 =
+x0 prod (1 + r dt) + Z1 / gamma.
+
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
@@ -37,10 +48,15 @@ from .numerics import SampledFunction
 _BLOCK = 4096
 
 # Most bytes of any one array a run sizes (see array_nbytes), a block's
-# normals included: larger ones are refused when the config is loaded
+# normals included: tcmv simulate refuses larger ones before it solves
 # instead of exhausting memory mid-run, and fewer blocks are drawn ahead
 # than would pass it.
 MAX_BLOCK_BYTES = 512 * 2**20
+
+# Most numbers in each step-factor array of _step_rows: the factors of
+# several steps are formed at once where a step's are fewer, which leaves
+# fewer, larger numpy calls; larger runs outgrow the CPU caches.
+_CHUNK = 2**14
 
 # Paths may explode under aggressive dollar strategies; more than this
 # fraction of non-finite paths is an error instead of a silent exclusion.
@@ -69,17 +85,25 @@ def block_nbytes(cfg: SimConfig, n_factors: int) -> int:
     return min(cfg.n_paths, _BLOCK) * cfg.n_time_steps * n_factors * 8
 
 
-def array_nbytes(cfg: SimConfig, n_stocks: int, n_factors: int, n_columns: int) -> dict[str, int]:
+def array_nbytes(
+    cfg: SimConfig, n_stocks: int, n_factors: int, n_rows: int, n_columns: int
+) -> dict[str, int]:
     """Bytes of each array that :func:`simulate_models` and
-    :func:`reproduce_figure_paths` size for n_columns columns."""
+    :func:`reproduce_figure_paths` size for n_columns columns stepped as
+    n_rows rows.  The step table, the sampled coefficients, the stepped
+    state and the terminal wealth grow with the rows, which do not depend
+    on how many gammas share a horizon; only the figure paths handed back
+    grow with the columns."""
     n, m = cfg.n_time_steps, min(cfg.n_paths, _BLOCK)
     return {
         "Gaussian increments per block": block_nbytes(cfg, n_factors),
-        "step table": n * n_columns * (2 + 2 * n_factors) * 8,
-        "sampled strategy coefficients": (n + 1) * n_columns * 2 * n_stocks * 8,
-        "column state": 4 * n_columns * m * 8,  # x and the (3, M, m) work array
-        "terminal wealth": n_columns * cfg.n_paths * 8,
-        "figure paths": (n + 1) * n_columns * (1 + n_stocks) * 8,  # wealth and dollars
+        "step table": n * n_rows * (2 + 2 * n_factors) * 8,
+        "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
+        # x and the step factors, with their product, of at least one step
+        "row state": 4 * n_rows * m * 8,
+        "terminal wealth": n_rows * cfg.n_paths * 8,
+        # the rows' wealth, and each column's wealth and dollars
+        "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
     }
 
 
@@ -97,16 +121,23 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class FeedbackStrategy:
-    """u^(t, x) = k1(t) x + k2(t) dollars in stock 1, the rest of x in stock 2."""
+    """u^(t, x) = k1(t) x + k2(t) / gamma dollars in stock 1, the rest of x
+    in stock 2; k2 is the intercept at gamma = 1."""
 
     k1: SampledFunction
     k2: SampledFunction | None = None
+    gamma: float = 1.0
 
-    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = (k1, 1 - k1) and b = (k2, -k2) at each time, (len(times), 2) each."""
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = (k1, 1 - k1) and b1 = (k2, -k2) at each time, (len(times), 2) each."""
         k1 = self.k1(times)
         k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
         return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
+
+    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G and b = b1 / gamma at each time."""
+        G, b1 = self.unit_coefficients(times)
+        return G, b1 / self.gamma
 
 
 @dataclass(frozen=True)
@@ -114,6 +145,15 @@ class Model1Strategy:
     """Wealth-independent dollars from the closed-form equilibrium."""
 
     solution: Model1Solution
+
+    @property
+    def gamma(self) -> float:
+        return self.solution.obj.gamma
+
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = 0 and b1 = the closed-form control at gamma = 1 at each time."""
+        b1 = self.solution.unit_control(times)
+        return np.zeros_like(b1), b1
 
     def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = 0 and b = the closed-form control at each time."""
@@ -126,47 +166,126 @@ def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-def _step_table(params: MarketParams, columns: list[tuple]) -> np.ndarray:
-    """Per step and column (G, b, dt), with G and b at the n + 1 nodes: an
-    (n, 2 + 2d, M, 1) array of 1 + a dt, beta dt, c sqrt(dt) and e sqrt(dt)
-    at the node each step starts from.  Sums over the stocks are
-    elementwise, not BLAS, like those of :func:`_step`."""
+def _loaded(coef: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """sum_s coef[:, s] load[s], added to 0 in stock order, as numpy sums
+    over an axis (so a sum of negative zeros is +0)."""
+    total = 0.0 + coef[:, 0] * load[0]
+    for s in range(1, len(load)):
+        total += coef[:, s] * load[s]
+    return total
+
+
+def _step_table(params: MarketParams, rows: list[tuple], n: int) -> np.ndarray:
+    """Per step and row (G, b, dt), with G and b at the n + 1 nodes: an
+    (n, 2 + 2d, R, 1) array of 1 + a dt, beta dt, c sqrt(dt) and e sqrt(dt)
+    at the node each step starts from.  Each entry is written into the
+    table in place, so the build needs little memory beyond the table.
+    Sums over the stocks are elementwise, not BLAS, like those of
+    :func:`_step_rows`."""
+    d = params.n_factors
     load = np.column_stack([params.alpha - params.r, params.sigma])  # (s, 1 + d)
-    rows = []
-    for G, b, dt in columns:
-        g = (G[:-1, :, None] * load).sum(axis=1)  # (n, 1 + d)
-        h = (b[:-1, :, None] * load).sum(axis=1)
-        rows.append(np.column_stack([1.0 + (params.r + g[:, 0]) * dt, h[:, 0] * dt,
-                                     g[:, 1:] * np.sqrt(dt), h[:, 1:] * np.sqrt(dt)]))
-    return np.stack(rows, axis=-1)[..., None]
+    table = np.empty((n, 2 + 2 * d, len(rows), 1))
+    for j, (G, b, dt) in enumerate(rows):
+        out = table[:, :, j, 0]
+        G, b, root = G[:-1], b[:-1], np.sqrt(dt)
+        out[:, 0] = 1.0 + (params.r + _loaded(G, load[:, 0])) * dt
+        out[:, 1] = _loaded(b, load[:, 0]) * dt
+        for k in range(1, 1 + d):
+            out[:, 1 + k] = _loaded(G, load[:, k]) * root
+            out[:, 1 + d + k] = _loaded(b, load[:, k]) * root
+    return table
 
 
-def _sample(columns: dict, n: int) -> tuple[dict, list]:
-    """Every column on its own grid of n uniform steps on [0, T]: the nodes
-    of each distinct T, and each column's (G, b) at its nodes with its
-    dt = T / n, as :func:`_step_table` takes them."""
-    grids = {obj.horizon_T: np.linspace(0.0, obj.horizon_T, n + 1) for _, obj in columns.values()}
-    return grids, [(*strategy.coefficients(grids[obj.horizon_T]), obj.horizon_T / n)
-                   for strategy, obj in columns.values()]
+@dataclass(frozen=True)
+class _Column:
+    """One column's wealth x0 Y + Z / gamma: Y is the row ``gain`` stepped
+    from 1, or the compounding of horizon T where G = 0, and Z the row
+    ``intercept`` stepped from 0, absent where b1 = 0."""
+
+    T: float
+    gamma: float
+    gain: int | None
+    intercept: int | None
 
 
-def _step(x: np.ndarray, z: np.ndarray, coef: np.ndarray, work: np.ndarray):
-    """x <- x (A + C z) + (B + E z) in place, for x of shape (M, m), the d
-    rows of z of m standard normals, coef one step of the table and work
-    a (3, M, m) scratch array.  Each operation is elementwise, so a row's
-    bits depend on its own coefficients alone, and a non-finite wealth
-    stays non-finite."""
-    d = len(z)
-    gain, shift, tmp = work
-    np.multiply(coef[2], z[0], out=gain)
-    np.multiply(coef[2 + d], z[0], out=shift)
-    for j in range(1, d):
-        gain += np.multiply(coef[2 + j], z[j], out=tmp)
-        shift += np.multiply(coef[2 + d + j], z[j], out=tmp)
-    gain += coef[0]
-    shift += coef[1]
-    x *= gain
-    x += shift
+class _Rows:
+    """Every column sampled on its own grid of n uniform steps on [0, T] and
+    split into rows: the nodes of each distinct T, each distinct row's
+    (G, b, dt) and start value, and each column's _Column.  Rows are keyed
+    by their sampled values, so the columns that share a gain or a unit
+    intercept on one horizon share its row."""
+
+    def __init__(self, columns: dict, n: int):
+        self.n, self.grids, self.rows, self.starts, self.columns = n, {}, [], [], []
+        index = {}
+
+        def row(T, G, b, start):
+            key = (T, G.tobytes(), b.tobytes())
+            if key not in index:
+                index[key] = len(self.rows)
+                self.rows.append((G, b, T / n))
+                self.starts.append(start)
+            return index[key]
+
+        for strategy, obj in columns.values():
+            T = obj.horizon_T
+            if T not in self.grids:
+                self.grids[T] = np.linspace(0.0, T, n + 1)
+            G, b1 = strategy.unit_coefficients(self.grids[T])
+            gain = row(T, G, np.zeros_like(G), 1.0) if G.any() else None
+            intercept = row(T, G, b1, 0.0) if b1.any() else None
+            self.columns.append(_Column(T, float(strategy.gamma), gain, intercept))
+
+    def compounding(self, r: float) -> dict:
+        """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
+        the product the gain row of G = 0 would step, in its order."""
+        steps = {T: np.full(self.n, 1.0 + r * (T / self.n)) for T in self.grids}
+        return {T: np.concatenate([[1.0], np.multiply.accumulate(a)]) for T, a in steps.items()}
+
+    def combine(self, x0: float, column: _Column, values: np.ndarray, compounding: dict):
+        """x0 Y + Z / gamma of one column, from the rows' values (rows on the
+        first axis) and the compounding of its horizon at the same points."""
+        y = compounding[column.T] if column.gain is None else values[column.gain]
+        x = np.broadcast_to(x0 * y, values.shape[1:])
+        if column.intercept is None:
+            return x
+        z = values[column.intercept] / column.gamma
+        z += x  # x0 Y + Z / gamma, as addition commutes
+        return z
+
+
+def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
+               path: np.ndarray | None = None):
+    """x <- x (A + C z) + (B + E z) in place for every step of the table,
+    for x the (R, m) rows of m paths and normals their (m, n, d) standard
+    normals; with path, an (n + 1, R, m) array, each step's x is kept.
+
+    The factors A + C z and B + E z of a run of steps are formed at once in
+    buffers of at most _CHUNK numbers (or one step), so the per-step work
+    is the recursion alone.  Each operation is elementwise, so a row's bits
+    depend on its own coefficients alone, and a non-finite wealth stays
+    non-finite."""
+    d = normals.shape[2]
+    run = min(len(table), max(1, _CHUNK // max(x.size, 1)))
+    gain, shift, tmp = np.empty((3, run, *x.shape))
+    z = np.empty((run, d, 1, x.shape[1]))
+    for start in range(0, len(table), run):
+        coef = table[start : start + run]
+        k = len(coef)
+        g, h, t, zk = gain[:k], shift[:k], tmp[:k], z[:k]
+        np.copyto(zk[:, :, 0], normals[:, start : start + k].transpose(1, 2, 0))
+        np.multiply(coef[:, 2], zk[:, 0], out=g)
+        np.multiply(coef[:, 2 + d], zk[:, 0], out=h)
+        for j in range(1, d):
+            g += np.multiply(coef[:, 2 + j], zk[:, j], out=t)
+            h += np.multiply(coef[:, 2 + d + j], zk[:, j], out=t)
+        g += coef[:, 0]
+        h += coef[:, 1]
+        for i in range(k):
+            x *= g[i]
+            x += h[i]
+            if path is not None:
+                path[start + i + 1] = x
 
 
 def _draw_ahead(threads: int, n_blocks: int, nbytes: int) -> int:
@@ -215,19 +334,21 @@ def simulate_models(
 ) -> dict[object, SimulationReport]:
     """Euler-Maruyama of every (strategy, objective) column in one pass.
 
-    Each column samples its strategy's coefficients once on its own grid,
-    dt = T / n_time_steps, and reports with its own gamma.  Each block's
-    normals are drawn once and drive every column; the columns step as
-    rows of one array, and each row's arithmetic is its own, so a column
-    reports what its :func:`simulate` run does.  Paths whose terminal
-    wealth is not finite are excluded; too many of them, or estimates
-    beyond float64, raise SimulationExplosionError.  Up to
+    Each column samples its strategy's G and b1 once on its own grid,
+    dt = T / n_time_steps, and reports x0 Y + Z / gamma with its own gamma.
+    Each block's normals are drawn once and drive every row; each row's
+    arithmetic is its own, and so is each column's combination of its rows,
+    so a column reports what its :func:`simulate` run does.  Paths whose
+    terminal wealth is not finite are excluded; too many of them, or
+    estimates beyond float64, raise SimulationExplosionError.  Up to
     :func:`_draw_ahead` worker threads draw the next blocks while this one
     steps; every thread count gives identical reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
-    table = _step_table(params, _sample(columns, n_steps)[1])
-    terminal = np.empty((len(columns), cfg.n_paths))
+    plan = _Rows(columns, n_steps)
+    table = _step_table(params, plan.rows, n_steps)
+    starts = np.array(plan.starts)[:, None]
+    terminal = np.empty((len(plan.rows), cfg.n_paths))
 
     def draw(block: int) -> np.ndarray:
         m = min(_BLOCK, cfg.n_paths - block * _BLOCK)
@@ -235,25 +356,23 @@ def simulate_models(
 
     def run_block(block: int, normals: np.ndarray):
         m = normals.shape[0]
-        x = np.full((len(columns), m), cfg.x0)
-        work = np.empty((3, len(columns), m))
-        # a step's normals lie one path apart; as one d-float record per
-        # path they are gathered in one strided copy, not one per path
-        records = normals.view(np.dtype((np.void, 8 * d)))[..., 0]
+        x = np.repeat(starts, m, axis=1)
         # overflow is how a path explodes, and its non-finite wealth is
         # excluded at the end, so it must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                z = records[:, i].copy().view(np.float64).reshape(m, d).T
-                _step(x, z, table[i], work)
+            _step_rows(x, table, normals)
         terminal[:, block * _BLOCK : block * _BLOCK + m] = x
 
     n_blocks = -(-cfg.n_paths // _BLOCK)
     ahead = _draw_ahead(threads, n_blocks, block_nbytes(cfg, d))
     _run_blocks(draw, run_block, n_blocks, ahead)
 
+    final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
     reports = {}
-    for (key, (_, obj)), values in zip(columns.items(), terminal):
+    for (key, (_, obj)), column in zip(columns.items(), plan.columns):
+        # as in the stepping, an exploded row must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = plan.combine(cfg.x0, column, terminal, final)
         alive = np.isfinite(values)
         n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
         if n_excluded > _MAX_EXPLODED_FRACTION * cfg.n_paths:
@@ -265,7 +384,7 @@ def simulate_models(
         # finite paths can still have moments beyond float64 (a huge x0):
         # refused below, so the overflow must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            report = _report(values[alive], obj.gamma, n_excluded)
+            report = _report(values[alive] if n_excluded else values, obj.gamma, n_excluded)
         if not np.all(np.isfinite(astuple(report))):
             raise SimulationExplosionError(
                 f"the moments of terminal wealth exceed the float64 range "
@@ -326,28 +445,32 @@ def reproduce_figure_paths(
     the same normals, drawn once and scaled by each column's sqrt(dt).
 
     Prices are sampled exactly (log-space GBM), once per distinct T; wealth
-    follows the Euler step of :func:`simulate_models`, each column on its
-    own row, so a column's path does not depend on its company.
+    follows the Euler step of :func:`simulate_models` on the same rows, each
+    column combining its own rows, so a column's path does not depend on its
+    company.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
-    grids, sampled = _sample(columns, n_steps)
-    table = _step_table(params, sampled)
+    plan = _Rows(columns, n_steps)
+    table = _step_table(params, plan.rows, n_steps)
     # separate key namespace from the block streams used by simulate_models()
     z = _block_normals(cfg.seed, 2**63, (n_steps, d))
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
     prices = {}
-    for T, times in grids.items():
+    for T, times in plan.grids.items():
         w = np.vstack([np.zeros(d), np.cumsum(z * np.sqrt(T / n_steps), axis=0)])
         prices[T] = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    wealth = np.full((n_steps + 1, len(columns), 1), cfg.x0)
-    work = np.empty((3, len(columns), 1))
-    for i in range(n_steps):
-        wealth[i + 1] = wealth[i]
-        _step(wealth[i + 1], z[i, :, None], table[i], work)
+    wealth = np.empty((n_steps + 1, len(plan.rows), 1))
+    wealth[0, :, 0] = plan.starts
+    _step_rows(wealth[0].copy(), table, z[None], wealth)
 
-    return {
-        key: PathRecord(grids[obj.horizon_T], prices[obj.horizon_T], path, G * path[:, None] + b)
-        for (key, (_, obj)), (G, b, _), path in zip(columns.items(), sampled, wealth[:, :, 0].T)
-    }
+    rows = wealth[:, :, 0].T
+    compounding = plan.compounding(params.r)
+    records = {}
+    for (key, (strategy, _)), column in zip(columns.items(), plan.columns):
+        times = plan.grids[column.T]
+        path = plan.combine(cfg.x0, column, rows, compounding)
+        G, b = strategy.coefficients(times)
+        records[key] = PathRecord(times, prices[column.T], path, G * path[:, None] + b)
+    return records

@@ -166,7 +166,7 @@ def test_07_iterate_error_bound_domination():
     ok = True
     for history, solution, K in (
         (k1_history, s.k1.values, gain_bound_constant(SYMMETRIC, grid, k1_history)),
-        (k2_history, s.k2.values, intercept_bound_constant(s.kernels, k2_history)),
+        (k2_history, s.k2_solve.values, intercept_bound_constant(s.kernels, k2_history)),
     ):
         errors = iterate_sup_errors(history, solution)
         for n in range(1, 11):

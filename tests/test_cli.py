@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
-from tcmv import montecarlo
+from tcmv import model3, montecarlo
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
@@ -331,14 +331,14 @@ class TestConfigParsing:
         path = tmp_path / "few.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 10")
                         .replace("n_time_steps = 100", "n_time_steps = 1000000"))
-        assert load_config(str(path)).sim.n_paths == 10
+        cli.check_simulation_size(load_config(str(path)))
         path.write_text(FIGURE_CFG.replace("n_time_steps = 100", "n_time_steps = 1000000"))
-        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("name, n_paths, n_time_steps, what, size", [
-        # 4,000,000 steps x 12 columns x (2 + 2 d) float64s
-        ("figure1.cfg", 4, 4_000_000, "of step table", "2197.3 MiB"),
-        # 3 columns x 100,000,000 paths
+        # 4,000,000 steps x 6 rows (3 per horizon) x (2 + 2 d) float64s
+        ("figure1.cfg", 4, 4_000_000, "of step table", "1098.6 MiB"),
+        # 3 rows x 100,000,000 paths
         ("section4.cfg", 100_000_000, 1, "of terminal wealth", "2288.8 MiB"),
     ])
     def test_run_memory_bound(self, tmp_path, capsys, name, n_paths, n_time_steps, what, size):
@@ -357,15 +357,36 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_run_memory_bound_at_the_limit(self, tmp_path):
-        # 3 columns x n_paths x 8 bytes: just at and just above 512 MiB
+        # 3 rows x n_paths x 8 bytes: just at and just above 512 MiB
         limit = MAX_BLOCK_BYTES // 24
         path = tmp_path / "paths.cfg"
         text = FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1")
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit}"))
-        assert load_config(str(path)).sim.n_paths == limit
+        cli.check_simulation_size(load_config(str(path)))
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit + 1}"))
-        with pytest.raises(ConfigError, match="3 Monte Carlo columns need 512.0 MiB of terminal"):
-            load_config(str(path))
+        with pytest.raises(ConfigError, match="3 Monte Carlo columns on 3 rows need 512.0 MiB "
+                           "of terminal"):
+            cli.check_simulation_size(load_config(str(path)))
+
+    def test_run_memory_bound_applies_to_simulate_alone(self, tmp_path, capsys, monkeypatch):
+        # solve and bounds never simulate, so a path count no Monte Carlo
+        # array could hold does not stop them; no Monte Carlo array is made
+        def refuse(*args, **kwargs):
+            pytest.fail("a Monte Carlo array was allocated")
+
+        monkeypatch.setattr(cli, "simulate_models", refuse)
+        monkeypatch.setattr(cli, "reproduce_figure_paths", refuse)
+        path = tmp_path / "huge.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 1000000000"))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 0
+        assert main(["bounds", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_paths = 1000000000 and n_time_steps = 100 over "
+                              "6 Monte Carlo columns on 3 rows need 22888.2 MiB of terminal wealth")
+        assert not (tmp_path / "sim").exists()
 
 
     @pytest.mark.parametrize(
@@ -581,6 +602,19 @@ class TestSolveCommand:
         assert "exceed the float64 range" in err and "T=1 at gamma=9.99989e-321" in err
         assert not out.exists()
 
+    def test_small_gamma_variance_is_market_error(self, tmp_path, capsys):
+        # at gamma = 1e-160, k2 fits in float64 but the variance load
+        # theta~^2 S / gamma^2 does not
+        path = tmp_path / "gamma.cfg"
+        path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1e-160"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "exceed the float64 range" in err and "T=1 at gamma=1e-160" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, stage", [("solve", "_diagnostics_lines"), ("simulate", "_paths_lines")]
     )
@@ -704,6 +738,15 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
         n_blocks = -(-9000 // _BLOCK)
         assert sorted(draws) == list(range(n_blocks)) + [2**63]
+
+    def test_runs_no_intercept_solve(self, figure_cfg, tmp_path, monkeypatch):
+        # k2 is the closed form; its Picard check runs for the diagnostics
+        # and the bound tables, which simulate does not write
+        def refuse(*args, **kwargs):
+            pytest.fail("the k2 Picard solve ran")
+
+        monkeypatch.setattr(model3, "picard_solve", refuse)
+        assert main(["simulate", figure_cfg, "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_overflowing_moments_are_an_explosion(self, tmp_path, capsys):
         # every path stays finite, but its square overflows float64

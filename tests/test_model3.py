@@ -1,5 +1,9 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmv import (
     MarketParams,
@@ -12,6 +16,7 @@ from tcmv import (
     solve_model3,
 )
 from tcmv import model3
+from tcmv.cli import load_config
 from tcmv.model2 import gain_residual
 from tcmv.model3 import (
     KernelTables,
@@ -26,12 +31,7 @@ from tcmv.model3 import (
     solve_horizon,
     solve_k2,
 )
-from tcmv.numerics import (
-    SampledFunction,
-    convergence_bound,
-    forward_integrals,
-    tail_integrals,
-)
+from tcmv.numerics import SampledFunction, convergence_bound
 from .conftest import random_distinct_market
 
 # intercept at t=0 for the symmetric-volatility market with
@@ -53,8 +53,25 @@ def brute_force_M3(kernels) -> float:
     return best
 
 
-def reference_moments(kernels, k2: np.ndarray) -> dict[str, np.ndarray]:
-    """Reference moment coefficients for a general pair (k1, k2).
+def _tail(values, dt):
+    """tail_integrals in the precision of values."""
+    out = np.empty_like(values)
+    out[-1] = 0.0
+    out[:-1] = np.cumsum((0.5 * dt * (values[:-1] + values[1:]))[::-1])[::-1]
+    return out
+
+
+def _forward(values, dt):
+    """forward_integrals in the precision of values."""
+    out = np.empty_like(values)
+    out[0] = 0.0
+    out[1:] = np.cumsum(0.5 * dt * (values[:-1] + values[1:]))
+    return out
+
+
+def reference_moments(kernels, k2: np.ndarray, dtype=float) -> dict[str, np.ndarray]:
+    """Reference moment coefficients for a general pair (k1, k2), evaluated
+    in dtype.
 
     variance = I1(t,T)^{-2} {c0 x^2 + c1 x + c2} with
     c1 = -2 I2(t,T)^{-1} int_t^T I1 I3 k2 and
@@ -64,29 +81,45 @@ def reference_moments(kernels, k2: np.ndarray) -> dict[str, np.ndarray]:
     """
     dt = kernels.grid.dt
     dalpha, denom = kernels.dalpha, kernels.denom
-    cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
+    cum_a, cum_b = kernels.cum_drift.astype(dtype), kernels.cum_vol.astype(dtype)
+    h, k2 = kernels.h.astype(dtype), np.asarray(k2, dtype=dtype)
     inv_a = np.exp(-cum_a)
     inv_b = np.exp(-cum_b)
     i2_tT = np.exp(cum_b - cum_b[-1])
     i2_tT_inv = np.exp(cum_b[-1] - cum_b)
 
     # int_t^T I1 k2 and int_t^T I1 I3 k2
-    u = np.exp(cum_a) * tail_integrals(inv_a * k2, dt)
-    w = np.exp(cum_a + cum_b) * tail_integrals(inv_a * inv_b * kernels.h * k2, dt)
+    u = np.exp(cum_a) * _tail(inv_a * k2, dt)
+    w = np.exp(cum_a + cum_b) * _tail(inv_a * inv_b * h * k2, dt)
     j = dalpha * i2_tT * u - w
     # int_t^T I1^2 I2 k2^2
-    s = np.exp(2 * cum_a + cum_b) * tail_integrals(inv_a**2 * inv_b * k2**2, dt)
+    s = np.exp(2 * cum_a + cum_b) * _tail(inv_a**2 * inv_b * k2**2, dt)
     # the nested double integral, written with the forward cumulative
     # Q(v) = int_0^v e^{-cumA} k2 dw
-    q = forward_integrals(inv_a * k2, dt)
-    m = k2 * inv_a * (dalpha * inv_b[-1] - kernels.h * inv_b)
-    z = np.exp(2 * cum_a + cum_b) * (tail_integrals(m * q, dt) - q * tail_integrals(m, dt))
+    q = _forward(inv_a * k2, dt)
+    m = k2 * inv_a * (dalpha * inv_b[-1] - h * inv_b)
+    z = np.exp(2 * cum_a + cum_b) * (_tail(m * q, dt) - q * _tail(m, dt))
     return {
+        "i1_inv": np.exp(cum_a[-1] - cum_a),
         "c0": np.expm1(cum_b[-1] - cum_b),
         "c1": -2.0 * i2_tT_inv * j,
         "c2": i2_tT_inv * (denom * s - 2.0 * dalpha * z),
         "drift_load": dalpha * u,
     }
+
+
+def assert_moments_match_reference(s, rel=1e-12):
+    """The closed-form mean and variance of a solution against the general
+    formula of reference_moments at its own k2, on every node.  The
+    reference runs in extended precision (where the platform has it): in
+    float64 its long cumulative sums alone drift by ~1e-12 on some markets."""
+    ref = reference_moments(s.kernels, s.k2.values, np.longdouble)
+    t, inv = s.grid.nodes, ref["i1_inv"]
+    for x in (0.0, 0.5, 1.0, 3.0):
+        mean = inv * (x + ref["drift_load"])
+        variance = inv**2 * (ref["c0"] * x * x + ref["c1"] * x + ref["c2"])
+        assert np.max(np.abs(s.moments.mean(t, x) - mean)) <= rel * np.max(np.abs(mean))
+        assert np.max(np.abs(s.moments.variance(t, x) - variance)) <= rel * np.max(variance)
 
 
 def reference_inflate(base: float, omega1: float, horizon: float) -> float:
@@ -151,9 +184,9 @@ class TestGainAndIntercept:
                 (one.kernels.cum_vol, alone.kernels.cum_vol),
                 (one.kernels.h, alone.kernels.h),
                 (one.moments.c0.values, alone.moments.c0.values),
-                (one.moments.c2.values, alone.moments.c2.values),
                 (one.moments.i1_inv.values, alone.moments.i1_inv.values),
-                (one.moments.drift_load.values, alone.moments.drift_load.values),
+                (one.moments.mean_load.values, alone.moments.mean_load.values),
+                (one.moments.variance_load.values, alone.moments.variance_load.values),
                 *zip(one.gain.history, alone.gain.history, strict=True),
                 *zip(one.k2_solve.history, alone.k2_solve.history, strict=True),
             ]:
@@ -266,7 +299,7 @@ class TestMoments:
             assert m.variance(1.0, x) == pytest.approx(0.0, abs=1e-14)
             assert m.value(1.0, x) == pytest.approx(x)
         assert m.c0.values[-1] == 0.0
-        assert m.c2.values[-1] == 0.0
+        assert m.mean_load.values[-1] == m.variance_load.values[-1] == 0.0
 
     def test_frozen_reference_moments(self, figure_solution):
         m = figure_solution.moments
@@ -278,20 +311,16 @@ class TestMoments:
 
     @pytest.mark.parametrize("seed", [None, *range(20)])
     def test_reduced_moments_match_general_formula(self, symmetric_params, seed):
-        # at the solved k1 the terms carrying I3 drop out of the general formula
+        # at the solved k1 the terms carrying I3 drop out of the general
+        # formula, and k2 = phi_1 / gamma makes the rest theta~^2 S
         p = symmetric_params if seed is None else random_distinct_market(
             np.random.default_rng(100 + seed)
         )
         s = solve_model3(p, ObjectiveSpec(2.0, 1.0), TimeGrid(1.0, 500))
         ref = reference_moments(s.kernels, s.k2.values)
-        m = s.moments
-        assert np.array_equal(m.c0.values, ref["c0"])
-        assert np.array_equal(m.drift_load.values, ref["drift_load"])
-        scale = np.max(np.abs(ref["c2"]))
-        assert np.max(np.abs(m.c2.values - ref["c2"])) <= 1e-12 * scale
-        assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(
-            np.sqrt(m.c0.values * m.c2.values)
-        )
+        assert np.array_equal(s.moments.c0.values, ref["c0"])
+        assert_moments_match_reference(s)
+        assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(np.sqrt(ref["c0"] * ref["c2"]))
 
     def test_general_formula_has_linear_term_off_equilibrium(self, symmetric_params):
         # a constant k1 = 0.3 does not solve the gain equation, so I3 != 0
@@ -299,8 +328,7 @@ class TestMoments:
         kernels = build_kernels(
             symmetric_params, SampledFunction.constant(grid, 0.3), grid
         )
-        k2, _ = solve_k2(kernels, 2.0)
-        ref = reference_moments(kernels, k2.values)
+        ref = reference_moments(kernels, solve_k2(kernels, 2.0).values)
         assert np.max(np.abs(ref["c1"])) > 1e-3 * np.max(
             np.sqrt(ref["c0"] * np.abs(ref["c2"]))
         )
@@ -321,6 +349,62 @@ class TestMoments:
         for t in np.linspace(0.0, 1.0, 21):
             for x in np.linspace(0.1, 10.0, 25):
                 assert m.variance(t, x) >= -1e-10
+
+
+class TestClosedFormIntercept:
+    """k2 = phi_1 / gamma and its moments, formed without a solve, against
+    the Volterra equation, its Picard solve and the general moment formula."""
+
+    GAMMAS = [0.5, 1.0, 3.0, 10.0, 49.0]
+
+    def check_horizon(self, params, grid, cfg):
+        solutions = solve_horizon(params, self.GAMMAS, grid, cfg)
+        unit = solutions[0].kernels.unit_intercept
+        eps = np.finfo(float).eps
+        for s in solutions:
+            gamma = s.obj.gamma
+            # one phi_1 per horizon, each k2 its quotient by gamma, so k2
+            # gamma is phi_1 to a rounding of the division and the product
+            # (1/49 * 49 is not 1 in float64)
+            assert s.kernels.unit_intercept is unit
+            assert np.array_equal(s.k2.values, unit.values / gamma)
+            assert np.max(np.abs(s.k2.values * gamma - unit.values)) <= 2 * eps * np.max(
+                np.abs(unit.values)
+            )
+            picard = s.k2_solve.values
+            assert np.max(np.abs(s.k2.values - picard)) <= 1e-12 * np.max(np.abs(picard))
+            assert intercept_residual(s.kernels, gamma, s.k2.values) <= 10 * cfg.tol
+            assert_moments_match_reference(s)
+
+    @pytest.mark.parametrize("name", ["figure1.cfg", "section4.cfg"])
+    def test_shipped_markets(self, name):
+        with resources.as_file(resources.files("tcmv") / "configs" / name) as path:
+            cfg = load_config(str(path))
+        for T in cfg.horizons:
+            grid = TimeGrid(T, int(round(cfg.steps_per_year * T)))
+            self.check_horizon(cfg.params, grid, cfg.picard)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.2, 5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_markets(self, seed, T):
+        params = random_distinct_market(np.random.default_rng(seed))
+        grid = TimeGrid(T, int(500 * T))
+        self.check_horizon(params, grid, PicardConfig(tol=1e-10, max_iter=500))
+
+    def test_closed_form_runs_no_solve(self, symmetric_params, unit_grid, monkeypatch):
+        # k2 and the moments need no Picard solve; k2_solve runs once, on
+        # first use
+        solve, calls = model3.picard_solve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(model3, "picard_solve", counted)
+        s = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
+        assert calls == []
+        assert s.k2_solve is s.k2_solve
+        assert len(calls) == 1
 
 
 class TestControl:
@@ -369,7 +453,7 @@ class TestIterateErrorBound:
         k1_history, k2_history = s.gain.history, s.k2_solve.history
         cases = [
             (k1_history, s.k1.values, gain_bound_constant(symmetric_params, unit_grid, k1_history)),
-            (k2_history, s.k2.values, intercept_bound_constant(s.kernels, k2_history)),
+            (k2_history, s.k2_solve.values, intercept_bound_constant(s.kernels, k2_history)),
         ]
         for history, solution, K in cases:
             errors = iterate_sup_errors(history, solution)
@@ -397,7 +481,7 @@ class TestIterateErrorBound:
                 PicardConfig(tol=1e-13, max_iter=500),
             )
             K = intercept_bound_constant(s.kernels, s.k2_solve.history)
-            errors = iterate_sup_errors(s.k2_solve.history, s.k2.values)
+            errors = iterate_sup_errors(s.k2_solve.history, s.k2_solve.values)
             for n in range(1, min(10, len(errors)) + 1):
                 assert errors[n - 1] <= convergence_bound(K, 1.0, n)
 

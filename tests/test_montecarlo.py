@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -22,7 +23,7 @@ from tcmv import (
     solve_model2,
     solve_model3,
 )
-from tcmv import cli
+from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
     MAX_BLOCK_BYTES,
@@ -30,7 +31,6 @@ from tcmv.montecarlo import (
     _block_normals,
     _draw_ahead,
     _report,
-    _step,
     _step_table,
     reproduce_figure_paths,
 )
@@ -166,15 +166,20 @@ def assert_close(report, reference, rel=1e-12):
 
 @dataclasses.dataclass(frozen=True)
 class Affine:
-    """u = G x + b dollars with G and b given per node (n + 1 rows) or as
-    one row for every node."""
+    """u = G x + b / gamma dollars with G and b given per node (n + 1 rows)
+    or as one row for every node."""
 
     G: np.ndarray
     b: np.ndarray
+    gamma: float = 1.0
 
-    def coefficients(self, times):
+    def unit_coefficients(self, times):
         shape = (len(times), np.shape(self.G)[-1])
         return np.broadcast_to(self.G, shape), np.broadcast_to(self.b, shape)
+
+    def coefficients(self, times):
+        G, b = self.unit_coefficients(times)
+        return G, b / self.gamma
 
 
 @pytest.fixture
@@ -241,7 +246,8 @@ class TestSimulateModels:
             rng.uniform(-0.1, 0.3, n), rng.uniform(-0.4, 0.4, (n, d)), rng.uniform(0, 0.05)
         )
         columns = {
-            i: (Affine(rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)), ObjectiveSpec(2.0, T))
+            i: (Affine(rng.uniform(-2, 2, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 5.0)),
+                ObjectiveSpec(2.0, T))
             for i, T in enumerate([1.0, 0.5, 2.0])
         }
         cfg = SimConfig(300, 8, seed)
@@ -401,9 +407,59 @@ class PathTables:
     stock2_dollars: dict = dataclasses.field(default_factory=dict)
 
 
+def reference_step(x, z, coef, work):
+    """One Euler step of every row, x <- x (A + C z) + (B + E z) in place,
+    as the engine once stepped: x (M, m), the d rows of z, coef one step of
+    the table and work a (3, M, m) scratch array."""
+    d = len(z)
+    gain, shift, tmp = work
+    np.multiply(coef[2], z[0], out=gain)
+    np.multiply(coef[2 + d], z[0], out=shift)
+    for j in range(1, d):
+        gain += np.multiply(coef[2 + j], z[j], out=tmp)
+        shift += np.multiply(coef[2 + d + j], z[j], out=tmp)
+    gain += coef[0]
+    shift += coef[1]
+    x *= gain
+    x += shift
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 300),
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.sampled_from([1, 50, 2**15]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_step_rows_matches_the_per_step_reference(R, m, n, d, chunk, seed):
+    # runs of steps formed at once step each row bit for bit as one step
+    # at a time, its path included, overflow and signed zeros too
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(n, 2 + 2 * d, R, 1)) * rng.choice([0.0, -0.0, 1.0, 1e200], size=(1, 1, R, 1))
+    normals = rng.normal(size=(m, n, d))
+    x = rng.normal(size=(R, m))
+    ref, work = x.copy(), np.empty((3, R, m))
+    path = np.empty((n + 1, R, m))
+    path[0] = x
+    saved = montecarlo._CHUNK
+    montecarlo._CHUNK = chunk
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            montecarlo._step_rows(x, table, normals, path)
+            for i in range(n):
+                reference_step(ref, normals[:, i, :].T, table[i], work)
+                assert same_bits(path[i + 1], ref)
+    finally:
+        montecarlo._CHUNK = saved
+    assert same_bits(x, ref)
+
+
 def reference_figure_paths(params, obj, strategies, cfg):
     """The figure paths of one (gamma, T) case: its own draw of the 2**63
-    stream, its own grid and step table, and one row per model."""
+    stream, its own grid and step table, and one row per model, each
+    stepped from x0 with its own G and b."""
     T = obj.horizon_T
     n_steps = cfg.n_time_steps
     dt = T / n_steps
@@ -415,13 +471,13 @@ def reference_figure_paths(params, obj, strategies, cfg):
     prices = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
     coefficients = [s.coefficients(times) for s in strategies.values()]
-    table = _step_table(params, [(G, b, dt) for G, b in coefficients])
+    table = _step_table(params, [(G, b, dt) for G, b in coefficients], n_steps)
     wealth = np.empty((n_steps + 1, len(strategies), 1))
     wealth[0] = cfg.x0
     work = np.empty((3, len(strategies), 1))
     for i in range(n_steps):
         wealth[i + 1] = wealth[i]
-        _step(wealth[i + 1], z[i, :, None], table[i], work)
+        reference_step(wealth[i + 1], z[i, :, None], table[i], work)
 
     tables = PathTables(times, prices)
     for name, (G, b), path in zip(strategies, coefficients, wealth[:, :, 0].T):
@@ -509,27 +565,121 @@ def config_text(name):
     if name.endswith(":3x2"):
         text = re.sub(r"(?m)^gamma = .*", "gamma = 1, 3, 10", text)
         text = re.sub(r"(?m)^T = .*", "T = 1, 0.5", text)
+    if name.endswith(":5x2"):
+        text = re.sub(r"(?m)^gamma = .*", "gamma = 1, 3, 10, 30, 100", text)
+        text = re.sub(r"(?m)^T = .*", "T = 1, 0.5", text)
     return text
+
+
+def assert_same_path(got, want, rel=1e-12):
+    """Within rel of the reference on the scale of the whole path: the
+    engine adds x0 Y and Z / gamma, which rounds differently from stepping
+    wealth from x0, and a path may cross zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def cli_run(name, tmp_path_factory):
+    """A config of config_text(name), loaded and solved as the CLI does."""
+    path = tmp_path_factory.mktemp("run") / "run.cfg"
+    path.write_text(config_text(name))
+    cfg = cli.load_config(str(path))
+    return cfg, cli._solve_all(cfg)
+
+
+def cli_columns(cases):
+    """The (case, model) columns of tcmv simulate."""
+    return {
+        (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
+        for i, case in enumerate(cases) for name, strategy in cli._strategies(case).items()
+    }
+
+
+class TestRows:
+    """Risk aversion is a scale factor: the columns of one horizon share
+    three rows, however many gammas there are."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        return cli_run("figure1.cfg:5x2", tmp_path_factory)
+
+    def test_five_gammas_by_two_horizons_step_six_rows(self, run):
+        cfg, cases = run
+        columns = cli_columns(cases)
+        assert len(columns) == 30
+        plan = montecarlo._Rows(columns, 50)
+        assert len(plan.rows) == 6
+        # per horizon, Y from 1 and Z3 and Z1 from 0
+        assert sorted(plan.starts) == [0.0] * 4 + [1.0] * 2
+        assert _step_table(cfg.params, plan.rows, 50).shape == (50, 6, 6, 1)
+
+    def test_rows_match_the_per_column_reference_loop(self, run):
+        cfg, cases = run
+        columns = cli_columns(cases)
+        sim = SimConfig(5000, 30, 17)
+        reports = simulate_models(cfg.params, columns, sim, 2)
+        for key, (strategy, obj) in columns.items():
+            assert_close(reports[key], reference_simulate(cfg.params, strategy, obj, sim))
+
+    @pytest.mark.parametrize("x0", [1.0, 2.5])
+    def test_model2_shares_the_gain_row_of_model3(self, run, x0):
+        # model 2 is x0 Y on the row model 3 combines with Z3 / gamma
+        cfg, cases = run
+        columns = cli_columns(cases)
+        sim = SimConfig(300, 20, 3, x0)
+        reports = simulate_models(cfg.params, columns, sim)
+        for (i, name), (strategy, obj) in columns.items():
+            assert reports[i, name] == simulate(cfg.params, strategy, obj, sim)
+            if name == "model2":
+                alone = simulate(cfg.params, FeedbackStrategy(strategy.k1), obj, sim)
+                assert reports[i, name] == alone
+
+    def test_column_without_rows_compounds_at_the_bank_rate(self, diagonal_params):
+        # G = 0 and b = 0: no row is stepped, and every path holds
+        # x0 prod (1 + r dt), the product a stepped row of G = 0 makes
+        idle = Affine(np.zeros(2), np.zeros(2))
+        obj, cfg = ObjectiveSpec(2.0, 1.5), SimConfig(300, 40, 7, 2.5)
+        assert montecarlo._Rows({"idle": (idle, obj)}, 40).rows == []
+        report = simulate(diagonal_params, idle, obj, cfg)
+        growth = 1.0
+        for _ in range(40):
+            growth *= 1.0 + diagonal_params.r * (1.5 / 40)
+        assert report.mean_estimate == 2.5 * growth
+        assert report.variance_estimate == 0.0 and report.n_excluded == 0
+        path = reproduce_figure_paths(diagonal_params, {"idle": (idle, obj)}, cfg)["idle"]
+        assert path.wealth[-1] == 2.5 * growth and not path.dollars.any()
+
+    def test_step_table_build_peak(self, run):
+        # each row is written into the preallocated table: the build peaks
+        # near the table's own size, not at twice it
+        cfg, cases = run
+        plan = montecarlo._Rows(cli_columns(cases[:4]), 20_000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            table = _step_table(cfg.params, plan.rows, 20_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert table.shape[2] == 6
+        assert peak <= 1.3 * table.nbytes
 
 
 class TestFigurePathsOnePass:
     """One call over every (case, model) column of a run against the
-    per-case reference, bit for bit."""
+    per-case reference: prices bit for bit, wealth and dollars to 1e-12 of
+    their path."""
 
     @pytest.fixture(scope="class", params=["figure1.cfg", "section4.cfg", "figure1.cfg:3x2"])
     def run(self, request, tmp_path_factory):
-        path = tmp_path_factory.mktemp("paths") / "run.cfg"
-        path.write_text(config_text(request.param))
-        cfg = cli.load_config(str(path))
-        return cfg, cli._solve_all(cfg)
+        return cli_run(request.param, tmp_path_factory)
 
     def test_every_column_matches_the_per_case_reference(self, run):
         cfg, cases = run
         strategies = [cli._strategies(case) for case in cases]
-        columns = {
-            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
-            for i, case in enumerate(cases) for name, strategy in strategies[i].items()
-        }
+        columns = cli_columns(cases)
         paths = reproduce_figure_paths(cfg.params, columns, cfg.sim)
         assert list(paths) == list(columns)
         for i, case in enumerate(cases):
@@ -540,6 +690,6 @@ class TestFigurePathsOnePass:
                 record = paths[i, name]
                 assert same_bits(record.times, ref.times)
                 assert same_bits(record.prices, ref.prices)
-                assert same_bits(record.wealth, ref.wealth[name])
-                assert same_bits(record.dollars[:, 0], ref.stock1_dollars[name])
-                assert same_bits(record.dollars[:, 1], ref.stock2_dollars[name])
+                assert_same_path(record.wealth, ref.wealth[name])
+                assert_same_path(record.dollars[:, 0], ref.stock1_dollars[name])
+                assert_same_path(record.dollars[:, 1], ref.stock2_dollars[name])
