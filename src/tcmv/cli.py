@@ -195,22 +195,23 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
                 f"T={fmt(T)} at n_steps = {steps_per_year} per year needs more "
                 f"than MAX_GRID_STEPS = {MAX_GRID_STEPS} grid steps"
             )
-    if sim.n_paths < _MIN_PATHS:
-        raise ConfigError(
-            f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
-            f"at least {_MIN_PATHS} paths"
-        )
     return ScenarioConfig(
         params, gammas, horizons, steps_per_year, picard, sim, tables, out_dir
     )
 
 
 def check_simulation_size(cfg: ScenarioConfig):
-    """ConfigError when any array a simulate run would allocate passes
-    MAX_BLOCK_BYTES.  Models 1 to 3 make 3 columns per case, stepped as 3
-    rows per horizon: Y, the gain of models 2 and 3, and the unit
-    intercepts Z3 and Z1 of models 3 and 1."""
+    """ConfigError when a simulate run has too few paths for its standard
+    errors, or when any array it would allocate passes MAX_BLOCK_BYTES.
+    Models 1 to 3 make 3 columns per case, stepped as 3 rows per horizon:
+    Y, the gain of models 2 and 3, and the unit intercepts Z3 and Z1 of
+    models 3 and 1."""
     sim = cfg.sim
+    if sim.n_paths < _MIN_PATHS:
+        raise ConfigError(
+            f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
+            f"at least {_MIN_PATHS} paths"
+        )
     n_rows = 3 * len(cfg.horizons)
     n_columns = n_rows * len(cfg.gammas)
     for what, nbytes in array_nbytes(sim, *cfg.params.sigma.shape, n_rows, n_columns).items():
@@ -509,10 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", default=None, help="output directory "
                          f"(default: ${OUT_DIR_ENV} or the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="simulate draws Monte Carlo path blocks ahead of "
-                         "the one being stepped on min(N, CPUs, blocks, blocks "
-                         "that fit in 512 MiB) - 1 worker threads; solve and "
-                         "bounds accept it and run on one thread")
+                         help="simulate draws and steps Monte Carlo path "
+                         "blocks on min(N, CPUs, blocks, blocks that fit in "
+                         "512 MiB) worker threads, this one included; solve "
+                         "and bounds accept it and run on one thread")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

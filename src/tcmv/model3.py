@@ -28,7 +28,7 @@ h(v) = dalpha e^{B(v)-B(T)} makes g and so I3 vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -100,8 +100,19 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
 def solve_k2(
     kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
 ) -> PicardResult:
-    """Picard solve of the Volterra equation for k2."""
-    return picard_solve(intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg)
+    """Picard solve of the Volterra equation for k2.
+
+    The sweeps stop once they change k2 by less than tol max(1, max|k2|),
+    with k2 the closed form phi_1 / gamma known before the solve: each sweep
+    cancels two integrals of the size of k2, so on a market whose intercept
+    is far above 1 an absolute tol would stall at their roundoff."""
+    cfg = cfg or PicardConfig()
+    scale = max(1.0, float(np.max(np.abs(intercept(kernels, gamma).values))))
+    return picard_solve(
+        intercept_equation_map(kernels, gamma),
+        kernels.grid.n_nodes,
+        replace(cfg, tol=cfg.tol * scale),
+    )
 
 
 def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> float:

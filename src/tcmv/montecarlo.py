@@ -23,16 +23,19 @@ x0 prod (1 + r dt) + Z1 / gamma.
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
-order and thread count.  The figure paths of every column share one more
-stream, keyed by (seed, 2**63) and drawn once per call.  The wealth SDE is
-simulated in levels, not logs: dollar strategies with an intercept can
-legitimately push wealth through zero.
+order and thread count.  Blocks are independent, so each worker thread
+takes the next block, draws its stream into its own step-major buffer and
+steps it; the draws run side by side, the stepping one block at a time.
+The figure paths of every column share one more stream, keyed by
+(seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
+levels, not logs: dollar strategies with an intercept can legitimately
+push wealth through zero.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+import threading
 from dataclasses import astuple, dataclass
 from typing import Callable
 
@@ -49,14 +52,19 @@ _BLOCK = 4096
 
 # Most bytes of any one array a run sizes (see array_nbytes), a block's
 # normals included: tcmv simulate refuses larger ones before it solves
-# instead of exhausting memory mid-run, and fewer blocks are drawn ahead
-# than would pass it.
+# instead of exhausting memory mid-run, and no more worker threads run
+# than their blocks of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Most numbers in each step-factor array of _step_rows: the factors of
 # several steps are formed at once where a step's are fewer, which leaves
 # fewer, larger numpy calls; larger runs outgrow the CPU caches.
 _CHUNK = 2**14
+
+# Most normals a worker drawing beside another draws at once, in whole paths
+# (at least one), before it moves them step-major while still in the cache.
+# Larger pieces take fewer turns at the GIL and move longer runs of paths.
+_PIECE = 2**15
 
 # Paths may explode under aggressive dollar strategies; more than this
 # fraction of non-finite paths is an error instead of a silent exclusion.
@@ -90,8 +98,8 @@ def array_nbytes(
 ) -> dict[str, int]:
     """Bytes of each array that :func:`simulate_models` and
     :func:`reproduce_figure_paths` size for n_columns columns stepped as
-    n_rows rows.  The step table, the sampled coefficients, the stepped
-    state and the terminal wealth grow with the rows, which do not depend
+    n_rows rows.  The step table, the sampled coefficients, the step
+    factors and the terminal wealth grow with the rows, which do not depend
     on how many gammas share a horizon; only the figure paths handed back
     grow with the columns."""
     n, m = cfg.n_time_steps, min(cfg.n_paths, _BLOCK)
@@ -99,8 +107,8 @@ def array_nbytes(
         "Gaussian increments per block": block_nbytes(cfg, n_factors),
         "step table": n * n_rows * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
-        # x and the step factors, with their product, of at least one step
-        "row state": 4 * n_rows * m * 8,
+        # the step factors, with their product, of at least one step
+        "step factors": 3 * _run_length(n, n_rows * m) * n_rows * m * 8,
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -161,9 +169,39 @@ class Model1Strategy:
         return np.zeros_like(b), b
 
 
+def _stream(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+
+
 def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+    """The normals of stream (seed, block) in C order: for a block of m
+    paths, shape (m, n, d), one path's steps after another."""
+    return _stream(seed, block).standard_normal(shape)
+
+
+def _piece_size(n: int, d: int, m: int) -> int:
+    """Numbers of a piece for _draw_block of m paths: whole paths of at
+    most _PIECE numbers, at least one path and at most m."""
+    return min(m, max(1, _PIECE // (n * d))) * n * d
+
+
+def _draw_block(seed: int, block: int, out: np.ndarray, piece: np.ndarray | None = None):
+    """Fill out, an (n, d, m) array, with _block_normals(seed, block,
+    (m, n, d)) step-major: out[i, j, p] is path p's normal of step i and
+    factor j.  The stream is drawn into piece, a flat buffer that holds at
+    least one path, as many whole paths at a time as fit, and each piece is
+    moved into out while it is still in the cache; filled one piece after
+    another, the stream gives the bits of one fill."""
+    n, d, m = out.shape
+    if piece is None:
+        piece = np.empty(_piece_size(n, d, m))
+    per = min(m, piece.size // (n * d))
+    stream = _stream(seed, block)
+    for first in range(0, m, per):
+        k = min(per, m - first)
+        z = piece[: k * n * d].reshape(k, n, d)
+        stream.standard_normal(out=z)
+        out[:, :, first : first + k] = z.transpose(1, 2, 0)
 
 
 def _loaded(coef: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -254,26 +292,35 @@ class _Rows:
         return z
 
 
+def _run_length(n_steps: int, size: int) -> int:
+    """Steps whose factors _step_rows forms at once for rows of size numbers."""
+    return min(n_steps, max(1, _CHUNK // max(size, 1)))
+
+
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
-               path: np.ndarray | None = None):
+               path: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """x <- x (A + C z) + (B + E z) in place for every step of the table,
-    for x the (R, m) rows of m paths and normals their (m, n, d) standard
-    normals; with path, an (n + 1, R, m) array, each step's x is kept.
+    for x the (R, m) rows of m paths and normals their (n, d, m) standard
+    normals, step-major; with path, an (n + 1, R, m) array, each step's x
+    is kept.
 
     The factors A + C z and B + E z of a run of steps are formed at once in
     buffers of at most _CHUNK numbers (or one step), so the per-step work
-    is the recursion alone.  Each operation is elementwise, so a row's bits
-    depend on its own coefficients alone, and a non-finite wealth stays
-    non-finite."""
-    d = normals.shape[2]
-    run = min(len(table), max(1, _CHUNK // max(x.size, 1)))
-    gain, shift, tmp = np.empty((3, run, *x.shape))
-    z = np.empty((run, d, 1, x.shape[1]))
+    is the recursion alone; they are carved from scratch, a flat buffer of
+    at least 3 run R m numbers, where one is given.  Each operation is
+    elementwise, so a row's bits depend on its own coefficients alone, and
+    a non-finite wealth stays non-finite."""
+    d = normals.shape[1]
+    run = _run_length(len(table), x.size)
+    size = 3 * run * x.size
+    if scratch is None:
+        scratch = np.empty(size)
+    gain, shift, tmp = scratch[:size].reshape(3, run, *x.shape)
     for start in range(0, len(table), run):
         coef = table[start : start + run]
         k = len(coef)
-        g, h, t, zk = gain[:k], shift[:k], tmp[:k], z[:k]
-        np.copyto(zk[:, :, 0], normals[:, start : start + k].transpose(1, 2, 0))
+        g, h, t = gain[:k], shift[:k], tmp[:k]
+        zk = normals[start : start + k, :, None, :]  # (k, d, 1, m)
         np.multiply(coef[:, 2], zk[:, 0], out=g)
         np.multiply(coef[:, 2 + d], zk[:, 0], out=h)
         for j in range(1, d):
@@ -288,42 +335,51 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
                 path[start + i + 1] = x
 
 
-def _draw_ahead(threads: int, n_blocks: int, nbytes: int) -> int:
-    """Workers drawing blocks ahead of the one being stepped: fewer than the
-    threads, the blocks and the CPUs, and the blocks alive at once fit in
-    MAX_BLOCK_BYTES."""
-    return max(0, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes) - 1)
+def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
+    """Threads that draw and step blocks, the calling one included: at most
+    the threads asked for, the blocks and the CPUs, and their blocks of
+    nbytes each fit in MAX_BLOCK_BYTES together; at least one."""
+    return max(1, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes))
 
 
-def _run_blocks(
-    draw: Callable[[int], np.ndarray],
-    step: Callable[[int, np.ndarray], None],
-    n_blocks: int,
-    ahead: int,
-):
-    """step(b, draw(b)) for b = 0, ..., n_blocks - 1, in order, with up to
-    ``ahead`` blocks drawn ahead on worker threads.
+def _run_blocks(worker: Callable[[], Callable[[int], None]], n_blocks: int, workers: int):
+    """work(b) for b = 0, ..., n_blocks - 1 on ``workers`` threads, the
+    calling one included: each thread calls work = worker() once, for its
+    buffers, then runs work on the next block not yet taken until none is
+    left.  One worker runs every block on the calling thread, in order.
+    work guards what it shares: :func:`simulate_models` draws side by side
+    and steps under a lock, which measured as fast as stepping side by side.
 
-    numpy releases the GIL for a whole Philox fill, so the draws overlap
-    the stepping of the block before them.  Stepping stays on the calling
-    thread: its numpy calls on one block take a few microseconds each, and
-    threads stepping blocks side by side lose more to handing the GIL back
-    and forth than they gain.  At most ahead + 1 blocks are alive at once:
-    the one being stepped and those drawn ahead.
+    An exception on any thread stops every thread after its block, and is
+    raised here once all have ended.
     """
-    if ahead < 1:
-        for block in range(n_blocks):
-            step(block, draw(block))
-        return
-    # imported here: only a run drawing ahead pays for it
-    from concurrent.futures import ThreadPoolExecutor
+    blocks, lock, stop, errors = iter(range(n_blocks)), threading.Lock(), threading.Event(), []
 
-    with ThreadPoolExecutor(max_workers=ahead) as pool:
-        pending = deque(pool.submit(draw, b) for b in range(ahead))
-        for block in range(n_blocks):
-            if block + ahead < n_blocks:
-                pending.append(pool.submit(draw, block + ahead))
-            step(block, pending.popleft().result())
+    def loop():
+        try:
+            work = worker()
+            while not stop.is_set():
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                work(block)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=loop) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        loop()
+    finally:
+        stop.set()  # the calling thread is done or interrupted: take no more
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate_models(
@@ -340,32 +396,55 @@ def simulate_models(
     arithmetic is its own, and so is each column's combination of its rows,
     so a column reports what its :func:`simulate` run does.  Paths whose
     terminal wealth is not finite are excluded; too many of them, or
-    estimates beyond float64, raise SimulationExplosionError.  Up to
-    :func:`_draw_ahead` worker threads draw the next blocks while this one
-    steps; every thread count gives identical reports.
+    estimates beyond float64, raise SimulationExplosionError.  Blocks are
+    drawn and stepped on :func:`_workers` threads, this one included, each
+    holding one block of normals; every thread count gives identical
+    reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
     plan = _Rows(columns, n_steps)
     table = _step_table(params, plan.rows, n_steps)
     starts = np.array(plan.starts)[:, None]
-    terminal = np.empty((len(plan.rows), cfg.n_paths))
+    n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
+    terminal = np.empty((n_rows, cfg.n_paths))
+    # paths of a full block and of the last one
+    widths = {min(cfg.n_paths, _BLOCK), cfg.n_paths - (n_blocks - 1) * _BLOCK}
+    width = max(widths)
+    workers = _workers(threads, n_blocks, block_nbytes(cfg, d))
+    # Each worker draws a block through its scratch, then steps on it.
+    # Threads draw side by side, as a Philox fill runs without the GIL, and
+    # step one block at a time: stepping's short numpy calls take the GIL
+    # every few microseconds, and two threads stepping at once were no
+    # faster than one stepping while the other draws.  Beside a stepping
+    # thread, pieces of _PIECE numbers keep a drawing thread's turns at the
+    # GIL few; a lone worker draws through the room of the step factors.
+    size = max(n_steps * d, *(3 * _run_length(n_steps, n_rows * m) * n_rows * m for m in widths))
+    if workers > 1:
+        size = max(size, _piece_size(n_steps, d, width))
+    stepping = threading.Lock()
 
-    def draw(block: int) -> np.ndarray:
-        m = min(_BLOCK, cfg.n_paths - block * _BLOCK)
-        return _block_normals(cfg.seed, block, (m, n_steps, d))
+    def worker() -> Callable[[int], None]:
+        # one thread's buffers for the run: a block's normals, step-major,
+        # and the scratch each piece of the draw, then the step, goes through
+        normals, scratch = np.empty(n_steps * d * width), np.empty(size)
 
-    def run_block(block: int, normals: np.ndarray):
-        m = normals.shape[0]
-        x = np.repeat(starts, m, axis=1)
-        # overflow is how a path explodes, and its non-finite wealth is
-        # excluded at the end, so it must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            _step_rows(x, table, normals)
-        terminal[:, block * _BLOCK : block * _BLOCK + m] = x
+        def run_block(block: int):
+            first = block * _BLOCK
+            m = min(_BLOCK, cfg.n_paths - first)
+            z = normals[: n_steps * d * m].reshape(n_steps, d, m)
+            _draw_block(cfg.seed, block, z, scratch)
+            # the rows are stepped where their terminal wealth goes; overflow
+            # is how a path explodes, and its non-finite wealth is excluded
+            # at the end, so it must not warn
+            x = terminal[:, first : first + m]
+            with stepping, np.errstate(over="ignore", invalid="ignore"):
+                x[...] = starts
+                _step_rows(x, table, z, scratch=scratch)
 
-    n_blocks = -(-cfg.n_paths // _BLOCK)
-    ahead = _draw_ahead(threads, n_blocks, block_nbytes(cfg, d))
-    _run_blocks(draw, run_block, n_blocks, ahead)
+        return run_block
+
+    if n_rows:  # columns without rows only compound, and need no normals
+        _run_blocks(worker, n_blocks, workers)
 
     final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
     reports = {}
@@ -453,7 +532,8 @@ def reproduce_figure_paths(
     plan = _Rows(columns, n_steps)
     table = _step_table(params, plan.rows, n_steps)
     # separate key namespace from the block streams used by simulate_models()
-    z = _block_normals(cfg.seed, 2**63, (n_steps, d))
+    z = np.empty((n_steps, d))
+    _draw_block(cfg.seed, 2**63, z[:, :, None])
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
     prices = {}
@@ -463,7 +543,7 @@ def reproduce_figure_paths(
 
     wealth = np.empty((n_steps + 1, len(plan.rows), 1))
     wealth[0, :, 0] = plan.starts
-    _step_rows(wealth[0].copy(), table, z[None], wealth)
+    _step_rows(wealth[0].copy(), table, z[:, :, None], wealth)
 
     rows = wealth[:, :, 0].T
     compounding = plan.compounding(params.r)

@@ -309,8 +309,20 @@ class TestConfigParsing:
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 3"))
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
-        assert "n_paths = 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: n_paths = 3: the Monte Carlo standard errors need at least 4 paths\n"
+        )
         assert not out.exists()
+
+    def test_too_few_paths_concern_simulate_alone(self, tmp_path, capsys):
+        # solve and bounds run no Monte Carlo, so any path count will do
+        path = tmp_path / "paths.cfg"
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 3"))
+        assert load_config(str(path)).sim.n_paths == 3
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "diagnostics.txt").exists()
+        assert main(["bounds", str(path)]) == 0
+        assert "empirical_sup_error,bound" in capsys.readouterr().out
 
     def test_block_memory_bound(self, tmp_path, capsys):
         # 4096 paths x 8192 steps x 2 factors x 8 bytes is exactly the bound
@@ -472,6 +484,28 @@ class TestSolveCommand:
         assert terminal[1.0][0] == 0.5
         assert terminal[1.0][1] == pytest.approx(0.64, abs=1e-9)
         assert terminal[3.0][1] == pytest.approx(0.2133, abs=1e-3)
+
+    def test_large_intercept_converges(self, tmp_path):
+        # max|k2| is about 130: an absolute stopping rule at tol = 1e-12
+        # stalled at the roundoff of k2's Picard sweeps (last delta 2.5e-12)
+        path = tmp_path / "intercept.cfg"
+        path.write_text(
+            FIGURE_CFG.replace("alpha = 0.2, 0.12",
+                               "alpha = -0.08667410651821084, 0.2616480692165536")
+            .replace("sigma = 0.25 0; 0 0.25", "sigma = -0.13659061396739247 0.21916617317092524; "
+                     "0.008955406691751377 0.2437351701804653")
+            .replace("r = 0.04", "r = 0.02")
+            .replace("gamma = 1, 3", "gamma = 0.5")
+            .replace("T = 1", "T = 3.158642197255569")
+            .replace("n_steps = 200", "n_steps = 500")
+            .replace("tol = 1e-10", "tol = 1e-12")
+            .replace("max_iter = 200", "max_iter = 500")
+        )
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 0
+        header, rows = _read_rows(out / "k_curves.csv")
+        assert max(abs(float(r[header.index("k2")])) for r in rows) > 100
+        assert "model3 k2: iterations=" in (out / "diagnostics.txt").read_text()
 
     def test_byte_identical_reruns(self, figure_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -725,12 +759,12 @@ class TestSimulateCommand:
         # of every case share one draw of their own stream
         draws = []
 
-        def counted(seed, block, shape):
+        def counted(seed, block, out, piece=None):
             draws.append(block)
-            return block_normals(seed, block, shape)
+            return draw_block(seed, block, out, piece)
 
-        block_normals = montecarlo._block_normals
-        monkeypatch.setattr(montecarlo, "_block_normals", counted)
+        draw_block = montecarlo._draw_block
+        monkeypatch.setattr(montecarlo, "_draw_block", counted)
         path = tmp_path / "cases.cfg"
         path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5")
                         .replace("n_paths = 2000", "n_paths = 9000")

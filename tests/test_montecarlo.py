@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
 from importlib import resources
 
@@ -29,9 +30,11 @@ from tcmv.montecarlo import (
     MAX_BLOCK_BYTES,
     Model1Strategy,
     _block_normals,
-    _draw_ahead,
+    _draw_block,
     _report,
     _step_table,
+    _workers,
+    block_nbytes,
     reproduce_figure_paths,
 )
 from tcmv.numerics import SampledFunction
@@ -255,17 +258,78 @@ class TestSimulateModels:
         for key, (strategy, obj) in columns.items():
             assert simulate(params, strategy, obj, cfg) == together[key]
 
-    def test_draw_ahead_is_bounded(self, monkeypatch):
-        # computed only: no thread is started
+    def test_worker_count_is_bounded(self, monkeypatch):
+        # computed only: no thread is started; the count includes the
+        # calling thread
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
-        assert _draw_ahead(10**6, 10**6, 8) == 3  # the CPUs
-        assert _draw_ahead(10**6, 2, 8) == 1  # the blocks
-        assert _draw_ahead(10**6, 10**6, MAX_BLOCK_BYTES // 2) == 1  # the memory
-        assert _draw_ahead(10**6, 10**6, MAX_BLOCK_BYTES) == 0
-        assert _draw_ahead(2, 10**6, 8) == 1
-        assert _draw_ahead(1, 10**6, 8) == 0
+        assert _workers(10**6, 10**6, 8) == 4  # the CPUs
+        assert _workers(10**6, 2, 8) == 2  # the blocks
+        assert _workers(10**6, 10**6, MAX_BLOCK_BYTES // 2) == 2  # the memory
+        assert _workers(10**6, 10**6, MAX_BLOCK_BYTES) == 1
+        assert _workers(2, 10**6, 8) == 2
+        assert _workers(1, 10**6, 8) == 1
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: None)
-        assert _draw_ahead(10**6, 10**6, 8) == 0
+        assert _workers(10**6, 10**6, 8) == 1
+
+    def test_worker_exception_propagates_and_no_thread_survives(
+        self, diagonal_params, three_strategies, monkeypatch
+    ):
+        # a draw that fails on a thread other than the caller's: the error
+        # leaves simulate_models once every worker has ended
+        caller, taken = threading.current_thread(), threading.Event()
+        draw = montecarlo._draw_block
+
+        def failing(seed, block, out, piece=None):
+            if threading.current_thread() is caller:
+                taken.wait(10.0)  # a worker thread takes a block first
+                return draw(seed, block, out, piece)
+            taken.set()
+            raise RuntimeError(f"worker failed on block {block}")
+
+        monkeypatch.setattr(montecarlo, "_draw_block", failing)
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
+        before = set(threading.enumerate())
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        with pytest.raises(RuntimeError, match="worker failed on block"):
+            simulate_models(diagonal_params, columns, self.CFG, threads=3)
+        assert taken.is_set()
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_worker_holds_one_block_buffer(
+        self, diagonal_params, three_strategies, monkeypatch, threads
+    ):
+        # each thread draws every block it takes into the one buffer it
+        # allocated for the run, and the run's traced peak stays below one
+        # block more than the workers hold
+        cfg = SimConfig(9000, 200, 31)
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        serial = simulate_models(diagonal_params, columns, cfg)
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
+        workers = _workers(threads, 3, block_nbytes(cfg, 2))
+        assert workers == threads
+        buffers, draw = {}, montecarlo._draw_block
+
+        def recorded(seed, block, out, piece=None):
+            # the buffer itself is kept, so a new one cannot reuse its address
+            buffers.setdefault(threading.get_ident(), []).append(out.base)
+            return draw(seed, block, out, piece)
+
+        monkeypatch.setattr(montecarlo, "_draw_block", recorded)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = simulate_models(diagonal_params, columns, cfg, threads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert reports == serial
+        assert 1 <= len(buffers) <= workers
+        assert sum(map(len, buffers.values())) == 3
+        held = [{id(b) for b in kept} for kept in buffers.values()]
+        assert all(len(ids) == 1 for ids in held)
+        assert len(set().union(*held)) == len(buffers)
+        assert workers * block_nbytes(cfg, 2) < peak < (workers + 0.5) * block_nbytes(cfg, 2)
 
     @pytest.mark.parametrize("n_paths", [1000, 9000])
     def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
@@ -275,11 +339,11 @@ class TestSimulateModels:
             diagonal_params, columns, cfg, threads=8
         ) == simulate_models(diagonal_params, columns, cfg)
 
-    def test_draws_ahead_survive_frequent_thread_switches(
+    def test_workers_survive_frequent_thread_switches(
         self, diagonal_params, three_strategies, monkeypatch
     ):
-        # more drawing workers than cores and a tiny switch interval must
-        # neither reorder nor lose a block
+        # more workers than cores and a tiny switch interval must neither
+        # reorder nor lose a block
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, self.CFG)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 16)
@@ -430,15 +494,17 @@ def reference_step(x, z, coef, work):
     st.integers(1, 40),
     st.integers(1, 3),
     st.sampled_from([1, 50, 2**15]),
+    st.booleans(),
     st.integers(0, 2**32),
 )
 @settings(max_examples=40, deadline=None)
-def test_step_rows_matches_the_per_step_reference(R, m, n, d, chunk, seed):
-    # runs of steps formed at once step each row bit for bit as one step
-    # at a time, its path included, overflow and signed zeros too
+def test_step_rows_matches_the_per_step_reference(R, m, n, d, chunk, scratch, seed):
+    # runs of steps formed at once from step-major normals step each row
+    # bit for bit as one step at a time, its path included, overflow and
+    # signed zeros too, in their own buffers or in given scratch
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(n, 2 + 2 * d, R, 1)) * rng.choice([0.0, -0.0, 1.0, 1e200], size=(1, 1, R, 1))
-    normals = rng.normal(size=(m, n, d))
+    normals = rng.normal(size=(n, d, m))
     x = rng.normal(size=(R, m))
     ref, work = x.copy(), np.empty((3, R, m))
     path = np.empty((n + 1, R, m))
@@ -446,14 +512,36 @@ def test_step_rows_matches_the_per_step_reference(R, m, n, d, chunk, seed):
     saved = montecarlo._CHUNK
     montecarlo._CHUNK = chunk
     try:
+        given = None
+        if scratch:
+            given = np.full(3 * montecarlo._run_length(n, R * m) * R * m, np.nan)
         with np.errstate(over="ignore", invalid="ignore"):
-            montecarlo._step_rows(x, table, normals, path)
+            montecarlo._step_rows(x, table, normals, path, given)
             for i in range(n):
-                reference_step(ref, normals[:, i, :].T, table[i], work)
+                reference_step(ref, normals[i], table[i], work)
                 assert same_bits(path[i + 1], ref)
     finally:
         montecarlo._CHUNK = saved
     assert same_bits(x, ref)
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 30),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**63),
+)
+@settings(max_examples=40, deadline=None)
+def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block):
+    # drawn a piece of whole paths at a time, the stream gives the bits of
+    # one C-order fill of (m, n, d), moved step-major
+    out = np.empty((n, d, m))
+    _draw_block(seed, block, out, np.empty(per * n * d + per % 2))
+    assert same_bits(out, _block_normals(seed, block, (m, n, d)).transpose(1, 2, 0).copy())
+    _draw_block(seed, block, out)
+    assert same_bits(out, _block_normals(seed, block, (m, n, d)).transpose(1, 2, 0).copy())
 
 
 def reference_figure_paths(params, obj, strategies, cfg):
@@ -649,6 +737,27 @@ class TestRows:
         assert report.variance_estimate == 0.0 and report.n_excluded == 0
         path = reproduce_figure_paths(diagonal_params, {"idle": (idle, obj)}, cfg)["idle"]
         assert path.wealth[-1] == 2.5 * growth and not path.dollars.any()
+
+    def test_run_without_rows_draws_no_block(self, diagonal_params, monkeypatch):
+        # a run whose every column compounds at the bank rate steps no row,
+        # so it draws no normals; its figure paths still draw their stream
+        draws = []
+
+        def counted(seed, block, out, piece=None):
+            draws.append(block)
+            return draw(seed, block, out, piece)
+
+        draw = montecarlo._draw_block
+        monkeypatch.setattr(montecarlo, "_draw_block", counted)
+        idle = Affine(np.zeros(2), np.zeros(2))
+        columns = {"idle": (idle, ObjectiveSpec(2.0, 1.5))}
+        cfg = SimConfig(9000, 40, 7, 2.5)
+        report = simulate_models(diagonal_params, columns, cfg, 2)["idle"]
+        assert draws == [] and report.n_effective == 9000
+        growth = (1.0 + diagonal_params.r * 1.5 / 40) ** 40
+        assert report.mean_estimate == pytest.approx(2.5 * growth)
+        reproduce_figure_paths(diagonal_params, columns, cfg)
+        assert draws == [2**63]
 
     def test_step_table_build_peak(self, run):
         # each row is written into the preallocated table: the build peaks
