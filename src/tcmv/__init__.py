@@ -5,6 +5,10 @@ risk-free bank account, a variance-only objective with two stocks and no
 bank account, and the full mean-variance objective with two stocks and no
 bank account (gain k1 plus intercept k2 via a Volterra equation), together
 with analytic terminal-wealth moments and Monte Carlo validation.
+
+The Monte Carlo engine loads on first use: simulate, simulate_models and
+SimulationReport resolve through the module __getattr__ (PEP 562), so
+importing the package, or solving, never loads tcmv.montecarlo.
 """
 
 from .errors import (
@@ -30,15 +34,24 @@ from .market import (
 )
 from .model1 import Model1Solution, diagnose_one_factor, solve_model1
 from .model2 import Model2Solution, Model2Values, evaluate_model2, solve_model2
-from .model3 import Model3Solution, solve_model3
-from .montecarlo import (
-    FeedbackStrategy,
+from .model3 import FeedbackStrategy, Model3Solution, solve_model3
+from .numerics import (
+    PicardConfig,
+    SampledFunction,
     SimConfig,
-    SimulationReport,
-    simulate,
-    simulate_models,
+    TimeGrid,
+    convergence_bound,
 )
-from .numerics import PicardConfig, SampledFunction, TimeGrid, convergence_bound
+
+_MONTECARLO = ("SimulationReport", "simulate", "simulate_models")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

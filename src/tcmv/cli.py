@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -26,9 +27,10 @@ from .errors import (
     SingularMarketError,
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
-from .model1 import Model1Solution, solve_model1
+from .model1 import Model1Solution, Model1Strategy, solve_model1
 from .model2 import Model2Solution, gain_moments, gain_residual
 from .model3 import (
+    FeedbackStrategy,
     Model3Solution,
     gain_bound_constant,
     intercept_bound_constant,
@@ -36,16 +38,7 @@ from .model3 import (
     iterate_sup_errors,
     solve_horizon,
 )
-from .montecarlo import (
-    MAX_BLOCK_BYTES,
-    FeedbackStrategy,
-    Model1Strategy,
-    SimConfig,
-    array_nbytes,
-    reproduce_figure_paths,
-    simulate_models,
-)
-from .numerics import PicardConfig, TimeGrid, convergence_bound
+from .numerics import PicardConfig, SimConfig, TimeGrid, convergence_bound
 
 OUT_DIR_ENV = "TCMV_OUT_DIR"
 
@@ -67,6 +60,28 @@ MAX_GRID_STEPS = 10**6
 _MIN_PATHS = 4
 
 
+# The Monte Carlo engine's names, which only simulate uses: bound into this
+# module on first use (_engine), so solve and bounds never import it.
+_ENGINE = ("MAX_BLOCK_BYTES", "array_nbytes", "reproduce_figure_paths", "simulate_models")
+
+
+def _engine():
+    """Import tcmv.montecarlo and bind each name of _ENGINE here that is not
+    bound yet; a name already set on this module, a wrapper say, is kept,
+    and the callers look every name up here."""
+    from . import montecarlo
+
+    for name in _ENGINE:
+        globals().setdefault(name, getattr(montecarlo, name))
+
+
+def __getattr__(name: str):
+    if name in _ENGINE:
+        _engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -76,9 +91,25 @@ def fmt_column(values) -> list[str]:
     return ["%.12g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def _rows(prefix: str, *columns: list[str]) -> str:
-    """One CSV row per index: the prefix, then each column's cell."""
-    return "".join(prefix + ",".join(cells) + "\n" for cells in zip(*columns))
+def _rows(prefix: str, *columns) -> str:
+    """One CSV row per index of the shortest column: the prefix, then each
+    column's cell.  A column is text, a list of preformatted cells, or
+    numbers, formatted here as fmt does.  The whole chunk is one %
+    operation over one flat tuple of cells: "%s" for a text cell, "%.12g"
+    (fmt's C routine) for a number, and the prefix with its % escaped."""
+    n = min(map(len, columns), default=0)
+    if n == 0:
+        return ""
+    width, cells, specs = len(columns), [None] * (n * len(columns)), []
+    for j, column in enumerate(columns):
+        if isinstance(column[0], str):
+            specs.append("%s")
+            cells[j::width] = column[:n]
+        else:
+            specs.append("%.12g")
+            cells[j::width] = np.asarray(column, dtype=float)[:n].tolist()
+    row = prefix.replace("%", "%%") + ",".join(specs) + "\n"
+    return (row * n) % tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -206,6 +237,7 @@ def check_simulation_size(cfg: ScenarioConfig):
     Models 1 to 3 make 3 columns per case, stepped as 3 rows per horizon:
     Y, the gain of models 2 and 3, and the unit intercepts Z3 and Z1 of
     models 3 and 1."""
+    _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:
         raise ConfigError(
@@ -314,7 +346,7 @@ def _k_curves_lines(cases: list[SolvedCase]):
     }
     for case in cases:
         prefix = f"{fmt(case.gamma)},{fmt(case.T)},"
-        yield _rows(prefix, shared[case.T], fmt_column(case.m3.k2.values))
+        yield _rows(prefix, shared[case.T], case.m3.k2.values)
 
 
 def _allocation_lines(cases: list[SolvedCase]):
@@ -325,7 +357,7 @@ def _allocation_lines(cases: list[SolvedCase]):
             G, b = strategy.coefficients(np.zeros(1))
             u = G * x + b
             yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
-                        *map(fmt_column, np.hstack([u, u / x]).T))
+                        *np.hstack([u, u / x]).T)
 
 
 def _mean_variance_lines(cases: list[SolvedCase]):
@@ -341,8 +373,7 @@ def _mean_variance_lines(cases: list[SolvedCase]):
         for model, m in (("model2", model2), ("model3", case.m3.moments)):
             moments[model] = (m.mean(0.0, x), m.variance(0.0, x))
         for model, columns in moments.items():
-            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
-                        *map(fmt_column, columns))
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text, *columns)
 
 
 def _strategies(case: SolvedCase) -> dict:
@@ -365,7 +396,7 @@ def _paths_lines(T: float, records: dict, by_horizon: dict) -> list[str]:
     columns = []
     for name, record in records.items():
         header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
-        columns += map(fmt_column, (record.wealth, *record.dollars.T))
+        columns += (record.wealth, *record.dollars.T)
     return [",".join(header) + "\n", _rows("", *by_horizon[T], *columns)]
 
 
@@ -447,6 +478,7 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
+    _engine()
     check_simulation_size(cfg)
     cases = _solve_all(cfg)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]
@@ -537,5 +569,15 @@ def main(argv: list[str] | None = None) -> int:
         return 5
 
 
-if __name__ == "__main__":
+def entry():
+    """The program entry of ``tcmv`` and ``python -m tcmv.cli``: freeze the
+    objects the imports made, which live as long as the process, so that no
+    later collection, the ones at shutdown included, walks them again; then
+    exit with main's code.  main itself does not freeze, so in-process
+    callers keep normal collection."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -55,6 +55,27 @@ class Model1Solution:
         return self.theta_sq * (self.obj.horizon_T - t) / self.obj.gamma**2
 
 
+@dataclass(frozen=True)
+class Model1Strategy:
+    """Wealth-independent dollars from the closed-form equilibrium."""
+
+    solution: Model1Solution
+
+    @property
+    def gamma(self) -> float:
+        return self.solution.obj.gamma
+
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = 0 and b1 = the closed-form control at gamma = 1 at each time."""
+        b1 = self.solution.unit_control(times)
+        return np.zeros_like(b1), b1
+
+    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = 0 and b = the closed-form control at each time."""
+        b = self.solution.control(times)
+        return np.zeros_like(b), b
+
+
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     """Closed-form equilibrium with a bank account; any number of stocks.
 

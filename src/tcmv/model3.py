@@ -212,6 +212,27 @@ def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]
     return float(u1), float(x - u1)
 
 
+@dataclass(frozen=True)
+class FeedbackStrategy:
+    """u^(t, x) = k1(t) x + k2(t) / gamma dollars in stock 1, the rest of x
+    in stock 2; k2 is the intercept at gamma = 1."""
+
+    k1: SampledFunction
+    k2: SampledFunction | None = None
+    gamma: float = 1.0
+
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = (k1, 1 - k1) and b1 = (k2, -k2) at each time, (len(times), 2) each."""
+        k1 = self.k1(times)
+        k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
+        return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
+
+    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G and b = b1 / gamma at each time."""
+        G, b1 = self.unit_coefficients(times)
+        return G, b1 / self.gamma
+
+
 # ---------------------------------------------------------------------------
 # Constants for the factorial-tail error bound of the Picard iterates.
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
 levels, not logs: dollar strategies with an intercept can legitimately
 push wealth through zero.
+
+The strategies live beside the equilibria they implement, Model1Strategy
+in model1 and FeedbackStrategy in model3, and SimConfig in numerics, so
+that solving needs no part of this engine; all three are re-exported here.
+Only the simulate command of the CLI imports this module.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ import numpy as np
 
 from .errors import SimulationExplosionError
 from .market import MarketParams, ObjectiveSpec
-from .model1 import Model1Solution
-from .numerics import SampledFunction
+# re-exported, so imports of them from this module keep working
+from .model1 import Model1Strategy
+from .model3 import FeedbackStrategy
+from .numerics import SimConfig
 
 # Fixed block size of the per-block Philox streams; part of the
 # reproducibility contract, do not make it configurable.
@@ -69,23 +76,6 @@ _PIECE = 2**15
 # Paths may explode under aggressive dollar strategies; more than this
 # fraction of non-finite paths is an error instead of a silent exclusion.
 _MAX_EXPLODED_FRACTION = 1e-3
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    n_paths: int
-    n_time_steps: int
-    seed: int
-    x0: float = 1.0
-
-    def __post_init__(self):
-        if self.n_paths < 1 or self.n_time_steps < 1:
-            raise ValueError("need at least one path and one time step")
-        if not 0 <= self.seed < 2**64:
-            # the seed is one 64-bit word of the Philox key
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not np.isfinite(self.x0):
-            raise ValueError(f"initial wealth x0 must be finite, got {self.x0}")
 
 
 def block_nbytes(cfg: SimConfig, n_factors: int) -> int:
@@ -125,48 +115,6 @@ class SimulationReport:
     se_reward: float
     n_effective: int
     n_excluded: int
-
-
-@dataclass(frozen=True)
-class FeedbackStrategy:
-    """u^(t, x) = k1(t) x + k2(t) / gamma dollars in stock 1, the rest of x
-    in stock 2; k2 is the intercept at gamma = 1."""
-
-    k1: SampledFunction
-    k2: SampledFunction | None = None
-    gamma: float = 1.0
-
-    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = (k1, 1 - k1) and b1 = (k2, -k2) at each time, (len(times), 2) each."""
-        k1 = self.k1(times)
-        k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
-        return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
-
-    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G and b = b1 / gamma at each time."""
-        G, b1 = self.unit_coefficients(times)
-        return G, b1 / self.gamma
-
-
-@dataclass(frozen=True)
-class Model1Strategy:
-    """Wealth-independent dollars from the closed-form equilibrium."""
-
-    solution: Model1Solution
-
-    @property
-    def gamma(self) -> float:
-        return self.solution.obj.gamma
-
-    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = 0 and b1 = the closed-form control at gamma = 1 at each time."""
-        b1 = self.solution.unit_control(times)
-        return np.zeros_like(b1), b1
-
-    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = 0 and b = the closed-form control at each time."""
-        b = self.solution.control(times)
-        return np.zeros_like(b), b
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:

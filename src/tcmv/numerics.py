@@ -130,6 +130,25 @@ class PicardConfig:
 
 
 @dataclass(frozen=True)
+class SimConfig:
+    """Size, seed and initial wealth of a Monte Carlo run."""
+
+    n_paths: int
+    n_time_steps: int
+    seed: int
+    x0: float = 1.0
+
+    def __post_init__(self):
+        if self.n_paths < 1 or self.n_time_steps < 1:
+            raise ValueError("need at least one path and one time step")
+        if not 0 <= self.seed < 2**64:
+            # the seed is one 64-bit word of the Philox key
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not np.isfinite(self.x0):
+            raise ValueError(f"initial wealth x0 must be finite, got {self.x0}")
+
+
+@dataclass(frozen=True)
 class PicardResult:
     values: np.ndarray
     iterations: int

@@ -1,5 +1,6 @@
 import builtins
 import errno
+import gc
 import itertools
 import os
 import re
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tcmv
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
-from tcmv import model3, montecarlo
+from tcmv import model1, model3, montecarlo, numerics
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
@@ -556,19 +558,27 @@ class TestSolveCommand:
         assert horizons == [1.0, 0.5]
 
     def test_k_curves_formats_each_column_once(self, tmp_path, monkeypatch):
-        # t and k once per horizon, k2 once per case
-        columns = []
-        format_column = cli.fmt_column
+        # t and k once per horizon, as text; k2 once per case, as the
+        # numbers of its rows' one % operation
+        columns, numbers = [], []
+        format_column, rows = cli.fmt_column, cli._rows
         monkeypatch.setattr(
             cli, "fmt_column", lambda values: columns.append(len(values)) or format_column(values)
         )
+
+        def counting_rows(prefix, *cells):
+            numbers.extend(len(c) for c in cells if not isinstance(c[0], str))
+            return rows(prefix, *cells)
+
+        monkeypatch.setattr(cli, "_rows", counting_rows)
         path = tmp_path / "cases.cfg"
         path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
                         .replace("T = 1", "T = 1, 0.5")
                         .replace("tables = k_curves, allocation_vs_wealth, "
                                  "mean_variance_vs_wealth, simulated_paths", "tables = k_curves"))
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-        assert columns == [201, 201, 101, 101] + [201, 101] * 3
+        assert columns == [201, 201, 101, 101]
+        assert numbers == [201, 101] * 3
 
     def test_constant_column_count_and_lf_endings(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
@@ -887,14 +897,95 @@ class TestEmitters:
         assert sorted(by_horizon) == sorted(cfg.horizons)
 
 
-def test_import_loads_no_thread_pool():
-    # concurrent.futures is imported only when simulate draws blocks ahead
+def _fresh_interpreter(*args) -> str:
+    """Standard output of a new interpreter run on args, with tcmv taken from
+    the same source tree as these tests."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, tcmv.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures is imported only when simulate draws blocks ahead
+    code = "import sys, tcmv.cli; print('concurrent.futures' in sys.modules)"
+    assert _fresh_interpreter("-c", code) == "False\n"
+
+
+class TestLazyEngine:
+    """The Monte Carlo engine, and numpy.random with it, loads for simulate
+    alone."""
+
+    @pytest.mark.parametrize("step", [
+        "import tcmv",
+        "import tcmv.cli; tcmv.cli.load_config(sys.argv[1])",
+        "from tcmv import cli; assert cli.main(['solve', sys.argv[1], '--out-dir', sys.argv[2]]) == 0",
+        "from tcmv import cli; assert cli.main(['bounds', sys.argv[1]]) == 0",
+    ], ids=["import", "load_config", "solve", "bounds"])
+    def test_solving_loads_no_engine(self, step, figure_cfg, tmp_path):
+        code = f"import sys\n{step}\nprint(sorted({{'tcmv.montecarlo', 'numpy.random'}} & set(sys.modules)))"
+        out = _fresh_interpreter("-c", code, figure_cfg, str(tmp_path / "out"))
+        assert out.splitlines()[-1] == "[]"
+
+    def test_package_names_resolve_on_first_use(self):
+        code = "\n".join([
+            "import sys, tcmv",
+            "assert 'tcmv.montecarlo' not in sys.modules",
+            "engine = [tcmv.simulate_models, tcmv.simulate, tcmv.SimulationReport]",
+            "from tcmv import montecarlo",
+            "print(engine == [montecarlo.simulate_models, montecarlo.simulate, montecarlo.SimulationReport])",
+            "names = {}",
+            "exec('from tcmv import *', names)",
+            "print(sorted(set(tcmv.__all__) - set(names)), hasattr(tcmv, 'no_such_name'))",
+        ])
+        assert _fresh_interpreter("-c", code) == "True\n[] False\n"
+
+    def test_moved_names_are_the_same_objects(self):
+        assert montecarlo.FeedbackStrategy is model3.FeedbackStrategy
+        assert montecarlo.Model1Strategy is model1.Model1Strategy
+        assert montecarlo.SimConfig is numerics.SimConfig
+        assert tcmv.FeedbackStrategy is model3.FeedbackStrategy
+        assert tcmv.SimConfig is numerics.SimConfig
+        assert cli.SimConfig is numerics.SimConfig
+
+    def test_cli_resolves_the_engine_names(self):
+        assert cli.simulate_models is montecarlo.simulate_models
+        assert cli.reproduce_figure_paths is montecarlo.reproduce_figure_paths
+        assert cli.array_nbytes is montecarlo.array_nbytes
+        assert cli.MAX_BLOCK_BYTES == montecarlo.MAX_BLOCK_BYTES
+        with pytest.raises(AttributeError):
+            cli.simulate  # the CLI never looked this one up
+
+    def test_engine_keeps_a_name_already_set(self, monkeypatch):
+        # a wrapper set on the module before the engine loads is the one
+        # simulate calls
+        sentinel = object()
+        monkeypatch.setattr(cli, "reproduce_figure_paths", sentinel)
+        cli._engine()
+        assert cli.reproduce_figure_paths is sentinel
+
+
+class TestEntry:
+    def test_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert calls == ["freeze", "main"]
+        assert exit_.value.code == 3
+
+    def test_main_does_not_freeze(self, figure_cfg, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["solve", figure_cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["bounds", figure_cfg]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_entry_solves(self, tmp_path):
+        with resources.as_file(resources.files("tcmv") / "configs" / "figure1.cfg") as path:
+            _fresh_interpreter("-m", "tcmv.cli", "solve", str(path), "--out-dir", str(tmp_path))
+        assert (tmp_path / "diagnostics.txt").stat().st_size > 0
 
 
 class TestFormatting:
@@ -923,3 +1014,43 @@ class TestFormatting:
         expected = [fmt(v) for v in values]
         assert fmt_column(values) == expected
         assert fmt_column(np.array(values, dtype=float)) == expected
+
+
+def reference_rows(prefix, *columns):
+    """The rows as the emitters once built them: each number column through
+    fmt_column, then one join per row.  A column is a list of str (text) or
+    of floats (numbers)."""
+    text = [c if c and isinstance(c[0], str) else fmt_column(c) for c in columns]
+    return "".join(prefix + ",".join(cells) + "\n" for cells in zip(*text))
+
+
+number_cells = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.floats(min_value=-1e17, max_value=-1e11),
+    st.sampled_from(TestFormatting.EDGE),
+)
+
+
+@st.composite
+def row_columns(draw):
+    """Up to four text or number columns of n rows, some a cell or two longer."""
+    n, columns = draw(st.integers(0, 12)), []
+    for _ in range(draw(st.integers(0, 4))):
+        size = n + draw(st.integers(0, 2))
+        cells = st.text(max_size=6) if draw(st.booleans()) else number_cells
+        columns.append(draw(st.lists(cells, min_size=size, max_size=size)))
+    return columns
+
+
+class TestRows:
+    @given(prefix=st.text(max_size=8), columns=row_columns(), as_arrays=st.booleans())
+    @example(prefix="1%,%s,%%", columns=[["a%sb", "%d"], [float("nan"), 1e16]], as_arrays=True)
+    @example(prefix="x,", columns=[[], [1.0]], as_arrays=False)  # zero rows
+    @example(prefix="", columns=[TestFormatting.EDGE], as_arrays=True)  # one column
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_reference(self, prefix, columns, as_arrays):
+        # number columns go in as lists or as float arrays
+        passed = [np.array(c, dtype=float) if as_arrays and not (c and isinstance(c[0], str))
+                  else c for c in columns]
+        assert cli._rows(prefix, *passed) == reference_rows(prefix, *columns)
