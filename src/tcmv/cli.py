@@ -27,7 +27,7 @@ from .errors import (
     SingularMarketError,
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
-from .model1 import Model1Solution, Model1Strategy, solve_model1
+from .model1 import Model1Solution, solve_model1
 from .model2 import Model2Solution, gain_moments, gain_residual
 from .model3 import (
     FeedbackStrategy,
@@ -354,8 +354,8 @@ def _allocation_lines(cases: list[SolvedCase]):
     x, x_text = _WEALTH_GRID[:, None], fmt_column(_WEALTH_GRID)
     for case in cases:
         for model, strategy in _strategies(case).items():
-            G, b = strategy.coefficients(np.zeros(1))
-            u = G * x + b
+            G, b1 = strategy.unit_coefficients(np.zeros(1))
+            u = G * x + b1 / strategy.gamma
             yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
                         *np.hstack([u, u / x]).T)
 
@@ -379,7 +379,7 @@ def _mean_variance_lines(cases: list[SolvedCase]):
 def _strategies(case: SolvedCase) -> dict:
     strategies = {}
     if case.m1 is not None:
-        strategies["model1"] = Model1Strategy(case.m1)
+        strategies["model1"] = case.m1
     strategies["model2"] = FeedbackStrategy(case.m3.gain.k)
     # k2 = phi_1 / gamma: every gamma of a horizon shares phi_1 and its rows
     unit_k2 = case.m3.kernels.unit_intercept
@@ -478,7 +478,6 @@ def run_solve(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
 
 
 def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
-    _engine()
     check_simulation_size(cfg)
     cases = _solve_all(cfg)
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]

@@ -3,6 +3,8 @@
 The control is wealth-independent and available in closed form:
 u^(t) = (1/gamma) e^{-r(T-t)} (sigma sigma^T)^{-1} (alpha - r 1).
 The value function and the expected-wealth function are affine in wealth.
+Risk aversion only scales the control, so the solution is its own Monte
+Carlo strategy: gamma, G = 0 and the control at gamma = 1 as intercept b1.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateAssetError, SingularMarketError
 from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec
+from .model2 import _require_in_range
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
 CONDITION_LIMIT = 1e10
@@ -29,16 +32,24 @@ class Model1Solution:
     weights: np.ndarray  # (sigma sigma^T)^{-1} (alpha - r 1)
     theta_sq: float  # (alpha - r 1)^T (sigma sigma^T)^{-1} (alpha - r 1)
 
-    def control(self, t) -> np.ndarray:
-        """Dollar amounts in each stock at time t, independent of wealth:
-        (n_stocks,) at one time, (len(t), n_stocks) at an array of times."""
-        r, T = self.params.r, self.obj.horizon_T
-        return np.multiply.outer(np.exp(-r * (T - t)) / self.obj.gamma, self.weights)
+    @property
+    def gamma(self) -> float:
+        return self.obj.gamma
 
     def unit_control(self, t) -> np.ndarray:
-        """The control at gamma = 1, which control() scales by 1/gamma."""
+        """Dollars in each stock at time t at gamma = 1, independent of wealth:
+        (n_stocks,) at one time, (len(t), n_stocks) at an array of times."""
         r, T = self.params.r, self.obj.horizon_T
         return np.multiply.outer(np.exp(-r * (T - t)), self.weights)
+
+    def control(self, t) -> np.ndarray:
+        """The dollars of the equilibrium: unit_control(t) / gamma."""
+        return self.unit_control(t) / self.gamma
+
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = 0 and b1 = unit_control at each time, (len(times), n_stocks) each."""
+        b1 = self.unit_control(times)
+        return np.zeros_like(b1), b1
 
     def expected_wealth(self, t: float, x: float) -> float:
         """g(t, x) = E[X_T] under the equilibrium control."""
@@ -47,40 +58,19 @@ class Model1Solution:
 
     def value(self, t: float, x: float) -> float:
         """V(t, x) = E[X_T] - (gamma/2) Var[X_T]."""
-        r, T = self.params.r, self.obj.horizon_T
-        return np.exp(r * (T - t)) * x + self.theta_sq * (T - t) / (2 * self.obj.gamma)
+        return self.expected_wealth(t, x) - 0.5 * self.gamma * self.terminal_variance(t)
 
     def terminal_variance(self, t: float) -> float:
         """Var[X_T] = (2/gamma)(g - V) = theta_sq (T - t) / gamma^2."""
         return self.theta_sq * (self.obj.horizon_T - t) / self.obj.gamma**2
 
 
-@dataclass(frozen=True)
-class Model1Strategy:
-    """Wealth-independent dollars from the closed-form equilibrium."""
-
-    solution: Model1Solution
-
-    @property
-    def gamma(self) -> float:
-        return self.solution.obj.gamma
-
-    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = 0 and b1 = the closed-form control at gamma = 1 at each time."""
-        b1 = self.solution.unit_control(times)
-        return np.zeros_like(b1), b1
-
-    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = 0 and b = the closed-form control at each time."""
-        b = self.solution.control(times)
-        return np.zeros_like(b), b
-
-
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     """Closed-form equilibrium with a bank account; any number of stocks.
 
     A numerically singular covariance is routed to the one-factor diagnosis
-    and reported through SingularMarketError.
+    and reported through SingularMarketError; a control, mean or variance
+    beyond float64 through CoefficientRangeError.
     """
     cov = params.sigma @ params.sigma.T
     cond = np.linalg.cond(cov)
@@ -96,7 +86,15 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
         )
     excess = params.alpha - params.r
     weights = np.linalg.solve(cov, excess)
-    return Model1Solution(params, obj, weights, float(excess @ weights))
+    with np.errstate(over="ignore"):  # an inf theta_sq fails the range check
+        theta_sq = float(excess @ weights)
+    T, load, log_gamma = obj.horizon_T, theta_sq * obj.horizon_T, np.log(obj.gamma)
+    where = f"of the bank-account model over the horizon T={T:g} at gamma={obj.gamma:g}"
+    # e^{|r| T} of the mean, and the control's largest dollar amount
+    _require_in_range(abs(params.r) * T + np.log(np.max(np.abs(weights), initial=1.0)), where)
+    if load:  # the mean and variance loads theta_sq T / gamma^k, k = 1, 2; nan fails
+        _require_in_range(np.log(abs(load)) - min(log_gamma, 2.0 * log_gamma), where)
+    return Model1Solution(params, obj, weights, theta_sq)
 
 
 @dataclass(frozen=True)

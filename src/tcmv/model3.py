@@ -227,11 +227,6 @@ class FeedbackStrategy:
         k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
         return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
 
-    def coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G and b = b1 / gamma at each time."""
-        G, b1 = self.unit_coefficients(times)
-        return G, b1 / self.gamma
-
 
 # ---------------------------------------------------------------------------
 # Constants for the factorial-tail error bound of the Picard iterates.

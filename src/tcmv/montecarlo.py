@@ -9,9 +9,9 @@ linear SDE dX = (a X + beta) dt + (c X + e) dW, with a = r + G (alpha - r 1),
 beta = b (alpha - r 1), c = G sigma and e = b sigma, and one Euler step on
 standard normals z is x <- x (1 + a dt + c z sqrt(dt)) + beta dt + e z sqrt(dt).
 
-Risk aversion is a scale factor: a strategy gives G and its intercept at
-gamma = 1, b1, with b = b1 / gamma.  Each step is x <- A x + B with A from G
-alone and B linear in b, so terminal wealth is x0 Y + Z / gamma, where the
+Risk aversion is a scale factor: a Strategy gives gamma, G and the intercept
+b1 at gamma = 1, with b = b1 / gamma.  Each step is x <- A x + B with A from
+G alone and B linear in b, so terminal wealth is x0 Y + Z / gamma, where the
 row Y steps the gain (b = 0) from 1 and the row Z steps (G, b1) from 0.
 The engine steps each distinct row once, however many columns share it:
 per horizon Y (the gain k1 of models 2 and 3), Z3 (model 3's unit
@@ -31,9 +31,6 @@ The figure paths of every column share one more stream, keyed by
 levels, not logs: dollar strategies with an intercept can legitimately
 push wealth through zero.
 
-The strategies live beside the equilibria they implement, Model1Strategy
-in model1 and FeedbackStrategy in model3, and SimConfig in numerics, so
-that solving needs no part of this engine; all three are re-exported here.
 Only the simulate command of the CLI imports this module.
 """
 
@@ -42,16 +39,15 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
 from .errors import SimulationExplosionError
 from .market import MarketParams, ObjectiveSpec
-# re-exported, so imports of them from this module keep working
-from .model1 import Model1Strategy
-from .model3 import FeedbackStrategy
-from .numerics import SimConfig
+
+if TYPE_CHECKING:
+    from .numerics import SimConfig
 
 # Fixed block size of the per-block Philox streams; part of the
 # reproducibility contract, do not make it configurable.
@@ -103,6 +99,16 @@ def array_nbytes(
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
     }
+
+
+class Strategy(Protocol):
+    """All the engine reads of a strategy: u = G x + b1 / gamma dollars,
+    with G and b1 sampled at each time, (len(times), n_stocks) each.
+    Model 1's Model1Solution and models 2 and 3's FeedbackStrategy are one."""
+
+    gamma: float
+
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -332,7 +338,7 @@ def _run_blocks(worker: Callable[[], Callable[[int], None]], n_blocks: int, work
 
 def simulate_models(
     params: MarketParams,
-    columns: dict[object, tuple[FeedbackStrategy | Model1Strategy, ObjectiveSpec]],
+    columns: dict[object, tuple[Strategy, ObjectiveSpec]],
     cfg: SimConfig,
     threads: int = 1,
 ) -> dict[object, SimulationReport]:
@@ -425,7 +431,7 @@ def simulate_models(
 
 def simulate(
     params: MarketParams,
-    strategy: FeedbackStrategy | Model1Strategy,
+    strategy: Strategy,
     obj: ObjectiveSpec,
     cfg: SimConfig,
 ) -> SimulationReport:
@@ -465,7 +471,7 @@ class PathRecord:
 
 def reproduce_figure_paths(
     params: MarketParams,
-    columns: dict[object, tuple[FeedbackStrategy | Model1Strategy, ObjectiveSpec]],
+    columns: dict[object, tuple[Strategy, ObjectiveSpec]],
     cfg: SimConfig,
 ) -> dict[object, PathRecord]:
     """One path of every column of :func:`simulate_models`, all driven by
@@ -499,6 +505,7 @@ def reproduce_figure_paths(
     for (key, (strategy, _)), column in zip(columns.items(), plan.columns):
         times = plan.grids[column.T]
         path = plan.combine(cfg.x0, column, rows, compounding)
-        G, b = strategy.coefficients(times)
-        records[key] = PathRecord(times, prices[column.T], path, G * path[:, None] + b)
+        G, b1 = strategy.unit_coefficients(times)
+        dollars = G * path[:, None] + b1 / column.gamma
+        records[key] = PathRecord(times, prices[column.T], path, dollars)
     return records

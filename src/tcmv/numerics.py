@@ -123,8 +123,8 @@ class PicardConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -31,7 +31,7 @@ from tcmv.model3 import (
     intercept_residual,
     iterate_sup_errors,
 )
-from tcmv.montecarlo import Model1Strategy, reproduce_figure_paths
+from tcmv.montecarlo import reproduce_figure_paths
 from tcmv.numerics import convergence_bound
 from .conftest import random_distinct_market
 
@@ -185,7 +185,7 @@ def test_08_monte_carlo_consistency():
     v2 = evaluate_model2(DIAGONAL, s2.k, 3.0)
     s3 = solve_model3(DIAGONAL, obj, grid)
     strategies = {
-        "model1": Model1Strategy(s1),
+        "model1": s1,
         "model2": FeedbackStrategy(s2.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }
@@ -221,7 +221,7 @@ def test_09_qualitative_orderings():
     mean_ok = all(s3.moments.mean(0.0, x) >= v2.mean(0.0, x) - 1e-12 for x in xs)
     var_ok = all(v2.variance(0.0, x) <= s3.moments.variance(0.0, x) + 1e-12 for x in xs)
     strategies = {
-        "model1": Model1Strategy(s1),
+        "model1": s1,
         "model2": FeedbackStrategy(s2.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import tcmv
 from tcmv import cli
 from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
-from tcmv import model1, model3, montecarlo, numerics
+from tcmv import model3, montecarlo, numerics
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
@@ -108,11 +108,12 @@ def reference_k_curves_lines(cases):
 
 
 def reference_allocation_lines(cases):
-    """allocation_vs_wealth.csv one fmt call per cell."""
+    """allocation_vs_wealth.csv one fmt call per cell, with b = b1 / gamma."""
     lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
     for case in cases:
         for model, strategy in cli._strategies(case).items():
-            G, b = strategy.coefficients(np.zeros(1))
+            G, b1 = strategy.unit_coefficients(np.zeros(1))
+            b = b1 / strategy.gamma
             for x, (u1, u2) in zip(cli._WEALTH_GRID, G * cli._WEALTH_GRID[:, None] + b):
                 lines.append(
                     f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
@@ -270,6 +271,18 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "x0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, tol):
+        # tol = inf once stopped the Picard solves after one sweep, and
+        # solve wrote that k as if converged
+        path = tmp_path / "tol.cfg"
+        path.write_text(FIGURE_CFG.replace("tol = 1e-10", f"tol = {tol}"))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "tolerance must be finite and positive" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, key", [
@@ -659,6 +672,23 @@ class TestSolveCommand:
         assert "exceed the float64 range" in err and "T=1 at gamma=1e-160" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("r", ["100", "-100"])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_bank_rate_overflow_is_market_error(self, tmp_path, capsys, r, command):
+        # e^{|r| T} = e^1000 once overflowed in model 1's mean (r > 0) or
+        # control (r < 0) with a warning, and solve wrote inf and 0 dollars
+        path = tmp_path / "rate.cfg"
+        path.write_text(FIGURE_CFG.replace("r = 0.04", f"r = {r}")
+                        .replace("gamma = 1, 3", "gamma = 1").replace("T = 1", "T = 10"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("market validation error:")
+        assert "exceed the float64 range of the bank-account model" in err and "T=10" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, stage", [("solve", "_diagnostics_lines"), ("simulate", "_paths_lines")]
     )
@@ -942,9 +972,8 @@ class TestLazyEngine:
         assert _fresh_interpreter("-c", code) == "True\n[] False\n"
 
     def test_moved_names_are_the_same_objects(self):
-        assert montecarlo.FeedbackStrategy is model3.FeedbackStrategy
-        assert montecarlo.Model1Strategy is model1.Model1Strategy
-        assert montecarlo.SimConfig is numerics.SimConfig
+        # the engine re-exports none of the names that live elsewhere
+        assert not {"FeedbackStrategy", "Model1Solution", "SimConfig"} & set(vars(montecarlo))
         assert tcmv.FeedbackStrategy is model3.FeedbackStrategy
         assert tcmv.SimConfig is numerics.SimConfig
         assert cli.SimConfig is numerics.SimConfig

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcmv import (
+    CoefficientRangeError,
     MarketParams,
     ObjectiveSpec,
     SingularMarketError,
@@ -71,6 +72,32 @@ class TestClosedForm:
         sol = solve_model1(p, ObjectiveSpec(2.0, 2.0))
         cov = sigma @ sigma.T
         assert np.allclose(cov @ sol.weights, p.alpha - p.r)
+
+    @pytest.mark.parametrize("r, gamma, T", [
+        (100.0, 1.0, 10.0),  # e^{r T} of the mean
+        (-100.0, 1.0, 10.0),  # e^{-r T} of the control
+        (-70.9, 1.0, 10.0),  # e^{-r T} fits, but not e^{-r T} times the weights
+        (0.04, 1e-160, 1.0),  # the variance load theta_sq T / gamma^2
+        (0.04, 1e-310, 1.0),  # the mean load theta_sq T / gamma
+    ])
+    def test_float64_overflow_is_range_error(self, diagonal_params, r, gamma, T):
+        p = MarketParams(diagonal_params.alpha, diagonal_params.sigma, r)
+        with pytest.raises(CoefficientRangeError, match=f"T={T:g} at gamma={gamma:g}"):
+            solve_model1(p, ObjectiveSpec(gamma, T))
+
+    def test_overflowing_price_of_risk_is_range_error(self, diagonal_params):
+        p = MarketParams([1e200, 1e200], diagonal_params.sigma, diagonal_params.r)
+        with pytest.raises(CoefficientRangeError, match="T=1 at gamma=1"):
+            solve_model1(p, ObjectiveSpec(1.0, 1.0))
+
+    @pytest.mark.parametrize("r", [70.0, -70.0])
+    def test_large_bank_rate_in_range(self, diagonal_params, r):
+        # e^{|r| T} = e^700 still fits: the moments and the control are finite
+        p = MarketParams(diagonal_params.alpha, diagonal_params.sigma, r)
+        sol = solve_model1(p, ObjectiveSpec(1.0, 10.0))
+        assert np.isfinite(sol.expected_wealth(0.0, 1.0))
+        assert np.isfinite(sol.terminal_variance(0.0))
+        assert np.all(np.isfinite(sol.control(0.0))) and np.any(sol.control(0.0) != 0.0)
 
 
 class TestSingularCovariance:

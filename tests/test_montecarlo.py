@@ -28,7 +28,6 @@ from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
     MAX_BLOCK_BYTES,
-    Model1Strategy,
     _block_normals,
     _draw_block,
     _report,
@@ -121,12 +120,13 @@ class TestSimulate:
 
 def reference_simulate(params, strategy, obj, cfg):
     """The per-strategy Euler loop in dollars: u = G x + b at every node,
-    cash at the risk-free rate, rows reduced by u.sum and np.einsum, and
-    exploded paths masked at every step."""
+    with b = b1 / gamma, cash at the risk-free rate, rows reduced by u.sum
+    and np.einsum, and exploded paths masked at every step."""
     T = obj.horizon_T
     n_steps = cfg.n_time_steps
     dt = T / n_steps
-    G, b = strategy.coefficients(np.linspace(0.0, T, n_steps + 1))
+    G, b1 = strategy.unit_coefficients(np.linspace(0.0, T, n_steps + 1))
+    b = b1 / strategy.gamma
     terminal = np.empty(cfg.n_paths)
     alive = np.ones(cfg.n_paths, dtype=bool)
     for block, start in enumerate(range(0, cfg.n_paths, _BLOCK)):
@@ -170,7 +170,8 @@ def assert_close(report, reference, rel=1e-12):
 @dataclasses.dataclass(frozen=True)
 class Affine:
     """u = G x + b / gamma dollars with G and b given per node (n + 1 rows)
-    or as one row for every node."""
+    or as one row for every node: the strategy protocol and nothing else,
+    so an engine path that reads any other member fails."""
 
     G: np.ndarray
     b: np.ndarray
@@ -180,10 +181,6 @@ class Affine:
         shape = (len(times), np.shape(self.G)[-1])
         return np.broadcast_to(self.G, shape), np.broadcast_to(self.b, shape)
 
-    def coefficients(self, times):
-        G, b = self.unit_coefficients(times)
-        return G, b / self.gamma
-
 
 @pytest.fixture
 def three_strategies(diagonal_params, unit_grid):
@@ -191,7 +188,7 @@ def three_strategies(diagonal_params, unit_grid):
     s1 = solve_model1(diagonal_params, obj)
     s3 = solve_model3(diagonal_params, obj, unit_grid)
     return {
-        "model1": Model1Strategy(s1),
+        "model1": s1,
         "model2": FeedbackStrategy(s3.gain.k),
         "model3": FeedbackStrategy(s3.k1, s3.k2),
     }
@@ -391,7 +388,7 @@ class TestSimulateModels:
             [0.2, 0.12, 0.08], [[0.3, 0.0, 0.0], [0.05, 0.2, 0.0], [0.0, 0.05, 0.15]], 0.03
         )
         obj = ObjectiveSpec(3.0, 2.0)
-        strategy = Model1Strategy(solve_model1(params, obj))
+        strategy = solve_model1(params, obj)
         cfg = SimConfig(5000, 15, 4)
         assert_close(
             simulate(params, strategy, obj, cfg), reference_simulate(params, strategy, obj, cfg)
@@ -419,18 +416,18 @@ class TestSimulateModels:
         # the engine reads G and b sampled once on the MC grid; they must be
         # the coefficients each solution gives at every node
         times = np.linspace(0.0, 1.0, 301)
-        s1 = three_strategies["model1"].solution
+        s1 = three_strategies["model1"]
         k = three_strategies["model2"].k1
         k1, k2 = three_strategies["model3"].k1, three_strategies["model3"].k2
-        G, b = three_strategies["model1"].coefficients(times)
+        G, b1 = s1.unit_coefficients(times)
         assert np.array_equal(G, np.zeros((301, 2)))
-        assert np.array_equal(b, [s1.control(t) for t in times])
-        G, b = three_strategies["model2"].coefficients(times)
+        assert np.array_equal(b1, [s1.unit_control(t) for t in times])
+        G, b1 = three_strategies["model2"].unit_coefficients(times)
         assert np.array_equal(G, [[k(t), 1.0 - k(t)] for t in times])
-        assert np.array_equal(b, np.zeros((301, 2)))
-        G, b = three_strategies["model3"].coefficients(times)
+        assert np.array_equal(b1, np.zeros((301, 2)))
+        G, b1 = three_strategies["model3"].unit_coefficients(times)
         assert np.array_equal(G, [[k1(t), 1.0 - k1(t)] for t in times])
-        assert np.array_equal(b, [[k2(t), -k2(t)] for t in times])
+        assert np.array_equal(b1, [[k2(t), -k2(t)] for t in times])
 
     @pytest.mark.parametrize("T", [0.7, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("n_times", [1, 2, 3, 301])
@@ -440,11 +437,15 @@ class TestSimulateModels:
         gamma, r = 3.0, diagonal_params.r
         s1 = solve_model1(diagonal_params, ObjectiveSpec(gamma, T))
         times = np.linspace(0.0, T, n_times)
-        G, b = Model1Strategy(s1).coefficients(times)
-        assert G.shape == b.shape == (n_times, 2) and not G.any()
-        # the closed-form control evaluated one time at a time
-        assert np.array_equal(b, [(np.exp(-r * (T - t)) / gamma) * s1.weights for t in times])
-        assert np.array_equal(b, [s1.control(t) for t in times])  # one time a call
+        G, b1 = s1.unit_coefficients(times)
+        assert G.shape == b1.shape == (n_times, 2) and not G.any()
+        # the closed-form control at gamma = 1 evaluated one time at a time
+        assert np.array_equal(b1, [np.exp(-r * (T - t)) * s1.weights for t in times])
+        assert np.array_equal(b1, [s1.unit_control(t) for t in times])  # one time a call
+        # the control is the unit control scaled by 1 / gamma, in one call or one at a time
+        assert s1.gamma == gamma
+        assert np.array_equal(s1.control(times), b1 / gamma)
+        assert np.array_equal([s1.control(t) for t in times], b1 / gamma)
 
     def test_one_exploding_model_is_reported(self, three_strategies):
         p = MarketParams([0.2, 0.12], [[0.9, 0.0], [0.0, 0.9]])
@@ -558,7 +559,10 @@ def reference_figure_paths(params, obj, strategies, cfg):
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
     prices = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    coefficients = [s.coefficients(times) for s in strategies.values()]
+    coefficients = []
+    for s in strategies.values():
+        G, b1 = s.unit_coefficients(times)
+        coefficients.append((G, b1 / s.gamma))
     table = _step_table(params, [(G, b, dt) for G, b in coefficients], n_steps)
     wealth = np.empty((n_steps + 1, len(strategies), 1))
     wealth[0] = cfg.x0
@@ -594,7 +598,7 @@ class TestFigurePaths:
         s2 = solve_model2(diagonal_params, unit_grid)
         s3 = solve_model3(diagonal_params, obj, unit_grid)
         return {
-            "model1": Model1Strategy(s1),
+            "model1": s1,
             "model2": FeedbackStrategy(s2.k),
             "model3": FeedbackStrategy(s3.k1, s3.k2),
         }
