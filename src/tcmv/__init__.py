@@ -34,7 +34,7 @@ from .market import (
 )
 from .model1 import Model1Solution, diagnose_one_factor, solve_model1
 from .model2 import Model2Solution, Model2Values, evaluate_model2, solve_model2
-from .model3 import FeedbackStrategy, Model3Solution, solve_model3
+from .model3 import Model3Solution, solve_model3
 from .numerics import (
     PicardConfig,
     SampledFunction,
@@ -61,7 +61,6 @@ __all__ = [
     "CorrelationSpec",
     "DegenerateAssetError",
     "DegenerateMarketError",
-    "FeedbackStrategy",
     "InvalidCorrelationError",
     "MarketParams",
     "MarketValidationError",

@@ -30,7 +30,6 @@ from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
 from .model1 import Model1Solution, solve_model1
 from .model2 import Model2Solution, gain_moments, gain_residual
 from .model3 import (
-    FeedbackStrategy,
     Model3Solution,
     gain_bound_constant,
     intercept_bound_constant,
@@ -355,7 +354,7 @@ def _allocation_lines(cases: list[SolvedCase]):
     for case in cases:
         for model, strategy in _strategies(case).items():
             G, b1 = strategy.unit_coefficients(np.zeros(1))
-            u = G * x + b1 / strategy.gamma
+            u = G * x + b1 / case.gamma
             yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
                         *np.hstack([u, u / x]).T)
 
@@ -380,10 +379,8 @@ def _strategies(case: SolvedCase) -> dict:
     strategies = {}
     if case.m1 is not None:
         strategies["model1"] = case.m1
-    strategies["model2"] = FeedbackStrategy(case.m3.gain.k)
-    # k2 = phi_1 / gamma: every gamma of a horizon shares phi_1 and its rows
-    unit_k2 = case.m3.kernels.unit_intercept
-    strategies["model3"] = FeedbackStrategy(case.m3.k1, unit_k2, case.gamma)
+    strategies["model2"] = case.m3.gain
+    strategies["model3"] = case.m3
     return strategies
 
 

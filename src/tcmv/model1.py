@@ -4,7 +4,8 @@ The control is wealth-independent and available in closed form:
 u^(t) = (1/gamma) e^{-r(T-t)} (sigma sigma^T)^{-1} (alpha - r 1).
 The value function and the expected-wealth function are affine in wealth.
 Risk aversion only scales the control, so the solution is its own Monte
-Carlo strategy: gamma, G = 0 and the control at gamma = 1 as intercept b1.
+Carlo strategy: G = 0 and the control at gamma = 1 as intercept b1, which
+a column divides by its objective's gamma.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class Model1Solution:
     weights: np.ndarray  # (sigma sigma^T)^{-1} (alpha - r 1)
     theta_sq: float  # (alpha - r 1)^T (sigma sigma^T)^{-1} (alpha - r 1)
 
-    @property
-    def gamma(self) -> float:
-        return self.obj.gamma
-
     def unit_control(self, t) -> np.ndarray:
         """Dollars in each stock at time t at gamma = 1, independent of wealth:
         (n_stocks,) at one time, (len(t), n_stocks) at an array of times."""
@@ -44,7 +41,7 @@ class Model1Solution:
 
     def control(self, t) -> np.ndarray:
         """The dollars of the equilibrium: unit_control(t) / gamma."""
-        return self.unit_control(t) / self.gamma
+        return self.unit_control(t) / self.obj.gamma
 
     def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = 0 and b1 = unit_control at each time, (len(times), n_stocks) each."""
@@ -58,7 +55,7 @@ class Model1Solution:
 
     def value(self, t: float, x: float) -> float:
         """V(t, x) = E[X_T] - (gamma/2) Var[X_T]."""
-        return self.expected_wealth(t, x) - 0.5 * self.gamma * self.terminal_variance(t)
+        return self.expected_wealth(t, x) - 0.5 * self.obj.gamma * self.terminal_variance(t)
 
     def terminal_variance(self, t: float) -> float:
         """Var[X_T] = (2/gamma)(g - V) = theta_sq (T - t) / gamma^2."""

@@ -82,6 +82,13 @@ class Model2Solution:
     delta: float
     history: list[np.ndarray]  # the Picard iterates, the start included
 
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Monte Carlo strategy u = k x: G = (k, 1 - k) and b1 = 0 at
+        each time, (len(times), 2) each."""
+        k = self.k(times)
+        G = np.stack([k, 1.0 - k], axis=-1)
+        return G, np.zeros_like(G)
+
 
 def solve_model2(
     params: MarketParams,
@@ -126,15 +133,6 @@ class KernelTables:
     cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
     cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
     h: np.ndarray
-
-    def I1(self, i, j):
-        return np.exp(self.cum_drift[i] - self.cum_drift[j])
-
-    def I2(self, i, j):
-        return np.exp(self.cum_vol[i] - self.cum_vol[j])
-
-    def I3(self, i, j):
-        return self.dalpha * self.I2(i, -1) - self.h[j] * self.I2(i, j)
 
     @cached_property
     def i1_inv(self) -> SampledFunction:

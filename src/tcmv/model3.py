@@ -15,7 +15,9 @@ I2(v,T) dv, and forms no integral of its own.  The moment layer lives in
 model2, which is this model with k2 = 0.  Model3Solution.k2_solve keeps the
 Volterra equation as the check: its Picard solve runs on first use, for
 the diagnostics, the bound tables and the tests, never on the way to the
-closed form.
+closed form.  Each solution is its own Monte Carlo strategy, G = (k1,
+1 - k1) and b1 = (phi_1, -phi_1), the intercept at gamma = 1; its gain,
+the Model2Solution, is model 2's, with b1 = 0.
 
 Every Volterra kernel is separable in (t, v), so each is generated from a
 single cumulative integral and every Picard sweep runs in O(N).  So does
@@ -160,6 +162,13 @@ class Model3Solution:
     def k1(self) -> SampledFunction:
         return self.gain.k
 
+    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Monte Carlo strategy u = k1 x + phi_1 / gamma: the gain's
+        G = (k1, 1 - k1) and b1 = (phi_1, -phi_1) at each time, (len(times),
+        2) each.  Every gamma of a horizon shares phi_1, and so its rows."""
+        phi = self.kernels.unit_intercept(times)
+        return self.gain.unit_coefficients(times)[0], np.stack([phi, -phi], axis=-1)
+
     @cached_property
     def k2_solve(self) -> PicardResult:
         """The Picard solve of the Volterra equation for k2, run on first
@@ -212,22 +221,6 @@ def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]
     return float(u1), float(x - u1)
 
 
-@dataclass(frozen=True)
-class FeedbackStrategy:
-    """u^(t, x) = k1(t) x + k2(t) / gamma dollars in stock 1, the rest of x
-    in stock 2; k2 is the intercept at gamma = 1."""
-
-    k1: SampledFunction
-    k2: SampledFunction | None = None
-    gamma: float = 1.0
-
-    def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G = (k1, 1 - k1) and b1 = (k2, -k2) at each time, (len(times), 2) each."""
-        k1 = self.k1(times)
-        k2 = np.zeros_like(k1) if self.k2 is None else self.k2(times)
-        return np.stack([k1, 1.0 - k1], axis=-1), np.stack([k2, -k2], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Constants for the factorial-tail error bound of the Picard iterates.
 # ---------------------------------------------------------------------------
@@ -241,6 +234,7 @@ def _first_sweep_l1(history: list[np.ndarray], dt: float) -> float:
     return float(forward_integrals(diff, dt)[-1])
 
 
+@np.errstate(over="ignore")  # a bound beyond float64 is a deliberate inf
 def _inflate_for_domination(base: float, omega1: float, horizon: float) -> float:
     """Smallest K (up to 5% steps) whose factorial-tail bound provably
     dominates the sweep-error recursion for n = 1..10.

@@ -9,10 +9,11 @@ linear SDE dX = (a X + beta) dt + (c X + e) dW, with a = r + G (alpha - r 1),
 beta = b (alpha - r 1), c = G sigma and e = b sigma, and one Euler step on
 standard normals z is x <- x (1 + a dt + c z sqrt(dt)) + beta dt + e z sqrt(dt).
 
-Risk aversion is a scale factor: a Strategy gives gamma, G and the intercept
-b1 at gamma = 1, with b = b1 / gamma.  Each step is x <- A x + B with A from
-G alone and B linear in b, so terminal wealth is x0 Y + Z / gamma, where the
-row Y steps the gain (b = 0) from 1 and the row Z steps (G, b1) from 0.
+Risk aversion is a scale factor: a Strategy gives G and the intercept b1
+at gamma = 1, and a column takes b = b1 / gamma with its objective's gamma.
+Each step is x <- A x + B with A from G alone and B linear in b, so
+terminal wealth is x0 Y + Z / gamma, where the row Y steps the gain (b = 0)
+from 1 and the row Z steps (G, b1) from 0.
 The engine steps each distinct row once, however many columns share it:
 per horizon Y (the gain k1 of models 2 and 3), Z3 (model 3's unit
 intercept) and Z1 (model 1 at gamma = 1, whose G = 0).  A gain G = 0 needs
@@ -102,11 +103,9 @@ def array_nbytes(
 
 
 class Strategy(Protocol):
-    """All the engine reads of a strategy: u = G x + b1 / gamma dollars,
-    with G and b1 sampled at each time, (len(times), n_stocks) each.
-    Model 1's Model1Solution and models 2 and 3's FeedbackStrategy are one."""
-
-    gamma: float
+    """All the engine reads of a strategy: G and b1 sampled at each time,
+    (len(times), n_stocks) each, for u = G x + b1 / gamma dollars with the
+    gamma of the column's objective.  The solutions of models 1 to 3 are one."""
 
     def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -127,12 +126,6 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The normals of stream (seed, block) in C order: for a block of m
-    paths, shape (m, n, d), one path's steps after another."""
-    return _stream(seed, block).standard_normal(shape)
-
-
 def _piece_size(n: int, d: int, m: int) -> int:
     """Numbers of a piece for _draw_block of m paths: whole paths of at
     most _PIECE numbers, at least one path and at most m."""
@@ -140,12 +133,13 @@ def _piece_size(n: int, d: int, m: int) -> int:
 
 
 def _draw_block(seed: int, block: int, out: np.ndarray, piece: np.ndarray | None = None):
-    """Fill out, an (n, d, m) array, with _block_normals(seed, block,
-    (m, n, d)) step-major: out[i, j, p] is path p's normal of step i and
-    factor j.  The stream is drawn into piece, a flat buffer that holds at
-    least one path, as many whole paths at a time as fit, and each piece is
-    moved into out while it is still in the cache; filled one piece after
-    another, the stream gives the bits of one fill."""
+    """Fill out, an (n, d, m) array, with _stream(seed, block)'s normals of
+    shape (m, n, d), one path's steps after another, step-major: out[i, j, p]
+    is path p's normal of step i and factor j.  The stream is drawn into
+    piece, a flat buffer that holds at least one path, as many whole paths
+    at a time as fit, and each piece is moved into out while it is still in
+    the cache; filled one piece after another, the stream gives the bits of
+    one fill."""
     n, d, m = out.shape
     if piece is None:
         piece = np.empty(_piece_size(n, d, m))
@@ -226,7 +220,7 @@ class _Rows:
             G, b1 = strategy.unit_coefficients(self.grids[T])
             gain = row(T, G, np.zeros_like(G), 1.0) if G.any() else None
             intercept = row(T, G, b1, 0.0) if b1.any() else None
-            self.columns.append(_Column(T, float(strategy.gamma), gain, intercept))
+            self.columns.append(_Column(T, float(obj.gamma), gain, intercept))
 
     def compounding(self, r: float) -> dict:
         """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
@@ -345,7 +339,8 @@ def simulate_models(
     """Euler-Maruyama of every (strategy, objective) column in one pass.
 
     Each column samples its strategy's G and b1 once on its own grid,
-    dt = T / n_time_steps, and reports x0 Y + Z / gamma with its own gamma.
+    dt = T / n_time_steps, and reports x0 Y + Z / gamma with its objective's
+    gamma, the one its reward takes.
     Each block's normals are drawn once and drive every row; each row's
     arithmetic is its own, and so is each column's combination of its rows,
     so a column reports what its :func:`simulate` run does.  Paths whose
@@ -402,7 +397,7 @@ def simulate_models(
 
     final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
     reports = {}
-    for (key, (_, obj)), column in zip(columns.items(), plan.columns):
+    for key, column in zip(columns, plan.columns):
         # as in the stepping, an exploded row must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             values = plan.combine(cfg.x0, column, terminal, final)
@@ -417,7 +412,7 @@ def simulate_models(
         # finite paths can still have moments beyond float64 (a huge x0):
         # refused below, so the overflow must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            report = _report(values[alive] if n_excluded else values, obj.gamma, n_excluded)
+            report = _report(values[alive] if n_excluded else values, column.gamma, n_excluded)
         if not np.all(np.isfinite(astuple(report))):
             raise SimulationExplosionError(
                 f"the moments of terminal wealth exceed the float64 range "

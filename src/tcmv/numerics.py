@@ -71,10 +71,6 @@ class SampledFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_callable(cls, grid: TimeGrid, f) -> "SampledFunction":
-        return cls(grid, np.asarray([f(t) for t in grid.nodes], dtype=float))
-
-    @classmethod
     def constant(cls, grid: TimeGrid, c: float) -> "SampledFunction":
         return cls(grid, np.full(grid.n_nodes, float(c)))
 
@@ -100,14 +96,6 @@ def forward_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     out[0] = 0.0
     out[1:] = np.cumsum(segments)
     return out
-
-
-def trapezoid_tail_integral(f: SampledFunction, t_index: int) -> float:
-    """int_{t_index}^{T} f(s) ds on the grid of f. Exact for affine f."""
-    n = f.grid.n_nodes
-    if not 0 <= t_index < n:
-        raise IndexError("node index out of range")
-    return float(tail_integrals(f.values, f.grid.dt)[t_index])
 
 
 # Every Picard iteration starts from this constant; the constant start at 1
@@ -202,8 +190,10 @@ def convergence_bound(K: float, horizon: float, n: int) -> float:
         raise ValueError("bound is stated for n >= 1")
     if horizon == 0.0:
         return 0.0
-    # term_i = K^{i+1} horizon^i / i!, built incrementally from i = n
-    term = float(K)
+    # term_i = K^{i+1} horizon^i / i!, built incrementally from i = n, in
+    # Python floats, whose products overflow to inf without a warning
+    K, horizon = float(K), float(horizon)
+    term = K
     for i in range(1, n + 1):
         term *= K * horizon / i
     total = 0.0

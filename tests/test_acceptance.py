@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from tcmv import (
-    FeedbackStrategy,
     MarketParams,
     ObjectiveSpec,
     PicardConfig,
@@ -184,11 +183,7 @@ def test_08_monte_carlo_consistency():
     s2 = solve_model2(DIAGONAL, grid)
     v2 = evaluate_model2(DIAGONAL, s2.k, 3.0)
     s3 = solve_model3(DIAGONAL, obj, grid)
-    strategies = {
-        "model1": s1,
-        "model2": FeedbackStrategy(s2.k),
-        "model3": FeedbackStrategy(s3.k1, s3.k2),
-    }
+    strategies = {"model1": s1, "model2": s2, "model3": s3}
     analytic = {
         "model1": (s1.expected_wealth(0.0, 1.0), s1.terminal_variance(0.0)),
         "model2": (v2.mean(0.0, 1.0), v2.variance(0.0, 1.0)),
@@ -220,11 +215,7 @@ def test_09_qualitative_orderings():
     xs = np.linspace(0.1, 5.0, 50)
     mean_ok = all(s3.moments.mean(0.0, x) >= v2.mean(0.0, x) - 1e-12 for x in xs)
     var_ok = all(v2.variance(0.0, x) <= s3.moments.variance(0.0, x) + 1e-12 for x in xs)
-    strategies = {
-        "model1": s1,
-        "model2": FeedbackStrategy(s2.k),
-        "model3": FeedbackStrategy(s3.k1, s3.k2),
-    }
+    strategies = {"model1": s1, "model2": s2, "model3": s3}
     columns = {name: (strategy, obj) for name, strategy in strategies.items()}
     paths = reproduce_figure_paths(DIAGONAL, columns, SimConfig(1, 1000, 5))
     alloc_ok = bool(

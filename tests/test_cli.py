@@ -113,7 +113,7 @@ def reference_allocation_lines(cases):
     for case in cases:
         for model, strategy in cli._strategies(case).items():
             G, b1 = strategy.unit_coefficients(np.zeros(1))
-            b = b1 / strategy.gamma
+            b = b1 / case.gamma
             for x, (u1, u2) in zip(cli._WEALTH_GRID, G * cli._WEALTH_GRID[:, None] + b):
                 lines.append(
                     f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
@@ -859,6 +859,38 @@ class TestBoundsCommand:
                 assert emp <= bound
 
 
+    def test_overflowing_bound_constants_do_not_warn(self, tmp_path, capsys):
+        # the k1 bound constant K = 6220.5 at T = 3: e^{K T} and the
+        # factorial tail beyond float64 once warned on numpy scalars; the
+        # bound column is a deliberate inf
+        path = tmp_path / "steep.cfg"
+        path.write_text(STEEP_CFG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            assert main(["bounds", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        diagnostics = (tmp_path / "out" / "diagnostics.txt").read_text()
+        for text in (captured.out, diagnostics):
+            lines = text.splitlines()
+            k1_table = lines[lines.index("k1 iterate error bound:") + 1 :][:12]
+            assert k1_table[0] == "K = 6220.49419543"
+            assert [row.split(",")[2] for row in k1_table[2:]] == ["inf"] * 10
+
+
+STEEP_CFG = """\
+[market]
+alpha = 0.6, 0.05
+sigma = 0.3 0.1; 0.25 0.15
+r = 0.04
+
+[objective]
+gamma = 3
+T = 3
+"""
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["figure1.cfg", "section4.cfg"])
     def test_solve_and_bounds(self, name, tmp_path, capsys):
@@ -973,8 +1005,8 @@ class TestLazyEngine:
 
     def test_moved_names_are_the_same_objects(self):
         # the engine re-exports none of the names that live elsewhere
-        assert not {"FeedbackStrategy", "Model1Solution", "SimConfig"} & set(vars(montecarlo))
-        assert tcmv.FeedbackStrategy is model3.FeedbackStrategy
+        assert not {"Model1Solution", "SimConfig"} & set(vars(montecarlo))
+        assert tcmv.Model3Solution is model3.Model3Solution
         assert tcmv.SimConfig is numerics.SimConfig
         assert cli.SimConfig is numerics.SimConfig
 

@@ -43,13 +43,15 @@ VAR_AT_ZERO = 0.09407671998680726
 
 
 def brute_force_M3(kernels) -> float:
-    """Reference O(N^2) sup over grid pairs t <= v of |I1(t,v) I3(t,v)|."""
-    n = kernels.grid.n_nodes
-    idx = np.arange(n)
+    """Reference O(N^2) sup over grid pairs t <= v of |I1(t,v) I3(t,v)|, with
+    I1(t,v) = e^{A(t)-A(v)}, I2(t,v) = e^{B(t)-B(v)} and I3(t,v) = dalpha
+    I2(t,T) - h(v) I2(t,v), A = cum_drift and B = cum_vol."""
+    a, b, h = kernels.cum_drift, kernels.cum_vol, kernels.h
     best = 0.0
-    for i in range(n):
-        j = idx[i:]
-        best = max(best, float(np.max(np.abs(kernels.I1(i, j) * kernels.I3(i, j)))))
+    for i in range(kernels.grid.n_nodes):
+        i1 = np.exp(a[i] - a[i:])
+        i3 = kernels.dalpha * np.exp(b[i] - b[-1]) - h[i:] * np.exp(b[i] - b[i:])
+        best = max(best, float(np.max(np.abs(i1 * i3))))
     return best
 
 
@@ -246,21 +248,14 @@ class TestGainAndIntercept:
 
 
 class TestKernels:
-    def test_unit_diagonal(self, figure_solution):
-        k = figure_solution.kernels
-        for i in (0, 300, 1000):
-            assert k.I1(i, i) == 1.0
-            assert k.I2(i, i) == 1.0
-
     def test_zero_gain_drift_kernel(self, unit_grid):
-        # k1 = 0 and alpha_2 = 0.12 make I1 over the full horizon e^{-0.12}
+        # k1 = 0 and alpha_2 = 0.12 make I1 over the full horizon e^{-0.12},
+        # and so I1(0,T)^{-1} e^{0.12}
         p = MarketParams([0.2, 0.04], [[0.3, 0.0], [0.0, 0.0]], 0.04)
         k1 = solve_model2(p, unit_grid).k
         p12 = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.0]], 0.04)
         kernels = build_kernels(p12, k1, unit_grid)
-        assert kernels.I1(0, unit_grid.n_steps) == pytest.approx(
-            np.exp(-0.12), abs=1e-10
-        )
+        assert kernels.i1_inv.values[0] == pytest.approx(np.exp(0.12), abs=1e-10)
 
     @pytest.mark.parametrize("shape", ["constant", "linear"])
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])

@@ -11,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcmv import (
-    FeedbackStrategy,
     MarketParams,
     ObjectiveSpec,
     SimConfig,
     SimulationExplosionError,
-    TimeGrid,
     evaluate_model2,
     simulate,
     simulate_models,
@@ -28,37 +26,33 @@ from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
     MAX_BLOCK_BYTES,
-    _block_normals,
     _draw_block,
     _report,
     _step_table,
+    _stream,
     _workers,
     block_nbytes,
     reproduce_figure_paths,
 )
-from tcmv.numerics import SampledFunction
 
 
 class TestSimulate:
     def test_deterministic_limit(self):
         # zero volatility and k = 0: every path compounds at alpha_2 exactly
         p = MarketParams([0.2, 0.12], [[0.0, 0.0], [0.0, 0.0]])
-        grid = TimeGrid(1.0, 10)
-        strat = FeedbackStrategy(SampledFunction.constant(grid, 0.0))
+        strat = feedback(0.0)
         report = simulate(p, strat, ObjectiveSpec(1.0, 1.0), SimConfig(500, 200, 1))
         assert report.mean_estimate == pytest.approx(np.exp(0.12), abs=1e-3)
         assert report.variance_estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_martingale_sanity(self):
         p = MarketParams([0.0, 0.0], [[0.25, 0.0], [0.0, 0.25]])
-        grid = TimeGrid(1.0, 10)
-        strat = FeedbackStrategy(SampledFunction.constant(grid, 0.4))
+        strat = feedback(0.4)
         report = simulate(p, strat, ObjectiveSpec(1.0, 1.0), SimConfig(40_000, 100, 3))
         assert abs(report.mean_estimate - 1.0) < 3 * report.se_mean
 
     def test_seed_determinism(self, symmetric_params, unit_grid):
-        sol = solve_model2(symmetric_params, unit_grid)
-        strat = FeedbackStrategy(sol.k)
+        strat = solve_model2(symmetric_params, unit_grid)
         obj = ObjectiveSpec(1.0, 1.0)
         a = simulate(symmetric_params, strat, obj, SimConfig(9000, 50, 42))
         b = simulate(symmetric_params, strat, obj, SimConfig(9000, 50, 42))
@@ -70,7 +64,7 @@ class TestSimulate:
         sol = solve_model2(symmetric_params, unit_grid)
         report = simulate(
             symmetric_params,
-            FeedbackStrategy(sol.k),
+            sol,
             ObjectiveSpec(3.0, 1.0),
             SimConfig(5000, 50, 7),
         )
@@ -83,7 +77,7 @@ class TestSimulate:
         vals = evaluate_model2(symmetric_params, sol.k, 1.0)
         report = simulate(
             symmetric_params,
-            FeedbackStrategy(sol.k),
+            sol,
             ObjectiveSpec(1.0, 1.0),
             SimConfig(30_000, 300, 12),
         )
@@ -98,7 +92,7 @@ class TestSimulate:
         s = solve_model3(symmetric_params, obj, unit_grid)
         report = simulate(
             symmetric_params,
-            FeedbackStrategy(s.k1, s.k2),
+            s,
             obj,
             SimConfig(30_000, 300, 13),
         )
@@ -111,8 +105,7 @@ class TestSimulate:
     def test_explosion_reported(self):
         # an absurdly leveraged constant-dollar bet at coarse steps explodes
         p = MarketParams([0.2, 0.12], [[0.9, 0.0], [0.0, 0.9]])
-        grid = TimeGrid(1.0, 10)
-        strat = FeedbackStrategy(SampledFunction.constant(grid, 1e150))
+        strat = feedback(1e150)
         with pytest.raises(SimulationExplosionError) as err:
             simulate(p, strat, ObjectiveSpec(1.0, 1.0), SimConfig(2000, 50, 5))
         assert err.value.n_excluded > 0
@@ -120,19 +113,19 @@ class TestSimulate:
 
 def reference_simulate(params, strategy, obj, cfg):
     """The per-strategy Euler loop in dollars: u = G x + b at every node,
-    with b = b1 / gamma, cash at the risk-free rate, rows reduced by u.sum
-    and np.einsum, and exploded paths masked at every step."""
+    with b = b1 / gamma of the objective, cash at the risk-free rate, rows
+    reduced by u.sum and np.einsum, and exploded paths masked at every step."""
     T = obj.horizon_T
     n_steps = cfg.n_time_steps
     dt = T / n_steps
     G, b1 = strategy.unit_coefficients(np.linspace(0.0, T, n_steps + 1))
-    b = b1 / strategy.gamma
+    b = b1 / obj.gamma
     terminal = np.empty(cfg.n_paths)
     alive = np.ones(cfg.n_paths, dtype=bool)
     for block, start in enumerate(range(0, cfg.n_paths, _BLOCK)):
         stop = min(start + _BLOCK, cfg.n_paths)
         shape = (stop - start, n_steps, params.n_factors)
-        dw = _block_normals(cfg.seed, block, shape) * np.sqrt(dt)
+        dw = _stream(cfg.seed, block).standard_normal(shape) * np.sqrt(dt)
         x = np.full(stop - start, cfg.x0)
         ok = np.ones(stop - start, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -169,17 +162,22 @@ def assert_close(report, reference, rel=1e-12):
 
 @dataclasses.dataclass(frozen=True)
 class Affine:
-    """u = G x + b / gamma dollars with G and b given per node (n + 1 rows)
-    or as one row for every node: the strategy protocol and nothing else,
-    so an engine path that reads any other member fails."""
+    """u = G x + b / gamma dollars, with the gamma of the column's objective,
+    and G and b given per node (n + 1 rows) or as one row for every node:
+    the strategy protocol and nothing else, so an engine path that reads
+    any other member fails."""
 
     G: np.ndarray
     b: np.ndarray
-    gamma: float = 1.0
 
     def unit_coefficients(self, times):
         shape = (len(times), np.shape(self.G)[-1])
         return np.broadcast_to(self.G, shape), np.broadcast_to(self.b, shape)
+
+
+def feedback(k1, k2=0.0):
+    """Constant k1 x + k2 / gamma dollars in stock 1 and the rest in stock 2."""
+    return Affine(np.array([k1, 1.0 - k1]), np.array([k2, -k2]))
 
 
 @pytest.fixture
@@ -187,11 +185,7 @@ def three_strategies(diagonal_params, unit_grid):
     obj = ObjectiveSpec(3.0, 1.0)
     s1 = solve_model1(diagonal_params, obj)
     s3 = solve_model3(diagonal_params, obj, unit_grid)
-    return {
-        "model1": s1,
-        "model2": FeedbackStrategy(s3.gain.k),
-        "model3": FeedbackStrategy(s3.k1, s3.k2),
-    }
+    return {"model1": s1, "model2": s3.gain, "model3": s3}
 
 
 def columns_of(strategies, obj):
@@ -246,8 +240,8 @@ class TestSimulateModels:
             rng.uniform(-0.1, 0.3, n), rng.uniform(-0.4, 0.4, (n, d)), rng.uniform(0, 0.05)
         )
         columns = {
-            i: (Affine(rng.uniform(-2, 2, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 5.0)),
-                ObjectiveSpec(2.0, T))
+            i: (Affine(rng.uniform(-2, 2, n), rng.uniform(-1, 1, n)),
+                ObjectiveSpec(rng.uniform(0.5, 5.0), T))
             for i, T in enumerate([1.0, 0.5, 2.0])
         }
         cfg = SimConfig(300, 8, seed)
@@ -373,10 +367,7 @@ class TestSimulateModels:
         ],
     )
     def test_equals_the_reference_loop_on_other_shapes(self, params, k1, k2):
-        grid = TimeGrid(1.0, 10)
-        strategy = FeedbackStrategy(
-            SampledFunction.constant(grid, k1), SampledFunction.constant(grid, k2)
-        )
+        strategy = feedback(k1, k2)
         obj = ObjectiveSpec(2.0, 1.0)
         cfg = SimConfig(5000, 15, 3)
         assert_close(
@@ -417,8 +408,8 @@ class TestSimulateModels:
         # the coefficients each solution gives at every node
         times = np.linspace(0.0, 1.0, 301)
         s1 = three_strategies["model1"]
-        k = three_strategies["model2"].k1
-        k1, k2 = three_strategies["model3"].k1, three_strategies["model3"].k2
+        k = three_strategies["model2"].k
+        k1, phi = three_strategies["model3"].k1, three_strategies["model3"].kernels.unit_intercept
         G, b1 = s1.unit_coefficients(times)
         assert np.array_equal(G, np.zeros((301, 2)))
         assert np.array_equal(b1, [s1.unit_control(t) for t in times])
@@ -427,7 +418,7 @@ class TestSimulateModels:
         assert np.array_equal(b1, np.zeros((301, 2)))
         G, b1 = three_strategies["model3"].unit_coefficients(times)
         assert np.array_equal(G, [[k1(t), 1.0 - k1(t)] for t in times])
-        assert np.array_equal(b1, [[k2(t), -k2(t)] for t in times])
+        assert np.array_equal(b1, [[phi(t), -phi(t)] for t in times])
 
     @pytest.mark.parametrize("T", [0.7, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("n_times", [1, 2, 3, 301])
@@ -443,17 +434,16 @@ class TestSimulateModels:
         assert np.array_equal(b1, [np.exp(-r * (T - t)) * s1.weights for t in times])
         assert np.array_equal(b1, [s1.unit_control(t) for t in times])  # one time a call
         # the control is the unit control scaled by 1 / gamma, in one call or one at a time
-        assert s1.gamma == gamma
+        assert s1.obj.gamma == gamma and not hasattr(s1, "gamma")
         assert np.array_equal(s1.control(times), b1 / gamma)
         assert np.array_equal([s1.control(t) for t in times], b1 / gamma)
 
     def test_one_exploding_model_is_reported(self, three_strategies):
         p = MarketParams([0.2, 0.12], [[0.9, 0.0], [0.0, 0.9]])
-        grid = TimeGrid(1.0, 10)
         obj = ObjectiveSpec(1.0, 1.0)
         columns = {
             "model2": (three_strategies["model2"], obj),
-            "wild": (FeedbackStrategy(SampledFunction.constant(grid, 1e150)), obj),
+            "wild": (feedback(1e150), obj),
         }
         with pytest.raises(SimulationExplosionError) as err:
             simulate_models(p, columns, SimConfig(5000, 50, 5), 2)
@@ -540,9 +530,10 @@ def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block):
     # one C-order fill of (m, n, d), moved step-major
     out = np.empty((n, d, m))
     _draw_block(seed, block, out, np.empty(per * n * d + per % 2))
-    assert same_bits(out, _block_normals(seed, block, (m, n, d)).transpose(1, 2, 0).copy())
+    fill = _stream(seed, block).standard_normal((m, n, d)).transpose(1, 2, 0).copy()
+    assert same_bits(out, fill)
     _draw_block(seed, block, out)
-    assert same_bits(out, _block_normals(seed, block, (m, n, d)).transpose(1, 2, 0).copy())
+    assert same_bits(out, fill)
 
 
 def reference_figure_paths(params, obj, strategies, cfg):
@@ -553,7 +544,7 @@ def reference_figure_paths(params, obj, strategies, cfg):
     n_steps = cfg.n_time_steps
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
-    z = _block_normals(cfg.seed, 2**63, (n_steps, params.n_factors))
+    z = _stream(cfg.seed, 2**63).standard_normal((n_steps, params.n_factors))
     w = np.vstack([np.zeros(params.n_factors), np.cumsum(z * np.sqrt(dt), axis=0)])
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
@@ -562,7 +553,7 @@ def reference_figure_paths(params, obj, strategies, cfg):
     coefficients = []
     for s in strategies.values():
         G, b1 = s.unit_coefficients(times)
-        coefficients.append((G, b1 / s.gamma))
+        coefficients.append((G, b1 / obj.gamma))
     table = _step_table(params, [(G, b, dt) for G, b in coefficients], n_steps)
     wealth = np.empty((n_steps + 1, len(strategies), 1))
     wealth[0] = cfg.x0
@@ -590,6 +581,27 @@ def assert_same_record(record, other):
         assert same_bits(getattr(record, field), getattr(other, field)), field
 
 
+@pytest.mark.parametrize("model", ["model1", "model3"])
+def test_a_columns_gamma_is_its_objectives(diagonal_params, unit_grid, model):
+    # risk aversion only scales the intercept: the gamma = 1 and gamma = 3
+    # solutions give the same unit coefficients, and the gamma = 1 solution
+    # under the gamma = 3 objective reports and paths what the gamma = 3 one does
+    def solve(gamma):
+        obj = ObjectiveSpec(gamma, 1.0)
+        if model == "model1":
+            return solve_model1(diagonal_params, obj)
+        return solve_model3(diagonal_params, obj, unit_grid)
+
+    one, three, obj = solve(1.0), solve(3.0), ObjectiveSpec(3.0, 1.0)
+    times = np.linspace(0.0, 1.0, 301)
+    for a, b in zip(one.unit_coefficients(times), three.unit_coefficients(times)):
+        assert same_bits(a, b)
+    cfg = SimConfig(300, 20, 9)
+    assert simulate(diagonal_params, one, obj, cfg) == simulate(diagonal_params, three, obj, cfg)
+    paths = [reproduce_figure_paths(diagonal_params, {"": (s, obj)}, cfg)[""] for s in (one, three)]
+    assert_same_record(*paths)
+
+
 class TestFigurePaths:
     @pytest.fixture
     def strategies(self, diagonal_params, unit_grid):
@@ -597,11 +609,7 @@ class TestFigurePaths:
         s1 = solve_model1(diagonal_params, obj)
         s2 = solve_model2(diagonal_params, unit_grid)
         s3 = solve_model3(diagonal_params, obj, unit_grid)
-        return {
-            "model1": s1,
-            "model2": FeedbackStrategy(s2.k),
-            "model3": FeedbackStrategy(s3.k1, s3.k2),
-        }
+        return {"model1": s1, "model2": s2, "model3": s3}
 
     def test_bitwise_reproducible(self, diagonal_params, strategies):
         columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
@@ -724,7 +732,9 @@ class TestRows:
         for (i, name), (strategy, obj) in columns.items():
             assert reports[i, name] == simulate(cfg.params, strategy, obj, sim)
             if name == "model2":
-                alone = simulate(cfg.params, FeedbackStrategy(strategy.k1), obj, sim)
+                # model 3's gain without its intercept, stepped alone
+                G, _ = cases[i].m3.unit_coefficients(np.linspace(0.0, obj.horizon_T, 21))
+                alone = simulate(cfg.params, Affine(G, np.zeros_like(G)), obj, sim)
                 assert reports[i, name] == alone
 
     def test_column_without_rows_compounds_at_the_bank_rate(self, diagonal_params):

@@ -9,7 +9,6 @@ from tcmv.numerics import (
     forward_integrals,
     picard_solve,
     tail_integrals,
-    trapezoid_tail_integral,
 )
 
 
@@ -34,7 +33,7 @@ class TestTimeGrid:
 class TestSampledFunction:
     def test_interpolation(self):
         grid = TimeGrid(1.0, 10)
-        f = SampledFunction.from_callable(grid, lambda t: 2 * t)
+        f = SampledFunction(grid, 2 * grid.nodes)
         assert f(0.55) == pytest.approx(1.1)
 
     def test_constant(self):
@@ -54,27 +53,24 @@ class TestTailIntegrals:
     def test_constant_integrand(self):
         grid = TimeGrid(2.0, 50)
         f = SampledFunction.constant(grid, 3.0)
-        assert trapezoid_tail_integral(f, 0) == pytest.approx(6.0)
+        assert tail_integrals(f.values, grid.dt)[0] == pytest.approx(6.0)
 
     def test_affine_exact(self):
         grid = TimeGrid(1.0, 100)
-        f = SampledFunction.from_callable(grid, lambda t: t)
-        assert trapezoid_tail_integral(f, 0) == pytest.approx(0.5, abs=1e-15)
+        assert tail_integrals(grid.nodes, grid.dt)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_second_order(self):
         exact = 1.0 / 3.0
         errors = []
         for n in (100, 200):
             grid = TimeGrid(1.0, n)
-            f = SampledFunction.from_callable(grid, lambda t: t * t)
-            errors.append(abs(trapezoid_tail_integral(f, 0) - exact))
+            errors.append(abs(tail_integrals(grid.nodes**2, grid.dt)[0] - exact))
         assert errors[0] < 2e-5
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
     def test_vanishes_at_terminal_node(self):
         grid = TimeGrid(1.0, 17)
-        f = SampledFunction.from_callable(grid, np.sin)
-        assert trapezoid_tail_integral(f, grid.n_steps) == 0.0
+        assert tail_integrals(np.sin(grid.nodes), grid.dt)[grid.n_steps] == 0.0
 
     def test_forward_plus_tail_is_total(self):
         grid = TimeGrid(1.0, 64)
