@@ -118,6 +118,16 @@ class ObjectiveSpec:
             raise ValueError("horizon must be positive")
 
 
+def square(x: float) -> float:
+    """x**2 as Python's float power gives it (libm pow, whose last bit can
+    differ from x * x), and inf where that overflows instead of an
+    OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return float("inf")
+
+
 def _psd_cholesky(rho: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor tolerating zero pivots (e.g. perfectly
     correlated factors).  Raises if rho is not positive semidefinite."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, SingularMarketError
-from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec
+from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, square
 from .model2 import _require_in_range
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
@@ -59,7 +59,7 @@ class Model1Solution:
 
     def terminal_variance(self, t: float) -> float:
         """Var[X_T] = (2/gamma)(g - V) = theta_sq (T - t) / gamma^2."""
-        return self.theta_sq * (self.obj.horizon_T - t) / self.obj.gamma**2
+        return self.theta_sq * (self.obj.horizon_T - t) / square(self.obj.gamma)
 
 
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:

@@ -65,14 +65,6 @@ def gain_residual(params: MarketParams, grid: TimeGrid, k: np.ndarray) -> float:
     return float(np.max(np.abs(gain_equation_map(params, grid)(k) - k)))
 
 
-def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
-    """Uniform bounds holding for every iterate (n >= 1) and the solution."""
-    _, _, _, _, denom, csig, dalpha = _coeffs(params)
-    a = -csig / denom
-    b = -(csig + dalpha) / denom
-    return min(a, b), max(a, b)
-
-
 @dataclass(frozen=True)
 class Model2Solution:
     params: MarketParams

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .market import MarketParams, ObjectiveSpec
+from .market import MarketParams, ObjectiveSpec, square
 from .model2 import (
     KernelTables,
     Model2Solution,
@@ -54,12 +54,6 @@ from .numerics import (
     picard_solve,
     tail_integrals,
 )
-
-
-def constant_gain_equal_drifts(params: MarketParams) -> float:
-    """Closed-form k1 when the two drifts coincide (time-independent)."""
-    _, _, _, _, denom, csig, _ = _coeffs(params)
-    return -csig / denom
 
 
 def _require_gamma_in_range(kernels: KernelTables, gamma: float):
@@ -143,7 +137,7 @@ def moments(kernels: KernelTables, gamma: float) -> MomentCoefficients:
         kernels.c0,
         kernels.i1_inv,
         SampledFunction(kernels.grid, (kernels.theta_sq / gamma) * tail),
-        SampledFunction(kernels.grid, (kernels.theta_sq / gamma**2) * tail),
+        SampledFunction(kernels.grid, (kernels.theta_sq / square(gamma)) * tail),
     )
 
 

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 import numpy as np
 
 from .errors import SimulationExplosionError
-from .market import MarketParams, ObjectiveSpec
+from .market import MarketParams, ObjectiveSpec, square
 
 if TYPE_CHECKING:
     from .numerics import SimConfig
@@ -59,11 +59,6 @@ _BLOCK = 4096
 # instead of exhausting memory mid-run, and no more worker threads run
 # than their blocks of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
-
-# Most numbers in each step-factor array of _step_rows: the factors of
-# several steps are formed at once where a step's are fewer, which leaves
-# fewer, larger numpy calls; larger runs outgrow the CPU caches.
-_CHUNK = 2**14
 
 # Most normals a worker drawing beside another draws at once, in whole paths
 # (at least one), before it moves them step-major while still in the cache.
@@ -94,8 +89,8 @@ def array_nbytes(
         "Gaussian increments per block": block_nbytes(cfg, n_factors),
         "step table": n * n_rows * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
-        # the step factors, with their product, of at least one step
-        "step factors": 3 * _run_length(n, n_rows * m) * n_rows * m * 8,
+        # one step's factors, with their product
+        "step factors": 3 * n_rows * m * 8,
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -240,11 +235,6 @@ class _Rows:
         return z
 
 
-def _run_length(n_steps: int, size: int) -> int:
-    """Steps whose factors _step_rows forms at once for rows of size numbers."""
-    return min(n_steps, max(1, _CHUNK // max(size, 1)))
-
-
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
                path: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """x <- x (A + C z) + (B + E z) in place for every step of the table,
@@ -252,35 +242,26 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
     normals, step-major; with path, an (n + 1, R, m) array, each step's x
     is kept.
 
-    The factors A + C z and B + E z of a run of steps are formed at once in
-    buffers of at most _CHUNK numbers (or one step), so the per-step work
-    is the recursion alone; they are carved from scratch, a flat buffer of
-    at least 3 run R m numbers, where one is given.  Each operation is
-    elementwise, so a row's bits depend on its own coefficients alone, and
-    a non-finite wealth stays non-finite."""
+    Each step forms its factors A + C z and B + E z in a (3, R, m) view of
+    scratch, a flat buffer of at least 3 R m numbers, where one is given.
+    Each operation is elementwise, so a row's bits depend on its own
+    coefficients alone, and a non-finite wealth stays non-finite."""
     d = normals.shape[1]
-    run = _run_length(len(table), x.size)
-    size = 3 * run * x.size
     if scratch is None:
-        scratch = np.empty(size)
-    gain, shift, tmp = scratch[:size].reshape(3, run, *x.shape)
-    for start in range(0, len(table), run):
-        coef = table[start : start + run]
-        k = len(coef)
-        g, h, t = gain[:k], shift[:k], tmp[:k]
-        zk = normals[start : start + k, :, None, :]  # (k, d, 1, m)
-        np.multiply(coef[:, 2], zk[:, 0], out=g)
-        np.multiply(coef[:, 2 + d], zk[:, 0], out=h)
+        scratch = np.empty(3 * x.size)
+    gain, shift, tmp = scratch[: 3 * x.size].reshape(3, *x.shape)
+    for i, (coef, z) in enumerate(zip(table, normals)):
+        np.multiply(coef[2], z[0], out=gain)
+        np.multiply(coef[2 + d], z[0], out=shift)
         for j in range(1, d):
-            g += np.multiply(coef[:, 2 + j], zk[:, j], out=t)
-            h += np.multiply(coef[:, 2 + d + j], zk[:, j], out=t)
-        g += coef[:, 0]
-        h += coef[:, 1]
-        for i in range(k):
-            x *= g[i]
-            x += h[i]
-            if path is not None:
-                path[start + i + 1] = x
+            gain += np.multiply(coef[2 + j], z[j], out=tmp)
+            shift += np.multiply(coef[2 + d + j], z[j], out=tmp)
+        gain += coef[0]
+        shift += coef[1]
+        x *= gain
+        x += shift
+        if path is not None:
+            path[i + 1] = x
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
@@ -356,9 +337,7 @@ def simulate_models(
     starts = np.array(plan.starts)[:, None]
     n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
     terminal = np.empty((n_rows, cfg.n_paths))
-    # paths of a full block and of the last one
-    widths = {min(cfg.n_paths, _BLOCK), cfg.n_paths - (n_blocks - 1) * _BLOCK}
-    width = max(widths)
+    width = min(cfg.n_paths, _BLOCK)
     workers = _workers(threads, n_blocks, block_nbytes(cfg, d))
     # Each worker draws a block through its scratch, then steps on it.
     # Threads draw side by side, as a Philox fill runs without the GIL, and
@@ -366,10 +345,8 @@ def simulate_models(
     # every few microseconds, and two threads stepping at once were no
     # faster than one stepping while the other draws.  Beside a stepping
     # thread, pieces of _PIECE numbers keep a drawing thread's turns at the
-    # GIL few; a lone worker draws through the room of the step factors.
-    size = max(n_steps * d, *(3 * _run_length(n_steps, n_rows * m) * n_rows * m for m in widths))
-    if workers > 1:
-        size = max(size, _piece_size(n_steps, d, width))
+    # GIL few.  The scratch holds one piece or one step's factors.
+    size = max(3 * n_rows * width, _piece_size(n_steps, d, width))
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
@@ -409,14 +386,19 @@ def simulate_models(
                 n_excluded,
                 cfg.n_paths,
             )
-        # finite paths can still have moments beyond float64 (a huge x0):
+        # finite paths can still have moments beyond float64 (a huge x0),
+        # or a reward whose terms scale with gamma beyond it (a huge gamma):
         # refused below, so the overflow must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             report = _report(values[alive] if n_excluded else values, column.gamma, n_excluded)
         if not np.all(np.isfinite(astuple(report))):
+            moments = (report.mean_estimate, report.variance_estimate,
+                       report.se_mean, report.se_variance)
             raise SimulationExplosionError(
-                f"the moments of terminal wealth exceed the float64 range "
-                f"(x0 = {cfg.x0:g})",
+                f"the moments of terminal wealth exceed the float64 range (x0 = {cfg.x0:g})"
+                if not np.all(np.isfinite(moments)) else
+                f"the reward mean - (gamma/2) variance or its standard error exceeds "
+                f"the float64 range (gamma = {column.gamma:g})",
                 n_excluded,
                 cfg.n_paths,
             )
@@ -444,7 +426,7 @@ def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationRepo
     var = m2 * n / (n - 1) if n > 1 else 0.0
     se_mean = np.sqrt(var / n) if n > 1 else 0.0
     # delta-method standard error of the sample variance
-    se_var = np.sqrt(max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n) if n > 3 else 0.0
+    se_var = np.sqrt(max(m4 - (n - 3) / (n - 1) * square(var), 0.0) / n) if n > 3 else 0.0
     reward = mean - 0.5 * gamma * var
     var_reward = se_mean**2 + (0.5 * gamma * se_var) ** 2 - gamma * m3 / n
     se_reward = np.sqrt(max(var_reward, 0.0))

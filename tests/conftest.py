@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcmv import MarketParams, ObjectiveSpec
+from tcmv.model2 import _coeffs
 from tcmv.numerics import TimeGrid
 
 
@@ -35,3 +36,17 @@ def random_distinct_market(rng: np.random.Generator) -> MarketParams:
         if diff @ diff > 0.01:
             alpha = rng.uniform(-0.1, 0.3, size=2)
             return MarketParams(alpha, sigma, 0.02)
+
+
+def constant_gain_equal_drifts(params: MarketParams) -> float:
+    """Closed-form k1 when the two drifts coincide (time-independent)."""
+    _, _, _, _, denom, csig, _ = _coeffs(params)
+    return -csig / denom
+
+
+def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
+    """Uniform bounds holding for every gain iterate (n >= 1) and the solution."""
+    _, _, _, _, denom, csig, dalpha = _coeffs(params)
+    a = -csig / denom
+    b = -(csig + dalpha) / denom
+    return min(a, b), max(a, b)

@@ -22,9 +22,8 @@ from tcmv import (
     solve_model3,
 )
 from tcmv import model3
-from tcmv.model2 import gain_iterate_bounds, gain_residual
+from tcmv.model2 import gain_residual
 from tcmv.model3 import (
-    constant_gain_equal_drifts,
     gain_bound_constant,
     intercept_bound_constant,
     intercept_residual,
@@ -32,7 +31,7 @@ from tcmv.model3 import (
 )
 from tcmv.montecarlo import reproduce_figure_paths
 from tcmv.numerics import convergence_bound
-from .conftest import random_distinct_market
+from .conftest import constant_gain_equal_drifts, gain_iterate_bounds, random_distinct_market
 
 SYMMETRIC = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.25]], 0.04)
 DIAGONAL = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]], 0.04)

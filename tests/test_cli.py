@@ -672,6 +672,27 @@ class TestSolveCommand:
         assert "exceed the float64 range" in err and "T=1 at gamma=1e-160" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    def test_huge_gamma_is_solved(self, tmp_path, capsys, command):
+        # gamma**2 once raised OverflowError from the variance loads
+        # theta~^2 S / gamma^2, which are 0 at gamma = 1e300
+        path = tmp_path / "gamma.cfg"
+        path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1e300"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert "== gamma=1e+300 T=1 ==" in captured.out
+            return
+        for csv in out.glob("*.csv"):
+            _, rows = _read_rows(csv)
+            assert np.all(np.isfinite([float(c) for row in rows for c in row if not c.startswith("model")]))
+        _, rows = _read_rows(out / "mean_variance_vs_wealth.csv")
+        assert {row[5] for row in rows if row[2] == "model1"} == {"0"}
+
     @pytest.mark.parametrize("r", ["100", "-100"])
     @pytest.mark.parametrize("command", ["solve", "simulate"])
     def test_bank_rate_overflow_is_market_error(self, tmp_path, capsys, r, command):
@@ -834,6 +855,27 @@ class TestSimulateCommand:
             assert main(["simulate", str(path), "--out-dir", str(out)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("simulation explosion:") and "x0 = 1e+200" in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("old, new, cause", [
+        ("gamma = 1, 3", "gamma = 1e300", "the reward mean - (gamma/2) variance or its "
+         "standard error exceeds the float64 range (gamma = 1e+300)"),
+        ("seed = 9", "seed = 9\nx0 = 1e80",
+         "the moments of terminal wealth exceed the float64 range (x0 = 1e+80)"),
+    ], ids=["gamma", "x0"])
+    def test_overflowing_estimates_name_their_cause(self, tmp_path, capsys, old, new, cause):
+        # the square of gamma (in the solve) or of the sample variance once
+        # raised OverflowError; at gamma = 1e300 the reward's standard error
+        # overflows, and at x0 = 1e80 the variance's
+        path = tmp_path / "big.cfg"
+        path.write_text(FIGURE_CFG.replace(old, new)
+                        .replace("n_paths = 2000", "n_paths = 500")
+                        .replace("n_time_steps = 100", "n_time_steps = 20"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out-dir", str(out)]) == 5
+        assert capsys.readouterr().err == f"simulation explosion: {cause}\n"
         assert not any(out.iterdir())
 
     def test_paths_have_all_models(self, figure_cfg, tmp_path):

@@ -12,9 +12,9 @@ from tcmv import (
     solve_model2,
 )
 from tcmv.cli import load_config
-from tcmv.model2 import gain_iterate_bounds, gain_residual, portfolio_variance_rate
+from tcmv.model2 import gain_residual, portfolio_variance_rate
 from tcmv.numerics import tail_integrals
-from .conftest import random_distinct_market
+from .conftest import gain_iterate_bounds, random_distinct_market
 
 # fraction of wealth in stock 1 at t=0 for the symmetric-volatility market
 # with alpha = (0.2, 0.12), sigma = 0.25 I, T = 1; frozen from a

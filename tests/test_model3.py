@@ -22,7 +22,6 @@ from tcmv.model3 import (
     KernelTables,
     _inflate_for_domination,
     build_kernels,
-    constant_gain_equal_drifts,
     gain_bound_constant,
     intercept_bound_constant,
     intercept_equation_map,
@@ -32,7 +31,7 @@ from tcmv.model3 import (
     solve_k2,
 )
 from tcmv.numerics import SampledFunction, convergence_bound
-from .conftest import random_distinct_market
+from .conftest import constant_gain_equal_drifts, random_distinct_market
 
 # intercept at t=0 for the symmetric-volatility market with
 # alpha = (0.2, 0.12), sigma = 0.25 I, gamma = 1, T = 1; frozen from a
