@@ -235,7 +235,10 @@ def check_simulation_size(cfg: ScenarioConfig):
     errors, or when any array it would allocate passes MAX_BLOCK_BYTES.
     Models 1 to 3 make 3 columns per case, stepped as 3 rows per horizon:
     Y, the gain of models 2 and 3, and the unit intercepts Z3 and Z1 of
-    models 3 and 1."""
+    models 3 and 1.  Y and Z3 share one gain factor a step, Z1 steps by
+    1 + r dt and Y adds no shift: one step's factors, with their products,
+    take at most 3 numbers a row and path, and the figure path's factors of
+    every step 2 a row and step."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:

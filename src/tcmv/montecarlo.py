@@ -19,7 +19,8 @@ per horizon Y (the gain k1 of models 2 and 3), Z3 (model 3's unit
 intercept) and Z1 (model 1 at gamma = 1, whose G = 0).  A gain G = 0 needs
 no row: its Y is the compounding prod (1 + r dt).  Each column combines its
 rows at the end: model 2 = x0 Y, model 3 = x0 Y + Z3 / gamma and model 1 =
-x0 prod (1 + r dt) + Z1 / gamma.
+x0 prod (1 + r dt) + Z1 / gamma.  Each step forms each distinct factor
+once: Y and Z3 share one gain A, Z1's A is 1 + r dt and Y's B is 0.
 
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
@@ -89,8 +90,9 @@ def array_nbytes(
         "Gaussian increments per block": block_nbytes(cfg, n_factors),
         "step table": n * n_rows * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
-        # one step's factors, with their product
+        # one step's gains, shifts and products, at most 3 numbers a row
         "step factors": 3 * n_rows * m * 8,
+        "figure path step factors": 2 * n * n_rows * 8,  # A and B of every step
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -194,28 +196,33 @@ class _Rows:
     split into rows: the nodes of each distinct T, each distinct row's
     (G, b, dt) and start value, and each column's _Column.  Rows are keyed
     by their sampled values, so the columns that share a gain or a unit
-    intercept on one horizon share its row."""
+    intercept on one horizon share its row.  They are ordered by how they
+    step: n_gains gain rows (G != 0, b = 0, from 1); n_shared intercept rows
+    (from 0) of a G != 0, the j-th paired with gain row j, so that a G with
+    two intercept rows has its gain row twice; the intercept rows of G = 0."""
 
     def __init__(self, columns: dict, n: int):
-        self.n, self.grids, self.rows, self.starts, self.columns = n, {}, [], [], []
-        index = {}
-
-        def row(T, G, b, start):
-            key = (T, G.tobytes(), b.tobytes())
-            if key not in index:
-                index[key] = len(self.rows)
-                self.rows.append((G, b, T / n))
-                self.starts.append(start)
-            return index[key]
-
+        self.n, self.grids, gains, shared, fixed, met = n, {}, {}, {}, {}, []
         for strategy, obj in columns.values():
             T = obj.horizon_T
             if T not in self.grids:
                 self.grids[T] = np.linspace(0.0, T, n + 1)
             G, b1 = strategy.unit_coefficients(self.grids[T])
-            gain = row(T, G, np.zeros_like(G), 1.0) if G.any() else None
-            intercept = row(T, G, b1, 0.0) if b1.any() else None
-            self.columns.append(_Column(T, float(obj.gamma), gain, intercept))
+            gain = (T, G.tobytes()) if G.any() else None
+            intercept = (T, G.tobytes(), b1.tobytes()) if b1.any() else None
+            if gain:
+                gains.setdefault(gain, (G, np.zeros_like(G), T / n))
+            if intercept:
+                (shared if gain else fixed).setdefault(intercept, (G, b1, T / n))
+            met.append((T, float(obj.gamma), gain, intercept))
+        slots = [k[:2] for k in shared]
+        slots += [k for k in gains if k not in slots]
+        keys = slots + list(shared) + list(fixed)
+        index = {k: i for i, k in reversed(list(enumerate(keys)))}  # a key's first row
+        self.rows = [gains[k] for k in slots] + list(shared.values()) + list(fixed.values())
+        self.starts = [1.0] * len(slots) + [0.0] * (len(shared) + len(fixed))
+        self.n_gains, self.n_shared = len(slots), len(shared)
+        self.columns = [_Column(T, g, index.get(y), index.get(z)) for T, g, y, z in met]
 
     def compounding(self, r: float) -> dict:
         """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
@@ -235,33 +242,70 @@ class _Rows:
         return z
 
 
-def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray,
-               path: np.ndarray | None = None, scratch: np.ndarray | None = None):
-    """x <- x (A + C z) + (B + E z) in place for every step of the table,
-    for x the (R, m) rows of m paths and normals their (n, d, m) standard
-    normals, step-major; with path, an (n + 1, R, m) array, each step's x
-    is kept.
+def _factors(gains, shifts, z, gain, shift, gain_tmp, shift_tmp):
+    """A + C z of the gain rows into gain and B + E z of the intercept rows
+    into shift, (K, m) and (R - K, m), by the operations of the per-row step,
+    for gains and shifts those rows' table entries, entry first, and z the
+    (d, m) normals of m paths."""
+    d = len(z)
+    np.multiply(gains[2], z[0], out=gain)
+    np.multiply(shifts[2 + d], z[0], out=shift)
+    for j in range(1, d):
+        gain += np.multiply(gains[2 + j], z[j], out=gain_tmp)
+        shift += np.multiply(shifts[2 + d + j], z[j], out=shift_tmp)
+    gain += gains[0]
+    shift += shifts[1]
 
-    Each step forms its factors A + C z and B + E z in a (3, R, m) view of
-    scratch, a flat buffer of at least 3 R m numbers, where one is given.
-    Each operation is elementwise, so a row's bits depend on its own
-    coefficients alone, and a non-finite wealth stays non-finite."""
-    d = normals.shape[1]
+
+def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Rows,
+               scratch: np.ndarray | None = None):
+    """x <- x A + B in place for every step of the table, for x the (R, m)
+    rows of plan on m paths and normals their (n, d, m) standard normals,
+    step-major.  A gain row's A multiplies it and the intercept row paired
+    with it; a G = 0 row's A + C z is its entry 1 + r dt, as C = +0; a gain
+    row's B + E z is +0, added as zero rows of the shift so that -0 turns
+    +0.  Each row's operations are elementwise and those of the per-row
+    step, so its bits depend on its own coefficients alone.  The factors go
+    in a view of scratch, of at least 3 R m numbers, where one is given."""
+    (R, m), K, J = x.shape, plan.n_gains, plan.n_shared
     if scratch is None:
         scratch = np.empty(3 * x.size)
-    gain, shift, tmp = scratch[: 3 * x.size].reshape(3, *x.shape)
-    for i, (coef, z) in enumerate(zip(table, normals)):
-        np.multiply(coef[2], z[0], out=gain)
-        np.multiply(coef[2 + d], z[0], out=shift)
-        for j in range(1, d):
-            gain += np.multiply(coef[2 + j], z[j], out=tmp)
-            shift += np.multiply(coef[2 + d + j], z[j], out=tmp)
-        gain += coef[0]
-        shift += coef[1]
-        x *= gain
-        x += shift
-        if path is not None:
-            path[i + 1] = x
+    factors = scratch[: 3 * x.size].reshape(-1, m)
+    gain, shift, tmp = factors[:K], factors[K : K + R], factors[K + R :]
+    shift[:K] = 0.0
+    views = shift[K:], tmp[:K], tmp[: R - K]
+    head, shared, fixed, lead = x[:K], x[K : K + J], x[K + J :], gain[:J]
+    steps = zip(table[:, :, :K], table[:, :, K:], table[:, 0, K + J :], normals)
+    with np.errstate():
+        # to broadcast an (R, 1) entry against (R, m) rows numpy copies them
+        # through its ufunc buffer; with the least buffer it steps them in
+        # place, 2-3 times faster, and every operation is elementwise
+        np.setbufsize(16)
+        for gains, shifts, a, z in steps:
+            _factors(gains, shifts, z, gain, *views)
+            head *= gain
+            shared *= lead
+            fixed *= a
+            x += shift
+
+
+def _step_path(table: np.ndarray, z: np.ndarray, plan: _Rows) -> np.ndarray:
+    """Every row of plan at the n + 1 nodes of one path, (n + 1, R), for z
+    its (n, d) normals: the steps of :func:`_step_rows` at m = 1, bit for
+    bit, with the A and B of every step formed as one step of n paths, in
+    2 n R numbers, so that each step is x A + B alone."""
+    n, R, K, J = len(table), len(plan.rows), plan.n_gains, plan.n_shared
+    coef = table[..., 0].transpose(1, 2, 0)  # (2 + 2d, R, n)
+    A, B = np.empty((2, R, n))
+    # the products go where no gain or shift is formed
+    _factors(coef[:, :K], coef[:, K:], z.T, A[:K], B[K:], B[:K], A[K:])
+    A[K : K + J], A[K + J :], B[:K] = A[:J], coef[0, K + J :], 0.0
+    wealth = np.empty((n + 1, R))
+    wealth[0] = plan.starts
+    for x, step, a, b in zip(wealth[:-1], wealth[1:], A.T, B.T):
+        np.multiply(x, a, out=step)
+        step += b
+    return wealth
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
@@ -365,7 +409,7 @@ def simulate_models(
             x = terminal[:, first : first + m]
             with stepping, np.errstate(over="ignore", invalid="ignore"):
                 x[...] = starts
-                _step_rows(x, table, z, scratch=scratch)
+                _step_rows(x, table, z, plan, scratch)
 
         return run_block
 
@@ -430,6 +474,9 @@ def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationRepo
     reward = mean - 0.5 * gamma * var
     var_reward = se_mean**2 + (0.5 * gamma * se_var) ** 2 - gamma * m3 / n
     se_reward = np.sqrt(max(var_reward, 0.0))
+    if not np.isfinite(se_reward):  # gamma scaled out where its square overflows
+        se_reward = gamma * np.sqrt(max((se_mean / gamma) ** 2 + (0.5 * se_var) ** 2
+                                        - m3 / gamma / n, 0.0))
     return SimulationReport(
         mean, var, reward, float(se_mean), float(se_var), float(se_reward), n, n_excluded
     )
@@ -472,11 +519,7 @@ def reproduce_figure_paths(
         w = np.vstack([np.zeros(d), np.cumsum(z * np.sqrt(T / n_steps), axis=0)])
         prices[T] = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    wealth = np.empty((n_steps + 1, len(plan.rows), 1))
-    wealth[0, :, 0] = plan.starts
-    _step_rows(wealth[0].copy(), table, z[:, :, None], wealth)
-
-    rows = wealth[:, :, 0].T
+    rows = _step_path(table, z, plan).T
     compounding = plan.compounding(params.r)
     records = {}
     for (key, (strategy, _)), column in zip(columns.items(), plan.columns):

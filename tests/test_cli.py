@@ -857,26 +857,43 @@ class TestSimulateCommand:
         assert err.startswith("simulation explosion:") and "x0 = 1e+200" in err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("old, new, cause", [
-        ("gamma = 1, 3", "gamma = 1e300", "the reward mean - (gamma/2) variance or its "
-         "standard error exceeds the float64 range (gamma = 1e+300)"),
-        ("seed = 9", "seed = 9\nx0 = 1e80",
+    @pytest.mark.parametrize("changes, cause", [
+        # at gamma = 1e300 the reward's standard error squares gamma times
+        # that of the variance beyond float64, and is finite with gamma
+        # scaled out: the run succeeds
+        ({"gamma = 1, 3": "gamma = 1e300"}, None),
+        # at x0 = 1e10 too, model 2's (gamma/2) variance is about 1e318
+        ({"gamma = 1, 3": "gamma = 1e300", "seed = 9": "seed = 9\nx0 = 1e10"},
+         "the reward mean - (gamma/2) variance or its standard error exceeds the float64 "
+         "range (gamma = 1e+300)"),
+        ({"seed = 9": "seed = 9\nx0 = 1e80"},
          "the moments of terminal wealth exceed the float64 range (x0 = 1e+80)"),
-    ], ids=["gamma", "x0"])
-    def test_overflowing_estimates_name_their_cause(self, tmp_path, capsys, old, new, cause):
+    ], ids=["gamma", "reward", "x0"])
+    def test_overflowing_estimates_name_their_cause(self, tmp_path, capsys, changes, cause):
         # the square of gamma (in the solve) or of the sample variance once
-        # raised OverflowError; at gamma = 1e300 the reward's standard error
-        # overflows, and at x0 = 1e80 the variance's
+        # raised OverflowError, and the square of gamma times the variance's
+        # standard error once refused a finite reward
+        text = (FIGURE_CFG.replace("n_paths = 2000", "n_paths = 500")
+                .replace("n_time_steps = 100", "n_time_steps = 20"))
+        for old, new in changes.items():
+            text = text.replace(old, new)
         path = tmp_path / "big.cfg"
-        path.write_text(FIGURE_CFG.replace(old, new)
-                        .replace("n_paths = 2000", "n_paths = 500")
-                        .replace("n_time_steps = 100", "n_time_steps = 20"))
+        path.write_text(text)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", str(path), "--out-dir", str(out)]) == 5
-        assert capsys.readouterr().err == f"simulation explosion: {cause}\n"
-        assert not any(out.iterdir())
+            code = main(["simulate", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if cause is not None:
+            assert (code, err) == (5, f"simulation explosion: {cause}\n")
+            assert not any(out.iterdir())
+            return
+        assert (code, err) == (0, "")
+        header, rows = _read_rows(out / "simulation_summary.csv")
+        assert header[3:] == ["mean", "variance", "reward", "se_mean", "se_variance",
+                              "se_reward", "n_excluded"]
+        cells = np.array([row[3:] for row in rows], dtype=float)
+        assert cells.shape == (3, 7) and np.all(np.isfinite(cells))
 
     def test_paths_have_all_models(self, figure_cfg, tmp_path):
         out = tmp_path / "out"

@@ -72,6 +72,20 @@ class TestSimulate:
         assert report.reward_estimate == pytest.approx(expected, abs=1e-12)
         assert report.se_mean >= 0 and report.se_variance >= 0 and report.se_reward >= 0
 
+    def test_reward_error_scales_gamma_out_only_where_it_overflows(self):
+        # (gamma/2 se_variance)^2 overflows at gamma = 1e300, not at 1e150:
+        # the error of the reward, dominated by that term, scales with gamma
+        values = np.random.default_rng(3).normal(size=500)
+        with np.errstate(over="ignore"):  # as in simulate_models
+            small, huge = _report(values, 1e150, 0), _report(values, 1e300, 0)
+        assert np.isfinite(huge.reward_estimate) and np.isfinite(huge.se_reward)
+        assert huge.se_reward == pytest.approx(1e150 * small.se_reward, rel=1e-12)
+        # where the plain form is finite it is kept, bit for bit
+        n, mean = values.size, values.mean()
+        m3 = float(np.mean((values - mean) ** 3))
+        plain = small.se_mean**2 + (0.5 * 1e150 * small.se_variance) ** 2 - 1e150 * m3 / n
+        assert small.se_reward == np.sqrt(plain)
+
     def test_model2_moments_within_three_se(self, symmetric_params, unit_grid):
         sol = solve_model2(symmetric_params, unit_grid)
         vals = evaluate_model2(symmetric_params, sol.k, 1.0)
@@ -479,34 +493,85 @@ def reference_step(x, z, coef, work):
     x += shift
 
 
-@given(
-    st.integers(1, 7),
-    st.integers(1, 300),
+def random_plan(rng, n, d, shared, own):
+    """A market of 2 stocks on d factors and the _Rows of n steps of random
+    Affine columns, in random order: one gain G per entry of shared, with
+    that many intercepts of its G, and own intercepts of G = 0.
+    Each coefficient array is scaled by 0, -0, 1 or 1e200, so a gain may
+    vanish, signed zeros meet, and wealth may overflow."""
+    sigma = {1: [[0.3], [0.1]], 2: [[0.25, 0.0], [0.0, 0.2]], 3: [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]]}
+    params = MarketParams([0.2, 0.12], sigma[d], 0.04)
+
+    def draw():
+        return rng.normal(size=(n + 1, 2)) * rng.choice([0.0, -0.0, 1.0, 1e200])
+
+    strategies = []
+    for k in shared:
+        T, G = rng.choice([1.0, 0.5]), draw()
+        strategies += [(Affine(G, draw()), T) for _ in range(k)] or [(Affine(G, 0.0 * G), T)]
+    for _ in range(own):
+        G = np.full((n + 1, 2), rng.choice([0.0, -0.0]))
+        strategies.append((Affine(G, draw()), rng.choice([1.0, 0.5])))
+    columns = {i: (strategies[i][0], ObjectiveSpec(1.0, strategies[i][1]))
+               for i in rng.permutation(len(strategies))}
+    return params, montecarlo._Rows(columns, n)
+
+
+PLANS = (
     st.integers(1, 40),
     st.integers(1, 3),
-    st.booleans(),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.integers(0, 2),
     st.integers(0, 2**32),
 )
-@example(R=6, m=1, n=40, d=2, scratch=True, seed=0)  # the figure paths' one path
+
+
+@given(st.integers(1, 300), *PLANS, st.booleans())
+# the CLI's rows of two horizons on the figure paths' one path, and a G
+# with two intercept rows (its gain stepped twice) beside one with none
+@example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, scratch=True)
+@example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, scratch=False)
 @settings(max_examples=40, deadline=None)
-def test_step_rows_matches_the_per_step_reference(R, m, n, d, scratch, seed):
-    # steps from step-major normals step each row bit for bit as the
-    # reference, its path included, overflow and signed zeros too, in their
-    # own buffers or in given scratch
+def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, scratch):
+    # the rows of a random plan stepped from step-major normals keep the
+    # bits of the reference on the per-row table at every step, overflow
+    # and signed zeros too, in their own buffers or in given scratch
     rng = np.random.default_rng(seed)
-    table = rng.normal(size=(n, 2 + 2 * d, R, 1)) * rng.choice([0.0, -0.0, 1.0, 1e200], size=(1, 1, R, 1))
+    params, plan = random_plan(rng, n, d, shared, own)
+    R = len(plan.rows)
+    table = _step_table(params, plan.rows, n)
     normals = rng.normal(size=(n, d, m))
-    x = rng.normal(size=(R, m))
-    ref, work = x.copy(), np.empty((3, R, m))
-    path = np.empty((n + 1, R, m))
-    path[0] = x
+    x = rng.normal(size=(R, m)) * rng.choice([0.0, -0.0, 1.0], size=(R, m))
+    ref, whole, work = x.copy(), x.copy(), np.empty((3, R, m))
     given = np.full(3 * R * m, np.nan) if scratch else None
+    bufsize = np.getbufsize()
     with np.errstate(over="ignore", invalid="ignore"):
-        montecarlo._step_rows(x, table, normals, path, given)
         for i in range(n):
+            montecarlo._step_rows(x, table[i : i + 1], normals[i : i + 1], plan, given)
             reference_step(ref, normals[i], table[i], work)
-            assert same_bits(path[i + 1], ref)
-    assert same_bits(x, ref)
+            assert same_bits(x, ref)
+        montecarlo._step_rows(whole, table, normals, plan, given)
+        assert np.getbufsize() == bufsize  # the stepping keeps its buffer size to itself
+    assert same_bits(whole, ref)
+
+
+@given(*PLANS)
+@example(n=40, d=2, shared=[1, 1], own=2, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed):
+    # the figure path's factors, formed for every step at once, step each
+    # row of one path bit for bit as the block stepping does at m = 1
+    rng = np.random.default_rng(seed)
+    params, plan = random_plan(rng, n, d, shared, own)
+    table = _step_table(params, plan.rows, n)
+    z = rng.normal(size=(n, d))
+    x = np.array(plan.starts).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = montecarlo._step_path(table, z, plan)
+        assert same_bits(path[0], x[:, 0])
+        for i in range(n):
+            montecarlo._step_rows(x, table[i : i + 1], z[i : i + 1, :, None], plan)
+            assert same_bits(path[i + 1], x[:, 0])
 
 
 @given(
@@ -706,6 +771,44 @@ class TestRows:
         # per horizon, Y from 1 and Z3 and Z1 from 0
         assert sorted(plan.starts) == [0.0] * 4 + [1.0] * 2
         assert _step_table(cfg.params, plan.rows, 50).shape == (50, 6, 6, 1)
+
+    def test_rows_are_ordered_by_how_they_step(self, run):
+        # the gain rows Y first, then the Z3 of their G in their order, then
+        # the Z1 of G = 0, each horizon in the order it was met; the table is
+        # built in that order
+        cfg, cases = run
+        plan = montecarlo._Rows(cli_columns(cases), 50)
+        G, b, dt = zip(*plan.rows)
+        assert plan.n_gains == plan.n_shared == 2
+        assert [g.any() for g in G] == [True] * 4 + [False] * 2
+        assert [c.any() for c in b] == [False] * 2 + [True] * 4
+        assert plan.starts == [1.0] * 2 + [0.0] * 4
+        assert dt == (1 / 50, 0.5 / 50) * 3
+        assert same_bits(G[2:4], G[:2])
+        table = _step_table(cfg.params, plan.rows, 50)
+        for j, row in enumerate(plan.rows):
+            assert same_bits(table[:, :, j], _step_table(cfg.params, [row], 50)[:, :, 0])
+
+    def test_intercept_rows_follow_their_gain_row(self):
+        # columns met intercept first: each intercept row of a gain follows
+        # in the order met, paired with a gain row of its G in the same
+        # order, a second intercept of one G with a second copy of its gain;
+        # then the gain rows no intercept shares and the intercepts of G = 0
+        G1, G2, zero, b = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2)
+        obj = ObjectiveSpec(2.0, 1.0)
+        strategies = [Affine(zero, b), Affine(G1, b), Affine(G2, 0 * b), Affine(G1, 2 * b),
+                      Affine(2 * G2, 3 * b), Affine(G2, 0 * b)]
+        plan = montecarlo._Rows({i: (s, obj) for i, s in enumerate(strategies)}, 4)
+        assert [(row[0][0].tolist(), row[1][0].tolist()) for row in plan.rows] == [
+            (G1.tolist(), [0.0, 0.0]), (G1.tolist(), [0.0, 0.0]), ((2 * G2).tolist(), [0.0, 0.0]),
+            (G2.tolist(), [0.0, 0.0]), (G1.tolist(), b.tolist()), (G1.tolist(), (2 * b).tolist()),
+            ((2 * G2).tolist(), (3 * b).tolist()), (zero.tolist(), b.tolist()),
+        ]
+        assert plan.starts == [1.0] * 4 + [0.0] * 4
+        assert plan.n_gains == 4 and plan.n_shared == 3
+        assert [(c.gain, c.intercept) for c in plan.columns] == [
+            (None, 7), (0, 4), (3, None), (0, 5), (2, 6), (3, None)
+        ]
 
     def test_rows_match_the_per_column_reference_loop(self, run):
         cfg, cases = run
