@@ -14,7 +14,6 @@ importing the package, or solving, never loads tcmv.montecarlo.
 from .errors import (
     CoefficientRangeError,
     ConfigError,
-    DegenerateAssetError,
     DegenerateMarketError,
     InvalidCorrelationError,
     MarketValidationError,
@@ -28,8 +27,6 @@ from .market import (
     MarketParams,
     ObjectiveSpec,
     decorrelate,
-    market_price_of_risk,
-    price_covariance,
     validate_distinct_volatility,
 )
 from .model1 import Model1Solution, diagnose_one_factor, solve_model1
@@ -59,7 +56,6 @@ __all__ = [
     "CoefficientRangeError",
     "ConfigError",
     "CorrelationSpec",
-    "DegenerateAssetError",
     "DegenerateMarketError",
     "InvalidCorrelationError",
     "MarketParams",
@@ -82,8 +78,6 @@ __all__ = [
     "decorrelate",
     "diagnose_one_factor",
     "evaluate_model2",
-    "market_price_of_risk",
-    "price_covariance",
     "simulate",
     "simulate_models",
     "solve_model1",

@@ -266,8 +266,8 @@ def _grid_for(cfg: ScenarioConfig, T: float) -> TimeGrid:
 class SolvedCase:
     gamma: float
     T: float
-    m1: Model1Solution | None
-    m1_error: str | None
+    m1: Model1Solution | None  # None on a singular covariance
+    m1_note: str  # model 1's diagnostics line: theta_sq, or why it has no solution
     m3: Model3Solution  # m3.gain is model 2; gain and kernels are one per horizon
 
 
@@ -280,12 +280,12 @@ def _solve_all(cfg: ScenarioConfig) -> list[SolvedCase]:
     cases = []
     for i, gamma in enumerate(cfg.gammas):
         for T, solutions in zip(cfg.horizons, by_horizon):
-            m1, m1_error = None, None
             try:
                 m1 = solve_model1(cfg.params, ObjectiveSpec(gamma, T))
+                m1_note = f"theta_sq={fmt(m1.theta_sq)}"
             except SingularMarketError as exc:
-                m1_error = str(exc)
-            cases.append(SolvedCase(gamma, T, m1, m1_error, solutions[i]))
+                m1, m1_note = None, str(exc)
+            cases.append(SolvedCase(gamma, T, m1, m1_note, solutions[i]))
     return cases
 
 
@@ -366,25 +366,26 @@ def _mean_variance_lines(cases: list[SolvedCase]):
     yield "gamma,T,model,x,mean,variance\n"
     x, x_text = _WEALTH_GRID, fmt_column(_WEALTH_GRID)
     for case in cases:
-        moments = {}
-        if case.m1 is not None:
-            variance = np.full_like(x, case.m1.terminal_variance(0.0))
-            moments["model1"] = (case.m1.expected_wealth(0.0, x), variance)
-        # model 2 is model 3 with k2 = 0, on the same kernels
-        model2 = gain_moments(case.m3.kernels, case.gamma)
-        for model, m in (("model2", model2), ("model3", case.m3.moments)):
-            moments[model] = (m.mean(0.0, x), m.variance(0.0, x))
-        for model, columns in moments.items():
-            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text, *columns)
+        for model, m in _moments(case).items():
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
+                        m.mean(0.0, x), m.variance(0.0, x))
+
+
+def _model1(case: SolvedCase) -> dict:
+    """Model 1's entry of a case's dicts: none on a singular covariance."""
+    return {} if case.m1 is None else {"model1": case.m1}
 
 
 def _strategies(case: SolvedCase) -> dict:
-    strategies = {}
-    if case.m1 is not None:
-        strategies["model1"] = case.m1
-    strategies["model2"] = case.m3.gain
-    strategies["model3"] = case.m3
-    return strategies
+    """Each model's Monte Carlo strategy."""
+    return {**_model1(case), "model2": case.m3.gain, "model3": case.m3}
+
+
+def _moments(case: SolvedCase) -> dict:
+    """Each model's terminal-wealth moments, mean(t, x), variance(t, x) and
+    value(t, x); model 2's are model 3's with k2 = 0, on the same kernels."""
+    model2 = gain_moments(case.m3.kernels, case.gamma)
+    return {**_model1(case), "model2": model2, "model3": case.m3.moments}
 
 
 def _paths_lines(T: float, records: dict, by_horizon: dict) -> list[str]:
@@ -443,10 +444,7 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]):
     k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
         lines = [f"== gamma={fmt(case.gamma)} T={fmt(case.T)} =="]
-        if case.m1 is not None:
-            lines.append(f"model1: theta_sq={fmt(case.m1.theta_sq)}")
-        else:
-            lines.append(f"model1: {case.m1_error}")
+        lines.append(f"model1: {case.m1_note}")
         gain, k2_solve = case.m3.gain, case.m3.k2_solve
         gain_text = (
             f"iterations={gain.iterations} delta={fmt(gain.delta)} "

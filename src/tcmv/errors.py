@@ -13,10 +13,6 @@ class InvalidCorrelationError(MarketValidationError):
     """Correlation matrix is not symmetric / unit-diagonal / in [-1, 1] / PSD."""
 
 
-class DegenerateAssetError(MarketValidationError):
-    """An asset has zero volatility where a positive one is required."""
-
-
 class DegenerateMarketError(MarketValidationError):
     """The two stocks have (numerically) identical volatility rows.
 

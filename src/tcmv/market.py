@@ -1,5 +1,5 @@
-"""Market parameterization, validation, Brownian decorrelation and exact
-price covariance for a set of geometric Brownian stocks.
+"""Market parameterization, validation and Brownian decorrelation for a
+set of geometric Brownian stocks.
 
 Stock i follows dS_i = alpha_i S_i dt + sum_j sigma_ij S_i dW_j, where the
 driving Brownian motions may be correlated.  Everything downstream of this
@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAssetError,
-    InvalidCorrelationError,
-    MarketValidationError,
-)
+from .errors import InvalidCorrelationError, MarketValidationError
 
 # Classification codes for validate_distinct_volatility failures.
 IDENTICAL_ASSETS = "identical-assets"
@@ -162,42 +158,6 @@ def decorrelate(sigma: np.ndarray, rho: CorrelationSpec) -> np.ndarray:
             f"sigma has {sigma.shape[1]} factor columns, rho is {rho.n_factors}x{rho.n_factors}"
         )
     return sigma @ _psd_cholesky(rho.rho)
-
-
-def price_covariance(
-    params: MarketParams,
-    rho: CorrelationSpec,
-    i: int,
-    j: int,
-    t: float,
-    s0: np.ndarray | None = None,
-) -> float:
-    """Cov(S_it, S_jt) = S_i0 S_j0 e^{(a_i+a_j)t} (e^{sum_k s~_ik s~_jk t} - 1)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    n = params.n_stocks
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("stock index out of range")
-    if s0 is None:
-        s0 = np.ones(n)
-    sig = decorrelate(params.sigma, rho)
-    cross = float(sig[i] @ sig[j])
-    return float(
-        s0[i]
-        * s0[j]
-        * np.exp((params.alpha[i] + params.alpha[j]) * t)
-        * np.expm1(cross * t)
-    )
-
-
-def market_price_of_risk(params: MarketParams, i: int) -> float:
-    """Excess drift per unit of total volatility, (alpha_i - r) / ||sigma row i||."""
-    if not 0 <= i < params.n_stocks:
-        raise IndexError("stock index out of range")
-    norm = float(np.linalg.norm(params.sigma[i]))
-    if norm <= 0.0:
-        raise DegenerateAssetError(f"stock {i} has zero volatility")
-    return (params.alpha[i] - params.r) / norm
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The control is wealth-independent and available in closed form:
 u^(t) = (1/gamma) e^{-r(T-t)} (sigma sigma^T)^{-1} (alpha - r 1).
-The value function and the expected-wealth function are affine in wealth.
+The mean of terminal wealth and the value function are affine in wealth,
+and its variance does not depend on wealth.
 Risk aversion only scales the control, so the solution is its own Monte
 Carlo strategy: G = 0 and the control at gamma = 1 as intercept b1, which
 a column divides by its objective's gamma.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAssetError, SingularMarketError
+from .errors import SingularMarketError
 from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, square
 from .model2 import _require_in_range
 
@@ -48,38 +49,44 @@ class Model1Solution:
         b1 = self.unit_control(times)
         return np.zeros_like(b1), b1
 
-    def expected_wealth(self, t: float, x: float) -> float:
-        """g(t, x) = E[X_T] under the equilibrium control."""
+    def mean(self, t, x):
+        """E[X_T] = e^{r(T-t)} x + theta_sq (T - t) / gamma, broadcast over t and x."""
         r, T = self.params.r, self.obj.horizon_T
         return np.exp(r * (T - t)) * x + self.theta_sq * (T - t) / self.obj.gamma
 
-    def value(self, t: float, x: float) -> float:
-        """V(t, x) = E[X_T] - (gamma/2) Var[X_T]."""
-        return self.expected_wealth(t, x) - 0.5 * self.obj.gamma * self.terminal_variance(t)
+    def variance(self, t, x):
+        """Var[X_T] = theta_sq (T - t) / gamma^2, free of x but shaped as the mean."""
+        load = self.theta_sq * (self.obj.horizon_T - t) / square(self.obj.gamma)
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(x)), load)
 
-    def terminal_variance(self, t: float) -> float:
-        """Var[X_T] = (2/gamma)(g - V) = theta_sq (T - t) / gamma^2."""
-        return self.theta_sq * (self.obj.horizon_T - t) / square(self.obj.gamma)
+    def value(self, t, x):
+        """V(t, x) = E[X_T] - (gamma/2) Var[X_T]."""
+        return self.mean(t, x) - 0.5 * self.obj.gamma * self.variance(t, x)
+
+    # perfbench's analytic moments read these two names; mean and variance
+    # are the interface every model shares.
+    def expected_wealth(self, t, x):
+        return self.mean(t, x)
+
+    def terminal_variance(self, t):
+        return self.variance(t, 0.0)
 
 
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     """Closed-form equilibrium with a bank account; any number of stocks.
 
-    A numerically singular covariance is routed to the one-factor diagnosis
-    and reported through SingularMarketError; a control, mean or variance
-    beyond float64 through CoefficientRangeError.
+    A numerically singular covariance is reported through
+    SingularMarketError, with the one-factor diagnosis where one applies; a
+    control, mean or variance beyond float64 through CoefficientRangeError.
     """
     cov = params.sigma @ params.sigma.T
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        diagnosis = None
-        try:
-            diagnosis = diagnose_one_factor(params, obj)
-        except ValueError:
-            pass
+        diagnosis = diagnose_one_factor(params)
         raise SingularMarketError(
-            "instantaneous covariance matrix is singular; no unique equilibrium",
-            diagnosis=diagnosis,
+            "instantaneous covariance matrix is singular; no unique equilibrium"
+            if diagnosis is None else f"{diagnosis.classification}: {diagnosis.message}",
+            diagnosis,
         )
     excess = params.alpha - params.r
     weights = np.linalg.solve(cov, excess)
@@ -99,70 +106,35 @@ class OneFactorDiagnosis:
     """Outcome of the single-Brownian-motion analysis for two stocks.
 
     With equal market prices of risk the control is non-unique: only the
-    combination s11 u1 + s21 u2 is pinned down, and V and g are still
-    available.  With unequal prices of risk there is no equilibrium
-    (arbitrage between the co-driven stocks).
+    combination s11 u1 + s21 u2 is pinned down.  With unequal prices of
+    risk there is no equilibrium (arbitrage between the co-driven stocks).
     """
 
-    params: MarketParams
-    obj: ObjectiveSpec
     classification: str  # SHARED_RISK_CONSTRAINT or ARBITRAGE
-    prices_of_risk: tuple[float, float]
     message: str
 
-    @property
-    def equal_price_of_risk(self) -> bool:
-        return self.classification == SHARED_RISK_CONSTRAINT
 
-    def _require_constraint_case(self):
-        if not self.equal_price_of_risk:
-            raise ValueError("no equilibrium exists in the arbitrage case")
-
-    def constraint_value(self, t: float) -> float:
-        """Target of s11 u1 + s21 u2: (1/gamma) theta e^{-r(T-t)}."""
-        self._require_constraint_case()
-        r, T = self.params.r, self.obj.horizon_T
-        return self.prices_of_risk[0] * np.exp(-r * (T - t)) / self.obj.gamma
-
-    def expected_wealth(self, t: float, x: float) -> float:
-        self._require_constraint_case()
-        r, T = self.params.r, self.obj.horizon_T
-        theta = self.prices_of_risk[0]
-        return np.exp(r * (T - t)) * x + theta**2 * (T - t) / self.obj.gamma
-
-    def value(self, t: float, x: float) -> float:
-        self._require_constraint_case()
-        r, T = self.params.r, self.obj.horizon_T
-        theta = self.prices_of_risk[0]
-        return np.exp(r * (T - t)) * x + theta**2 * (T - t) / (2 * self.obj.gamma)
-
-
-def diagnose_one_factor(params: MarketParams, obj: ObjectiveSpec) -> OneFactorDiagnosis:
-    """Classify a two-stock market driven by a single Brownian motion."""
+def diagnose_one_factor(params: MarketParams) -> OneFactorDiagnosis | None:
+    """Classify a two-stock market driven by a single Brownian motion; None
+    for any other market, or when a stock does not load on that motion."""
     if params.n_stocks != 2:
-        raise ValueError("one-factor diagnosis applies to two-stock markets")
+        return None
     scale = max(1.0, float(np.max(np.abs(params.sigma))))
     if params.n_factors > 1 and np.max(np.abs(params.sigma[:, 1:])) > 1e-12 * scale:
-        raise ValueError("market is not effectively one-factor (column 2 not ~0)")
+        return None
     s1, s2 = params.sigma[0, 0], params.sigma[1, 0]
     if s1 == 0.0 or s2 == 0.0:
-        raise DegenerateAssetError("one-factor diagnosis needs both loadings nonzero")
+        return None
     theta1 = (params.alpha[0] - params.r) / s1
     theta2 = (params.alpha[1] - params.r) / s2
     if abs(theta1 - theta2) <= EQUAL_PRICE_OF_RISK_TOL * max(1.0, abs(theta1), abs(theta2)):
         return OneFactorDiagnosis(
-            params,
-            obj,
             SHARED_RISK_CONSTRAINT,
-            (theta1, theta2),
             "equal market prices of risk: allocations on the constraint line "
             "are all equilibria",
         )
     return OneFactorDiagnosis(
-        params,
-        obj,
         ARBITRAGE,
-        (theta1, theta2),
         "no equilibrium exists: unequal market prices of risk on one "
         "Brownian motion imply arbitrage",
     )

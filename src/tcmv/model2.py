@@ -227,9 +227,6 @@ class MomentCoefficients:
         inv = self.i1_inv(t)
         return inv * inv * (self.c0(t) * x * x) + self.variance_load(t)
 
-    def expected_wealth(self, t, x):
-        return self.mean(t, x)
-
     def value(self, t, x):
         return self.mean(t, x) - 0.5 * self.gamma * self.variance(t, x)
 

@@ -124,28 +124,16 @@ def reference_allocation_lines(cases):
 
 def reference_mean_variance_lines(cases):
     """mean_variance_vs_wealth.csv one scalar moment and fmt call per cell,
-    model 2 evaluated once per case."""
+    model 2 evaluated once per case from its own gain."""
     lines = ["gamma,T,model,x,mean,variance"]
     for case in cases:
-        rows = []
-        if case.m1 is not None:
-            rows += [
-                ("model1", x, case.m1.expected_wealth(0.0, x), case.m1.terminal_variance(0.0))
-                for x in cli._WEALTH_GRID
-            ]
-        vals2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
-        rows += [
-            ("model2", x, vals2.mean(0.0, x), vals2.variance(0.0, x))
-            for x in cli._WEALTH_GRID
-        ]
-        mom = case.m3.moments
-        rows += [
-            ("model3", x, mom.mean(0.0, x), mom.variance(0.0, x)) for x in cli._WEALTH_GRID
-        ]
-        for model, x, mean, var in rows:
-            lines.append(
-                f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},{fmt(mean)},{fmt(var)}"
-            )
+        model2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
+        for model, m in {**cli._moments(case), "model2": model2}.items():
+            for x in cli._WEALTH_GRID:
+                lines.append(
+                    f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
+                    f"{fmt(m.mean(0.0, x))},{fmt(m.variance(0.0, x))}"
+                )
     return lines
 
 
@@ -936,6 +924,62 @@ class TestBoundsCommand:
             k1_table = lines[lines.index("k1 iterate error bound:") + 1 :][:12]
             assert k1_table[0] == "K = 6220.49419543"
             assert [row.split(",")[2] for row in k1_table[2:]] == ["inf"] * 10
+
+
+class TestSingularBankMarkets:
+    """Markets whose covariance is singular: model 1 has no unique
+    equilibrium and its diagnostics line says why, while models 2 and 3,
+    which have no bank, solve, a riskless stock acting as their bank."""
+
+    MARKETS = {
+        "riskless stock 2": ("0.2, 0.05", "0.3 0; 0 0", "covariance matrix is singular"),
+        "riskless stock 1": ("0.2, 0.05", "0 0; 0.3 0", "covariance matrix is singular"),
+        "riskless stock 2, two factors": (
+            "0.2, 0.05", "0.3 0.1; 0 0", "covariance matrix is singular"),
+        "one factor": ("0.2, 0.12", "0.3 0; 0.2 0", "arbitrage: no equilibrium exists"),
+    }
+
+    @pytest.fixture(params=sorted(MARKETS))
+    def market(self, request, tmp_path):
+        alpha, sigma, model1 = self.MARKETS[request.param]
+        path = tmp_path / "singular.cfg"
+        path.write_text(
+            FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
+            .replace("0.25 0; 0 0.25", sigma)
+            .replace("gamma = 1, 3", "gamma = 3")
+            .replace("n_paths = 2000", "n_paths = 512")
+            .replace("n_time_steps = 100", "n_time_steps = 50")
+        )
+        return str(path), model1
+
+    @staticmethod
+    def _run(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(list(argv))
+
+    def test_solve(self, market, tmp_path, capsys):
+        path, model1 = market
+        out = tmp_path / "out"
+        assert self._run("solve", path, "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        line = (out / "diagnostics.txt").read_text().splitlines()[1]
+        assert line.startswith("model1: ") and model1 in line
+        for table in ("allocation_vs_wealth.csv", "mean_variance_vs_wealth.csv"):
+            _, rows = _read_rows(out / table)
+            assert sorted({row[2] for row in rows}) == ["model2", "model3"]
+
+    def test_bounds(self, market, capsys):
+        assert self._run("bounds", market[0]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "== gamma=3 T=1 ==" in captured.out
+
+    def test_simulate(self, market, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._run("simulate", market[0], "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_rows(out / "simulation_summary.csv")
+        assert [row[2] for row in rows] == ["model2", "model3"]
 
 
 STEEP_CFG = """\

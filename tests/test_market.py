@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from tcmv import (
     CorrelationSpec,
-    DegenerateAssetError,
     InvalidCorrelationError,
     MarketParams,
     MarketValidationError,
     decorrelate,
-    market_price_of_risk,
-    price_covariance,
     validate_distinct_volatility,
 )
 from tcmv.market import IDENTICAL_ASSETS, NO_EQUILIBRIUM
@@ -85,65 +82,6 @@ class TestDecorrelate:
         sigma = rng.uniform(-0.5, 0.5, size=(int(rng.integers(1, 4)), d))
         out = decorrelate(sigma, rho)
         assert np.allclose(out @ out.T, sigma @ rho.rho @ sigma.T, atol=1e-12)
-
-
-class TestPriceCovariance:
-    def test_zero_at_time_zero(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]])
-        assert price_covariance(p, CorrelationSpec.identity(2), 0, 1, 0.0) == 0.0
-
-    def test_single_stock_variance(self):
-        # Var(S_1t) = e^{2 alpha t} (e^{sigma^2 t} - 1) for one lognormal stock
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]])
-        got = price_covariance(p, CorrelationSpec.identity(2), 0, 0, 1.0)
-        assert got == pytest.approx(np.exp(0.4) * np.expm1(0.09), rel=1e-12)
-
-    def test_single_stock_variance_vs_sampling(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]])
-        analytic = price_covariance(p, CorrelationSpec.identity(2), 0, 0, 1.0)
-        rng = np.random.default_rng(99)
-        z = rng.standard_normal(100_000)
-        s = np.exp(0.2 - 0.5 * 0.09 + 0.3 * z)
-        se = np.std((s - s.mean()) ** 2, ddof=1) / np.sqrt(z.size)
-        assert abs(np.var(s, ddof=1) - analytic) < 3 * se
-
-    def test_independent_stocks_uncorrelated(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]])
-        assert price_covariance(p, CorrelationSpec.identity(2), 0, 1, 2.0) == 0.0
-
-    def test_symmetric_in_indices(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.1], [0.05, 0.2]])
-        rho = CorrelationSpec([[1.0, 0.3], [0.3, 1.0]])
-        assert price_covariance(p, rho, 0, 1, 1.5) == pytest.approx(
-            price_covariance(p, rho, 1, 0, 1.5)
-        )
-
-    def test_own_variance_nonnegative(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.1], [0.05, 0.2]])
-        rho = CorrelationSpec([[1.0, -0.4], [-0.4, 1.0]])
-        for t in np.linspace(0.0, 5.0, 11):
-            assert price_covariance(p, rho, 0, 0, t) >= 0.0
-
-    def test_negative_time_rejected(self):
-        p = MarketParams([0.2], [[0.3]])
-        with pytest.raises(ValueError):
-            price_covariance(p, CorrelationSpec.identity(1), 0, 0, -1.0)
-
-
-class TestMarketPriceOfRisk:
-    def test_reference_values(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]], 0.04)
-        assert market_price_of_risk(p, 0) == pytest.approx(0.5333, abs=5e-5)
-        assert market_price_of_risk(p, 1) == pytest.approx(0.4000, abs=5e-5)
-
-    def test_zero_excess_return(self):
-        p = MarketParams([0.04], [[0.3]], 0.04)
-        assert market_price_of_risk(p, 0) == 0.0
-
-    def test_zero_volatility_row(self):
-        p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.0]], 0.04)
-        with pytest.raises(DegenerateAssetError):
-            market_price_of_risk(p, 1)
 
 
 class TestValidateDistinctVolatility:

@@ -32,9 +32,7 @@ class TestClosedForm:
         sol = solve_model1(diagonal_params, objective)
         assert sol.theta_sq == pytest.approx(0.16**2 / 0.09 + 0.08**2 / 0.04)
         assert sol.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 6, abs=1e-5)
-        assert sol.expected_wealth(0.0, 1.0) == pytest.approx(
-            np.exp(0.04) + 0.44444 / 3, abs=1e-5
-        )
+        assert sol.mean(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 3, abs=1e-5)
 
     def test_first_order_condition_residual(self, diagonal_params, objective):
         # at the optimum: (alpha - r 1) = gamma e^{r(T-t)} sigma sigma^T u
@@ -60,10 +58,27 @@ class TestClosedForm:
     def test_variance_penalty_nonnegative(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)
         for t in np.linspace(0.0, 1.0, 7):
-            gap = sol.expected_wealth(t, 1.3) - sol.value(t, 1.3)
+            gap = sol.mean(t, 1.3) - sol.value(t, 1.3)
             assert gap == pytest.approx(sol.theta_sq * (1.0 - t) / 6)
             assert gap >= 0.0
-            assert sol.terminal_variance(t) >= 0.0
+            assert sol.variance(t, 1.3) >= 0.0
+
+    def test_moments_are_shaped_like_wealth(self, diagonal_params, objective):
+        # the interface of MomentCoefficients: mean affine and variance
+        # constant in x, each an array of x's shape
+        sol = solve_model1(diagonal_params, objective)
+        x = np.linspace(0.1, 5.0, 7)
+        mean, variance, value = sol.mean(0.4, x), sol.variance(0.4, x), sol.value(0.4, x)
+        assert mean.shape == variance.shape == value.shape == x.shape
+        assert np.all(variance == sol.theta_sq * (1.0 - 0.4) / 9.0)
+        assert np.array_equal(value, mean - 1.5 * variance)
+        assert np.allclose(np.diff(mean) / np.diff(x), np.exp(0.04 * 0.6))
+
+    def test_named_delegations_agree(self, diagonal_params, objective):
+        sol = solve_model1(diagonal_params, objective)
+        for t in (0.0, 0.4, 1.0):
+            assert sol.expected_wealth(t, 1.3) == sol.mean(t, 1.3)
+            assert sol.terminal_variance(t) == sol.variance(t, 1.3)
 
     def test_general_dimension(self):
         rng = np.random.default_rng(4)
@@ -95,35 +110,48 @@ class TestClosedForm:
         # e^{|r| T} = e^700 still fits: the moments and the control are finite
         p = MarketParams(diagonal_params.alpha, diagonal_params.sigma, r)
         sol = solve_model1(p, ObjectiveSpec(1.0, 10.0))
-        assert np.isfinite(sol.expected_wealth(0.0, 1.0))
-        assert np.isfinite(sol.terminal_variance(0.0))
+        assert np.isfinite(sol.mean(0.0, 1.0))
+        assert np.isfinite(sol.variance(0.0, 1.0))
         assert np.all(np.isfinite(sol.control(0.0))) and np.any(sol.control(0.0) != 0.0)
 
 
 class TestSingularCovariance:
     def test_routes_to_diagnosis(self):
         p = MarketParams([0.2, 0.2], [[0.3, 0.0], [0.3, 0.0]], 0.04)
-        with pytest.raises(SingularMarketError) as err:
+        with pytest.raises(SingularMarketError, match=SHARED_RISK_CONSTRAINT) as err:
             solve_model1(p, ObjectiveSpec(1.0, 1.0))
         assert err.value.diagnosis is not None
         assert err.value.diagnosis.classification == SHARED_RISK_CONSTRAINT
 
     def test_equal_price_of_risk_constraint_value(self):
         p = MarketParams([0.2, 0.2], [[0.3, 0.0], [0.3, 0.0]], 0.04)
-        diag = diagnose_one_factor(p, ObjectiveSpec(1.0, 1.0))
-        assert diag.equal_price_of_risk
-        assert diag.constraint_value(1.0) == pytest.approx(0.16 / 0.3)
-        # V and g keep the closed-form shape with theta = 0.5333...
-        assert diag.value(0.0, 1.0) == pytest.approx(
-            np.exp(0.04) + 0.5 * (0.16 / 0.3) ** 2
-        )
+        assert diagnose_one_factor(p).classification == SHARED_RISK_CONSTRAINT
+        # the equilibria are those of stock 1 alone: s11 u1 + s21 u2 is the
+        # one-stock s11 u1 = (1/gamma) theta e^{-r(T-t)}, theta = 0.5333...
+        one = solve_model1(MarketParams([0.2], [[0.3, 0.0]], 0.04), ObjectiveSpec(1.0, 1.0))
+        assert 0.3 * one.control(1.0)[0] == pytest.approx(0.16 / 0.3)
+        # V and g keep the closed-form shape with that theta
+        assert one.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.5 * (0.16 / 0.3) ** 2)
 
     def test_unequal_price_of_risk_is_arbitrage(self):
         p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.3, 0.0]], 0.04)
-        diag = diagnose_one_factor(p, ObjectiveSpec(1.0, 1.0))
-        assert diag.classification == ARBITRAGE
-        with pytest.raises(ValueError):
-            diag.constraint_value(0.5)
+        assert diagnose_one_factor(p).classification == ARBITRAGE
+        with pytest.raises(SingularMarketError, match=f"^{ARBITRAGE}: no equilibrium exists"):
+            solve_model1(p, ObjectiveSpec(1.0, 1.0))
+
+    @pytest.mark.parametrize("sigma", [
+        [[0.3, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.3, 0.0]],
+        [[0.3, 0.1], [0.0, 0.0]],
+    ])
+    def test_riskless_stock_has_no_diagnosis(self, sigma):
+        # a stock without volatility once escaped the diagnosis as
+        # an error the CLI did not catch, so solve, bounds and simulate exited 3
+        p = MarketParams([0.2, 0.05], sigma, 0.04)
+        assert diagnose_one_factor(p) is None
+        with pytest.raises(SingularMarketError, match="covariance matrix is singular") as err:
+            solve_model1(p, ObjectiveSpec(3.0, 1.0))
+        assert err.value.diagnosis is None
 
     def test_two_factor_symmetric_stocks_not_singular(self):
         # independent factors with equal entries: regular problem, equal splits
