@@ -37,7 +37,7 @@ from .model3 import (
     iterate_sup_errors,
     solve_horizon,
 )
-from .numerics import PicardConfig, SimConfig, TimeGrid, convergence_bound
+from .numerics import DEFAULT_STEPS_PER_YEAR, PicardConfig, SimConfig, TimeGrid, convergence_bound
 
 OUT_DIR_ENV = "TCMV_OUT_DIR"
 
@@ -185,10 +185,10 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
                 raise ConfigError(f"{key} lists a value twice: {', '.join(printed)}")
 
         solver = parser["solver"] if parser.has_section("solver") else {}
-        steps_per_year = int(solver.get("n_steps", "1000"))
+        steps_per_year = int(solver.get("n_steps", DEFAULT_STEPS_PER_YEAR))
         picard = PicardConfig(
-            tol=float(solver.get("tol", "1e-10")),
-            max_iter=int(solver.get("max_iter", "200")),
+            tol=float(solver.get("tol", PicardConfig.tol)),
+            max_iter=int(solver.get("max_iter", PicardConfig.max_iter)),
         )
 
         sim_sec = parser["simulation"] if parser.has_section("simulation") else {}
@@ -237,8 +237,8 @@ def check_simulation_size(cfg: ScenarioConfig):
     Y, the gain of models 2 and 3, and the unit intercepts Z3 and Z1 of
     models 3 and 1.  Y and Z3 share one gain factor a step, Z1 steps by
     1 + r dt and Y adds no shift: one step's factors, with their products,
-    take at most 3 numbers a row and path, and the figure path's factors of
-    every step 2 a row and step."""
+    take at most 3 numbers a row and path, the figure path's one path
+    included."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:
@@ -258,10 +258,6 @@ def check_simulation_size(cfg: ScenarioConfig):
             )
 
 
-def _grid_for(cfg: ScenarioConfig, T: float) -> TimeGrid:
-    return TimeGrid(T, max(2, int(round(cfg.steps_per_year * T))))
-
-
 @dataclass
 class SolvedCase:
     gamma: float
@@ -274,7 +270,7 @@ class SolvedCase:
 def _solve_all(cfg: ScenarioConfig) -> list[SolvedCase]:
     """All (gamma, T) cases in gamma-major order, from one solve_horizon per T."""
     by_horizon = [
-        solve_horizon(cfg.params, cfg.gammas, _grid_for(cfg, T), cfg.picard)
+        solve_horizon(cfg.params, cfg.gammas, TimeGrid.default(T, cfg.steps_per_year), cfg.picard)
         for T in cfg.horizons
     ]
     cases = []

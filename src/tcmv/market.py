@@ -180,8 +180,9 @@ def validate_distinct_volatility(params: MarketParams) -> VolatilityCheck:
     """
     if params.n_stocks != 2:
         raise ValueError("distinct-volatility check applies to two-stock markets")
-    diff = params.sigma[0] - params.sigma[1]
-    gap = float(diff @ diff)
+    with np.errstate(over="ignore"):  # an overflowing gap is inf, and distinct
+        diff = params.sigma[0] - params.sigma[1]
+        gap = float(diff @ diff)
     if gap > DISTINCT_VOLATILITY_TOL:
         return VolatilityCheck(True, gap, None, "volatility rows are distinct")
     if abs(params.alpha[0] - params.alpha[1]) <= 1e-12:

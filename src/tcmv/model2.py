@@ -89,10 +89,17 @@ def solve_model2(
 ) -> Model2Solution:
     """Solve the backward integral equation for k by Picard iteration: the
     variance-only k, and the mean-variance k1, which does not depend on
-    risk aversion."""
+    risk aversion.  CoefficientRangeError before any sweep when the
+    volatility gap denom or theta~^2 = dalpha^2 / denom overflows."""
     check = validate_distinct_volatility(params)
     if not check.passed:
         raise DegenerateMarketError(check)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, _, _, denom, _, dalpha = _coeffs(params)
+        theta_sq = dalpha * dalpha / denom
+    if not (np.isfinite(denom) and np.isfinite(theta_sq)):
+        raise CoefficientRangeError(
+            f"coefficients exceed the float64 range over the horizon T={grid.T:g}")
     result = picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)
     return Model2Solution(
         params,

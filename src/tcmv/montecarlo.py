@@ -21,6 +21,8 @@ no row: its Y is the compounding prod (1 + r dt).  Each column combines its
 rows at the end: model 2 = x0 Y, model 3 = x0 Y + Z3 / gamma and model 1 =
 x0 prod (1 + r dt) + Z1 / gamma.  Each step forms each distinct factor
 once: Y and Z3 share one gain A, Z1's A is 1 + r dt and Y's B is 0.
+The figure paths step the same rows through the same recurrence, as one
+block of one path that keeps its rows at every node.
 
 Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
@@ -84,7 +86,9 @@ def array_nbytes(
     n_rows rows.  The step table, the sampled coefficients, the step
     factors and the terminal wealth grow with the rows, which do not depend
     on how many gammas share a horizon; only the figure paths handed back
-    grow with the columns."""
+    grow with the columns.  The figure path steps as a block of one path,
+    so its factors are one step's 3 numbers a row, within the step factors
+    of a block."""
     n, m = cfg.n_time_steps, min(cfg.n_paths, _BLOCK)
     return {
         "Gaussian increments per block": block_nbytes(cfg, n_factors),
@@ -92,7 +96,6 @@ def array_nbytes(
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
         # one step's gains, shifts and products, at most 3 numbers a row
         "step factors": 3 * n_rows * m * 8,
-        "figure path step factors": 2 * n * n_rows * 8,  # A and B of every step
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -242,23 +245,8 @@ class _Rows:
         return z
 
 
-def _factors(gains, shifts, z, gain, shift, gain_tmp, shift_tmp):
-    """A + C z of the gain rows into gain and B + E z of the intercept rows
-    into shift, (K, m) and (R - K, m), by the operations of the per-row step,
-    for gains and shifts those rows' table entries, entry first, and z the
-    (d, m) normals of m paths."""
-    d = len(z)
-    np.multiply(gains[2], z[0], out=gain)
-    np.multiply(shifts[2 + d], z[0], out=shift)
-    for j in range(1, d):
-        gain += np.multiply(gains[2 + j], z[j], out=gain_tmp)
-        shift += np.multiply(shifts[2 + d + j], z[j], out=shift_tmp)
-    gain += gains[0]
-    shift += shifts[1]
-
-
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Rows,
-               scratch: np.ndarray | None = None):
+               scratch: np.ndarray | None = None, path: np.ndarray | None = None):
     """x <- x A + B in place for every step of the table, for x the (R, m)
     rows of plan on m paths and normals their (n, d, m) standard normals,
     step-major.  A gain row's A multiplies it and the intercept row paired
@@ -266,46 +254,39 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     row's B + E z is +0, added as zero rows of the shift so that -0 turns
     +0.  Each row's operations are elementwise and those of the per-row
     step, so its bits depend on its own coefficients alone.  The factors go
-    in a view of scratch, of at least 3 R m numbers, where one is given."""
-    (R, m), K, J = x.shape, plan.n_gains, plan.n_shared
+    in a view of scratch, of at least 3 R m numbers, where one is given.
+    With path, an (n + 1, R, m) array, x is kept at the start and after
+    every step."""
+    (R, m), d, K, J = x.shape, normals.shape[1], plan.n_gains, plan.n_shared
     if scratch is None:
         scratch = np.empty(3 * x.size)
     factors = scratch[: 3 * x.size].reshape(-1, m)
     gain, shift, tmp = factors[:K], factors[K : K + R], factors[K + R :]
     shift[:K] = 0.0
-    views = shift[K:], tmp[:K], tmp[: R - K]
+    intercepts, gain_tmp, shift_tmp = shift[K:], tmp[:K], tmp[: R - K]
     head, shared, fixed, lead = x[:K], x[K : K + J], x[K + J :], gain[:J]
     steps = zip(table[:, :, :K], table[:, :, K:], table[:, 0, K + J :], normals)
+    if path is not None:
+        path[0] = x
     with np.errstate():
         # to broadcast an (R, 1) entry against (R, m) rows numpy copies them
         # through its ufunc buffer; with the least buffer it steps them in
         # place, 2-3 times faster, and every operation is elementwise
         np.setbufsize(16)
-        for gains, shifts, a, z in steps:
-            _factors(gains, shifts, z, gain, *views)
+        for i, (gains, shifts, a, z) in enumerate(steps):
+            np.multiply(gains[2], z[0], out=gain)
+            np.multiply(shifts[2 + d], z[0], out=intercepts)
+            for j in range(1, d):
+                gain += np.multiply(gains[2 + j], z[j], out=gain_tmp)
+                intercepts += np.multiply(shifts[2 + d + j], z[j], out=shift_tmp)
+            gain += gains[0]
+            intercepts += shifts[1]
             head *= gain
             shared *= lead
             fixed *= a
             x += shift
-
-
-def _step_path(table: np.ndarray, z: np.ndarray, plan: _Rows) -> np.ndarray:
-    """Every row of plan at the n + 1 nodes of one path, (n + 1, R), for z
-    its (n, d) normals: the steps of :func:`_step_rows` at m = 1, bit for
-    bit, with the A and B of every step formed as one step of n paths, in
-    2 n R numbers, so that each step is x A + B alone."""
-    n, R, K, J = len(table), len(plan.rows), plan.n_gains, plan.n_shared
-    coef = table[..., 0].transpose(1, 2, 0)  # (2 + 2d, R, n)
-    A, B = np.empty((2, R, n))
-    # the products go where no gain or shift is formed
-    _factors(coef[:, :K], coef[:, K:], z.T, A[:K], B[K:], B[:K], A[K:])
-    A[K : K + J], A[K + J :], B[:K] = A[:J], coef[0, K + J :], 0.0
-    wealth = np.empty((n + 1, R))
-    wealth[0] = plan.starts
-    for x, step, a, b in zip(wealth[:-1], wealth[1:], A.T, B.T):
-        np.multiply(x, a, out=step)
-        step += b
-    return wealth
+            if path is not None:
+                path[i + 1] = x
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
@@ -519,7 +500,9 @@ def reproduce_figure_paths(
         w = np.vstack([np.zeros(d), np.cumsum(z * np.sqrt(T / n_steps), axis=0)])
         prices[T] = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    rows = _step_path(table, z, plan).T
+    wealth = np.empty((n_steps + 1, len(plan.rows), 1))
+    _step_rows(np.array(plan.starts)[:, None], table, z[:, :, None], plan, path=wealth)
+    rows = wealth[:, :, 0].T
     compounding = plan.compounding(params.r)
     records = {}
     for (key, (strategy, _)), column in zip(columns.items(), plan.columns):

@@ -33,8 +33,9 @@ class TimeGrid:
             raise ValueError("need at least 2 steps")
 
     @classmethod
-    def default(cls, T: float) -> "TimeGrid":
-        return cls(T, max(2, int(round(DEFAULT_STEPS_PER_YEAR * T))))
+    def default(cls, T: float, steps_per_year: int = DEFAULT_STEPS_PER_YEAR) -> "TimeGrid":
+        """The grid of steps_per_year steps a year on [0, T], at least 2."""
+        return cls(T, max(2, int(round(steps_per_year * T))))
 
     @property
     def dt(self) -> float:

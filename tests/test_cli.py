@@ -660,6 +660,35 @@ class TestSolveCommand:
         assert "exceed the float64 range" in err and "T=1 at gamma=1e-160" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "alpha, sigma",
+        [
+            ("0.2, 0.12", "1e200 0; 0 0.25"),  # the volatility gap is inf
+            ("0.2, 0.12", "0.25 1e200; 0 0.25"),
+            ("1e300, 0", "0.25 0; 0 0.25"),  # theta~^2 = dalpha^2 / gap is inf
+            ("1e160, 0", "0.25 0; 0 0.25"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
+    def test_overflowing_gap_or_sharpe_ratio_is_market_error(
+        self, tmp_path, capsys, command, alpha, sigma
+    ):
+        # an infinite gap once made the k1 bound constant nan, a traceback
+        # from convergence_bound; an infinite theta~^2 overflowed with
+        # warnings in the sweeps and the kernels before the range check
+        path = tmp_path / "overflow.cfg"
+        path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
+                        .replace("0.25 0; 0 0.25", sigma).replace("gamma = 1, 3", "gamma = 3"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("market validation error: coefficients exceed the float64 range "
+                       "over the horizon T=1\n")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "bounds"])
     def test_huge_gamma_is_solved(self, tmp_path, capsys, command):
         # gamma**2 once raised OverflowError from the variance loads

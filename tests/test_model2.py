@@ -1,9 +1,11 @@
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from tcmv import (
+    CoefficientRangeError,
     DegenerateMarketError,
     MarketParams,
     PicardConfig,
@@ -78,6 +80,20 @@ class TestGainEquation:
         with pytest.raises(DegenerateMarketError) as err:
             solve_model2(p, unit_grid)
         assert "no equilibrium" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "alpha, sigma",
+        [
+            ([0.2, 0.12], [[1e200, 0.0], [0.0, 0.25]]),
+            ([1e300, 0.0], [[0.25, 0.0], [0.0, 0.25]]),
+        ],
+    )
+    def test_overflowing_gap_or_sharpe_ratio_rejected(self, unit_grid, alpha, sigma):
+        # refused before any sweep, and without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoefficientRangeError, match="float64 range over the horizon T=1"):
+                solve_model2(MarketParams(alpha, sigma, 0.04), unit_grid)
 
     def test_monotone_when_alpha1_larger(self, symmetric_params, unit_grid):
         sol = solve_model2(symmetric_params, unit_grid)

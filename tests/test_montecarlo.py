@@ -559,19 +559,20 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, sc
 @example(n=40, d=2, shared=[1, 1], own=2, seed=0)
 @settings(max_examples=40, deadline=None)
 def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed):
-    # the figure path's factors, formed for every step at once, step each
-    # row of one path bit for bit as the block stepping does at m = 1
+    # the figure path, a whole run of one path that keeps its rows at every
+    # node, steps each row bit for bit as the block stepping does at m = 1
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     table = _step_table(params, plan.rows, n)
-    z = rng.normal(size=(n, d))
+    z = rng.normal(size=(n, d, 1))
     x = np.array(plan.starts).reshape(-1, 1)
+    path = np.full((n + 1, len(plan.rows), 1), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        path = montecarlo._step_path(table, z, plan)
-        assert same_bits(path[0], x[:, 0])
+        montecarlo._step_rows(x.copy(), table, z, plan, path=path)
+        assert same_bits(path[0], x)
         for i in range(n):
-            montecarlo._step_rows(x, table[i : i + 1], z[i : i + 1, :, None], plan)
-            assert same_bits(path[i + 1], x[:, 0])
+            montecarlo._step_rows(x, table[i : i + 1], z[i : i + 1], plan)
+            assert same_bits(path[i + 1], x)
 
 
 @given(
