@@ -164,12 +164,8 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
             rho = CorrelationSpec(_parse_matrix(rho_text))
             sigma = decorrelate(sigma, rho)
         params = MarketParams(alpha, sigma, r)
-        n, d = params.sigma.shape
-        if (n, d) != (2, 2):
-            raise MarketValidationError(
-                f"models 2 and 3 need 2 stocks on 2 factors; got {n} stock"
-                f"{'s' * (n != 1)} on {d} factor{'s' * (d != 1)}"
-            )
+        if params.n_stocks != 2:
+            raise MarketValidationError(f"models 2 and 3 need 2 stocks; got {params.n_stocks}")
 
         gammas = [float(g) for g in _parse_vector(objective["gamma"])]
         horizons = [float(t) for t in _parse_vector(objective["T"])]
@@ -210,10 +206,6 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
             or os.environ.get(OUT_DIR_ENV)
             or outputs.get("directory", ".")
         )
-    except ConfigError:
-        raise
-    except MarketValidationError:
-        raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
@@ -551,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MarketValidationError, SingularMarketError) as exc:
+    except MarketValidationError as exc:
         print(f"market validation error: {exc}", file=sys.stderr)
         return 3
     except NonConvergenceError as exc:

@@ -160,19 +160,38 @@ def decorrelate(sigma: np.ndarray, rho: CorrelationSpec) -> np.ndarray:
     return sigma @ _psd_cholesky(rho.rho)
 
 
+def factor_sum(terms):
+    """terms[0] + terms[1] + ... in factor order: on two factors the
+    two-term formula to the bit, signed zeros included (unlike @ or np.sum)."""
+    return sum(terms[1:], terms[0])
+
+
+def _coeffs(params: MarketParams):
+    """(s2, ds, denom, csig, dalpha) of a two-stock market on any number of
+    factors: the rows s2 = sigma_2 and ds = sigma_1 - sigma_2, the gap denom =
+    |ds|^2, csig = s2 . ds and alpha_1 - alpha_2; inf where float64 overflows."""
+    s1, s2 = params.sigma
+    with np.errstate(over="ignore"):
+        ds = s1 - s2
+        denom = factor_sum(ds * ds)
+        csig = factor_sum(s2 * ds)
+        dalpha = params.alpha[0] - params.alpha[1]
+    return s2, ds, denom, csig, dalpha
+
+
 @dataclass(frozen=True)
 class VolatilityCheck:
     """Result of the distinct-volatility precondition for the two-stock models."""
 
     passed: bool
-    gap: float  # (s11-s21)^2 + (s12-s22)^2
+    gap: float  # |sigma_1 - sigma_2|^2
     classification: str | None  # IDENTICAL_ASSETS / NO_EQUILIBRIUM when failed
     message: str
 
 
 def validate_distinct_volatility(params: MarketParams) -> VolatilityCheck:
-    """Check (s11-s21)^2 + (s12-s22)^2 > DISTINCT_VOLATILITY_TOL, classifying
-    the failure mode.
+    """Check the volatility gap |sigma_1 - sigma_2|^2 > DISTINCT_VOLATILITY_TOL
+    on any number of factors, classifying the failure mode.
 
     Equal volatility rows with equal drifts mean the stocks are
     interchangeable (any split is admissible); equal rows with different
@@ -180,12 +199,10 @@ def validate_distinct_volatility(params: MarketParams) -> VolatilityCheck:
     """
     if params.n_stocks != 2:
         raise ValueError("distinct-volatility check applies to two-stock markets")
-    with np.errstate(over="ignore"):  # an overflowing gap is inf, and distinct
-        diff = params.sigma[0] - params.sigma[1]
-        gap = float(diff @ diff)
+    _, _, gap, _, dalpha = _coeffs(params)  # an overflowing gap is inf, and distinct
     if gap > DISTINCT_VOLATILITY_TOL:
         return VolatilityCheck(True, gap, None, "volatility rows are distinct")
-    if abs(params.alpha[0] - params.alpha[1]) <= 1e-12:
+    if abs(dalpha) <= 1e-12:
         return VolatilityCheck(
             False,
             gap,

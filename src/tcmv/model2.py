@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoefficientRangeError, DegenerateMarketError
-from .market import MarketParams, validate_distinct_volatility
+from .market import MarketParams, _coeffs, factor_sum, validate_distinct_volatility
 from .numerics import (
     PicardConfig,
     SampledFunction,
@@ -30,27 +30,17 @@ from .numerics import (
 )
 
 
-def _coeffs(params: MarketParams):
-    """Recurring scalar combinations of the two-stock parameters."""
-    (s11, s12), (s21, s22) = params.sigma
-    ds1, ds2 = s11 - s21, s12 - s22
-    denom = ds1 * ds1 + ds2 * ds2
-    csig = s21 * ds1 + s22 * ds2
-    dalpha = params.alpha[0] - params.alpha[1]
-    return s21, s22, ds1, ds2, denom, csig, dalpha
-
-
 def portfolio_variance_rate(params: MarketParams, k: np.ndarray) -> np.ndarray:
-    """{s21 + k (s11-s21)}^2 + {s22 + k (s12-s22)}^2, the instantaneous
-    variance rate of the wealth under the fraction-of-wealth gain k."""
-    s21, s22, ds1, ds2, _, _, _ = _coeffs(params)
-    return (s21 + k * ds1) ** 2 + (s22 + k * ds2) ** 2
+    """|sigma_2 + k (sigma_1 - sigma_2)|^2, the instantaneous variance rate
+    of the wealth under the fraction-of-wealth gain k."""
+    s2, ds, _, _, _ = _coeffs(params)
+    return factor_sum([(s + k * d) ** 2 for s, d in zip(s2, ds)])
 
 
 def gain_equation_map(params: MarketParams, grid: TimeGrid):
     """Fixed-point map of the backward equation for the wealth-proportional
     gain.  Shared verbatim by the mean-variance model's k1."""
-    _, _, _, _, denom, csig, dalpha = _coeffs(params)
+    _, _, denom, csig, dalpha = _coeffs(params)
     dt = grid.dt
 
     def step(k: np.ndarray) -> np.ndarray:
@@ -94,8 +84,8 @@ def solve_model2(
     check = validate_distinct_volatility(params)
     if not check.passed:
         raise DegenerateMarketError(check)
+    _, _, denom, _, dalpha = _coeffs(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, _, denom, _, dalpha = _coeffs(params)
         theta_sq = dalpha * dalpha / denom
     if not (np.isfinite(denom) and np.isfinite(theta_sq)):
         raise CoefficientRangeError(
@@ -118,8 +108,8 @@ class KernelTables:
     I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
     I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
     I3(t,v) = dalpha * I2(t,T) - h(v) * I2(t,v),
-    with h(v) = dalpha + (s11-s21){s21 + k1(v)(s11-s21)}
-              + (s12-s22){s22 + k1(v)(s12-s22)}.
+    with h(v) = dalpha + ds . {sigma_2 + k1(v) ds}, ds = sigma_1 - sigma_2,
+    summed over the factors.
 
     I1 and I2 give the moments of wealth under u = k1 x; the mean-variance
     model's intercept equation adds I3.
@@ -128,7 +118,6 @@ class KernelTables:
     grid: TimeGrid
     lam: float  # dalpha / denom
     dalpha: float
-    denom: float
     cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
     cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
     h: np.ndarray
@@ -190,13 +179,13 @@ def build_kernels(
 ) -> KernelTables:
     """Kernel tables of the gain k1; CoefficientRangeError when e^{2A+B},
     the largest exponential the intercept map and the moments form, overflows."""
-    s21, s22, ds1, ds2, denom, _, dalpha = _coeffs(params)
+    s2, ds, denom, _, dalpha = _coeffs(params)
     k = k1.values
     drift = params.alpha[1] + k * dalpha
     cum_drift = forward_integrals(drift, grid.dt)
     cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
-    h = dalpha + ds1 * (s21 + k * ds1) + ds2 * (s22 + k * ds2)
-    kernels = KernelTables(grid, dalpha / denom, dalpha, denom, cum_drift, cum_vol, h)
+    h = sum((d * (s + k * d) for s, d in zip(s2, ds)), dalpha)
+    kernels = KernelTables(grid, dalpha / denom, dalpha, cum_drift, cum_vol, h)
     _require_in_range(kernels.log_scale, f"over the horizon T={grid.T:g}")
     return kernels
 

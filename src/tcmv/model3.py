@@ -35,12 +35,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .market import MarketParams, ObjectiveSpec, square
+from .market import MarketParams, ObjectiveSpec, _coeffs, factor_sum, square
 from .model2 import (
     KernelTables,
     Model2Solution,
     MomentCoefficients,
-    _coeffs,
     _require_in_range,
     build_kernels,
     solve_model2,
@@ -276,12 +275,12 @@ def gain_bound_constant(
     rate of the variance-rate integrand in k, maximized over the range the
     iterates actually visited.
     """
-    s21, s22, ds1, ds2, denom, _, dalpha = _coeffs(params)
+    s2, ds, denom, _, dalpha = _coeffs(params)
     lo = min(float(np.min(h)) for h in history)
     hi = max(float(np.max(h)) for h in history)
 
     def rate(k):
-        return 2.0 * (abs(s21 + k * ds1) * abs(ds1) + abs(s22 + k * ds2) * abs(ds2))
+        return 2.0 * factor_sum([abs(s + k * d) * abs(d) for s, d in zip(s2, ds)])
 
     base = abs(dalpha) / denom * max(rate(lo), rate(hi))
     omega1 = _first_sweep_l1(history, grid.dt)

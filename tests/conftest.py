@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcmv import MarketParams, ObjectiveSpec
-from tcmv.model2 import _coeffs
+from tcmv.market import _coeffs
 from tcmv.numerics import TimeGrid
 
 
@@ -28,10 +28,10 @@ def objective():
     return ObjectiveSpec(3.0, 1.0)
 
 
-def random_distinct_market(rng: np.random.Generator) -> MarketParams:
+def random_distinct_market(rng: np.random.Generator, n_factors: int = 2) -> MarketParams:
     """Random two-stock market whose volatility rows are well separated."""
     while True:
-        sigma = rng.uniform(-0.4, 0.4, size=(2, 2))
+        sigma = rng.uniform(-0.4, 0.4, size=(2, n_factors))
         diff = sigma[0] - sigma[1]
         if diff @ diff > 0.01:
             alpha = rng.uniform(-0.1, 0.3, size=2)
@@ -40,13 +40,13 @@ def random_distinct_market(rng: np.random.Generator) -> MarketParams:
 
 def constant_gain_equal_drifts(params: MarketParams) -> float:
     """Closed-form k1 when the two drifts coincide (time-independent)."""
-    _, _, _, _, denom, csig, _ = _coeffs(params)
+    _, _, denom, csig, _ = _coeffs(params)
     return -csig / denom
 
 
 def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
     """Uniform bounds holding for every gain iterate (n >= 1) and the solution."""
-    _, _, _, _, denom, csig, dalpha = _coeffs(params)
+    _, _, denom, csig, dalpha = _coeffs(params)
     a = -csig / denom
     b = -(csig + dalpha) / denom
     return min(a, b), max(a, b)

@@ -48,6 +48,10 @@ seed = 9
 tables = k_curves, allocation_vs_wealth, mean_variance_vs_wealth, simulated_paths
 """
 
+# the files of tcmv solve, in write order
+SOLVE_FILES = ("k_curves.csv", "allocation_vs_wealth.csv", "mean_variance_vs_wealth.csv",
+               "diagnostics.txt")
+
 
 @pytest.fixture
 def figure_cfg(tmp_path):
@@ -179,6 +183,13 @@ def _read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def assert_same_files(got, expected, names):
+    """The directories hold exactly names, byte for byte the same."""
+    assert sorted(os.listdir(got)) == sorted(os.listdir(expected)) == sorted(names)
+    for name in names:
+        assert (got / name).read_bytes() == (expected / name).read_bytes()
+
+
 class TestConfigParsing:
     def test_roundtrip(self, figure_cfg):
         cfg = load_config(figure_cfg)
@@ -239,9 +250,8 @@ class TestConfigParsing:
         params, gammas, horizons = scenario
         path = tmp_path_factory.mktemp("roundtrip") / "scenario.cfg"
         path.write_text(_scenario_text(params, gammas, horizons))
-        if params.sigma.shape != (2, 2):
-            n, d = params.sigma.shape
-            with pytest.raises(MarketValidationError, match=f"got {n} stocks? on {d} factor"):
+        if params.n_stocks != 2:
+            with pytest.raises(MarketValidationError, match=f"need 2 stocks; got {params.n_stocks}$"):
                 load_config(str(path))
             return
         cfg = load_config(str(path))
@@ -405,15 +415,11 @@ class TestConfigParsing:
 
 
     @pytest.mark.parametrize(
-        "alpha, sigma, shape",
-        [
-            ("0.2, 0.12, 0.1", "0.25 0 0; 0 0.25 0; 0 0 0.2", "3 stocks on 3 factors"),
-            ("0.2, 0.12", "0.2; 0.3", "2 stocks on 1 factor"),
-            ("0.2, 0.12", "0.25 0 0.1; 0 0.25 0", "2 stocks on 3 factors"),
-        ],
+        "alpha, sigma, n",
+        [("0.2, 0.12, 0.1", "0.25 0 0; 0 0.25 0; 0 0 0.2", 3)],
     )
     def test_market_not_two_by_two_is_market_error(
-        self, tmp_path, capsys, alpha, sigma, shape
+        self, tmp_path, capsys, alpha, sigma, n
     ):
         path = tmp_path / "shape.cfg"
         path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
@@ -422,11 +428,21 @@ class TestConfigParsing:
         for command in ("solve", "simulate"):
             assert main([command, str(path), "--out-dir", str(out)]) == 3
             err = capsys.readouterr().err
-            assert err == (
-                "market validation error: models 2 and 3 need 2 stocks on 2 factors; "
-                f"got {shape}\n"
-            )
+            assert err == f"market validation error: models 2 and 3 need 2 stocks; got {n}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["0.2; 0.3", "0.25 0 0.1; 0 0.25 0"])
+    def test_two_stocks_on_one_or_three_factors_are_solved(self, tmp_path, capsys, sigma):
+        path = tmp_path / "shape.cfg"
+        path.write_text(FIGURE_CFG.replace("0.25 0; 0 0.25", sigma))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("solve", "simulate"):
+                assert main([command, str(path), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_rows(out / "simulation_summary.csv")
+        assert {row[2] for row in rows} >= {"model2", "model3"}
 
 
 class TestOutputDirectory:
@@ -468,12 +484,7 @@ class TestSolveCommand:
     def test_emits_tables(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", figure_cfg, "--out-dir", str(out)]) == 0
-        for name in (
-            "k_curves.csv",
-            "allocation_vs_wealth.csv",
-            "mean_variance_vs_wealth.csv",
-            "diagnostics.txt",
-        ):
+        for name in SOLVE_FILES:
             assert (out / name).exists()
 
     def test_k_curves_terminal_anchors(self, figure_cfg, tmp_path):
@@ -510,6 +521,21 @@ class TestSolveCommand:
         assert max(abs(float(r[header.index("k2")])) for r in rows) > 100
         assert "model3 k2: iterations=" in (out / "diagnostics.txt").read_text()
 
+    def test_verbose_lists_each_file_in_write_order(self, figure_cfg, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["solve", figure_cfg, "--out-dir", str(quiet)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["solve", figure_cfg, "--out-dir", str(loud), "--verbose"]) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {loud / name}\n" for name in SOLVE_FILES)
+        assert_same_files(loud, quiet, SOLVE_FILES)
+
+    def test_one_factor_market_equals_its_zero_padded_twin(self, tmp_path):
+        for name, sigma in (("one", "0.3; -0.2"), ("padded", "0.3 0; -0.2 0")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(FIGURE_CFG.replace("0.25 0; 0 0.25", sigma))
+            assert main(["solve", str(path), "--out-dir", str(tmp_path / name)]) == 0
+        assert_same_files(tmp_path / "one", tmp_path / "padded", SOLVE_FILES)
+
     def test_byte_identical_reruns(self, figure_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["solve", figure_cfg, "--out-dir", str(out_a)])
@@ -524,13 +550,7 @@ class TestSolveCommand:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", str(path), "--out-dir", str(out_a), "--threads", "1"]) == 0
         assert main(["solve", str(path), "--out-dir", str(out_b), "--threads", "4"]) == 0
-        for name in (
-            "k_curves.csv",
-            "allocation_vs_wealth.csv",
-            "mean_variance_vs_wealth.csv",
-            "diagnostics.txt",
-        ):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert_same_files(out_a, out_b, SOLVE_FILES)
         headers = [
             line for line in (out_b / "diagnostics.txt").read_text().splitlines()
             if line.startswith("==")
@@ -811,6 +831,23 @@ class TestSolveCommand:
 
 
 class TestSimulateCommand:
+    def test_verbose_reports_each_column_then_each_file(self, figure_cfg, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["simulate", figure_cfg, "--out-dir", str(quiet)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["simulate", figure_cfg, "--out-dir", str(loud), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["simulation_summary.csv", "simulated_paths_g1_T1.csv", "simulated_paths_g3_T1.csv"]
+        _, rows = _read_rows(quiet / "simulation_summary.csv")
+        assert len(lines) == len(rows) + len(names) and len(rows) == 6
+        for line, (gamma, T, model, mean, *_) in zip(lines, rows):
+            prefix = f"{model} gamma={float(gamma)} T={float(T)}: mean="
+            assert line.startswith(prefix)
+            assert re.fullmatch(r"-?\d+\.\d{6}", line[len(prefix):])
+            assert float(line[len(prefix):]) == pytest.approx(float(mean), abs=5e-7)
+        assert lines[len(rows):] == [f"wrote {loud / name}" for name in names]
+        assert_same_files(loud, quiet, names)
+
     def test_emits_summary_and_paths(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", figure_cfg, "--out-dir", str(out)]) == 0

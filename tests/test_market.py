@@ -11,7 +11,7 @@ from tcmv import (
     decorrelate,
     validate_distinct_volatility,
 )
-from tcmv.market import IDENTICAL_ASSETS, NO_EQUILIBRIUM
+from tcmv.market import IDENTICAL_ASSETS, NO_EQUILIBRIUM, _coeffs
 
 
 class TestMarketParams:
@@ -101,3 +101,19 @@ class TestValidateDistinctVolatility:
         assert not check.passed
         assert check.classification == NO_EQUILIBRIUM
         assert "no equilibrium exists" in check.message
+
+
+class TestCoeffs:
+    @pytest.mark.parametrize(
+        "sigma", [[[-0.3, -0.1], [0.0, 0.0]], [[0.25, -0.1], [0.05, 0.3]], [[1e200, 0.0], [0.0, 0.25]]]
+    )
+    def test_two_factors_keep_the_two_term_bits(self, sigma):
+        # each sum starts from its first term: on a riskless stock 2 under
+        # sigma_1 = (-0.3, -0.1), csig sums -0 terms to -0, where a sum from
+        # +0 gives +0 and k(T) would print as -0
+        s2, ds, denom, csig, dalpha = _coeffs(MarketParams([0.2, 0.05], sigma))
+        with np.errstate(over="ignore"):  # the gap at sigma11 = 1e200 is inf
+            two_term = ds[0] * ds[0] + ds[1] * ds[1], s2[0] * ds[0] + s2[1] * ds[1]
+        for got, expected in zip((denom, csig), two_term):
+            assert got == expected and np.signbit(got) == np.signbit(expected)
+        assert dalpha == 0.2 - 0.05

@@ -18,6 +18,7 @@ from tcmv import (
 from tcmv import model3
 from tcmv.cli import load_config
 from tcmv.errors import NonConvergenceError
+from tcmv.market import _coeffs
 from tcmv.model2 import gain_residual
 from tcmv.model3 import (
     KernelTables,
@@ -71,7 +72,7 @@ def _forward(values, dt):
     return out
 
 
-def reference_moments(kernels, k2: np.ndarray, dtype=float) -> dict[str, np.ndarray]:
+def reference_moments(params, kernels, k2: np.ndarray, dtype=float) -> dict[str, np.ndarray]:
     """Reference moment coefficients for a general pair (k1, k2), evaluated
     in dtype.
 
@@ -82,7 +83,7 @@ def reference_moments(kernels, k2: np.ndarray, dtype=float) -> dict[str, np.ndar
     the terms that carry I3 vanish only at the solved k1.
     """
     dt = kernels.grid.dt
-    dalpha, denom = kernels.dalpha, kernels.denom
+    _, _, denom, _, dalpha = _coeffs(params)
     cum_a, cum_b = kernels.cum_drift.astype(dtype), kernels.cum_vol.astype(dtype)
     h, k2 = kernels.h.astype(dtype), np.asarray(k2, dtype=dtype)
     inv_a = np.exp(-cum_a)
@@ -115,7 +116,7 @@ def assert_moments_match_reference(s, rel=1e-12):
     formula of reference_moments at its own k2, on every node.  The
     reference runs in extended precision (where the platform has it): in
     float64 its long cumulative sums alone drift by ~1e-12 on some markets."""
-    ref = reference_moments(s.kernels, s.k2.values, np.longdouble)
+    ref = reference_moments(s.params, s.kernels, s.k2.values, np.longdouble)
     t, inv = s.grid.nodes, ref["i1_inv"]
     for x in (0.0, 0.5, 1.0, 3.0):
         mean = inv * (x + ref["drift_load"])
@@ -312,7 +313,7 @@ class TestMoments:
             np.random.default_rng(100 + seed)
         )
         s = solve_model3(p, ObjectiveSpec(2.0, 1.0), TimeGrid(1.0, 500))
-        ref = reference_moments(s.kernels, s.k2.values)
+        ref = reference_moments(s.params, s.kernels, s.k2.values)
         assert np.array_equal(s.moments.c0.values, ref["c0"])
         assert_moments_match_reference(s)
         assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(np.sqrt(ref["c0"] * ref["c2"]))
@@ -323,7 +324,7 @@ class TestMoments:
         kernels = build_kernels(
             symmetric_params, SampledFunction.constant(grid, 0.3), grid
         )
-        ref = reference_moments(kernels, solve_k2(kernels, 2.0).values)
+        ref = reference_moments(symmetric_params, kernels, solve_k2(kernels, 2.0).values)
         assert np.max(np.abs(ref["c1"])) > 1e-3 * np.max(
             np.sqrt(ref["c0"] * np.abs(ref["c2"]))
         )
@@ -494,6 +495,43 @@ class TestCrossModel:
             assert u1 == pytest.approx(sol1.control(t)[0], abs=1e-8)
 
 
+class TestFactorCount:
+    """Models 2 and 3 read sigma only through inner products of its two
+    rows, so they solve on any number of factors: a zero factor column
+    changes no bit, and a rotation of the factors only the roundoff."""
+
+    @staticmethod
+    def assert_same_solutions(got, expected, rel):
+        t = got[0].grid.nodes
+        for a, b in zip(got, expected, strict=True):
+            pairs = [(a.k1.values, b.k1.values), (a.k2.values, b.k2.values)]
+            for x in (0.5, 1.0, 2.0):
+                pairs.append((a.moments.mean(t, x), b.moments.mean(t, x)))
+                pairs.append((a.moments.variance(t, x), b.moments.variance(t, x)))
+            for u, v in pairs:
+                assert np.max(np.abs(u - v)) <= rel * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_factor_column_changes_no_bit(self, seed):
+        # the draws are continuous: no signed zero for the padding to flip
+        p = random_distinct_market(np.random.default_rng(600 + seed))
+        padded = MarketParams(p.alpha, np.column_stack([p.sigma, np.zeros(2)]), p.r)
+        grid = TimeGrid(1.0, 500)
+        self.assert_same_solutions(
+            solve_horizon(padded, [1.0, 3.0], grid), solve_horizon(p, [1.0, 3.0], grid), 0.0
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_three_factors_match_their_rotated_two_factor_twin(self, seed):
+        # sigma^T = Q R gives sigma' = R^T on two factors with the same sigma sigma^T
+        p = random_distinct_market(np.random.default_rng(700 + seed), n_factors=3)
+        twin = MarketParams(p.alpha, np.linalg.qr(p.sigma.T)[1].T, p.r)
+        grid = TimeGrid(1.0, 500)
+        self.assert_same_solutions(
+            solve_horizon(p, [1.0, 3.0], grid), solve_horizon(twin, [1.0, 3.0], grid), 1e-12
+        )
+
+
 @st.composite
 def synthetic_bank_markets(draw):
     """(c, sigma1, (alpha1, alpha2), gamma, T) of a market with sigma2 =
@@ -559,6 +597,24 @@ class TestBankAccountLimit:
         assert_matches(model2.variance(t, x), 0.0, zero)
         assert_matches(s3.moments.mean(t, x), m1.mean(t, x), 0.0)
         assert_matches(s3.moments.variance(t, x), m1.variance(t, x), zero)
+
+    def test_dollars_leave_the_closed_form_at_first_order_off_the_line(self):
+        # sigma2 = eps (0, 1) is off the line c sigma1 for eps > 0: stock 2
+        # is a bank at rate alpha2 only in the limit, and model 3's dollars
+        # leave that bank's closed form y (c = 0, so u1 = y) at O(eps)
+        s1, (a1, a2), gamma, T = np.array([0.3, 0.1]), (0.2, 0.04), 3.0, 1.0
+        gaps = []
+        for eps in (2e-3, 1e-3, 5e-4):
+            params = MarketParams([a1, a2], [s1, [0.0, eps]], 0.04)
+            s3 = solve_model3(params, ObjectiveSpec(gamma, T), TimeGrid(T, 1000))
+            gap = 0.0
+            for t in (0.0, 0.5):
+                y = np.exp(-a2 * (T - t)) * (a1 - a2) / (gamma * (s1 @ s1))
+                for x in (0.5, 1.0, 2.0):
+                    gap = max(gap, abs(s3.k1(t) * x + s3.k2(t) - y))
+            gaps.append(gap)
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 1.8 <= wide / narrow <= 2.2
 
 
 class TestSteepSyntheticBank:

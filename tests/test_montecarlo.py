@@ -35,6 +35,11 @@ from tcmv.montecarlo import (
     reproduce_figure_paths,
 )
 
+# models 2 and 3 read sigma through its rows' inner products, on any number of factors
+TWO_STOCKS_ON_THREE_FACTORS = MarketParams(
+    [0.2, 0.12], [[0.25, 0.0, 0.1], [0.0, 0.25, 0.0]], 0.04
+)
+
 
 class TestSimulate:
     def test_deterministic_limit(self):
@@ -87,34 +92,36 @@ class TestSimulate:
         assert small.se_reward == np.sqrt(plain)
 
     def test_model2_moments_within_three_se(self, symmetric_params, unit_grid):
-        sol = solve_model2(symmetric_params, unit_grid)
-        vals = evaluate_model2(symmetric_params, sol.k, 1.0)
-        report = simulate(
-            symmetric_params,
-            sol,
-            ObjectiveSpec(1.0, 1.0),
-            SimConfig(30_000, 300, 12),
-        )
-        assert abs(report.mean_estimate - vals.mean(0.0, 1.0)) < 3 * report.se_mean
-        assert (
-            abs(report.variance_estimate - vals.variance(0.0, 1.0))
-            < 3 * report.se_variance
-        )
+        for params in (symmetric_params, TWO_STOCKS_ON_THREE_FACTORS):
+            sol = solve_model2(params, unit_grid)
+            vals = evaluate_model2(params, sol.k, 1.0)
+            report = simulate(
+                params,
+                sol,
+                ObjectiveSpec(1.0, 1.0),
+                SimConfig(30_000, 300, 12),
+            )
+            assert abs(report.mean_estimate - vals.mean(0.0, 1.0)) < 3 * report.se_mean
+            assert (
+                abs(report.variance_estimate - vals.variance(0.0, 1.0))
+                < 3 * report.se_variance
+            )
 
     def test_model3_moments_within_three_se(self, symmetric_params, unit_grid):
         obj = ObjectiveSpec(3.0, 1.0)
-        s = solve_model3(symmetric_params, obj, unit_grid)
-        report = simulate(
-            symmetric_params,
-            s,
-            obj,
-            SimConfig(30_000, 300, 13),
-        )
-        assert abs(report.mean_estimate - s.moments.mean(0.0, 1.0)) < 3 * report.se_mean
-        assert (
-            abs(report.variance_estimate - s.moments.variance(0.0, 1.0))
-            < 3 * report.se_variance
-        )
+        for params in (symmetric_params, TWO_STOCKS_ON_THREE_FACTORS):
+            s = solve_model3(params, obj, unit_grid)
+            report = simulate(
+                params,
+                s,
+                obj,
+                SimConfig(30_000, 300, 13),
+            )
+            assert abs(report.mean_estimate - s.moments.mean(0.0, 1.0)) < 3 * report.se_mean
+            assert (
+                abs(report.variance_estimate - s.moments.variance(0.0, 1.0))
+                < 3 * report.se_variance
+            )
 
     def test_explosion_reported(self):
         # an absurdly leveraged constant-dollar bet at coarse steps explodes
