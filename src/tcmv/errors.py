@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A market without a unique equilibrium is reported by its exception alone:
+DegenerateMarketError, and its subclass SingularMarketError, carry the
+market's classification beside the message.
+"""
 
 
 class TcmvError(Exception):
@@ -14,27 +19,26 @@ class InvalidCorrelationError(MarketValidationError):
 
 
 class DegenerateMarketError(MarketValidationError):
-    """The two stocks have (numerically) identical volatility rows.
+    """The market has no unique equilibrium.
 
-    Carries the structured classification produced by
-    :func:`tcmv.market.validate_distinct_volatility`.
+    ``classification`` names the kind of market where one is known, else
+    None. :func:`tcmv.market.validate_distinct_volatility` raises this error
+    with IDENTICAL_ASSETS or NO_EQUILIBRIUM when the two stocks have
+    (numerically) identical volatility rows.
     """
 
-    def __init__(self, check):
-        super().__init__(check.message)
-        self.check = check
+    def __init__(self, message, classification=None):
+        super().__init__(message)
+        self.classification = classification
 
 
-class SingularMarketError(MarketValidationError):
+class SingularMarketError(DegenerateMarketError):
     """The instantaneous covariance matrix is singular (rank-deficient factors).
 
-    When the market is effectively driven by a single Brownian motion the
-    one-factor diagnosis is attached as ``diagnosis``.
+    ``classification`` is SHARED_RISK_CONSTRAINT or ARBITRAGE when
+    :func:`tcmv.model1.diagnose_one_factor` finds two stocks on a single
+    Brownian motion, else None.
     """
-
-    def __init__(self, message, diagnosis=None):
-        super().__init__(message)
-        self.diagnosis = diagnosis
 
 
 class CoefficientRangeError(MarketValidationError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCorrelationError, MarketValidationError
+from .errors import DegenerateMarketError, InvalidCorrelationError, MarketValidationError
 
 # Classification codes for validate_distinct_volatility failures.
 IDENTICAL_ASSETS = "identical-assets"
@@ -179,39 +179,25 @@ def _coeffs(params: MarketParams):
     return s2, ds, denom, csig, dalpha
 
 
-@dataclass(frozen=True)
-class VolatilityCheck:
-    """Result of the distinct-volatility precondition for the two-stock models."""
+def validate_distinct_volatility(params: MarketParams) -> None:
+    """Require the volatility gap |sigma_1 - sigma_2|^2 > DISTINCT_VOLATILITY_TOL
+    of a two-stock market on any number of factors.
 
-    passed: bool
-    gap: float  # |sigma_1 - sigma_2|^2
-    classification: str | None  # IDENTICAL_ASSETS / NO_EQUILIBRIUM when failed
-    message: str
-
-
-def validate_distinct_volatility(params: MarketParams) -> VolatilityCheck:
-    """Check the volatility gap |sigma_1 - sigma_2|^2 > DISTINCT_VOLATILITY_TOL
-    on any number of factors, classifying the failure mode.
-
-    Equal volatility rows with equal drifts mean the stocks are
-    interchangeable (any split is admissible); equal rows with different
-    drifts admit no equilibrium at all (arbitrage).
+    Otherwise raise DegenerateMarketError with its classification: equal
+    volatility rows with equal drifts mean the stocks are interchangeable
+    (IDENTICAL_ASSETS: any split is admissible); equal rows with different
+    drifts admit no equilibrium at all (NO_EQUILIBRIUM: arbitrage).  A
+    market of n != 2 stocks is a MarketValidationError.
     """
     if params.n_stocks != 2:
-        raise ValueError("distinct-volatility check applies to two-stock markets")
+        raise MarketValidationError(f"models 2 and 3 need 2 stocks; got {params.n_stocks}")
     _, _, gap, _, dalpha = _coeffs(params)  # an overflowing gap is inf, and distinct
     if gap > DISTINCT_VOLATILITY_TOL:
-        return VolatilityCheck(True, gap, None, "volatility rows are distinct")
+        return
     if abs(dalpha) <= 1e-12:
-        return VolatilityCheck(
-            False,
-            gap,
-            IDENTICAL_ASSETS,
-            "identical assets, any allocation admissible",
-        )
-    return VolatilityCheck(
-        False,
-        gap,
-        NO_EQUILIBRIUM,
+        raise DegenerateMarketError(
+            "identical assets, any allocation admissible", IDENTICAL_ASSETS)
+    raise DegenerateMarketError(
         "no equilibrium exists: equal volatility rows with unequal drifts imply arbitrage",
+        NO_EQUILIBRIUM,
     )

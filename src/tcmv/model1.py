@@ -75,19 +75,15 @@ class Model1Solution:
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     """Closed-form equilibrium with a bank account; any number of stocks.
 
-    A numerically singular covariance is reported through
-    SingularMarketError, with the one-factor diagnosis where one applies; a
-    control, mean or variance beyond float64 through CoefficientRangeError.
+    A numerically singular covariance raises SingularMarketError, classified
+    by diagnose_one_factor where that applies; a control, mean or variance
+    beyond float64 raises CoefficientRangeError.
     """
     cov = params.sigma @ params.sigma.T
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        diagnosis = diagnose_one_factor(params)
-        raise SingularMarketError(
-            "instantaneous covariance matrix is singular; no unique equilibrium"
-            if diagnosis is None else f"{diagnosis.classification}: {diagnosis.message}",
-            diagnosis,
-        )
+        raise diagnose_one_factor(params) or SingularMarketError(
+            "instantaneous covariance matrix is singular; no unique equilibrium")
     excess = params.alpha - params.r
     weights = np.linalg.solve(cov, excess)
     with np.errstate(over="ignore"):  # an inf theta_sq fails the range check
@@ -101,22 +97,16 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     return Model1Solution(params, obj, weights, theta_sq)
 
 
-@dataclass(frozen=True)
-class OneFactorDiagnosis:
-    """Outcome of the single-Brownian-motion analysis for two stocks.
+def diagnose_one_factor(params: MarketParams) -> SingularMarketError | None:
+    """The classified SingularMarketError of a two-stock market driven by a
+    single Brownian motion; None for any other market, or when a stock does
+    not load on that motion.
 
     With equal market prices of risk the control is non-unique: only the
-    combination s11 u1 + s21 u2 is pinned down.  With unequal prices of
-    risk there is no equilibrium (arbitrage between the co-driven stocks).
+    combination s11 u1 + s21 u2 is pinned down (SHARED_RISK_CONSTRAINT).
+    With unequal prices of risk there is no equilibrium (ARBITRAGE between
+    the co-driven stocks).
     """
-
-    classification: str  # SHARED_RISK_CONSTRAINT or ARBITRAGE
-    message: str
-
-
-def diagnose_one_factor(params: MarketParams) -> OneFactorDiagnosis | None:
-    """Classify a two-stock market driven by a single Brownian motion; None
-    for any other market, or when a stock does not load on that motion."""
     if params.n_stocks != 2:
         return None
     scale = max(1.0, float(np.max(np.abs(params.sigma))))
@@ -128,13 +118,13 @@ def diagnose_one_factor(params: MarketParams) -> OneFactorDiagnosis | None:
     theta1 = (params.alpha[0] - params.r) / s1
     theta2 = (params.alpha[1] - params.r) / s2
     if abs(theta1 - theta2) <= EQUAL_PRICE_OF_RISK_TOL * max(1.0, abs(theta1), abs(theta2)):
-        return OneFactorDiagnosis(
+        return SingularMarketError(
+            f"{SHARED_RISK_CONSTRAINT}: equal market prices of risk: allocations "
+            "on the constraint line are all equilibria",
             SHARED_RISK_CONSTRAINT,
-            "equal market prices of risk: allocations on the constraint line "
-            "are all equilibria",
         )
-    return OneFactorDiagnosis(
+    return SingularMarketError(
+        f"{ARBITRAGE}: no equilibrium exists: unequal market prices of risk on "
+        "one Brownian motion imply arbitrage",
         ARBITRAGE,
-        "no equilibrium exists: unequal market prices of risk on one "
-        "Brownian motion imply arbitrage",
     )

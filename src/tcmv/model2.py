@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientRangeError, DegenerateMarketError
+from .errors import CoefficientRangeError
 from .market import MarketParams, _coeffs, factor_sum, validate_distinct_volatility
 from .numerics import (
     PicardConfig,
@@ -80,14 +80,14 @@ def solve_model2(
     """Solve the backward integral equation for k by Picard iteration: the
     variance-only k, and the mean-variance k1, which does not depend on
     risk aversion.  CoefficientRangeError before any sweep when the
-    volatility gap denom or theta~^2 = dalpha^2 / denom overflows."""
-    check = validate_distinct_volatility(params)
-    if not check.passed:
-        raise DegenerateMarketError(check)
-    _, _, denom, _, dalpha = _coeffs(params)
+    volatility gap denom, csig, theta~^2 = dalpha^2 / denom or a row's
+    |sigma_i|^2, a variance rate the sweeps form, overflows."""
+    validate_distinct_volatility(params)
+    _, _, denom, csig, dalpha = _coeffs(params)
     with np.errstate(over="ignore", invalid="ignore"):
         theta_sq = dalpha * dalpha / denom
-    if not (np.isfinite(denom) and np.isfinite(theta_sq)):
+        norms = [factor_sum(row * row) for row in params.sigma]
+    if not np.all(np.isfinite([denom, csig, theta_sq, *norms])):
         raise CoefficientRangeError(
             f"coefficients exceed the float64 range over the horizon T={grid.T:g}")
     result = picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)

@@ -623,11 +623,18 @@ class TestSolveCommand:
         assert code == 3
 
     def test_degenerate_message(self, tmp_path, capsys):
-        text = FIGURE_CFG.replace("0.25 0; 0 0.25", "0.25 0; 0.25 0")
-        path = tmp_path / "deg.cfg"
-        path.write_text(text)
-        main(["solve", str(path), "--out-dir", str(tmp_path / "out")])
-        assert "no equilibrium exists" in capsys.readouterr().err
+        # equal volatility rows: equal drifts make identical assets, unequal
+        # ones an arbitrage
+        for alpha, message in [
+            ("0.12, 0.12", "identical assets, any allocation admissible"),
+            ("0.2, 0.12", "no equilibrium exists: equal volatility rows with unequal "
+                          "drifts imply arbitrage"),
+        ]:
+            path = tmp_path / "deg.cfg"
+            path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
+                            .replace("0.25 0; 0 0.25", "0.25 0; 0.25 0"))
+            assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == f"market validation error: {message}\n"
 
     def test_nonconvergence_exit_code(self, figure_cfg, tmp_path):
         text = FIGURE_CFG.replace("max_iter = 200", "max_iter = 1")
@@ -687,6 +694,8 @@ class TestSolveCommand:
             ("0.2, 0.12", "0.25 1e200; 0 0.25"),
             ("1e300, 0", "0.25 0; 0 0.25"),  # theta~^2 = dalpha^2 / gap is inf
             ("1e160, 0", "0.25 0; 0 0.25"),
+            ("0.2, 0.12", "1.0000000001e160 0; 1e160 0.25"),  # csig is inf
+            ("0.2, 0.12", "1.5e154 0; 1.499e154 0.25"),  # |sigma_1|^2 is inf
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
@@ -695,7 +704,8 @@ class TestSolveCommand:
     ):
         # an infinite gap once made the k1 bound constant nan, a traceback
         # from convergence_bound; an infinite theta~^2 overflowed with
-        # warnings in the sweeps and the kernels before the range check
+        # warnings in the sweeps and the kernels before the range check; an
+        # infinite csig or |sigma_1|^2 made the first sweep exit 4 or warn
         path = tmp_path / "overflow.cfg"
         path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", f"alpha = {alpha}")
                         .replace("0.25 0; 0 0.25", sigma).replace("gamma = 1, 3", "gamma = 3"))
@@ -997,12 +1007,16 @@ class TestSingularBankMarkets:
     equilibrium and its diagnostics line says why, while models 2 and 3,
     which have no bank, solve, a riskless stock acting as their bank."""
 
+    SINGULAR = "instantaneous covariance matrix is singular; no unique equilibrium"
     MARKETS = {
-        "riskless stock 2": ("0.2, 0.05", "0.3 0; 0 0", "covariance matrix is singular"),
-        "riskless stock 1": ("0.2, 0.05", "0 0; 0.3 0", "covariance matrix is singular"),
-        "riskless stock 2, two factors": (
-            "0.2, 0.05", "0.3 0.1; 0 0", "covariance matrix is singular"),
-        "one factor": ("0.2, 0.12", "0.3 0; 0.2 0", "arbitrage: no equilibrium exists"),
+        "riskless stock 2": ("0.2, 0.05", "0.3 0; 0 0", SINGULAR),
+        "riskless stock 1": ("0.2, 0.05", "0 0; 0.3 0", SINGULAR),
+        "riskless stock 2, two factors": ("0.2, 0.05", "0.3 0.1; 0 0", SINGULAR),
+        "one factor": ("0.2, 0.12", "0.3 0; 0.2 0", "arbitrage: no equilibrium exists: "
+                       "unequal market prices of risk on one Brownian motion imply arbitrage"),
+        "one factor, equal prices of risk": (
+            "0.2, 0.12", "0.3; 0.15", "shared-risk-constraint: equal market prices of risk: "
+            "allocations on the constraint line are all equilibria"),
     }
 
     @pytest.fixture(params=sorted(MARKETS))
@@ -1029,8 +1043,7 @@ class TestSingularBankMarkets:
         out = tmp_path / "out"
         assert self._run("solve", path, "--out-dir", str(out)) == 0
         assert capsys.readouterr().err == ""
-        line = (out / "diagnostics.txt").read_text().splitlines()[1]
-        assert line.startswith("model1: ") and model1 in line
+        assert (out / "diagnostics.txt").read_text().splitlines()[1] == f"model1: {model1}"
         for table in ("allocation_vs_wealth.csv", "mean_variance_vs_wealth.csv"):
             _, rows = _read_rows(out / table)
             assert sorted({row[2] for row in rows}) == ["model2", "model3"]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tcmv import (
     CorrelationSpec,
+    DegenerateMarketError,
     InvalidCorrelationError,
     MarketParams,
     MarketValidationError,
@@ -87,20 +88,26 @@ class TestDecorrelate:
 class TestValidateDistinctVolatility:
     def test_distinct_rows_pass(self):
         p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.2]])
-        assert validate_distinct_volatility(p).passed
+        assert validate_distinct_volatility(p) is None
 
     def test_identical_assets(self):
         p = MarketParams([0.12, 0.12], [[0.25, 0.0], [0.25, 0.0]])
-        check = validate_distinct_volatility(p)
-        assert not check.passed
-        assert check.classification == IDENTICAL_ASSETS
+        with pytest.raises(DegenerateMarketError) as err:
+            validate_distinct_volatility(p)
+        assert err.value.classification == IDENTICAL_ASSETS
 
     def test_no_equilibrium(self):
         p = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.25, 0.0]])
-        check = validate_distinct_volatility(p)
-        assert not check.passed
-        assert check.classification == NO_EQUILIBRIUM
-        assert "no equilibrium exists" in check.message
+        with pytest.raises(DegenerateMarketError) as err:
+            validate_distinct_volatility(p)
+        assert err.value.classification == NO_EQUILIBRIUM
+        assert "no equilibrium exists" in str(err.value)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stock_count_is_market_error(self, n):
+        p = MarketParams([0.2, 0.12, 0.1][:n], np.eye(3)[:n] * 0.25)
+        with pytest.raises(MarketValidationError, match=f"^models 2 and 3 need 2 stocks; got {n}$"):
+            validate_distinct_volatility(p)
 
 
 class TestCoeffs:

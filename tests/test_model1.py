@@ -120,8 +120,7 @@ class TestSingularCovariance:
         p = MarketParams([0.2, 0.2], [[0.3, 0.0], [0.3, 0.0]], 0.04)
         with pytest.raises(SingularMarketError, match=SHARED_RISK_CONSTRAINT) as err:
             solve_model1(p, ObjectiveSpec(1.0, 1.0))
-        assert err.value.diagnosis is not None
-        assert err.value.diagnosis.classification == SHARED_RISK_CONSTRAINT
+        assert err.value.classification == SHARED_RISK_CONSTRAINT
 
     def test_equal_price_of_risk_constraint_value(self):
         p = MarketParams([0.2, 0.2], [[0.3, 0.0], [0.3, 0.0]], 0.04)
@@ -151,7 +150,7 @@ class TestSingularCovariance:
         assert diagnose_one_factor(p) is None
         with pytest.raises(SingularMarketError, match="covariance matrix is singular") as err:
             solve_model1(p, ObjectiveSpec(3.0, 1.0))
-        assert err.value.diagnosis is None
+        assert err.value.classification is None
 
     def test_two_factor_symmetric_stocks_not_singular(self):
         # independent factors with equal entries: regular problem, equal splits

@@ -8,10 +8,13 @@ from tcmv import (
     CoefficientRangeError,
     DegenerateMarketError,
     MarketParams,
+    MarketValidationError,
+    ObjectiveSpec,
     PicardConfig,
     TimeGrid,
     evaluate_model2,
     solve_model2,
+    solve_model3,
 )
 from tcmv.cli import load_config
 from tcmv.model2 import gain_residual, portfolio_variance_rate
@@ -81,11 +84,22 @@ class TestGainEquation:
             solve_model2(p, unit_grid)
         assert "no equilibrium" in str(err.value)
 
+    def test_three_stocks_are_market_error(self, unit_grid):
+        # once a ValueError, which the CLI does not report as a market error
+        p = MarketParams([0.2, 0.12, 0.1], np.eye(3) * 0.25, 0.04)
+        message = "^models 2 and 3 need 2 stocks; got 3$"
+        with pytest.raises(MarketValidationError, match=message):
+            solve_model2(p, unit_grid)
+        with pytest.raises(MarketValidationError, match=message):
+            solve_model3(p, ObjectiveSpec(3.0, 1.0), unit_grid)
+
     @pytest.mark.parametrize(
         "alpha, sigma",
         [
             ([0.2, 0.12], [[1e200, 0.0], [0.0, 0.25]]),
             ([1e300, 0.0], [[0.25, 0.0], [0.0, 0.25]]),
+            ([0.2, 0.12], [[1.0000000001e160, 0.0], [1e160, 0.25]]),  # csig is inf
+            ([0.2, 0.12], [[1.5e154, 0.0], [1.499e154, 0.25]]),  # |sigma_1|^2 is inf
         ],
     )
     def test_overflowing_gap_or_sharpe_ratio_rejected(self, unit_grid, alpha, sigma):

@@ -132,6 +132,30 @@ class TestSimulate:
         assert err.value.n_excluded > 0
 
 
+class TestSyntheticBank:
+    """sigma2 = c sigma1, c != 1: the portfolio (-c, 1) / (1 - c) is riskless
+    at rate rho = (alpha2 - c alpha1) / (1 - c), and models 2 and 3 hold it
+    as a bank (test_model3.TestBankAccountLimit).  Model 2's gain steps every
+    path by 1 + rho dt, and model 3 simulates model 1 on stock 1 at bank
+    rate rho."""
+
+    @pytest.mark.parametrize("c, alpha2", [(0.5, 0.15), (2.0, 0.3), (-1.0, 0.05), (0.0, 0.04)])
+    def test_models_2_and_3_simulate_the_bank_account_model(self, unit_grid, c, alpha2):
+        s1, alpha1, obj = np.array([0.3, 0.1]), 0.2, ObjectiveSpec(3.0, 1.0)
+        params = MarketParams([alpha1, alpha2], [s1, c * s1], 0.04)
+        rho = alpha1 - (alpha1 - alpha2) / (1.0 - c)
+        cfg = SimConfig(8192, 250, 12345)
+        s3 = solve_model3(params, obj, unit_grid)
+        reports = simulate_models(params, {2: (s3.gain, obj), 3: (s3, obj)}, cfg)
+        bank = np.prod(np.full(cfg.n_time_steps, 1.0 + rho * obj.horizon_T / cfg.n_time_steps))
+        assert abs(reports[2].mean_estimate - bank) <= 1e-13 * bank
+        assert reports[2].variance_estimate <= 1e-24
+        m1 = solve_model1(MarketParams([alpha1], [s1], rho), obj)
+        model3 = reports[3]
+        assert abs(model3.mean_estimate - m1.mean(0.0, cfg.x0)) <= 3 * model3.se_mean
+        assert abs(model3.variance_estimate - m1.variance(0.0, cfg.x0)) <= 3 * model3.se_variance
+
+
 def reference_simulate(params, strategy, obj, cfg):
     """The per-strategy Euler loop in dollars: u = G x + b at every node,
     with b = b1 / gamma of the objective, cash at the risk-free rate, rows
