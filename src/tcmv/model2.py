@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientRangeError
+from .errors import CoefficientRangeError, ConfigError
 from .market import MarketParams, _coeffs, factor_sum, validate_distinct_volatility
 from .numerics import (
     PicardConfig,
@@ -81,15 +81,26 @@ def solve_model2(
     variance-only k, and the mean-variance k1, which does not depend on
     risk aversion.  CoefficientRangeError before any sweep when the
     volatility gap denom, csig, theta~^2 = dalpha^2 / denom or a row's
-    |sigma_i|^2, a variance rate the sweeps form, overflows."""
+    |sigma_i|^2, a variance rate the sweeps form, overflows.  ConfigError
+    when dt theta~^2 >= 4: each node of the trapezoid sweep solves tau -
+    (dt/2) f(tau) = c for the variance tail, f(tau) = sigma_mv^2 + theta~^2
+    (1 - e^{-tau})^2 of slope at most theta~^2 / 2, with one root only below 4."""
     validate_distinct_volatility(params)
     _, _, denom, csig, dalpha = _coeffs(params)
     with np.errstate(over="ignore", invalid="ignore"):
         theta_sq = dalpha * dalpha / denom
         norms = [factor_sum(row * row) for row in params.sigma]
+        coarseness = grid.dt * theta_sq
+        # the fewest steps n with T theta~^2 / n < 4
+        least_steps = np.floor(grid.T * theta_sq / 4.0) + 1.0
     if not np.all(np.isfinite([denom, csig, theta_sq, *norms])):
         raise CoefficientRangeError(
             f"coefficients exceed the float64 range over the horizon T={grid.T:g}")
+    if coarseness >= 4.0:
+        raise ConfigError(
+            f"grid too coarse for the market over the horizon T={grid.T:g}: "
+            f"dt*theta~^2 = {coarseness:.6g} must be below 4, "
+            f"which takes at least {least_steps:.15g} grid steps")
     result = picard_solve(gain_equation_map(params, grid), grid.n_nodes, cfg)
     return Model2Solution(
         params,
@@ -134,15 +145,11 @@ class KernelTables:
         b = self.cum_vol
         return SampledFunction(self.grid, np.expm1(b[-1] - b))
 
-    def forcing(self, gamma: float) -> np.ndarray:
-        """phi(t) = (lam / gamma) I1(t,T) I2(t,T) at every node."""
-        a, b = self.cum_drift, self.cum_vol
-        return (self.lam / gamma) * np.exp(a - a[-1]) * np.exp(b - b[-1])
-
     @cached_property
     def unit_intercept(self) -> SampledFunction:
-        """phi_1 = lam I1(t,T) I2(t,T), the forcing at gamma = 1."""
-        return SampledFunction(self.grid, self.forcing(1.0))
+        """phi_1 = lam I1(t,T) I2(t,T), the intercept k2 at gamma = 1."""
+        a, b = self.cum_drift, self.cum_vol
+        return SampledFunction(self.grid, self.lam * np.exp(a - a[-1]) * np.exp(b - b[-1]))
 
     @cached_property
     def i2_tail(self) -> SampledFunction:
@@ -161,16 +168,20 @@ class KernelTables:
         return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
 
     @cached_property
-    def M3(self) -> float:
-        """sup over grid pairs t <= v of |I1(t,v) I3(t,v)|, in O(N).
-
-        The kernel factors as f(t) g(v) with f(t) = e^{A(t)+B(t)} > 0 and
-        g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}, A = cum_drift,
-        B = cum_vol, so the supremum is max_v |g(v)| max_{t<=v} f(t).
-        """
+    def kernel_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, g) with I1(t,v) I3(t,v) = f(t) g(v) at every node: f(t) =
+        e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v)
+        e^{-B(v)}}, A = cum_drift, B = cum_vol."""
         a, b = self.cum_drift, self.cum_vol
         f = np.exp(a + b)
         g = np.exp(-a) * (self.dalpha * np.exp(-b[-1]) - self.h * np.exp(-b))
+        return f, g
+
+    @cached_property
+    def M3(self) -> float:
+        """sup over grid pairs t <= v of |I1(t,v) I3(t,v)| = max_v |g(v)|
+        max_{t<=v} f(t), in O(N)."""
+        f, g = self.kernel_factors
         return float(np.max(np.abs(g) * np.maximum.accumulate(f)))
 
 

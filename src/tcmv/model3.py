@@ -20,17 +20,19 @@ closed form.  Each solution is its own Monte Carlo strategy, G = (k1,
 the Model2Solution, is model 2's, with b1 = 0.
 
 Every Volterra kernel is separable in (t, v), so each is generated from a
-single cumulative integral and every Picard sweep runs in O(N).  So does
-the kernel supremum behind the k2 error bound: with A = cum_drift and B =
-cum_vol, I1(t,v) I3(t,v) = f(t) g(v) where f(t) = e^{A(t)+B(t)} > 0 and
-g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}.  At the solved k1,
-h(v) = dalpha e^{B(v)-B(T)} makes g and so I3 vanish.
+single cumulative integral and every Picard sweep runs in O(N).  With A =
+cum_drift and B = cum_vol, the check's kernel is I1(t,v) I3(t,v) = f(t)
+g(v), where f(t) = e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)}
+- h(v) e^{-B(v)}} (KernelTables.kernel_factors): a sweep of the check is
+phi_1 / gamma + lam f(t) int_t^T g k2, one tail integral, and the supremum
+behind the k2 error bound is O(N) too.  At the solved k1, h(v) = dalpha
+e^{B(v)-B(T)} makes g and so I3 vanish.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,23 +73,15 @@ def _require_gamma_in_range(kernels: KernelTables, gamma: float):
 
 
 def intercept_equation_map(kernels: KernelTables, gamma: float):
-    """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv."""
-    _require_gamma_in_range(kernels, gamma)
-    grid = kernels.grid
-    dt = grid.dt
-    lam, dalpha = kernels.lam, kernels.dalpha
-    cum_a, cum_b = kernels.cum_drift, kernels.cum_vol
-    exp_a = np.exp(cum_a)
-    inv_a = np.exp(-cum_a)
-    exp_ab = np.exp(cum_a + cum_b)
-    inv_ab_h = np.exp(-(cum_a + cum_b)) * kernels.h
-    i2_tT = np.exp(cum_b - cum_b[-1])
-    phi = kernels.forcing(gamma)
+    """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv,
+    with phi the closed form phi_1 / gamma.  The kernel is f(t) g(v), so a
+    sweep is one tail integral."""
+    phi = intercept(kernels, gamma).values
+    f, g = kernels.kernel_factors
+    lam, dt = kernels.lam, kernels.grid.dt
 
     def step(k2: np.ndarray) -> np.ndarray:
-        u = exp_a * tail_integrals(inv_a * k2, dt)  # int I1 k2
-        w = exp_ab * tail_integrals(inv_ab_h * k2, dt)  # int I1 I2 h k2
-        return phi + lam * (dalpha * i2_tT * u - w)
+        return phi + lam * f * tail_integrals(g * k2, dt)
 
     return step
 
@@ -95,19 +89,9 @@ def intercept_equation_map(kernels: KernelTables, gamma: float):
 def solve_k2(
     kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
 ) -> PicardResult:
-    """Picard solve of the Volterra equation for k2.
-
-    The sweeps stop once they change k2 by less than tol max(1, max|k2|),
-    with k2 the closed form phi_1 / gamma known before the solve: each sweep
-    cancels two integrals of the size of k2, so on a market whose intercept
-    is far above 1 an absolute tol would stall at their roundoff."""
-    cfg = cfg or PicardConfig()
-    scale = max(1.0, float(np.max(np.abs(intercept(kernels, gamma).values))))
-    return picard_solve(
-        intercept_equation_map(kernels, gamma),
-        kernels.grid.n_nodes,
-        replace(cfg, tol=cfg.tol * scale),
-    )
+    """Picard solve of the Volterra equation for k2, the check of the
+    closed form; it stops at the absolute tol of the gain solve."""
+    return picard_solve(intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg)
 
 
 def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> float:

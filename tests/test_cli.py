@@ -646,11 +646,12 @@ class TestSolveCommand:
         assert not out.exists() or not any(out.iterdir())
 
     def test_float64_overflow_is_market_error(self, tmp_path, capsys):
-        # nearly equal volatility rows and a long horizon drive the kernel
-        # exponents far past the float64 range
+        # a steep Sharpe ratio (theta~^2 = 156.8) and a long horizon drive
+        # the kernel exponents far past the float64 range: the variance
+        # tail B(T) alone grows like theta~^2 T
         text = (
             FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.9, -0.5")
-            .replace("0.25 0; 0 0.25", "0.25 0.0; 0.2501 0.0001")
+            .replace("0.25 0; 0 0.25", "0.25 0.0; 0.3 0.1")
             .replace("T = 1", "T = 30")
             .replace("n_steps = 200", "n_steps = 100")
         )
@@ -661,6 +662,29 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "exceed the float64 range" in err and "T=30" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_grid_too_coarse_is_config_error(self, tmp_path, capsys):
+        # nearly equal volatility rows make theta~^2 = 9.8e7, so 100 steps
+        # a year leave dt theta~^2 far above 4, where the discrete gain
+        # equation has spurious solutions
+        text = (
+            FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.9, -0.5")
+            .replace("0.25 0; 0 0.25", "0.25 0.0; 0.2501 0.0001")
+            .replace("T = 1", "T = 30")
+            .replace("n_steps = 200", "n_steps = 100")
+        )
+        path = tmp_path / "coarse.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        for command in "solve", "bounds", "simulate":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, str(path), "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: grid too coarse for the market over the horizon T=30: "
+                "dt*theta~^2 = 980000 must be below 4, which takes at least 735000001 "
+                "grid steps\n")
+            assert not out.exists()
 
     def test_tiny_gamma_is_market_error(self, tmp_path, capsys):
         # k2 scales as 1/gamma: at gamma = 1e-320 it overflows, which the
@@ -1000,6 +1024,21 @@ class TestBoundsCommand:
             k1_table = lines[lines.index("k1 iterate error bound:") + 1 :][:12]
             assert k1_table[0] == "K = 6220.49419543"
             assert [row.split(",")[2] for row in k1_table[2:]] == ["inf"] * 10
+
+    def test_steep_market_k2_check_stops_at_tol(self, tmp_path):
+        # k2 reaches 3.5e3 here, yet a sweep of the check adds to phi_1 /
+        # gamma only the I3 term, which vanishes: it stops at the absolute
+        # tol (a tol scaled by max|k2| stopped it at residual 2.25e-10)
+        path = tmp_path / "steep.cfg"
+        path.write_text(STEEP_CFG)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "diagnostics.txt").read_text().splitlines()
+        k2_line = next(line for line in lines if line.startswith("model3 k2: "))
+        fields = dict(word.split("=") for word in k2_line.split()[2:])
+        assert float(fields["delta"]) < 1e-10 and float(fields["residual"]) <= 1e-10
+        k2_table = lines[lines.index("k2 iterate error bound:") + 3 :]
+        rows = [row.split(",") for row in k2_table if row.count(",") == 2]
+        assert rows and all(float(emp) <= float(bound) for _, emp, bound in rows)
 
 
 class TestSingularBankMarkets:
