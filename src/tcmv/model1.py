@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMarketError
+from .errors import CoefficientRangeError, SingularMarketError
 from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, square
-from .model2 import _require_in_range
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
 CONDITION_LIMIT = 1e10
@@ -56,7 +55,9 @@ class Model1Solution:
 
     def variance(self, t, x):
         """Var[X_T] = theta_sq (T - t) / gamma^2, free of x but shaped as the mean."""
-        load = self.theta_sq * (self.obj.horizon_T - t) / square(self.obj.gamma)
+        theta_sq, T = self.theta_sq, self.obj.horizon_T
+        # theta_sq = 0 carries no load, even where gamma^2 underflows to 0
+        load = theta_sq * (T - t) / square(self.obj.gamma) if theta_sq else 0.0
         return np.full(np.broadcast_shapes(np.shape(t), np.shape(x)), load)
 
     def value(self, t, x):
@@ -95,6 +96,12 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     if load:  # the mean and variance loads theta_sq T / gamma^k, k = 1, 2; nan fails
         _require_in_range(np.log(abs(load)) - min(log_gamma, 2.0 * log_gamma), where)
     return Model1Solution(params, obj, weights, theta_sq)
+
+
+def _require_in_range(log_size: float, where: str):
+    """CoefficientRangeError unless e^log_size is within the float64 range."""
+    if not log_size <= np.log(np.finfo(float).max):
+        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
 
 
 def diagnose_one_factor(params: MarketParams) -> SingularMarketError | None:

@@ -93,9 +93,7 @@ def solve_model2(
         coarseness = grid.dt * theta_sq
         # the fewest steps n with T theta~^2 / n < 4
         least_steps = np.floor(grid.T * theta_sq / 4.0) + 1.0
-    if not np.all(np.isfinite([denom, csig, theta_sq, *norms])):
-        raise CoefficientRangeError(
-            f"coefficients exceed the float64 range over the horizon T={grid.T:g}")
+    _require_finite(f"over the horizon T={grid.T:g}", denom, csig, theta_sq, *norms)
     if coarseness >= 4.0:
         raise ConfigError(
             f"grid too coarse for the market over the horizon T={grid.T:g}: "
@@ -114,7 +112,8 @@ def solve_model2(
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Exponential kernels of a gain k1, stored separably.
+    """Exponential kernels of a gain k1, stored separably, and the tables
+    the moments and the intercept check read, each formed once.
 
     I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
     I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
@@ -123,7 +122,8 @@ class KernelTables:
     summed over the factors.
 
     I1 and I2 give the moments of wealth under u = k1 x; the mean-variance
-    model's intercept equation adds I3.
+    model's intercept equation adds I3.  build_kernels forms every table
+    below once, with A = cum_drift and B = cum_vol.
     """
 
     grid: TimeGrid
@@ -132,50 +132,18 @@ class KernelTables:
     cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
     cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
     h: np.ndarray
-
-    @cached_property
-    def i1_inv(self) -> SampledFunction:
-        """I1(t,T)^{-1} = e^{A(T)-A(t)}, A = cum_drift."""
-        a = self.cum_drift
-        return SampledFunction(self.grid, np.exp(a[-1] - a))
-
-    @cached_property
-    def c0(self) -> SampledFunction:
-        """e^{B(T)-B(t)} - 1, B = cum_vol: the x^2 coefficient of the variance."""
-        b = self.cum_vol
-        return SampledFunction(self.grid, np.expm1(b[-1] - b))
-
-    @cached_property
-    def unit_intercept(self) -> SampledFunction:
-        """phi_1 = lam I1(t,T) I2(t,T), the intercept k2 at gamma = 1."""
-        a, b = self.cum_drift, self.cum_vol
-        return SampledFunction(self.grid, self.lam * np.exp(a - a[-1]) * np.exp(b - b[-1]))
-
-    @cached_property
-    def i2_tail(self) -> SampledFunction:
-        """S(t) = int_t^T I2(v,T) dv."""
-        b = self.cum_vol
-        return SampledFunction(self.grid, tail_integrals(np.exp(b - b[-1]), self.grid.dt))
+    i1_inv: SampledFunction  # I1(t,T)^{-1} = e^{A(T)-A(t)}
+    c0: SampledFunction  # e^{B(T)-B(t)} - 1: the x^2 coefficient of the variance
+    unit_intercept: SampledFunction  # phi_1 = lam I1(t,T) I2(t,T), k2 at gamma = 1
+    i2_tail: SampledFunction  # S(t) = int_t^T I2(v,T) dv
+    # (f, g) with I1(t,v) I3(t,v) = f(t) g(v) at every node: f(t) =
+    # e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v) e^{-B(v)}}
+    kernel_factors: tuple[np.ndarray, np.ndarray]
 
     @property
     def theta_sq(self) -> float:
         """dalpha^2 / denom, the squared Sharpe ratio of long stock 1, short stock 2."""
         return self.lam * self.dalpha
-
-    @cached_property
-    def log_scale(self) -> float:
-        """The exponent of e^{2A+B}, with A and B at their largest."""
-        return 2.0 * np.abs(self.cum_drift).max() + np.abs(self.cum_vol).max()
-
-    @cached_property
-    def kernel_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(f, g) with I1(t,v) I3(t,v) = f(t) g(v) at every node: f(t) =
-        e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)} - h(v)
-        e^{-B(v)}}, A = cum_drift, B = cum_vol."""
-        a, b = self.cum_drift, self.cum_vol
-        f = np.exp(a + b)
-        g = np.exp(-a) * (self.dalpha * np.exp(-b[-1]) - self.h * np.exp(-b))
-        return f, g
 
     @cached_property
     def M3(self) -> float:
@@ -188,22 +156,32 @@ class KernelTables:
 def build_kernels(
     params: MarketParams, k1: SampledFunction, grid: TimeGrid
 ) -> KernelTables:
-    """Kernel tables of the gain k1; CoefficientRangeError when e^{2A+B},
-    the largest exponential the intercept map and the moments form, overflows."""
+    """Kernel tables of the gain k1; CoefficientRangeError when one of the
+    tables, I1(t,T)^{-1}, c0, phi_1, S, f or g, leaves the float64 range."""
     s2, ds, denom, _, dalpha = _coeffs(params)
     k = k1.values
-    drift = params.alpha[1] + k * dalpha
-    cum_drift = forward_integrals(drift, grid.dt)
-    cum_vol = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
+    a = forward_integrals(params.alpha[1] + k * dalpha, grid.dt)
+    b = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
     h = sum((d * (s + k * d) for s, d in zip(s2, ds)), dalpha)
-    kernels = KernelTables(grid, dalpha / denom, dalpha, cum_drift, cum_vol, h)
-    _require_in_range(kernels.log_scale, f"over the horizon T={grid.T:g}")
-    return kernels
+    lam = dalpha / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        i1_inv = np.exp(a[-1] - a)
+        c0 = np.expm1(b[-1] - b)
+        phi = lam * np.exp(a - a[-1]) * np.exp(b - b[-1])
+        tail = tail_integrals(np.exp(b - b[-1]), grid.dt)
+        f = np.exp(a + b)
+        g = np.exp(-a) * (dalpha * np.exp(-b[-1]) - h * np.exp(-b))
+    _require_finite(f"over the horizon T={grid.T:g}", i1_inv, c0, phi, tail, f, g)
+    return KernelTables(
+        grid, lam, dalpha, a, b, h,
+        *(SampledFunction(grid, table) for table in (i1_inv, c0, phi, tail)),
+        (f, g),
+    )
 
 
-def _require_in_range(log_size: float, where: str):
-    """CoefficientRangeError unless e^log_size is within the float64 range."""
-    if not log_size <= np.log(np.finfo(float).max):
+def _require_finite(where: str, *arrays):
+    """CoefficientRangeError unless every entry of the arrays is finite."""
+    if not all(np.all(np.isfinite(array)) for array in arrays):
         raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
 
 

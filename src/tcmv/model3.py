@@ -31,7 +31,6 @@ e^{B(v)-B(T)} makes g and so I3 vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +41,7 @@ from .model2 import (
     KernelTables,
     Model2Solution,
     MomentCoefficients,
-    _require_in_range,
+    _require_finite,
     build_kernels,
     solve_model2,
 )
@@ -55,21 +54,6 @@ from .numerics import (
     picard_solve,
     tail_integrals,
 )
-
-
-def _require_gamma_in_range(kernels: KernelTables, gamma: float):
-    """ValueError unless gamma > 0; CoefficientRangeError when k2, which
-    scales as lam / gamma, or the variance load theta~^2 S / gamma^2
-    overflows at a tiny gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if kernels.lam != 0.0:
-        where = f"over the horizon T={kernels.grid.T:g} at gamma={gamma:g}"
-        log_gamma = math.log(gamma)
-        _require_in_range(kernels.log_scale + math.log(abs(kernels.lam)) - log_gamma, where)
-        # S is largest at t = 0
-        log_s = math.log(kernels.theta_sq * kernels.i2_tail.values[0])
-        _require_in_range(log_s - 2.0 * log_gamma, where)
 
 
 def intercept_equation_map(kernels: KernelTables, gamma: float):
@@ -99,28 +83,41 @@ def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> f
     return float(np.max(np.abs(intercept_equation_map(kernels, gamma)(k2) - k2)))
 
 
+def _where(kernels: KernelTables, gamma: float) -> str:
+    """The range error's place for one gamma; ValueError unless gamma > 0."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    return f"over the horizon T={kernels.grid.T:g} at gamma={gamma:g}"
+
+
 def intercept(kernels: KernelTables, gamma: float) -> SampledFunction:
     """k2 = phi_1 / gamma, the solution of the intercept equation at the
-    kernels of the solved k1, where I3 = 0."""
-    _require_gamma_in_range(kernels, gamma)
-    return SampledFunction(kernels.grid, kernels.unit_intercept.values / gamma)
+    kernels of the solved k1, where I3 = 0; CoefficientRangeError when a
+    tiny gamma takes it beyond float64."""
+    where = _where(kernels, gamma)
+    with np.errstate(over="ignore"):
+        k2 = kernels.unit_intercept.values / gamma
+    _require_finite(where, k2)
+    return SampledFunction(kernels.grid, k2)
 
 
 def moments(kernels: KernelTables, gamma: float) -> MomentCoefficients:
     """The moments of one gamma: the kernels' gamma-free c0, I1(t,T)^{-1}
-    and S, with the loads theta~^2 S / gamma and theta~^2 S / gamma^2.
+    and S, with the loads theta~^2 S / gamma and theta~^2 S / gamma^2;
+    CoefficientRangeError when a tiny gamma takes a load beyond float64.
 
     Valid only for the kernels of the solved k1, where I3 = 0.
     """
-    _require_gamma_in_range(kernels, gamma)
-    tail = kernels.i2_tail.values
+    where = _where(kernels, gamma)
+    theta_sq, tail = kernels.theta_sq, kernels.i2_tail.values
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # theta~^2 = 0 carries no load, even where gamma^2 underflows to 0
+        loads = [(theta_sq / scale if theta_sq else 0.0) * tail
+                 for scale in (gamma, square(gamma))]
+    _require_finite(where, *loads)
     return MomentCoefficients(
-        kernels.grid,
-        float(gamma),
-        kernels.c0,
-        kernels.i1_inv,
-        SampledFunction(kernels.grid, (kernels.theta_sq / gamma) * tail),
-        SampledFunction(kernels.grid, (kernels.theta_sq / square(gamma)) * tail),
+        kernels.grid, float(gamma), kernels.c0, kernels.i1_inv,
+        *(SampledFunction(kernels.grid, load) for load in loads),
     )
 
 

@@ -645,11 +645,12 @@ class TestSolveCommand:
         # no partial outputs left behind
         assert not out.exists() or not any(out.iterdir())
 
-    def test_float64_overflow_is_market_error(self, tmp_path, capsys):
-        # a steep Sharpe ratio (theta~^2 = 156.8) and a long horizon drive
-        # the kernel exponents far past the float64 range: the variance
-        # tail B(T) alone grows like theta~^2 T
-        text = (
+    @pytest.mark.parametrize("market", ["theta_sq_157", "steep"])
+    def test_float64_overflow_is_market_error(self, tmp_path, capsys, market):
+        # a steep Sharpe ratio (theta~^2 = 156.8, or 64 on the steep market)
+        # and a long horizon drive the kernel exponents far past the float64
+        # range: the variance tail B(T) alone grows like theta~^2 T
+        text = STEEP_CFG.replace("T = 3", "T = 30") if market == "steep" else (
             FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.9, -0.5")
             .replace("0.25 0; 0 0.25", "0.25 0.0; 0.3 0.1")
             .replace("T = 1", "T = 30")
@@ -709,6 +710,38 @@ class TestSolveCommand:
             assert main(["solve", str(path), "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert "exceed the float64 range" in err and "T=1 at gamma=1e-160" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
+    def test_zero_sharpe_ratio_at_tiny_gamma_is_solved(self, tmp_path, capsys, command):
+        # with alpha = r on both stocks every Sharpe ratio is 0: the loads
+        # theta~^2 S / gamma^2 and model 1's theta^2 (T - t) / gamma^2 once
+        # became 0 / 0 where gamma^2 underflows, a traceback
+        path = tmp_path / "flat.cfg"
+        path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.04, 0.04")
+                        .replace("gamma = 1, 3", "gamma = 1e-200"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "solve":
+            header, rows = _read_rows(out / "k_curves.csv")
+            assert {row[header.index("k2")] for row in rows} == {"0"}
+
+    def test_tiny_gamma_overflows_the_bank_model_alone(self, tmp_path, capsys):
+        # equal drifts leave models 2 and 3 no Sharpe ratio, but model 1's
+        # theta^2 T / gamma^2 overflows at gamma = 1e-200
+        path = tmp_path / "flat.cfg"
+        path.write_text(FIGURE_CFG.replace("alpha = 0.2, 0.12", "alpha = 0.12, 0.12")
+                        .replace("gamma = 1, 3", "gamma = 1e-200"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "market validation error: coefficients exceed the float64 range of the "
+            "bank-account model over the horizon T=1 at gamma=1e-200\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1039,6 +1072,55 @@ class TestBoundsCommand:
         k2_table = lines[lines.index("k2 iterate error bound:") + 3 :]
         rows = [row.split(",") for row in k2_table if row.count(",") == 2]
         assert rows and all(float(emp) <= float(bound) for _, emp, bound in rows)
+
+
+class TestSteepMarketLongHorizons:
+    """The steep market at T = 5 and 10: e^{A} and e^{B} pass float64 as
+    separate factors (2 max|A| + max|B| = 1696 at T = 10), yet every table
+    the kernels form, and every output, is finite."""
+
+    @pytest.fixture(params=[5, 10])
+    def steep_cfg(self, request, tmp_path):
+        path = tmp_path / "steep.cfg"
+        path.write_text(STEEP_CFG.replace("T = 3", f"T = {request.param}")
+                        + "[simulation]\nn_paths = 512\nn_time_steps = 50\n")
+        return str(path)
+
+    @staticmethod
+    def _run(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(list(argv))
+
+    @staticmethod
+    def assert_finite_cells(out):
+        for csv in out.glob("*.csv"):
+            _, rows = _read_rows(csv)
+            cells = [float(c) for row in rows for c in row if not c.startswith("model")]
+            assert cells and np.all(np.isfinite(cells)), csv.name
+
+    def test_solve(self, steep_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._run("solve", steep_cfg, "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        self.assert_finite_cells(out)
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        for name in ("model2 k: ", "model3 k1: ", "model3 k2: "):
+            line = next(line for line in lines if line.startswith(name))
+            assert float(line.split("residual=")[1]) <= 1e-10
+
+    def test_bounds(self, steep_cfg, capsys):
+        assert self._run("bounds", steep_cfg) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "k2 iterate error bound:" in captured.out
+
+    def test_simulate(self, steep_cfg, tmp_path, capsys):
+        # k1 = -111 at t = 0 makes 50 Euler steps far from the analytic
+        # moments; only finiteness is asserted
+        out = tmp_path / "out"
+        assert self._run("simulate", steep_cfg, "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        self.assert_finite_cells(out)
 
 
 class TestSingularBankMarkets:

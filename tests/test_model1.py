@@ -13,11 +13,15 @@ from tcmv.model1 import ARBITRAGE, SHARED_RISK_CONSTRAINT
 
 
 class TestClosedForm:
-    def test_zero_excess_return(self):
+    @pytest.mark.parametrize("gamma", [2.0, 1e-200])
+    def test_zero_excess_return(self, gamma):
+        # at gamma = 1e-200, gamma^2 underflows to 0: theta_sq (T - t) /
+        # gamma^2 was 0 / 0
         p = MarketParams([0.04, 0.04], [[0.3, 0.0], [0.0, 0.2]], 0.04)
-        sol = solve_model1(p, ObjectiveSpec(2.0, 1.0))
+        sol = solve_model1(p, ObjectiveSpec(gamma, 1.0))
         assert np.allclose(sol.control(0.0), 0.0)
         assert sol.value(0.3, 1.7) == pytest.approx(np.exp(0.04 * 0.7) * 1.7)
+        assert not np.any(sol.variance(np.linspace(0.0, 1.0, 5), 1.7))
 
     def test_terminal_control(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)

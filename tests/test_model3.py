@@ -1,3 +1,4 @@
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -17,9 +18,9 @@ from tcmv import (
 )
 from tcmv import model3
 from tcmv.cli import load_config, main
-from tcmv.errors import ConfigError, NonConvergenceError
+from tcmv.errors import CoefficientRangeError, ConfigError, NonConvergenceError
 from tcmv.market import _coeffs
-from tcmv.model2 import gain_residual
+from tcmv.model2 import gain_residual, portfolio_variance_rate
 from tcmv.model3 import (
     KernelTables,
     _inflate_for_domination,
@@ -32,7 +33,7 @@ from tcmv.model3 import (
     solve_horizon,
     solve_k2,
 )
-from tcmv.numerics import PICARD_START, SampledFunction, convergence_bound
+from tcmv.numerics import PICARD_START, SampledFunction, convergence_bound, forward_integrals
 from .conftest import constant_gain_equal_drifts, random_distinct_market
 
 # intercept at t=0 for the symmetric-volatility market with
@@ -337,12 +338,16 @@ class TestMoments:
             np.sqrt(ref["c0"] * np.abs(ref["c2"]))
         )
 
-    def test_reduces_to_variance_only_shape(self, unit_grid):
+    @pytest.mark.parametrize("gamma", [2.0, 1e-200])
+    def test_reduces_to_variance_only_shape(self, unit_grid, gamma):
         # equal drifts make lam = 0, so k2 = 0 exactly and model 3's moments
-        # are those of the variance-only model with k = k1, to the bit
+        # are those of the variance-only model with k = k1, to the bit; the
+        # loads stay 0 where gamma^2 underflows to 0 (they were 0 / 0)
         p = MarketParams([0.15, 0.15], [[0.3, 0.05], [0.1, 0.2]])
-        s = solve_model3(p, ObjectiveSpec(2.0, 1.0), unit_grid)
-        vals2 = evaluate_model2(p, s.k1, 2.0)
+        s = solve_model3(p, ObjectiveSpec(gamma, 1.0), unit_grid)
+        vals2 = evaluate_model2(p, s.k1, gamma)
+        assert not np.any(s.k2.values)
+        assert not np.any(s.moments.mean_load.values) and not np.any(s.moments.variance_load.values)
         t = unit_grid.nodes
         for x in (0.5, 1.0, 2.0, 3.7):
             assert np.array_equal(s.moments.mean(t, x), vals2.mean(t, x))
@@ -470,6 +475,64 @@ class TestInterceptCheck:
         result = solve_k2(s.kernels, gamma, cfg)
         assert result.iterations <= 3
         assert result.delta < cfg.tol
+
+
+def kernel_exponent(params, grid) -> float:
+    """The largest exponent the kernel tables take, recomputed from the
+    solved gain: A(T) - A, A - A(T), B(T) - B, A + B and -A, A = cum_drift
+    and B = cum_vol."""
+    k = solve_model2(params, grid).k.values
+    dalpha = _coeffs(params)[4]
+    a = forward_integrals(params.alpha[1] + k * dalpha, grid.dt)
+    b = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
+    return float(max(np.max(e) for e in (a[-1] - a, a - a[-1], b[-1] - b, a + b, -a)))
+
+
+class TestRangeRefusal:
+    """A no-bank solve is refused only where a table it forms leaves
+    float64, not where e^A and e^B, formed as separate factors, would."""
+
+    @given(
+        st.tuples(st.floats(-0.1, 0.6), st.floats(-0.1, 0.6)),
+        st.tuples(*[st.floats(-0.4, 0.4)] * 4),
+        st.sampled_from([0.3, 1.0, 3.0, 5.0, 10.0, 30.0]),
+        st.floats(1e-3, 1e2),
+    )
+    @settings(max_examples=50, deadline=None)
+    @example((0.6, 0.05), (0.3, 0.1, 0.25, 0.15), 5.0, 3.0)  # the steep market
+    @example((0.6, 0.05), (0.3, 0.1, 0.25, 0.15), 10.0, 3.0)
+    @example((0.6, 0.05), (0.3, 0.1, 0.25, 0.15), 30.0, 3.0)  # refused
+    def test_refused_only_where_a_table_overflows(self, alpha, sigma, T, gamma):
+        sigma = np.reshape(sigma, (2, 2))
+        assume(np.sum((sigma[0] - sigma[1]) ** 2) > 0.01)
+        params, grid = MarketParams(alpha, sigma, 0.04), TimeGrid.default(T, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                (s,) = solve_horizon(params, [gamma], grid)
+                history = s.k2_solve.history
+                gain_residual(params, grid, s.k1.values)
+                intercept_residual(s.kernels, gamma, s.k2.values)
+                gain_bound_constant(params, grid, s.gain.history)
+                intercept_bound_constant(s.kernels, history)
+            except ConfigError:
+                return
+            except CoefficientRangeError:
+                assert kernel_exponent(params, grid) > np.log(np.finfo(float).max)
+                return
+        x = np.array([[0.0], [1.0], [3.0]])
+        assert np.all(np.isfinite(s.moments.mean(grid.nodes, x)))
+        assert np.all(np.isfinite(s.moments.variance(grid.nodes, x)))
+
+    def test_steep_market_is_second_order_at_T10(self):
+        # the differences of k2(0), mean(0, 1) and variance(0, 1) between
+        # 1000, 2000 and 4000 steps a year shrink 4-fold
+        values = []
+        for n in (1000, 2000, 4000):
+            s = solve_model3(STEEP, ObjectiveSpec(3.0, 10.0), TimeGrid.default(10.0, n))
+            values.append([s.k2(0.0), s.moments.mean(0.0, 1.0), s.moments.variance(0.0, 1.0)])
+        coarse, mid, fine = np.array(values)
+        assert np.all(np.abs((coarse - mid) / (mid - fine) - 4.0) <= 0.05)
 
 
 class TestControl:
