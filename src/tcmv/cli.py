@@ -224,13 +224,13 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 
 def check_simulation_size(cfg: ScenarioConfig):
     """ConfigError when a simulate run has too few paths for its standard
-    errors, or when any array it would allocate passes MAX_BLOCK_BYTES.
-    Models 1 to 3 make 3 columns per case, stepped as 3 rows per horizon:
-    Y, the gain of models 2 and 3, and the unit intercepts Z3 and Z1 of
-    models 3 and 1.  Y and Z3 share one gain factor a step, Z1 steps by
-    1 + r dt and Y adds no shift: one step's factors, with their products,
-    take at most 3 numbers a row and path, the figure path's one path
-    included."""
+    errors, or when any array it would allocate passes MAX_BLOCK_BYTES,
+    a worker's group of normals included.  Models 1 to 3 make 3 columns
+    per case, stepped as 3 rows per horizon: Y, the gain of models 2 and 3,
+    and the unit intercepts Z3 and Z1 of models 3 and 1.  Y and Z3 share
+    one gain factor a step, Z1 steps by 1 + r dt and Y adds no shift: the
+    factors of a chunk of steps, with their products, take at most 3
+    numbers a row, path and step, the figure path's one path included."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:

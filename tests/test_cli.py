@@ -21,7 +21,7 @@ from tcmv import model3, montecarlo, numerics
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
-from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
+from tcmv.montecarlo import _BLOCK, _GROUP, MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
 [market]
@@ -338,17 +338,19 @@ class TestConfigParsing:
         assert "empirical_sup_error,bound" in capsys.readouterr().out
 
     def test_block_memory_bound(self, tmp_path, capsys):
-        # 4096 paths x 8192 steps x 2 factors x 8 bytes is exactly the bound
-        assert MAX_BLOCK_BYTES == 4096 * 8192 * 2 * 8
+        # a worker holds one group of normals: 2048 paths x 16384 steps x 2
+        # factors x 8 bytes is exactly the bound
+        assert _GROUP == 2048 and MAX_BLOCK_BYTES == _GROUP * 16384 * 2 * 8
         path = tmp_path / "steps.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 8192"))
-        assert load_config(str(path)).sim.n_time_steps == 8192
+                        .replace("n_time_steps = 100", "n_time_steps = 16384"))
+        cli.check_simulation_size(load_config(str(path)))
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 8193"))
+                        .replace("n_time_steps = 100", "n_time_steps = 16385"))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "n_time_steps = 8193" in err and "512.1 MiB" in err and "Traceback" not in err
+        assert "n_time_steps = 16385" in err and "Traceback" not in err
+        assert "need 512.0 MiB of Gaussian increments per worker" in err
         assert not (tmp_path / "out").exists()
 
     def test_block_memory_bound_uses_the_path_count(self, tmp_path):
@@ -937,16 +939,17 @@ class TestSimulateCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
-        # two gammas x two horizons share every block, and the figure paths
-        # of every case share one draw of their own stream
+        # two gammas x two horizons share every block, each block's stream
+        # is made once for all its groups, and the figure paths of every
+        # case share one draw of their own stream
         draws = []
 
-        def counted(seed, block, out, piece=None):
+        def counted(seed, block):
             draws.append(block)
-            return draw_block(seed, block, out, piece)
+            return stream(seed, block)
 
-        draw_block = montecarlo._draw_block
-        monkeypatch.setattr(montecarlo, "_draw_block", counted)
+        stream = montecarlo._stream
+        monkeypatch.setattr(montecarlo, "_stream", counted)
         path = tmp_path / "cases.cfg"
         path.write_text(FIGURE_CFG.replace("T = 1", "T = 1, 0.5")
                         .replace("n_paths = 2000", "n_paths = 9000")

@@ -25,13 +25,14 @@ from tcmv import (
 from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
+    _GROUP,
     MAX_BLOCK_BYTES,
-    _draw_block,
+    _draw_paths,
     _report,
     _step_table,
     _stream,
     _workers,
-    block_nbytes,
+    group_nbytes,
     reproduce_figure_paths,
 )
 
@@ -313,20 +314,20 @@ class TestSimulateModels:
         # a draw that fails on a thread other than the caller's: the error
         # leaves simulate_models once every worker has ended
         caller, taken = threading.current_thread(), threading.Event()
-        draw = montecarlo._draw_block
+        draw = montecarlo._draw_paths
 
-        def failing(seed, block, out, piece=None):
+        def failing(stream, out, piece=None):
             if threading.current_thread() is caller:
                 taken.wait(10.0)  # a worker thread takes a block first
-                return draw(seed, block, out, piece)
+                return draw(stream, out, piece)
             taken.set()
-            raise RuntimeError(f"worker failed on block {block}")
+            raise RuntimeError(f"worker failed on a group of {out.shape[2]} paths")
 
-        monkeypatch.setattr(montecarlo, "_draw_block", failing)
+        monkeypatch.setattr(montecarlo, "_draw_paths", failing)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         before = set(threading.enumerate())
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
-        with pytest.raises(RuntimeError, match="worker failed on block"):
+        with pytest.raises(RuntimeError, match="worker failed on a group"):
             simulate_models(diagonal_params, columns, self.CFG, threads=3)
         assert taken.is_set()
         assert set(threading.enumerate()) == before
@@ -335,23 +336,24 @@ class TestSimulateModels:
     def test_each_worker_holds_one_block_buffer(
         self, diagonal_params, three_strategies, monkeypatch, threads
     ):
-        # each thread draws every block it takes into the one buffer it
-        # allocated for the run, and the run's traced peak stays below one
-        # block more than the workers hold
+        # each thread draws every group of every block it takes into the
+        # one buffer of one group it allocated for the run, and the run's
+        # traced peak stays below half a group more than the workers hold
         cfg = SimConfig(9000, 200, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
-        workers = _workers(threads, 3, block_nbytes(cfg, 2))
+        workers = _workers(threads, 3, group_nbytes(cfg, 2))
         assert workers == threads
-        buffers, draw = {}, montecarlo._draw_block
+        assert group_nbytes(cfg, 2) == _GROUP * 200 * 2 * 8
+        buffers, draw = {}, montecarlo._draw_paths
 
-        def recorded(seed, block, out, piece=None):
+        def recorded(stream, out, piece=None):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
-            return draw(seed, block, out, piece)
+            return draw(stream, out, piece)
 
-        monkeypatch.setattr(montecarlo, "_draw_block", recorded)
+        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -361,11 +363,34 @@ class TestSimulateModels:
             tracemalloc.stop()
         assert reports == serial
         assert 1 <= len(buffers) <= workers
-        assert sum(map(len, buffers.values())) == 3
+        # blocks of 4096, 4096 and 808 paths: 2, 2 and 1 groups
+        assert sum(map(len, buffers.values())) == 5
         held = [{id(b) for b in kept} for kept in buffers.values()]
         assert all(len(ids) == 1 for ids in held)
         assert len(set().union(*held)) == len(buffers)
-        assert workers * block_nbytes(cfg, 2) < peak < (workers + 0.5) * block_nbytes(cfg, 2)
+        assert all(b.nbytes == group_nbytes(cfg, 2) for kept in buffers.values() for b in kept)
+        assert workers * group_nbytes(cfg, 2) < peak < (workers + 0.5) * group_nbytes(cfg, 2)
+
+    # paths about one group and one block, a group of one path (6145), and
+    # a partial block; one step, fewer steps than a chunk, and a last chunk
+    # cut short
+    @pytest.mark.parametrize("n_steps", [1, 3, 21])
+    @pytest.mark.parametrize("n_paths", [2047, 2048, 2049, 4097, 6145, 9000])
+    def test_groups_and_chunks_keep_the_bits_of_whole_blocks(
+        self, diagonal_params, three_strategies, n_paths, n_steps
+    ):
+        # each block drawn whole and stepped a step at a time by the
+        # reference reports bit for bit what the groups of paths and the
+        # chunks of steps do, at every thread count
+        cfg = SimConfig(n_paths, n_steps, 31)
+        columns = {
+            (obj, name): (strategy, obj)
+            for obj in (ObjectiveSpec(3.0, 1.0), ObjectiveSpec(1.0, 0.5))
+            for name, strategy in three_strategies.items()
+        }
+        expected = reference_models(diagonal_params, columns, cfg)
+        for threads in (1, 2, 3):
+            assert simulate_models(diagonal_params, columns, cfg, threads) == expected
 
     @pytest.mark.parametrize("n_paths", [1000, 9000])
     def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
@@ -524,6 +549,34 @@ def reference_step(x, z, coef, work):
     x += shift
 
 
+def reference_models(params, columns, cfg):
+    """The reports of simulate_models with every block of _BLOCK paths drawn
+    whole from its stream and every row stepped one step at a time by
+    reference_step; the columns combine their rows as the engine does."""
+    n = cfg.n_time_steps
+    plan = montecarlo._Rows(columns, n)
+    table = _step_table(params, plan.rows, n)
+    terminal = np.empty((len(plan.rows), cfg.n_paths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
+            m = min(_BLOCK, cfg.n_paths - first)
+            z = _stream(cfg.seed, block).standard_normal((m, n, params.n_factors))
+            x = np.repeat(np.array(plan.starts)[:, None], m, axis=1)
+            work = np.empty((3, *x.shape))
+            for i in range(n):
+                reference_step(x, z[:, i].T, table[i], work)
+            terminal[:, first : first + m] = x
+        final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
+        reports = {}
+        for key, column in zip(columns, plan.columns):
+            values = plan.combine(cfg.x0, column, terminal, final)
+            alive = np.isfinite(values)
+            n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
+            reports[key] = _report(values[alive] if n_excluded else values, column.gamma,
+                                   n_excluded)
+    return reports
+
+
 def random_plan(rng, n, d, shared, own):
     """A market of 2 stocks on d factors and the _Rows of n steps of random
     Affine columns, in random order: one gain G per entry of shared, with
@@ -559,14 +612,18 @@ PLANS = (
 
 @given(st.integers(1, 300), *PLANS, st.booleans())
 # the CLI's rows of two horizons on the figure paths' one path, and a G
-# with two intercept rows (its gain stepped twice) beside one with none
+# with two intercept rows (its gain stepped twice) beside one with none;
+# fewer steps than a chunk, and a last chunk cut short, in given scratch
 @example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, scratch=True)
 @example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, scratch=False)
+@example(m=3, n=montecarlo._CHUNK - 1, d=3, shared=[1], own=1, seed=2, scratch=True)
+@example(m=7, n=2 * montecarlo._CHUNK + 1, d=2, shared=[2, 1], own=2, seed=3, scratch=True)
 @settings(max_examples=40, deadline=None)
 def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, scratch):
     # the rows of a random plan stepped from step-major normals keep the
     # bits of the reference on the per-row table at every step, overflow
-    # and signed zeros too, in their own buffers or in given scratch
+    # and signed zeros too, in their own buffers or in given scratch of
+    # the plan's factor size, past which nothing is written
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     R = len(plan.rows)
@@ -574,7 +631,7 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, sc
     normals = rng.normal(size=(n, d, m))
     x = rng.normal(size=(R, m)) * rng.choice([0.0, -0.0, 1.0], size=(R, m))
     ref, whole, work = x.copy(), x.copy(), np.empty((3, R, m))
-    given = np.full(3 * R * m, np.nan) if scratch else None
+    given = np.full(plan.factor_size(m) + 1, np.nan) if scratch else None
     bufsize = np.getbufsize()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
@@ -584,10 +641,13 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, sc
         montecarlo._step_rows(whole, table, normals, plan, given)
         assert np.getbufsize() == bufsize  # the stepping keeps its buffer size to itself
     assert same_bits(whole, ref)
+    assert given is None or np.isnan(given[-1])
 
 
 @given(*PLANS)
 @example(n=40, d=2, shared=[1, 1], own=2, seed=0)
+@example(n=montecarlo._CHUNK - 1, d=3, shared=[1], own=1, seed=2)
+@example(n=2 * montecarlo._CHUNK + 1, d=2, shared=[2, 1], own=2, seed=3)
 @settings(max_examples=40, deadline=None)
 def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed):
     # the figure path, a whole run of one path that keeps its rows at every
@@ -613,17 +673,24 @@ def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed):
     st.integers(1, 12),
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**63),
+    st.lists(st.integers(0, 9), max_size=4),
 )
 @settings(max_examples=40, deadline=None)
-def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block):
+def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block, cuts):
     # drawn a piece of whole paths at a time, the stream gives the bits of
-    # one C-order fill of (m, n, d), moved step-major
+    # one C-order fill of (m, n, d), moved step-major; so it does drawn in
+    # groups of uneven sizes, one call after another on the same stream
     out = np.empty((n, d, m))
-    _draw_block(seed, block, out, np.empty(per * n * d + per % 2))
+    _draw_paths(_stream(seed, block), out, np.empty(per * n * d + per % 2))
     fill = _stream(seed, block).standard_normal((m, n, d)).transpose(1, 2, 0).copy()
     assert same_bits(out, fill)
-    _draw_block(seed, block, out)
+    _draw_paths(_stream(seed, block), out)
     assert same_bits(out, fill)
+    stream, edges = _stream(seed, block), sorted({0, m, *(c for c in cuts if c < m)})
+    for first, stop in zip(edges, edges[1:]):
+        group = np.empty((n, d, stop - first))
+        _draw_paths(stream, group, np.empty(per * n * d))
+        assert same_bits(group, fill[:, :, first:stop])
 
 
 def reference_figure_paths(params, obj, strategies, cfg):
@@ -882,15 +949,15 @@ class TestRows:
 
     def test_run_without_rows_draws_no_block(self, diagonal_params, monkeypatch):
         # a run whose every column compounds at the bank rate steps no row,
-        # so it draws no normals; its figure paths still draw their stream
+        # so it makes no block's stream; its figure paths still make theirs
         draws = []
 
-        def counted(seed, block, out, piece=None):
+        def counted(seed, block):
             draws.append(block)
-            return draw(seed, block, out, piece)
+            return stream(seed, block)
 
-        draw = montecarlo._draw_block
-        monkeypatch.setattr(montecarlo, "_draw_block", counted)
+        stream = montecarlo._stream
+        monkeypatch.setattr(montecarlo, "_stream", counted)
         idle = Affine(np.zeros(2), np.zeros(2))
         columns = {"idle": (idle, ObjectiveSpec(2.0, 1.5))}
         cfg = SimConfig(9000, 40, 7, 2.5)
