@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import gc
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ from .model3 import (
     solve_horizon,
 )
 from .numerics import DEFAULT_STEPS_PER_YEAR, PicardConfig, SimConfig, TimeGrid, convergence_bound
-
-OUT_DIR_ENV = "TCMV_OUT_DIR"
 
 _ALL_TABLES = (
     "k_curves",
@@ -201,11 +200,7 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
         unknown = set(tables) - set(_ALL_TABLES)
         if unknown:
             raise ConfigError(f"unknown output tables: {sorted(unknown)}")
-        out_dir = (
-            out_dir_override
-            or os.environ.get(OUT_DIR_ENV)
-            or outputs.get("directory", ".")
-        )
+        out_dir = out_dir_override or outputs.get("directory", ".")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
@@ -242,10 +237,11 @@ def check_simulation_size(cfg: ScenarioConfig):
     n_columns = n_rows * len(cfg.gammas)
     for what, nbytes in array_nbytes(sim, *cfg.params.sigma.shape, n_rows, n_columns).items():
         if nbytes > MAX_BLOCK_BYTES:
+            # rounded up, so that a size just past the limit does not read as it
             raise ConfigError(
                 f"n_paths = {sim.n_paths} and n_time_steps = {sim.n_time_steps} over "
                 f"{n_columns} Monte Carlo columns on {n_rows} rows need "
-                f"{nbytes / 2**20:.1f} MiB of {what}, "
+                f"{math.ceil(nbytes * 10 / 2**20) / 10:.1f} MiB of {what}, "
                 f"above the {MAX_BLOCK_BYTES // 2**20} MiB limit per array"
             )
 
@@ -525,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="scenario config file")
         cmd.add_argument("--out-dir", default=None, help="output directory "
-                         f"(default: ${OUT_DIR_ENV} or the config's outputs.directory)")
+                         "(default: the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
                          help="simulate draws and steps Monte Carlo path "
                          "blocks on min(N, CPUs, blocks, blocks that fit in "

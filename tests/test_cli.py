@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import tcmv
 from tcmv import cli
-from tcmv.cli import MAX_GRID_STEPS, OUT_DIR_ENV, fmt, fmt_column, load_config, main
+from tcmv.cli import MAX_GRID_STEPS, fmt, fmt_column, load_config, main
 from tcmv import model3, montecarlo, numerics
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
@@ -181,6 +181,11 @@ def _read_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def _refused_mib(message):
+    """The size in MiB that a check_simulation_size refusal prints."""
+    return float(re.search(r" need (\S+) MiB of ", message).group(1))
 
 
 def assert_same_files(got, expected, names):
@@ -350,7 +355,8 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "n_time_steps = 16385" in err and "Traceback" not in err
-        assert "need 512.0 MiB of Gaussian increments per worker" in err
+        assert "need 512.1 MiB of Gaussian increments per worker" in err
+        assert _refused_mib(err) * 2**20 >= _GROUP * 16385 * 2 * 8 > MAX_BLOCK_BYTES
         assert not (tmp_path / "out").exists()
 
     def test_block_memory_bound_uses_the_path_count(self, tmp_path):
@@ -364,9 +370,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name, n_paths, n_time_steps, what, size", [
         # 4,000,000 steps x 6 rows (3 per horizon) x (2 + 2 d) float64s
-        ("figure1.cfg", 4, 4_000_000, "of step table", "1098.6 MiB"),
+        ("figure1.cfg", 4, 4_000_000, "of step table", "1098.7 MiB"),
         # 3 rows x 100,000,000 paths
-        ("section4.cfg", 100_000_000, 1, "of terminal wealth", "2288.8 MiB"),
+        ("section4.cfg", 100_000_000, 1, "of terminal wealth", "2288.9 MiB"),
     ])
     def test_run_memory_bound(self, tmp_path, capsys, name, n_paths, n_time_steps, what, size):
         # each block fits, but another array of the run does not; refused
@@ -391,9 +397,10 @@ class TestConfigParsing:
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit}"))
         cli.check_simulation_size(load_config(str(path)))
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit + 1}"))
-        with pytest.raises(ConfigError, match="3 Monte Carlo columns on 3 rows need 512.0 MiB "
-                           "of terminal"):
+        with pytest.raises(ConfigError, match="3 Monte Carlo columns on 3 rows need 512.1 MiB "
+                           "of terminal") as refused:
             cli.check_simulation_size(load_config(str(path)))
+        assert _refused_mib(str(refused.value)) * 2**20 >= 24 * (limit + 1) > MAX_BLOCK_BYTES
 
     def test_run_memory_bound_applies_to_simulate_alone(self, tmp_path, capsys, monkeypatch):
         # solve and bounds never simulate, so a path count no Monte Carlo
@@ -531,12 +538,21 @@ class TestSolveCommand:
         assert capsys.readouterr().out == "".join(f"wrote {loud / name}\n" for name in SOLVE_FILES)
         assert_same_files(loud, quiet, SOLVE_FILES)
 
-    def test_one_factor_market_equals_its_zero_padded_twin(self, tmp_path):
-        for name, sigma in (("one", "0.3; -0.2"), ("padded", "0.3 0; -0.2 0")):
+    @pytest.mark.parametrize("config, sigma, padded", [
+        (None, "0.3; -0.2", "0.3 0; -0.2 0"),
+        ("figure1.cfg", "0.25 0; 0 0.25", "0.25 0 0; 0 0.25 0"),
+    ], ids=["one_factor", "figure1.cfg"])
+    def test_one_factor_market_equals_its_zero_padded_twin(self, tmp_path, config, sigma, padded):
+        # models 2 and 3 read sigma as two rows over any number of factors:
+        # a zero factor column changes no byte
+        text = FIGURE_CFG if config is None else (
+            resources.files("tcmv") / "configs" / config).read_text()
+        assert text.count("sigma = 0.25 0; 0 0.25\n") == 1
+        for name, rows in (("plain", sigma), ("padded", padded)):
             path = tmp_path / f"{name}.cfg"
-            path.write_text(FIGURE_CFG.replace("0.25 0; 0 0.25", sigma))
+            path.write_text(text.replace("0.25 0; 0 0.25", rows))
             assert main(["solve", str(path), "--out-dir", str(tmp_path / name)]) == 0
-        assert_same_files(tmp_path / "one", tmp_path / "padded", SOLVE_FILES)
+        assert_same_files(tmp_path / "plain", tmp_path / "padded", SOLVE_FILES)
 
     def test_byte_identical_reruns(self, figure_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -610,12 +626,6 @@ class TestSolveCommand:
         assert b"\r" not in raw
         header, rows = _read_rows(out / "allocation_vs_wealth.csv")
         assert all(len(r) == len(header) for r in rows)
-
-    def test_env_var_output_dir(self, figure_cfg, tmp_path, monkeypatch):
-        out = tmp_path / "envout"
-        monkeypatch.setenv(OUT_DIR_ENV, str(out))
-        assert main(["solve", figure_cfg]) == 0
-        assert (out / "k_curves.csv").exists()
 
     def test_degenerate_market_exit_code(self, tmp_path):
         text = FIGURE_CFG.replace("0.25 0; 0 0.25", "0.25 0; 0.25 0")
@@ -924,19 +934,26 @@ class TestSimulateCommand:
         paths = sorted(f.name for f in out.iterdir() if f.name.startswith("simulated"))
         assert len(paths) == 2  # one per (gamma, T) combination
 
-    def test_threads_give_same_output(self, tmp_path):
-        # 9000 paths: two full Monte Carlo blocks and a partial one
+    @pytest.mark.parametrize("n_paths, n_time_steps", [
+        # two full Monte Carlo blocks and a partial one
+        (9000, 20),
+        # a block whose second group holds one path, and a last chunk of
+        # steps cut short
+        (6145, 21),
+    ])
+    def test_threads_give_same_output(self, tmp_path, monkeypatch, n_paths, n_time_steps):
+        # as many workers as --threads and the blocks allow, whatever the CPUs
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         path = tmp_path / "blocks.cfg"
-        path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 9000")
-                        .replace("n_time_steps = 100", "n_time_steps = 20"))
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", str(path), "--out-dir", str(out_a), "--threads", "1"]) == 0
-        assert main(["simulate", str(path), "--out-dir", str(out_b), "--threads", "2"]) == 0
-        names = sorted(f.name for f in out_a.iterdir())
-        assert names == sorted(f.name for f in out_b.iterdir())
+        path.write_text(FIGURE_CFG.replace("n_paths = 2000", f"n_paths = {n_paths}")
+                        .replace("n_time_steps = 100", f"n_time_steps = {n_time_steps}"))
+        for threads in (1, 2, 3):
+            out = tmp_path / f"threads{threads}"
+            assert main(["simulate", str(path), "--out-dir", str(out), "--threads", str(threads)]) == 0
+        names = sorted(f.name for f in (tmp_path / "threads1").iterdir())
         assert "simulation_summary.csv" in names and len(names) == 3
-        for name in names:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for threads in (2, 3):
+            assert_same_files(tmp_path / f"threads{threads}", tmp_path / "threads1", names)
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
         # two gammas x two horizons share every block, each block's stream
@@ -1222,6 +1239,24 @@ class TestShippedConfigs:
         bounds = [(float(r[1]), float(r[2])) for r in rows if len(r) == 3 and r[0].isdigit()]
         assert bounds and all(emp <= bound for emp, bound in bounds)
 
+    @pytest.mark.parametrize("name, n_cases", [("figure1.cfg", 4), ("section4.cfg", 1)])
+    def test_simulate(self, name, n_cases, tmp_path, capsys):
+        # shrunk to 512 paths of 50 steps: a summary row per model and
+        # case, and a path file per case
+        text = (resources.files("tcmv") / "configs" / name).read_text()
+        text = re.sub(r"(?m)^n_paths = .*", "n_paths = 512", text)
+        path = tmp_path / name
+        path.write_text(re.sub(r"(?m)^n_time_steps = .*", "n_time_steps = 50", text))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_rows(out / "simulation_summary.csv")
+        assert len(rows) == 3 * n_cases
+        paths = [f for f in out.iterdir() if f.name.startswith("simulated_paths")]
+        assert len(paths) == n_cases and all(len(_read_rows(f)[1]) == 51 for f in paths)
+
 
 class TestEmitters:
     """Each table emitter against its per-cell reference, byte for byte."""
@@ -1276,7 +1311,8 @@ def _fresh_interpreter(*args) -> str:
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures is imported only when simulate draws blocks ahead
+    # every tcmv process imports the CLI; concurrent.futures would add its
+    # import time to each of them, and simulate's workers are plain threads
     code = "import sys, tcmv.cli; print('concurrent.futures' in sys.modules)"
     assert _fresh_interpreter("-c", code) == "False\n"
 
@@ -1350,9 +1386,14 @@ class TestEntry:
         assert gc.get_freeze_count() == frozen
 
     def test_module_entry_solves(self, tmp_path):
+        # python -m tcmv.cli writes, byte for byte, what main writes in process
+        module, in_process = tmp_path / "module", tmp_path / "main"
         with resources.as_file(resources.files("tcmv") / "configs" / "figure1.cfg") as path:
-            _fresh_interpreter("-m", "tcmv.cli", "solve", str(path), "--out-dir", str(tmp_path))
-        assert (tmp_path / "diagnostics.txt").stat().st_size > 0
+            _fresh_interpreter("-W", "error::RuntimeWarning", "-m", "tcmv.cli", "solve", str(path),
+                               "--out-dir", str(module))
+            assert main(["solve", str(path), "--out-dir", str(in_process)]) == 0
+        assert (module / "diagnostics.txt").stat().st_size > 0
+        assert_same_files(module, in_process, SOLVE_FILES)
 
 
 class TestFormatting:

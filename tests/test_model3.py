@@ -382,10 +382,12 @@ class TestClosedFormIntercept:
             )
             picard = s.k2_solve.values
             assert np.max(np.abs(s.k2.values - picard)) <= 1e-12 * np.max(np.abs(picard))
-            # 10 x the default tol: the residual is the discrete I3 term, the
-            # gain solve's error times about theta~^2 T |k2|, which a k1
-            # solved to 1e-12 leaves at up to 6e-11 where |k2| reaches 830
-            assert intercept_residual(s.kernels, gamma, s.k2.values) <= 1e-9
+            # the residual is the discrete I3 term, the gain solve's error
+            # times about theta~^2 T |k2|, which a k1 solved to 1e-12 leaves
+            # at up to 6e-11 where |k2| reaches 830: 10 x the default tol up
+            # to |k2| = 1000, and relative to |k2| beyond
+            k2_max = np.max(np.abs(s.k2.values))
+            assert intercept_residual(s.kernels, gamma, s.k2.values) <= 1e-12 * max(1e3, k2_max)
             assert_moments_match_reference(s)
 
     @pytest.mark.parametrize("name", ["figure1.cfg", "section4.cfg"])
@@ -399,6 +401,7 @@ class TestClosedFormIntercept:
     @given(st.integers(0, 2**32 - 1), st.floats(0.2, 5.0))
     @settings(max_examples=25, deadline=None)
     @example(seed=7399, T=3.0)  # 2.2e-12 apart when k1 is solved to tol 1e-10
+    @example(seed=147161, T=5.0)  # |k2| reaches 5.6e4: an absolute residual of 1.2e-8
     def test_random_markets(self, seed, T):
         # the two k2 differ through the discrete I3 term by the gain solve's
         # error, so the 1e-12 agreement needs a k1 solved beyond it
