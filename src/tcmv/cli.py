@@ -220,12 +220,13 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 def check_simulation_size(cfg: ScenarioConfig):
     """ConfigError when a simulate run has too few paths for its standard
     errors, or when any array it would allocate passes MAX_BLOCK_BYTES,
-    a worker's group of normals included.  Models 1 to 3 make 3 columns
-    per case, stepped as 3 rows per horizon: Y, the gain of models 2 and 3,
-    and the unit intercepts Z3 and Z1 of models 3 and 1.  Y and Z3 share
-    one gain factor a step, Z1 steps by 1 + r dt and Y adds no shift: the
-    factors of a chunk of steps, with their products, take at most 3
-    numbers a row, path and step, the figure path's one path included."""
+    a worker's half block of normals included.  Models 1 to 3 make 3
+    columns per case, stepped as 3 rows per horizon: Y, the gain of models
+    2 and 3, and the unit intercepts Z3 and Z1 of models 3 and 1.  Y and Z3
+    share one gain factor a step, Z1 steps by 1 + r dt and Y takes no
+    shift: the step factors, with their products, take at most 2 numbers a
+    row, path and step, for as many steps as fit in the engine's fixed
+    budget of factors, or one, the figure path's one path included."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:
@@ -524,9 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
                          help="simulate draws and steps Monte Carlo path "
-                         "blocks on min(N, CPUs, blocks, blocks that fit in "
-                         "512 MiB) worker threads, this one included; solve "
-                         "and bounds accept it and run on one thread")
+                         "blocks on min(N, CPUs, blocks, half blocks of "
+                         "normals that fit in 512 MiB) worker threads, this "
+                         "one included; solve and bounds accept it and run "
+                         "on one thread")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

@@ -28,10 +28,9 @@ Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
 order and thread count.  Blocks are independent, so each worker thread
-takes the next block, makes its stream once and draws it a group of paths
-at a time into its own step-major buffer, stepping each group before it
-draws the next; the draws run side by side, the stepping one group at a
-time.
+takes the next block, makes its stream once and draws it in two halves
+into its own step-major buffer, stepping each half before it draws the
+next; the draws run side by side, the stepping one half at a time.
 The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
 levels, not logs: dollar strategies with an intercept can legitimately
@@ -56,30 +55,28 @@ if TYPE_CHECKING:
     from .numerics import SimConfig
 
 # Fixed block size of the per-block Philox streams; part of the
-# reproducibility contract, do not make it configurable.
+# reproducibility contract, do not make it configurable.  A worker draws and
+# steps each block in two halves, ceil(m / 2) paths and then floor(m / 2),
+# the block's stream continued from one to the next, so that it holds half
+# a block's normals.  On 2 vCPUs, halves cut the peak RSS of two workers on
+# 32768 paths of 250 steps from 70.2 to 54.9 MB; quarters, twice as many
+# numpy calls a path, stepped 50-70 % slower beside the other worker's draw.
 _BLOCK = 4096
 
-# Paths a worker draws and steps at once, a block's stream continued from
-# one group to the next: a worker holds a group's normals, not a block's.
-# On 2 vCPUs, half a block cut the peak RSS of two workers on 32768 paths
-# of 250 steps from 70.2 to 54.9 MB; groups of 1024 paths, twice as many
-# numpy calls a path, stepped 50-70 % slower beside the other worker's draw.
-_GROUP = 2048
-
-# Steps whose gain and shift factors _step_rows forms in one numpy call per
-# factor term, before it steps them one at a time.  A group stepped one step
-# a call makes twice a block's short calls a path, each a turn at the GIL
-# beside the other worker's draw: on the run above, 2048-path groups took
-# 318 ms at 1 step a call, 310 at 2, 279 at 4 and 268 at 8, against 276 for
-# whole blocks.  The factors take _CHUNK (K + R + max(K, R - K)) numbers a
-# path, for R rows of which K are gains; 8 steps' added 0.5 MB to the peak
-# RSS of 1024 paths of 750 steps on 6 rows, 4 steps' 0.14 MB.
-_CHUNK = 4
+# Numbers of the step factors _step_rows forms in one call, one numpy call
+# per factor term over as many steps as fit, before it steps them one at a
+# time: 384 KiB of scratch.  A half block stepped one step a call makes
+# twice a block's short calls a path, each a turn at the GIL beside the
+# other worker's draw: the 2048-path halves of 32768 paths of 250 steps
+# took 318 ms at 1 step a call, 310 at 2, 279 at 4 and 268 at 8, against
+# 276 for whole blocks.  That run's 3 rows (5 numbers a path and step) form
+# 4 steps a call.
+_FACTORS = 49152
 
 # Most bytes of any one array a run sizes (see array_nbytes), a worker's
 # normals included: tcmv simulate refuses larger ones before it solves
 # instead of exhausting memory mid-run, and no more worker threads run
-# than their groups of normals pass it together.
+# than their half blocks of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Most normals a worker drawing beside another draws at once, in whole paths
@@ -92,9 +89,15 @@ _PIECE = 2**15
 _MAX_EXPLODED_FRACTION = 1e-3
 
 
+def _half(n_paths: int) -> int:
+    """Paths of the largest half block a run draws: the first block's
+    first half, ceil(m / 2) of its m paths."""
+    return (min(n_paths, _BLOCK) + 1) // 2
+
+
 def group_nbytes(cfg: SimConfig, n_factors: int) -> int:
-    """Bytes of Gaussian increments a worker holds: one group of paths."""
-    return min(cfg.n_paths, _GROUP) * cfg.n_time_steps * n_factors * 8
+    """Bytes of Gaussian increments a worker holds: half a block."""
+    return _half(cfg.n_paths) * cfg.n_time_steps * n_factors * 8
 
 
 def array_nbytes(
@@ -105,16 +108,16 @@ def array_nbytes(
     n_rows rows.  The step table, the sampled coefficients, the step
     factors and the terminal wealth grow with the rows, which do not depend
     on how many gammas share a horizon; only the figure paths handed back
-    grow with the columns.  The figure path steps as a group of one path,
-    so its factors are within the step factors of a group."""
-    n, m = cfg.n_time_steps, min(cfg.n_paths, _GROUP)
+    grow with the columns.  The figure path steps as a half block of one
+    path, so its factors are within the step factors of a half block."""
+    n = cfg.n_time_steps
     return {
         "Gaussian increments per worker": group_nbytes(cfg, n_factors),
         "step table": n * n_rows * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
-        # a chunk of steps' gains, shifts and products, at most 3 numbers a
-        # row and step
-        "step factors": 3 * min(n, _CHUNK) * n_rows * m * 8,
+        # the gains, shifts and products of as many steps as fit in
+        # _FACTORS, or of one step, at most 2 numbers a row and path
+        "step factors": max(_FACTORS, 2 * n_rows * _half(cfg.n_paths)) * 8,
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -245,12 +248,18 @@ class _Rows:
         self.n_gains, self.n_shared = len(slots), len(shared)
         self.columns = [_Column(T, g, index.get(y), index.get(z)) for T, g, y, z in met]
 
-    def factor_size(self, m: int) -> int:
-        """Numbers of the factors :func:`_step_rows` forms for a chunk of
-        steps of m paths: the gains of the gain rows, the shifts of every
-        row and their products."""
+    def step_size(self, m: int) -> int:
+        """Numbers of the factors :func:`_step_rows` forms for one step of
+        m paths: the gains of the gain rows, the shifts of the other rows
+        and the products of either."""
         K, R = self.n_gains, len(self.rows)
-        return min(self.n, _CHUNK) * (K + R + max(K, R - K)) * m
+        return (R + max(K, R - K)) * m
+
+    def factor_size(self, m: int) -> int:
+        """Numbers of the factors of as many steps of m paths as fit in
+        _FACTORS, at least one and at most n."""
+        step = self.step_size(m)
+        return min(self.n, max(1, _FACTORS // step)) * step if step else 0
 
     def compounding(self, r: float) -> dict:
         """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
@@ -275,39 +284,41 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     """x <- x A + B in place for every step of the table, for x the (R, m)
     rows of plan on m paths and normals their (n, d, m) standard normals,
     step-major.  A gain row's A multiplies it and the intercept row paired
-    with it; a G = 0 row's A + C z is its entry 1 + r dt, as C = +0; a gain
-    row's B + E z is +0, added as zero rows of the shift so that -0 turns
-    +0.  The factors A + C z and B + E z of up to _CHUNK steps are formed
-    together, one numpy call per term, then stepped one step at a time.
-    Each row's operations are elementwise and those of the per-row step,
-    so its bits depend on its own coefficients alone.  The factors go in a
-    view of scratch, of at least plan.factor_size(m) numbers, where one is
-    given.  With path, an (n + 1, R, m) array, x is kept at the start and
-    after every step."""
+    with it; a G = 0 row's A + C z is its entry 1 + r dt, as C = +0.  A gain
+    row's B + E z is +0 and is not formed: +0 is added to the gain rows once
+    after the last step, which turns -0 into +0 as adding it every step
+    would (an intercept row's x A + B may itself be -0, and is kept).  The
+    factors A + C z and B + E z of as many steps as fit in the scratch are
+    formed together, one numpy call per term, then stepped one step at a
+    time.  Each row's operations are elementwise and those of the per-row
+    step, so its bits depend on its own coefficients alone.
+    The factors go in a view of scratch where one is given, else in
+    plan.factor_size(m) numbers.  With path, an (n + 1, R, m) array, x is
+    kept at the start and after every step."""
     (R, m), d, K, J = x.shape, normals.shape[1], plan.n_gains, plan.n_shared
-    c = min(len(table), _CHUNK)
     if scratch is None:
         scratch = np.empty(plan.factor_size(m))
+    step = plan.step_size(m)
+    c = min(len(table), scratch.size // step) if step else len(table)
     gain = scratch[: c * K * m].reshape(c, K, m)
-    shift = scratch[c * K * m : c * (K + R) * m].reshape(c, R, m)
-    tmp = scratch[c * (K + R) * m :]
-    shift[:, :K] = 0.0
-    intercepts, gain_tmp = shift[:, K:], tmp[: c * K * m].reshape(c, K, m)
+    shift = scratch[c * K * m : c * R * m].reshape(c, R - K, m)
+    tmp = scratch[c * R * m :]
+    gain_tmp = tmp[: c * K * m].reshape(c, K, m)
     shift_tmp = tmp[: c * (R - K) * m].reshape(c, R - K, m)
-    head, shared, fixed = x[:K], x[K : K + J], x[K + J :]
+    head, tail, shared, fixed = x[:K], x[K:], x[K : K + J], x[K + J :]
     if path is not None:
         path[0] = x
     with np.errstate():
         # to broadcast a (k, R, 1) entry against (k, 1, m) normals numpy
         # copies them through its ufunc buffer; with the least buffer it
-        # forms them in place, 1.5-2.5 times faster a call (a group steps
-        # 1.3-1.5 times faster), and every operation is elementwise
+        # forms them in place, 1.5-2.5 times faster a call (a half block
+        # steps 1.3-1.5 times faster), and every operation is elementwise
         np.setbufsize(16)
         for first in range(0, len(table), c):
             coef, z = table[first : first + c], normals[first : first + c]
             k = len(coef)
             gains, shifts, a = coef[:, :, :K], coef[:, :, K:], coef[:, 0, K + J :]
-            g, s = gain[:k], intercepts[:k]
+            g, s = gain[:k], shift[:k]
             np.multiply(gains[:, 2], z[:, :1], out=g)
             np.multiply(shifts[:, 2 + d], z[:, :1], out=s)
             for j in range(1, d):
@@ -319,15 +330,18 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
                 head *= g[i]
                 shared *= g[i, :J]
                 fixed *= a[i]
-                x += shift[i]
+                tail += s[i]
                 if path is not None:
                     path[first + i + 1] = x
+        head += 0.0
+        if path is not None:
+            path[1:, :K] += 0.0
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
     """Threads that draw and step blocks, the calling one included: at most
-    the threads asked for, the blocks and the CPUs, and their groups of
-    nbytes of normals each fit in MAX_BLOCK_BYTES together; at least one."""
+    the threads asked for, the blocks and the CPUs, and their half blocks
+    of nbytes of normals each fit in MAX_BLOCK_BYTES together; at least one."""
     return max(1, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes))
 
 
@@ -388,7 +402,7 @@ def simulate_models(
     terminal wealth is not finite are excluded; too many of them, or
     estimates beyond float64, raise SimulationExplosionError.  Blocks are
     drawn and stepped on :func:`_workers` threads, this one included, each
-    holding one group of normals; every thread count gives identical
+    holding half a block of normals; every thread count gives identical
     reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
@@ -397,35 +411,38 @@ def simulate_models(
     starts = np.array(plan.starts)[:, None]
     n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
     terminal = np.empty((n_rows, cfg.n_paths))
-    width = min(cfg.n_paths, _GROUP)
+    width = _half(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
-    # Each worker makes a block's stream once and draws it a group of paths
-    # at a time through its scratch, stepping each group before it draws the
-    # next.  Threads draw side by side, as a Philox fill runs without the
-    # GIL, and step one group at a time: stepping's short numpy calls take
+    # Each worker makes a block's stream once and draws it in two halves
+    # through its scratch, stepping the first half before it draws the
+    # second.  Threads draw side by side, as a Philox fill runs without the
+    # GIL, and step one half at a time: stepping's short numpy calls take
     # the GIL every few microseconds, and two threads stepping at once were
     # no faster than one stepping while the other draws.  Beside a stepping
     # thread, pieces of _PIECE numbers keep a drawing thread's turns at the
-    # GIL few.  The scratch holds one piece or one chunk of step factors.
+    # GIL few.  The scratch holds one piece or the step factors of a half.
     size = max(plan.factor_size(width), _piece_size(n_steps, d, width))
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
-        # one thread's buffers for the run: a group's normals, step-major,
-        # and the scratch each piece of the draw, then the step, goes through
+        # one thread's buffers for the run: half a block's normals,
+        # step-major, and the scratch each piece of the draw, then the step,
+        # goes through
         normals, scratch = np.empty(n_steps * d * width), np.empty(size)
 
         def run_block(block: int):
             stream = _stream(cfg.seed, block)
-            stop = min(cfg.n_paths, (block + 1) * _BLOCK)
-            for first in range(block * _BLOCK, stop, _GROUP):
-                m = min(_GROUP, stop - first)
-                z = normals[: n_steps * d * m].reshape(n_steps, d, m)
+            first, stop = block * _BLOCK, min(cfg.n_paths, (block + 1) * _BLOCK)
+            middle = first + (stop - first + 1) // 2
+            for lo, hi in ((first, middle), (middle, stop)):
+                if hi == lo:  # the second half of a block of one path
+                    return
+                z = normals[: n_steps * d * (hi - lo)].reshape(n_steps, d, hi - lo)
                 _draw_paths(stream, z, scratch)
                 # the rows are stepped where their terminal wealth goes;
                 # overflow is how a path explodes, and its non-finite wealth
                 # is excluded at the end, so it must not warn
-                x = terminal[:, first : first + m]
+                x = terminal[:, lo:hi]
                 with stepping, np.errstate(over="ignore", invalid="ignore"):
                     x[...] = starts
                     _step_rows(x, table, z, plan, scratch)

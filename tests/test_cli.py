@@ -21,7 +21,7 @@ from tcmv import model3, montecarlo, numerics
 from tcmv.errors import ConfigError, MarketValidationError
 from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
-from tcmv.montecarlo import _BLOCK, _GROUP, MAX_BLOCK_BYTES
+from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
 
 FIGURE_CFG = """\
 [market]
@@ -343,9 +343,10 @@ class TestConfigParsing:
         assert "empirical_sup_error,bound" in capsys.readouterr().out
 
     def test_block_memory_bound(self, tmp_path, capsys):
-        # a worker holds one group of normals: 2048 paths x 16384 steps x 2
-        # factors x 8 bytes is exactly the bound
-        assert _GROUP == 2048 and MAX_BLOCK_BYTES == _GROUP * 16384 * 2 * 8
+        # a worker holds half a block of normals: 2048 paths x 16384 steps
+        # x 2 factors x 8 bytes is exactly the bound
+        half = _BLOCK // 2
+        assert half == 2048 and MAX_BLOCK_BYTES == half * 16384 * 2 * 8
         path = tmp_path / "steps.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
                         .replace("n_time_steps = 100", "n_time_steps = 16384"))
@@ -356,11 +357,11 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "n_time_steps = 16385" in err and "Traceback" not in err
         assert "need 512.1 MiB of Gaussian increments per worker" in err
-        assert _refused_mib(err) * 2**20 >= _GROUP * 16385 * 2 * 8 > MAX_BLOCK_BYTES
+        assert _refused_mib(err) * 2**20 >= half * 16385 * 2 * 8 > MAX_BLOCK_BYTES
         assert not (tmp_path / "out").exists()
 
     def test_block_memory_bound_uses_the_path_count(self, tmp_path):
-        # fewer paths than one block: the block is only that large
+        # fewer paths than one block: a worker holds half of them
         path = tmp_path / "few.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 10")
                         .replace("n_time_steps = 100", "n_time_steps = 1000000"))
@@ -937,9 +938,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("n_paths, n_time_steps", [
         # two full Monte Carlo blocks and a partial one
         (9000, 20),
-        # a block whose second group holds one path, and a last chunk of
-        # steps cut short
+        # a partial block in halves of 1025 and 1024 paths, and a block
+        # whose first half holds one path; a last call of steps cut short
+        # (the 2048-path halves form 4 steps a call)
         (6145, 21),
+        (4097, 21),
     ])
     def test_threads_give_same_output(self, tmp_path, monkeypatch, n_paths, n_time_steps):
         # as many workers as --threads and the blocks allow, whatever the CPUs
@@ -957,7 +960,7 @@ class TestSimulateCommand:
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
         # two gammas x two horizons share every block, each block's stream
-        # is made once for all its groups, and the figure paths of every
+        # is made once for both its halves, and the figure paths of every
         # case share one draw of their own stream
         draws = []
 

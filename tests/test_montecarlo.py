@@ -25,7 +25,6 @@ from tcmv import (
 from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
-    _GROUP,
     MAX_BLOCK_BYTES,
     _draw_paths,
     _report,
@@ -336,21 +335,22 @@ class TestSimulateModels:
     def test_each_worker_holds_one_block_buffer(
         self, diagonal_params, three_strategies, monkeypatch, threads
     ):
-        # each thread draws every group of every block it takes into the
-        # one buffer of one group it allocated for the run, and the run's
-        # traced peak stays below half a group more than the workers hold
+        # each thread draws both halves of every block it takes into the
+        # one buffer of half a block it allocated for the run, and the run's
+        # traced peak stays below a quarter block more than the workers hold
         cfg = SimConfig(9000, 200, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         workers = _workers(threads, 3, group_nbytes(cfg, 2))
         assert workers == threads
-        assert group_nbytes(cfg, 2) == _GROUP * 200 * 2 * 8
-        buffers, draw = {}, montecarlo._draw_paths
+        assert group_nbytes(cfg, 2) == _BLOCK // 2 * 200 * 2 * 8
+        buffers, halves, draw = {}, [], montecarlo._draw_paths
 
         def recorded(stream, out, piece=None):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
+            halves.append(out.shape[2])
             return draw(stream, out, piece)
 
         monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
@@ -363,25 +363,58 @@ class TestSimulateModels:
             tracemalloc.stop()
         assert reports == serial
         assert 1 <= len(buffers) <= workers
-        # blocks of 4096, 4096 and 808 paths: 2, 2 and 1 groups
-        assert sum(map(len, buffers.values())) == 5
+        # blocks of 4096, 4096 and 808 paths, each in two halves
+        assert sorted(halves) == [404] * 2 + [2048] * 4
         held = [{id(b) for b in kept} for kept in buffers.values()]
         assert all(len(ids) == 1 for ids in held)
         assert len(set().union(*held)) == len(buffers)
         assert all(b.nbytes == group_nbytes(cfg, 2) for kept in buffers.values() for b in kept)
         assert workers * group_nbytes(cfg, 2) < peak < (workers + 0.5) * group_nbytes(cfg, 2)
 
-    # paths about one group and one block, a group of one path (6145), and
-    # a partial block; one step, fewer steps than a chunk, and a last chunk
-    # cut short
+    @pytest.mark.parametrize("n_paths", [1023, 1024])
+    def test_one_block_run_holds_half_its_normals(
+        self, diagonal_params, three_strategies, monkeypatch, n_paths
+    ):
+        # one block, drawn in halves of ceil(m / 2) and floor(m / 2) paths
+        # into one buffer of the first: the run's traced peak is about half
+        # the block's normals (one block makes one worker of two threads)
+        cfg = SimConfig(n_paths, 400, 31)
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        serial = simulate_models(diagonal_params, columns, cfg)
+        halves, draw = [], montecarlo._draw_paths
+
+        def recorded(stream, out, piece=None):
+            halves.append(out.shape[2])
+            return draw(stream, out, piece)
+
+        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
+        monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = simulate_models(diagonal_params, columns, cfg, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert reports == serial
+        assert halves == [(n_paths + 1) // 2, n_paths // 2]
+        block = n_paths * 400 * 2 * 8
+        assert group_nbytes(cfg, 2) == 512 * 400 * 2 * 8
+        assert 0.5 * block < peak < 0.65 * block  # the scratch is 0.06 of it
+
+    # one block of 4, 5, 1023, 1024 or 4095 paths; paths about half a block
+    # and one block, a half of one path (4097), two blocks and a partial
+    # one; one step and more
     @pytest.mark.parametrize("n_steps", [1, 3, 21])
-    @pytest.mark.parametrize("n_paths", [2047, 2048, 2049, 4097, 6145, 9000])
+    @pytest.mark.parametrize("n_paths", [4, 5, 1023, 1024, 2047, 2048, 2049, 4095, 4097,
+                                         6145, 9000])
     def test_groups_and_chunks_keep_the_bits_of_whole_blocks(
-        self, diagonal_params, three_strategies, n_paths, n_steps
+        self, diagonal_params, three_strategies, monkeypatch, n_paths, n_steps
     ):
         # each block drawn whole and stepped a step at a time by the
-        # reference reports bit for bit what the groups of paths and the
-        # chunks of steps do, at every thread count
+        # reference reports bit for bit what the halves of blocks and the
+        # steps formed a call do, at every thread count, in the run's own
+        # scratch and in scratch cut to 1, 2 or 3 steps' factors or to all
         cfg = SimConfig(n_paths, n_steps, 31)
         columns = {
             (obj, name): (strategy, obj)
@@ -389,8 +422,18 @@ class TestSimulateModels:
             for name, strategy in three_strategies.items()
         }
         expected = reference_models(diagonal_params, columns, cfg)
-        for threads in (1, 2, 3):
-            assert simulate_models(diagonal_params, columns, cfg, threads) == expected
+        step_rows = montecarlo._step_rows
+        for steps in (None, 1, 2, 3, n_steps):
+
+            def cut(x, table, normals, plan, scratch=None, path=None):
+                given = np.empty(steps * plan.step_size(x.shape[1]))
+                return step_rows(x, table, normals, plan, given, path)
+
+            with monkeypatch.context() as patch:
+                if steps is not None:
+                    patch.setattr(montecarlo, "_step_rows", cut)
+                for threads in (1, 2, 3):
+                    assert simulate_models(diagonal_params, columns, cfg, threads) == expected
 
     @pytest.mark.parametrize("n_paths", [1000, 9000])
     def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
@@ -610,20 +653,25 @@ PLANS = (
 )
 
 
-@given(st.integers(1, 300), *PLANS, st.booleans())
-# the CLI's rows of two horizons on the figure paths' one path, and a G
-# with two intercept rows (its gain stepped twice) beside one with none;
-# fewer steps than a chunk, and a last chunk cut short, in given scratch
-@example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, scratch=True)
-@example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, scratch=False)
-@example(m=3, n=montecarlo._CHUNK - 1, d=3, shared=[1], own=1, seed=2, scratch=True)
-@example(m=7, n=2 * montecarlo._CHUNK + 1, d=2, shared=[2, 1], own=2, seed=3, scratch=True)
+# scratch for that many steps' factors, or none
+SCRATCH_STEPS = st.none() | st.integers(1, 12)
+
+
+@given(st.integers(1, 300), *PLANS, SCRATCH_STEPS)
+# the CLI's rows of two horizons on the figure paths' one path, all steps
+# a call, and a G with two intercept rows (its gain stepped twice) beside
+# one with none; fewer steps than fit in the scratch, and a last call cut
+# short
+@example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, steps=40)
+@example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, steps=None)
+@example(m=3, n=3, d=3, shared=[1], own=1, seed=2, steps=4)
+@example(m=7, n=9, d=2, shared=[2, 1], own=2, seed=3, steps=4)
 @settings(max_examples=40, deadline=None)
-def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, scratch):
+def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, steps):
     # the rows of a random plan stepped from step-major normals keep the
     # bits of the reference on the per-row table at every step, overflow
     # and signed zeros too, in their own buffers or in given scratch of
-    # the plan's factor size, past which nothing is written
+    # some steps' factors, past which nothing is written
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     R = len(plan.rows)
@@ -631,7 +679,7 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, sc
     normals = rng.normal(size=(n, d, m))
     x = rng.normal(size=(R, m)) * rng.choice([0.0, -0.0, 1.0], size=(R, m))
     ref, whole, work = x.copy(), x.copy(), np.empty((3, R, m))
-    given = np.full(plan.factor_size(m) + 1, np.nan) if scratch else None
+    given = None if steps is None else np.full(steps * plan.step_size(m) + 1, np.nan)
     bufsize = np.getbufsize()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
@@ -644,26 +692,58 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, sc
     assert given is None or np.isnan(given[-1])
 
 
-@given(*PLANS)
-@example(n=40, d=2, shared=[1, 1], own=2, seed=0)
-@example(n=montecarlo._CHUNK - 1, d=3, shared=[1], own=1, seed=2)
-@example(n=2 * montecarlo._CHUNK + 1, d=2, shared=[2, 1], own=2, seed=3)
+@given(*PLANS, SCRATCH_STEPS)
+@example(n=40, d=2, shared=[1, 1], own=2, seed=0, steps=None)
+@example(n=3, d=3, shared=[1], own=1, seed=2, steps=4)
+@example(n=9, d=2, shared=[2, 1], own=2, seed=3, steps=4)
 @settings(max_examples=40, deadline=None)
-def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed):
+def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed, steps):
     # the figure path, a whole run of one path that keeps its rows at every
-    # node, steps each row bit for bit as the block stepping does at m = 1
+    # node, steps each row bit for bit as the block stepping does at m = 1,
+    # in its own scratch (every step a call) or in some steps' scratch
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     table = _step_table(params, plan.rows, n)
     z = rng.normal(size=(n, d, 1))
     x = np.array(plan.starts).reshape(-1, 1)
     path = np.full((n + 1, len(plan.rows), 1), np.nan)
+    given = None if steps is None else np.empty(steps * plan.step_size(1))
     with np.errstate(over="ignore", invalid="ignore"):
-        montecarlo._step_rows(x.copy(), table, z, plan, path=path)
+        montecarlo._step_rows(x.copy(), table, z, plan, given, path=path)
         assert same_bits(path[0], x)
         for i in range(n):
             montecarlo._step_rows(x, table[i : i + 1], z[i : i + 1], plan)
             assert same_bits(path[i + 1], x)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_gain_rows_turn_negative_zero_positive(steps):
+    # a gain row that meets a zero gain factor from below holds -0, which
+    # the +0 shift of the per-row step turns +0; intercept rows keep a -0
+    # that their own x A + B makes.  The table is set by hand: the gain
+    # row's A + C z is -1, then 0, then 0.5, with B = C = E = +0; its
+    # intercept row shares that A, and the intercept rows' B and E are -0,
+    # on normals of 1, from starts of -0
+    G, b, obj = np.array([0.5, 0.5]), np.array([1.0, -1.0]), ObjectiveSpec(1.0, 1.0)
+    columns = {0: (Affine(G, 0 * b), obj), 1: (Affine(G, b), obj), 2: (Affine(0 * G, b), obj)}
+    plan = montecarlo._Rows(columns, 5)
+    assert (plan.n_gains, plan.n_shared, len(plan.rows)) == (1, 1, 3)
+    table = np.zeros((5, 4, 3, 1))
+    table[:, 0, :2, 0] = np.array([-1.0, 0.0, 0.5, 0.5, 0.5])[:, None]
+    table[:, 0, 2, 0] = 1.01
+    table[:, 1, 1:] = table[:, 3, 1:] = -0.0
+    z, x = np.ones((5, 1, 2)), np.array([[1.0] * 2, [-0.0] * 2, [-0.0] * 2])
+    ref, work = x.copy(), np.empty((3, 3, 2))
+    path = np.full((6, 3, 2), np.nan)
+    montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(2)), path)
+    assert same_bits(path[0], [[1.0] * 2, [-0.0] * 2, [-0.0] * 2])
+    for i in range(5):
+        reference_step(ref, z[i], table[i], work)
+        assert same_bits(path[i + 1], ref)
+    # the gain row +0 from the second step on, the fixed row -0 throughout
+    assert same_bits(path[2:, 0], np.zeros((4, 2)))
+    assert same_bits(path[1:, 2], np.full((5, 2), -0.0))
+    assert same_bits(x, ref) and same_bits(x, path[-1])
 
 
 @given(
@@ -946,6 +1026,17 @@ class TestRows:
         assert report.variance_estimate == 0.0 and report.n_excluded == 0
         path = reproduce_figure_paths(diagonal_params, {"idle": (idle, obj)}, cfg)["idle"]
         assert path.wealth[-1] == 2.5 * growth and not path.dollars.any()
+
+    def test_no_rows_step_in_any_scratch(self, diagonal_params):
+        # no row takes no factor a step: the steps a call are not derived
+        # by dividing the scratch by zero, and nothing is stepped
+        idle = Affine(np.zeros(2), np.zeros(2))
+        plan = montecarlo._Rows({"idle": (idle, ObjectiveSpec(2.0, 1.5))}, 40)
+        assert plan.step_size(7) == plan.factor_size(7) == 0
+        table = _step_table(diagonal_params, plan.rows, 40)
+        for scratch in (None, np.empty(0), np.empty(5)):
+            x, path = np.empty((0, 7)), np.empty((41, 0, 7))
+            montecarlo._step_rows(x, table, np.zeros((40, 2, 7)), plan, scratch, path)
 
     def test_run_without_rows_draws_no_block(self, diagonal_params, monkeypatch):
         # a run whose every column compounds at the bank rate steps no row,
