@@ -226,7 +226,9 @@ def check_simulation_size(cfg: ScenarioConfig):
     share one gain factor a step, Z1 steps by 1 + r dt and Y takes no
     shift: the step factors, with their products, take at most 2 numbers a
     row, path and step, for as many steps as fit in the engine's fixed
-    budget of factors, or one, the figure path's one path included."""
+    budget of factors, or one, the figure path's one path included.  The
+    worker's scratch also holds one path of normals for its draw, which
+    lies within its Gaussian increments per worker."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMarketError, InvalidCorrelationError, MarketValidationError
+from .errors import (
+    CoefficientRangeError,
+    DegenerateMarketError,
+    InvalidCorrelationError,
+    MarketValidationError,
+)
 
 # Classification codes for validate_distinct_volatility failures.
 IDENTICAL_ASSETS = "identical-assets"
@@ -150,14 +155,22 @@ def decorrelate(sigma: np.ndarray, rho: CorrelationSpec) -> np.ndarray:
     (W~_i, rho_ij W~_i + sqrt(1 - rho_ij^2) W~_j) in index order, which for a
     full correlation matrix is exactly sigma @ chol(rho).  The returned
     matrix satisfies sigma~ sigma~^T = sigma rho sigma^T, the only property
-    downstream code relies on.
+    downstream code relies on.  A non-finite sigma is refused as
+    :class:`MarketParams` refuses it, and a product beyond float64 raises
+    CoefficientRangeError.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape[1] != rho.n_factors:
         raise MarketValidationError(
             f"sigma has {sigma.shape[1]} factor columns, rho is {rho.n_factors}x{rho.n_factors}"
         )
-    return sigma @ _psd_cholesky(rho.rho)
+    if not np.all(np.isfinite(sigma)):
+        raise MarketValidationError("alpha and sigma entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        decorrelated = sigma @ _psd_cholesky(rho.rho)
+    if not np.all(np.isfinite(decorrelated)):
+        raise CoefficientRangeError("the decorrelated sigma exceeds the float64 range")
+    return decorrelated
 
 
 def factor_sum(terms):

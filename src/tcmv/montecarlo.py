@@ -30,7 +30,9 @@ same seed and config give bit-identical results regardless of evaluation
 order and thread count.  Blocks are independent, so each worker thread
 takes the next block, makes its stream once and draws it in two halves
 into its own step-major buffer, stepping each half before it draws the
-next; the draws run side by side, the stepping one half at a time.
+next; the draws run side by side, the stepping one half at a time.  A
+half's draw moves step-major through the worker's step-factor scratch,
+whole paths at a time and at least one.
 The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
 levels, not logs: dollar strategies with an intercept can legitimately
@@ -79,11 +81,6 @@ _FACTORS = 49152
 # than their half blocks of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
 
-# Most normals a worker drawing beside another draws at once, in whole paths
-# (at least one), before it moves them step-major while still in the cache.
-# Larger pieces take fewer turns at the GIL and move longer runs of paths.
-_PIECE = 2**15
-
 # Paths may explode under aggressive dollar strategies; more than this
 # fraction of non-finite paths is an error instead of a silent exclusion.
 _MAX_EXPLODED_FRACTION = 1e-3
@@ -109,7 +106,9 @@ def array_nbytes(
     factors and the terminal wealth grow with the rows, which do not depend
     on how many gammas share a horizon; only the figure paths handed back
     grow with the columns.  The figure path steps as a half block of one
-    path, so its factors are within the step factors of a half block."""
+    path, so its factors are within the step factors of a half block.  A
+    worker's scratch holds at least one path of normals for its draw, which
+    is within its Gaussian increments."""
     n = cfg.n_time_steps
     return {
         "Gaussian increments per worker": group_nbytes(cfg, n_factors),
@@ -148,23 +147,16 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _piece_size(n: int, d: int, m: int) -> int:
-    """Numbers of a piece for _draw_paths of m paths: whole paths of at
-    most _PIECE numbers, at least one path and at most m."""
-    return min(m, max(1, _PIECE // (n * d))) * n * d
-
-
-def _draw_paths(stream: np.random.Generator, out: np.ndarray, piece: np.ndarray | None = None):
+def _draw_paths(stream: np.random.Generator, out: np.ndarray, piece: np.ndarray):
     """Fill out, an (n, d, m) array, with stream's next m paths of normals,
     drawn as shape (m, n, d), one path's steps after another, and stored
     step-major: out[i, j, p] is path p's normal of step i and factor j.  The
-    stream is drawn into piece, a flat buffer that holds at least one path,
-    as many whole paths at a time as fit, and each piece is moved into out
-    while it is still in the cache; filled one piece, or one call, after
-    another, the stream gives the bits of one fill."""
+    stream is drawn into piece, a flat scratch that holds at least one path
+    (a worker's step-factor scratch), as many whole paths at a time as fit,
+    and each piece is moved into out while it is still in the cache; filled
+    one piece, or one call, after another, the stream gives the bits of one
+    fill."""
     n, d, m = out.shape
-    if piece is None:
-        piece = np.empty(_piece_size(n, d, m))
     per = min(m, piece.size // (n * d))
     for first in range(0, m, per):
         k = min(per, m - first)
@@ -418,16 +410,15 @@ def simulate_models(
     # second.  Threads draw side by side, as a Philox fill runs without the
     # GIL, and step one half at a time: stepping's short numpy calls take
     # the GIL every few microseconds, and two threads stepping at once were
-    # no faster than one stepping while the other draws.  Beside a stepping
-    # thread, pieces of _PIECE numbers keep a drawing thread's turns at the
-    # GIL few.  The scratch holds one piece or the step factors of a half.
-    size = max(plan.factor_size(width), _piece_size(n_steps, d, width))
+    # no faster than one stepping while the other draws.  The scratch holds
+    # the step factors of a half, and at least one path of the draw, which
+    # moves step-major through it as many whole paths at a time as fit.
+    size = max(plan.factor_size(width), n_steps * d)
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
         # one thread's buffers for the run: half a block's normals,
-        # step-major, and the scratch each piece of the draw, then the step,
-        # goes through
+        # step-major, and the scratch the draw, then the step, goes through
         normals, scratch = np.empty(n_steps * d * width), np.empty(size)
 
         def run_block(block: int):
@@ -545,9 +536,9 @@ def reproduce_figure_paths(
     n_steps, d = cfg.n_time_steps, params.n_factors
     plan = _Rows(columns, n_steps)
     table = _step_table(params, plan.rows, n_steps)
-    # separate key namespace from the block streams used by simulate_models()
-    z = np.empty((n_steps, d))
-    _draw_paths(_stream(cfg.seed, 2**63), z[:, :, None])
+    # separate key namespace from the block streams used by simulate_models();
+    # one path drawn in C order is already step-major
+    z = _stream(cfg.seed, 2**63).standard_normal((n_steps, d))
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
     prices = {}

@@ -212,6 +212,31 @@ class TestConfigParsing:
         cov = cfg.params.sigma @ cfg.params.sigma.T
         assert cov[0, 1] == pytest.approx(0.5 * 0.25 * 0.25)
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ("0.25 0; -inf 0.25", "alpha and sigma entries must be finite"),
+            ("1.7e308 1.7e308; 0 0.25", "the decorrelated sigma exceeds the float64 range"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
+    def test_correlated_sigma_beyond_float64_is_market_error(
+        self, tmp_path, capsys, command, sigma, message
+    ):
+        # decorrelating a non-finite or an overflowing sigma once warned in
+        # its matmul, a traceback under error::RuntimeWarning
+        path = tmp_path / "c.cfg"
+        path.write_text(FIGURE_CFG.replace("rho = identity", "rho = 1 0.5; 0.5 1")
+                        .replace("0.25 0; 0 0.25", sigma))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"market validation error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_section_is_config_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[market]\nalpha = 0.1, 0.2\nsigma = 0.2 0; 0 0.3\n")

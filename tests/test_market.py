@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcmv import (
+    CoefficientRangeError,
     CorrelationSpec,
     DegenerateMarketError,
     InvalidCorrelationError,
@@ -83,6 +84,20 @@ class TestDecorrelate:
         sigma = rng.uniform(-0.5, 0.5, size=(int(rng.integers(1, 4)), d))
         out = decorrelate(sigma, rho)
         assert np.allclose(out @ out.T, sigma @ rho.rho @ sigma.T, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_non_finite_sigma_is_refused_before_the_product(self, bad):
+        # the product once warned "invalid value encountered in matmul"
+        sigma = np.array([[0.25, 0.0], [bad, 0.25]])
+        with pytest.raises(MarketValidationError, match="^alpha and sigma entries must be finite$"):
+            decorrelate(sigma, CorrelationSpec([[1.0, 0.5], [0.5, 1.0]]))
+
+    def test_overflowing_product_is_a_range_error(self):
+        # 1.7e308 (1 + 0.5) is beyond float64: the product once warned
+        # "overflow encountered in matmul"
+        sigma = np.array([[1.7e308, 1.7e308], [0.0, 0.25]])
+        with pytest.raises(CoefficientRangeError, match="decorrelated sigma"):
+            decorrelate(sigma, CorrelationSpec([[1.0, 0.5], [0.5, 1.0]]))
 
 
 class TestValidateDistinctVolatility:

@@ -315,7 +315,7 @@ class TestSimulateModels:
         caller, taken = threading.current_thread(), threading.Event()
         draw = montecarlo._draw_paths
 
-        def failing(stream, out, piece=None):
+        def failing(stream, out, piece):
             if threading.current_thread() is caller:
                 taken.wait(10.0)  # a worker thread takes a block first
                 return draw(stream, out, piece)
@@ -347,7 +347,7 @@ class TestSimulateModels:
         assert group_nbytes(cfg, 2) == _BLOCK // 2 * 200 * 2 * 8
         buffers, halves, draw = {}, [], montecarlo._draw_paths
 
-        def recorded(stream, out, piece=None):
+        def recorded(stream, out, piece):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
             halves.append(out.shape[2])
@@ -383,7 +383,7 @@ class TestSimulateModels:
         serial = simulate_models(diagonal_params, columns, cfg)
         halves, draw = [], montecarlo._draw_paths
 
-        def recorded(stream, out, piece=None):
+        def recorded(stream, out, piece):
             halves.append(out.shape[2])
             return draw(stream, out, piece)
 
@@ -434,6 +434,19 @@ class TestSimulateModels:
                     patch.setattr(montecarlo, "_step_rows", cut)
                 for threads in (1, 2, 3):
                     assert simulate_models(diagonal_params, columns, cfg, threads) == expected
+
+    def test_scratch_holds_one_path_of_the_draw(self):
+        # a G = 0 column steps one row of 2 factor numbers a path and step:
+        # the factors of 100 steps of a one-path half are 200 numbers, less
+        # than one path of the draw on 3 factors, which the scratch holds
+        params = MarketParams([0.2, 0.12], [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]], 0.04)
+        columns = {"": (Affine(np.zeros(2), np.array([0.5, -0.5])), ObjectiveSpec(2.0, 1.0))}
+        cfg = SimConfig(2, 100, 7)
+        plan = montecarlo._Rows(columns, cfg.n_time_steps)
+        assert plan.factor_size(1) == 200 < cfg.n_time_steps * params.n_factors
+        expected = reference_models(params, columns, cfg)
+        for threads in (1, 2):
+            assert simulate_models(params, columns, cfg, threads) == expected
 
     @pytest.mark.parametrize("n_paths", [1000, 9000])
     def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
@@ -763,8 +776,6 @@ def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block, cu
     out = np.empty((n, d, m))
     _draw_paths(_stream(seed, block), out, np.empty(per * n * d + per % 2))
     fill = _stream(seed, block).standard_normal((m, n, d)).transpose(1, 2, 0).copy()
-    assert same_bits(out, fill)
-    _draw_paths(_stream(seed, block), out)
     assert same_bits(out, fill)
     stream, edges = _stream(seed, block), sorted({0, m, *(c for c in cuts if c < m)})
     for first, stop in zip(edges, edges[1:]):
