@@ -218,17 +218,10 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 
 
 def check_simulation_size(cfg: ScenarioConfig):
-    """ConfigError when a simulate run has too few paths for its standard
-    errors, or when any array it would allocate passes MAX_BLOCK_BYTES,
-    a worker's half block of normals included.  Models 1 to 3 make 3
-    columns per case, stepped as 3 rows per horizon: Y, the gain of models
-    2 and 3, and the unit intercepts Z3 and Z1 of models 3 and 1.  Y and Z3
-    share one gain factor a step, Z1 steps by 1 + r dt and Y takes no
-    shift: the step factors, with their products, take at most 2 numbers a
-    row, path and step, for as many steps as fit in the engine's fixed
-    budget of factors, or one, the figure path's one path included.  The
-    worker's scratch also holds one path of normals for its draw, which
-    lies within its Gaussian increments per worker."""
+    """ConfigError when a simulate run has fewer than _MIN_PATHS paths for
+    its standard errors, or when any array it would allocate passes
+    MAX_BLOCK_BYTES.  Models 1 to 3 make 3 columns per case, stepped as 3
+    rows per horizon; montecarlo.array_nbytes sizes the arrays."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:

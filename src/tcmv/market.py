@@ -129,6 +129,12 @@ def square(x: float) -> float:
         return float("inf")
 
 
+def _require_finite(where: str, *arrays):
+    """CoefficientRangeError unless every entry of the arrays is finite."""
+    if not all(np.all(np.isfinite(array)) for array in arrays):
+        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
+
+
 def _psd_cholesky(rho: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor tolerating zero pivots (e.g. perfectly
     correlated factors).  Raises if rho is not positive semidefinite."""

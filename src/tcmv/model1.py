@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientRangeError, SingularMarketError
-from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, square
+from .errors import SingularMarketError
+from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, _require_finite, square
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
 CONDITION_LIMIT = 1e10
@@ -77,31 +77,27 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     """Closed-form equilibrium with a bank account; any number of stocks.
 
     A numerically singular covariance raises SingularMarketError, classified
-    by diagnose_one_factor where that applies; a control, mean or variance
-    beyond float64 raises CoefficientRangeError.
+    by diagnose_one_factor where that applies.  CoefficientRangeError where
+    a value the solution forms at its extremes leaves float64: the control
+    at t = 0 and T, e^{-rT} w / gamma and w / gamma; the mean at t = 0 and
+    T and x = 0 and 1, with its load theta_sq T / gamma and e^{rT}; the
+    variance at t = 0 and T, theta_sq T / gamma^2.
     """
     cov = params.sigma @ params.sigma.T
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise diagnose_one_factor(params) or SingularMarketError(
             "instantaneous covariance matrix is singular; no unique equilibrium")
-    excess = params.alpha - params.r
-    weights = np.linalg.solve(cov, excess)
-    with np.errstate(over="ignore"):  # an inf theta_sq fails the range check
-        theta_sq = float(excess @ weights)
-    T, load, log_gamma = obj.horizon_T, theta_sq * obj.horizon_T, np.log(obj.gamma)
-    where = f"of the bank-account model over the horizon T={T:g} at gamma={obj.gamma:g}"
-    # e^{|r| T} of the mean, and the control's largest dollar amount
-    _require_in_range(abs(params.r) * T + np.log(np.max(np.abs(weights), initial=1.0)), where)
-    if load:  # the mean and variance loads theta_sq T / gamma^k, k = 1, 2; nan fails
-        _require_in_range(np.log(abs(load)) - min(log_gamma, 2.0 * log_gamma), where)
-    return Model1Solution(params, obj, weights, theta_sq)
-
-
-def _require_in_range(log_size: float, where: str):
-    """CoefficientRangeError unless e^log_size is within the float64 range."""
-    if not log_size <= np.log(np.finfo(float).max):
-        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        excess = params.alpha - params.r
+        weights = np.linalg.solve(cov, excess)
+        solution = Model1Solution(params, obj, weights, float(excess @ weights))
+        ends = np.array([0.0, obj.horizon_T])
+        extremes = [solution.control(ends), solution.variance(ends, 0.0),
+                    solution.mean(ends[:, None], np.array([0.0, 1.0]))]
+    _require_finite(f"of the bank-account model over the horizon T={obj.horizon_T:g} "
+                    f"at gamma={obj.gamma:g}", *extremes)
+    return solution
 
 
 def diagnose_one_factor(params: MarketParams) -> SingularMarketError | None:
@@ -122,9 +118,14 @@ def diagnose_one_factor(params: MarketParams) -> SingularMarketError | None:
     s1, s2 = params.sigma[0, 0], params.sigma[1, 0]
     if s1 == 0.0 or s2 == 0.0:
         return None
-    theta1 = (params.alpha[0] - params.r) / s1
-    theta2 = (params.alpha[1] - params.r) / s2
-    if abs(theta1 - theta2) <= EQUAL_PRICE_OF_RISK_TOL * max(1.0, abs(theta1), abs(theta2)):
+    # exact rationals, so that prices of risk beyond float64 still compare;
+    # imported here, where only a one-factor market goes, so that no other
+    # run pays for fractions and the decimal module it loads
+    from fractions import Fraction
+
+    theta1, theta2 = ((Fraction(a) - Fraction(params.r)) / Fraction(s)
+                      for a, s in zip(params.alpha, (s1, s2)))
+    if abs(theta1 - theta2) <= Fraction(EQUAL_PRICE_OF_RISK_TOL) * max(1, abs(theta1), abs(theta2)):
         return SingularMarketError(
             f"{SHARED_RISK_CONSTRAINT}: equal market prices of risk: allocations "
             "on the constraint line are all equilibria",

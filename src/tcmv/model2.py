@@ -18,8 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientRangeError, ConfigError
-from .market import MarketParams, _coeffs, factor_sum, validate_distinct_volatility
+from .errors import ConfigError
+from .market import (MarketParams, _coeffs, _require_finite, factor_sum,
+                     validate_distinct_volatility)
 from .numerics import (
     PicardConfig,
     SampledFunction,
@@ -177,12 +178,6 @@ def build_kernels(
         *(SampledFunction(grid, table) for table in (i1_inv, c0, phi, tail)),
         (f, g),
     )
-
-
-def _require_finite(where: str, *arrays):
-    """CoefficientRangeError unless every entry of the arrays is finite."""
-    if not all(np.all(np.isfinite(array)) for array in arrays):
-        raise CoefficientRangeError(f"coefficients exceed the float64 range {where}")
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .market import MarketParams, ObjectiveSpec, _coeffs, factor_sum, square
+from .market import MarketParams, ObjectiveSpec, _coeffs, _require_finite, factor_sum, square
 from .model2 import (
     KernelTables,
     Model2Solution,
     MomentCoefficients,
-    _require_finite,
     build_kernels,
     solve_model2,
 )

@@ -257,7 +257,8 @@ class _Rows:
         """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
         the product the gain row of G = 0 would step, in its order."""
         steps = {T: np.full(self.n, 1.0 + r * (T / self.n)) for T in self.grids}
-        return {T: np.concatenate([[1.0], np.multiply.accumulate(a)]) for T, a in steps.items()}
+        with np.errstate(over="ignore"):  # inf explodes the G = 0 columns, the only readers
+            return {T: np.concatenate([[1.0], np.multiply.accumulate(a)]) for T, a in steps.items()}
 
     def combine(self, x0: float, column: _Column, values: np.ndarray, compounding: dict):
         """x0 Y + Z / gamma of one column, from the rows' values (rows on the

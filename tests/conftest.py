@@ -1,3 +1,6 @@
+import re
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,13 @@ def gain_iterate_bounds(params: MarketParams) -> tuple[float, float]:
     a = -csig / denom
     b = -(csig + dalpha) / denom
     return min(a, b), max(a, b)
+
+
+def shipped_config(name: str, **keys) -> str:
+    """The text of the shipped config name.cfg with each of keys, which it
+    sets once, set to its value."""
+    text = (resources.files("tcmv") / "configs" / f"{name}.cfg").read_text()
+    for key, value in keys.items():
+        text, count = re.subn(rf"(?m)^{key} = .*", f"{key} = {value}", text)
+        assert count == 1, f"{name}.cfg sets {key} once"
+    return text

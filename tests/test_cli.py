@@ -23,6 +23,8 @@ from tcmv.market import MarketParams, ObjectiveSpec
 from tcmv.model2 import KernelTables, evaluate_model2
 from tcmv.montecarlo import _BLOCK, MAX_BLOCK_BYTES
 
+from .conftest import shipped_config
+
 FIGURE_CFG = """\
 [market]
 alpha = 0.2, 0.12
@@ -186,6 +188,14 @@ def _read_rows(path):
 def _refused_mib(message):
     """The size in MiB that a check_simulation_size refusal prints."""
     return float(re.search(r" need (\S+) MiB of ", message).group(1))
+
+
+def assert_finite_cells(out):
+    """Every numeric cell of every CSV in out is finite."""
+    for csv in out.glob("*.csv"):
+        _, rows = _read_rows(csv)
+        cells = [float(c) for row in rows for c in row if not c.startswith("model")]
+        assert cells and np.all(np.isfinite(cells)), csv.name
 
 
 def assert_same_files(got, expected, names):
@@ -1140,18 +1150,11 @@ class TestSteepMarketLongHorizons:
             warnings.simplefilter("error")
             return main(list(argv))
 
-    @staticmethod
-    def assert_finite_cells(out):
-        for csv in out.glob("*.csv"):
-            _, rows = _read_rows(csv)
-            cells = [float(c) for row in rows for c in row if not c.startswith("model")]
-            assert cells and np.all(np.isfinite(cells)), csv.name
-
     def test_solve(self, steep_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         assert self._run("solve", steep_cfg, "--out-dir", str(out)) == 0
         assert capsys.readouterr().err == ""
-        self.assert_finite_cells(out)
+        assert_finite_cells(out)
         lines = (out / "diagnostics.txt").read_text().splitlines()
         for name in ("model2 k: ", "model3 k1: ", "model3 k2: "):
             line = next(line for line in lines if line.startswith(name))
@@ -1168,7 +1171,7 @@ class TestSteepMarketLongHorizons:
         out = tmp_path / "out"
         assert self._run("simulate", steep_cfg, "--out-dir", str(out)) == 0
         assert capsys.readouterr().err == ""
-        self.assert_finite_cells(out)
+        assert_finite_cells(out)
 
 
 class TestSingularBankMarkets:
@@ -1228,6 +1231,56 @@ class TestSingularBankMarkets:
         assert capsys.readouterr().err == ""
         _, rows = _read_rows(out / "simulation_summary.csv")
         assert [row[2] for row in rows] == ["model2", "model3"]
+
+
+class TestBankModelRange:
+    """Model 1 refuses only a control, mean or variance that it forms at its
+    extremes and finds beyond float64.  Two markets on figure1.cfg at 100
+    steps a year that a prediction from logs got wrong: it refused the
+    first, and passed the second on to an overflow."""
+
+    # the control is at most 19 317 dollars, the mean 1.9e304 on the wealth
+    # grid and the variance 8.9e6
+    IN_RANGE = {"sigma": "0.02 0; 0 0.02", "r": 23.3, "gamma": 3, "T": 30}
+    # the control e^{695} |w| / gamma overflows
+    OUT_OF_RANGE = {"r": -69.5, "gamma": "1e-4", "T": 10}
+
+    @staticmethod
+    def config(tmp_path, edits):
+        path = tmp_path / "bank.cfg"
+        path.write_text(shipped_config("figure1", n_steps=100, n_paths=512, n_time_steps=50,
+                                       **edits))
+        return str(path)
+
+    @staticmethod
+    def _run(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(list(argv))
+
+    @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
+    def test_formed_values_in_range_are_solved(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert self._run(command, self.config(tmp_path, self.IN_RANGE), "--out-dir", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert captured.out.startswith("== gamma=3 T=30 ==\n")
+            return
+        assert_finite_cells(out)
+        table = "mean_variance_vs_wealth.csv" if command == "solve" else "simulation_summary.csv"
+        _, rows = _read_rows(out / table)
+        assert {row[2] for row in rows} == {"model1", "model2", "model3"}
+
+    @pytest.mark.parametrize("command", ["solve", "bounds", "simulate"])
+    def test_an_overflowing_control_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert self._run(command, self.config(tmp_path, self.OUT_OF_RANGE),
+                         "--out-dir", str(out)) == 3
+        assert capsys.readouterr() == ("", (
+            "market validation error: coefficients exceed the float64 range of the "
+            "bank-account model over the horizon T=10 at gamma=0.0001\n"))
+        assert not out.exists()
 
 
 STEEP_CFG = """\

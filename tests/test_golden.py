@@ -1,12 +1,21 @@
-"""Golden outputs: ``tcmv simulate --threads 1`` on the shipped configs,
-shrunk to 4097 paths (one full block and a one-path block) of 50 steps,
-against the files recorded in tests/golden.
+"""Golden outputs of the shipped configs, shrunk, and of the steep market,
+against the files recorded in tests/golden:
+
+- ``tcmv simulate --threads 1`` on figure1.cfg and section4.cfg at 4097
+  paths (one full block and a one-path block) of 50 steps, in
+  tests/golden/<config>;
+- ``tcmv solve``, with the stdout of ``tcmv bounds`` as bounds.txt, at 100
+  grid steps a year on figure1.cfg, section4.cfg and the steep market
+  (section4.cfg at alpha = (0.6, 0.05), sigma = [[0.3, 0.1], [0.25, 0.15]]
+  and T = 3), in tests/golden/solve/<config>.
 
 On the numpy version and platform recorded in tests/golden/recorded.json
 every file must match byte for byte.  Elsewhere vectorised functions such
 as exp may round differently, so there each numeric cell may move by at
-most 1e-10 relative, and every text cell must be equal.  A failure names
-the file, how many cells moved and the largest relative change.
+most 1e-10 relative, and every text cell must be equal; a cell is what
+commas, spaces and '=' separate, so a number inside a diagnostics or
+bounds line counts as a cell too.  A failure names the file, how many
+cells moved and the largest relative change.
 
 Rewrite the goldens from the checkout, printing that summary per file, with
 
@@ -17,6 +26,8 @@ Rewriting them changes test data: CHANGES.md then says what moved and why.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -34,8 +45,17 @@ import pytest
 from tcmv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CONFIGS = ("figure1", "section4")
-SHRUNK = {"n_paths": 4097, "n_time_steps": 50}
+SIMULATE = {"n_paths": 4097, "n_time_steps": 50}
+SOLVE = {"n_steps": 100}
+STEEP = {"alpha": "0.6, 0.05", "sigma": "0.3 0.1; 0.25 0.15", "T": 3}
+# directory under tests/golden: (command, shipped config, the keys it sets)
+SETS = {
+    "figure1": ("simulate", "figure1", SIMULATE),
+    "section4": ("simulate", "section4", SIMULATE),
+    "solve/figure1": ("solve", "figure1", SOLVE),
+    "solve/section4": ("solve", "section4", SOLVE),
+    "solve/steep": ("solve", "section4", {**SOLVE, **STEEP}),
+}
 RTOL = 1e-10
 
 
@@ -51,17 +71,24 @@ def recorded_on() -> dict:
             "simd": simd}
 
 
-def simulate(name: str, tmp: Path) -> dict[str, bytes]:
-    """The files of simulate --threads 1 on the shrunk shipped config name,
-    run in tmp."""
-    text = (resources.files("tcmv") / "configs" / f"{name}.cfg").read_text()
-    for key, value in SHRUNK.items():
+def run(name: str, tmp: Path) -> dict[str, bytes]:
+    """The files of golden set name, run in tmp: simulate --threads 1's, or
+    solve's with the stdout of bounds as bounds.txt."""
+    command, config, keys = SETS[name]
+    text = (resources.files("tcmv") / "configs" / f"{config}.cfg").read_text()
+    for key, value in keys.items():
         text, count = re.subn(rf"(?m)^{key} = .*", f"{key} = {value}", text)
-        assert count == 1, f"{name}.cfg sets {key} once"
-    cfg, out = tmp / f"{name}.cfg", tmp / name
+        assert count == 1, f"{config}.cfg sets {key} once"
+    cfg, out = tmp / f"{name.replace('/', '_')}.cfg", tmp / name
     cfg.write_text(text)
-    assert main(["simulate", str(cfg), "--threads", "1", "--out-dir", str(out)]) == 0
-    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert main([command, str(cfg), "--threads", "1", "--out-dir", str(out)]) == 0
+    got = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    if command == "solve":
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["bounds", str(cfg)]) == 0
+        got["bounds.txt"] = stdout.getvalue().encode()
+    return got
 
 
 def _relative(a: str | None, b: str | None) -> float:
@@ -79,13 +106,14 @@ def _relative(a: str | None, b: str | None) -> float:
 
 
 def moved(expected: bytes, got: bytes) -> tuple[int, float]:
-    """How many comma-separated cells of got differ from expected, and the
-    largest relative change among them (0 where none moved)."""
+    """How many cells of got, separated by commas, spaces or '=', differ
+    from expected, and the largest relative change among them (0 where none
+    moved)."""
     rows = itertools.zip_longest(expected.decode().splitlines(), got.decode().splitlines(),
                                  fillvalue="")
     n, worst = 0, 0.0
     for old, new in rows:
-        for a, b in itertools.zip_longest(old.split(","), new.split(",")):
+        for a, b in itertools.zip_longest(re.split("[, =]", old), re.split("[, =]", new)):
             if a != b:
                 n, worst = n + 1, max(worst, _relative(a, b))
     return n, worst
@@ -97,9 +125,9 @@ def summary(file: str, expected: bytes, got: bytes) -> str:
     return f"{file}: {n} cells moved, largest relative change {worst:.3g} ({same})"
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_simulate_matches_the_golden_files(name, tmp_path):
-    got = simulate(name, tmp_path)
+@pytest.mark.parametrize("name", SETS)
+def test_outputs_match_the_golden_files(name, tmp_path):
+    got = run(name, tmp_path)
     expected = {f.name: f.read_bytes() for f in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(expected)
     exact = json.loads((GOLDEN / "recorded.json").read_text()) == recorded_on()
@@ -119,15 +147,22 @@ def test_moved_counts_cells_and_their_largest_change():
     assert moved(old, old.replace(b"model2", b"model3")) == (1, math.inf)
     assert moved(old, old + b"2,model3,1\n") == (3, math.inf)
     assert moved(old, old.replace(b",1.5", b"")) == (1, math.inf)
+    # a number inside a diagnostics or bounds line is a cell of its own
+    lines = b"== gamma=3 T=1 ==\nK = 2.5\nmodel2 k: iterations=7 delta=1e-11\n"
+    assert moved(lines, lines) == (0, 0.0)
+    assert moved(lines, lines.replace(b"2.5", b"2.5000000000005")) == (1, pytest.approx(2e-13))
+    assert moved(lines, lines.replace(b"=7", b"=8")) == (1, pytest.approx(0.125))
+    assert moved(lines, lines.replace(b"gamma=3", b"gamma=3.5")) == (1, pytest.approx(1 / 7))
+    assert moved(lines, lines.replace(b"model2 k:", b"model3 k:")) == (1, math.inf)
 
 
 def rewrite():
     """Rewrite tests/golden from this checkout, with a summary per file."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
+        for name in SETS:
             target = GOLDEN / name
             old = {f.name: f.read_bytes() for f in target.iterdir()} if target.is_dir() else {}
-            got = simulate(name, Path(tmp))
+            got = run(name, Path(tmp))
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
             for file, data in got.items():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tcmv import (
     CoefficientRangeError,
@@ -9,7 +11,22 @@ from tcmv import (
     diagnose_one_factor,
     solve_model1,
 )
-from tcmv.model1 import ARBITRAGE, SHARED_RISK_CONSTRAINT
+from tcmv.model1 import ARBITRAGE, CONDITION_LIMIT, SHARED_RISK_CONSTRAINT
+
+
+@st.composite
+def bank_markets(draw):
+    """(alpha, sigma, r, T, gamma): alpha in [-0.1, 0.6]^2, sigma entries in
+    +-0.4 scaled by 10^U(-2.5, 0), r in [-80, 80], T from {0.5, 1, 3, 5, 10,
+    30} and gamma log-uniform on [1e-3, 1e2]."""
+    alpha = draw(st.tuples(st.floats(-0.1, 0.6), st.floats(-0.1, 0.6)))
+    scale = 0.4 * 10.0 ** draw(st.floats(-2.5, 0.0))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    sigma = tuple(scale * e for e in entries)
+    r = draw(st.floats(-80.0, 80.0))
+    T = draw(st.sampled_from([0.5, 1.0, 3.0, 5.0, 10.0, 30.0]))
+    gamma = 10.0 ** draw(st.floats(-3.0, 2.0))
+    return alpha, sigma, r, T, gamma
 
 
 class TestClosedForm:
@@ -109,6 +126,31 @@ class TestClosedForm:
         with pytest.raises(CoefficientRangeError, match="T=1 at gamma=1"):
             solve_model1(p, ObjectiveSpec(1.0, 1.0))
 
+    @given(bank_markets())
+    @settings(max_examples=300, deadline=None)
+    # every value is finite: the control is at most 19 317 dollars, the
+    # mean 3.8e303 at x = 1, the variance 8.9e6
+    @example(((0.2, 0.12), (0.02, 0.0, 0.0, 0.02), 23.3, 30.0, 3.0))
+    @example(((0.2, 0.12), (0.25, 0.0, 0.0, 0.25), -69.5, 10.0, 1e-4))  # e^{695} w / gamma
+    def test_refused_exactly_where_a_formed_value_overflows(self, market):
+        alpha, sigma, r, T, gamma = market
+        sigma = np.reshape(sigma, (2, 2))
+        cov = sigma @ sigma.T
+        assume(np.linalg.cond(cov) <= CONDITION_LIMIT)
+        with np.errstate(all="ignore"):
+            excess = np.subtract(alpha, r)
+            w = np.linalg.solve(cov, excess)
+            theta_sq = excess @ w
+            formed = [np.exp(-r * T) * w / gamma, w / gamma, np.exp(r * T),
+                      theta_sq * T / gamma, theta_sq * T / gamma**2 if theta_sq else 0.0]
+        in_range = all(np.all(np.isfinite(value)) for value in formed)
+        try:
+            solve_model1(MarketParams(alpha, sigma, r), ObjectiveSpec(gamma, T))
+            refused = False
+        except CoefficientRangeError:
+            refused = True
+        assert refused != in_range
+
     @pytest.mark.parametrize("r", [70.0, -70.0])
     def test_large_bank_rate_in_range(self, diagonal_params, r):
         # e^{|r| T} = e^700 still fits: the moments and the control are finite
@@ -141,6 +183,17 @@ class TestSingularCovariance:
         assert diagnose_one_factor(p).classification == ARBITRAGE
         with pytest.raises(SingularMarketError, match=f"^{ARBITRAGE}: no equilibrium exists"):
             solve_model1(p, ObjectiveSpec(1.0, 1.0))
+
+    @pytest.mark.parametrize("s2, classification", [
+        (0.25, ARBITRAGE),  # -inf against -4e300
+        (2e-170, ARBITRAGE),  # -inf against -inf, -1e470 against -5e469
+        (1e-170, SHARED_RISK_CONSTRAINT),  # -1e470 twice
+    ])
+    def test_prices_of_risk_beyond_float64_compare(self, s2, classification):
+        # (alpha - r) / s once overflowed with a warning, and an infinite
+        # price of risk compared equal to any other
+        p = MarketParams([0.0, 0.0], [[1e-170, 0.0], [s2, 0.0]], 1e300)
+        assert diagnose_one_factor(p).classification == classification
 
     @pytest.mark.parametrize("sigma", [
         [[0.3, 0.0], [0.0, 0.0]],
