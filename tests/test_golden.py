@@ -4,6 +4,11 @@ against the files recorded in tests/golden:
 - ``tcmv simulate --threads 1`` on figure1.cfg and section4.cfg at 4097
   paths (one full block and a one-path block) of 50 steps, in
   tests/golden/<config>;
+- ``tcmv simulate --threads 1`` on the configs of the benchmark's
+  simulate_wide and simulate_narrow workloads at benchmark seed 1, with
+  fewer steps: simulate_wide's 32768 paths (eight full blocks) of 50 steps
+  and simulate_narrow's 1024 paths (one partial block, four cases) of 100,
+  in tests/golden/<workload>;
 - ``tcmv solve``, with the stdout of ``tcmv bounds`` as bounds.txt, at 100
   grid steps a year on figure1.cfg, section4.cfg and the steep market
   (section4.cfg at alpha = (0.6, 0.05), sigma = [[0.3, 0.1], [0.25, 0.15]]
@@ -47,11 +52,17 @@ from tcmv.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SIMULATE = {"n_paths": 4097, "n_time_steps": 50}
 SOLVE = {"n_steps": 100}
+# the benchmark workloads' configs differ from the shipped ones in these
+# keys; each seed is the workload's Monte Carlo seed at benchmark seed 1
+WIDE = {"n_paths": 32768, "n_time_steps": 50, "seed": 1107356370439459513}
+NARROW = {"n_paths": 1024, "n_time_steps": 100, "seed": 1026366774454091144}
 STEEP = {"alpha": "0.6, 0.05", "sigma": "0.3 0.1; 0.25 0.15", "T": 3}
 # directory under tests/golden: (command, shipped config, the keys it sets)
 SETS = {
     "figure1": ("simulate", "figure1", SIMULATE),
     "section4": ("simulate", "section4", SIMULATE),
+    "simulate_wide": ("simulate", "section4", WIDE),
+    "simulate_narrow": ("simulate", "figure1", NARROW),
     "solve/figure1": ("solve", "figure1", SOLVE),
     "solve/section4": ("solve", "section4", SOLVE),
     "solve/steep": ("solve", "section4", {**SOLVE, **STEEP}),
