@@ -27,7 +27,7 @@ from .errors import (
     SimulationExplosionError,
     SingularMarketError,
 )
-from .market import CorrelationSpec, MarketParams, ObjectiveSpec, decorrelate
+from .market import CorrelationSpec, MarketParams, ObjectiveSpec, _require_finite, decorrelate
 from .model1 import Model1Solution, solve_model1
 from .model2 import Model2Solution, gain_moments, gain_residual
 from .model3 import (
@@ -331,15 +331,24 @@ def _k_curves_lines(cases: list[SolvedCase]):
         yield _rows(prefix, shared[case.T], case.m3.k2.values)
 
 
+def _require_finite_cells(name: str, case: SolvedCase, model: str, *cells):
+    """CoefficientRangeError unless every one of a model's cells in file name
+    is finite: the range checks form values at a unit wealth, and the wealth
+    grid reaches 5."""
+    _require_finite(f"in {name} at gamma={fmt(case.gamma)} T={fmt(case.T)} ({model})", *cells)
+
+
 def _allocation_lines(cases: list[SolvedCase]):
     yield "gamma,T,model,x,u1,u2,prop1,prop2\n"
     x, x_text = _WEALTH_GRID[:, None], fmt_column(_WEALTH_GRID)
     for case in cases:
         for model, strategy in _strategies(case).items():
             G, b1 = strategy.unit_coefficients(np.zeros(1))
-            u = G * x + b1 / case.gamma
-            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
-                        *np.hstack([u, u / x]).T)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                u = G * x + b1 / case.gamma
+                cells = np.hstack([u, u / x])
+            _require_finite_cells("allocation_vs_wealth.csv", case, model, cells)
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text, *cells.T)
 
 
 def _mean_variance_lines(cases: list[SolvedCase]):
@@ -347,8 +356,10 @@ def _mean_variance_lines(cases: list[SolvedCase]):
     x, x_text = _WEALTH_GRID, fmt_column(_WEALTH_GRID)
     for case in cases:
         for model, m in _moments(case).items():
-            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text,
-                        m.mean(0.0, x), m.variance(0.0, x))
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                mean, variance = m.mean(0.0, x), m.variance(0.0, x)
+            _require_finite_cells("mean_variance_vs_wealth.csv", case, model, mean, variance)
+            yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text, mean, variance)
 
 
 def _model1(case: SolvedCase) -> dict:
@@ -520,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
                          help="simulate draws and steps Monte Carlo path "
-                         "blocks on min(N, CPUs, blocks, half blocks of "
+                         "blocks on min(N, CPUs, blocks, quarter blocks of "
                          "normals that fit in 512 MiB) worker threads, this "
                          "one included; solve and bounds accept it and run "
                          "on one thread")

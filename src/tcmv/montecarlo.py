@@ -28,10 +28,10 @@ Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
 order and thread count.  Blocks are independent, so each worker thread
-takes the next block, makes its stream once and draws it in two halves
-into its own step-major buffer, stepping each half before it draws the
-next; the draws run side by side, the stepping one half at a time.  A
-half's draw moves step-major through the worker's step-factor scratch,
+takes the next block, makes its stream once and draws it in four quarters
+into its own step-major buffer, stepping each quarter before it draws the
+next; the draws run side by side, the stepping one quarter at a time.  A
+quarter's draw moves step-major through the worker's step-factor scratch,
 whole paths at a time and at least one.
 The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
@@ -58,27 +58,23 @@ if TYPE_CHECKING:
 
 # Fixed block size of the per-block Philox streams; part of the
 # reproducibility contract, do not make it configurable.  A worker draws and
-# steps each block in two halves, ceil(m / 2) paths and then floor(m / 2),
-# the block's stream continued from one to the next, so that it holds half
-# a block's normals.  On 2 vCPUs, halves cut the peak RSS of two workers on
-# 32768 paths of 250 steps from 70.2 to 54.9 MB; quarters, twice as many
-# numpy calls a path, stepped 50-70 % slower beside the other worker's draw.
+# steps each block of m paths in four quarters, cut at ceil(q m / 4) for
+# q = 0, ..., 4 and skipping empty ones, the block's stream continued from
+# one to the next, so that it holds a quarter block's normals.
 _BLOCK = 4096
 
 # Numbers of the step factors _step_rows forms in one call, one numpy call
 # per factor term over as many steps as fit, before it steps them one at a
-# time: 384 KiB of scratch.  A half block stepped one step a call makes
-# twice a block's short calls a path, each a turn at the GIL beside the
-# other worker's draw: the 2048-path halves of 32768 paths of 250 steps
-# took 318 ms at 1 step a call, 310 at 2, 279 at 4 and 268 at 8, against
-# 276 for whole blocks.  That run's 3 rows (5 numbers a path and step) form
-# 4 steps a call.
+# time: 384 KiB of scratch.  Forming several steps a call keeps down the
+# numpy calls a path, each a turn at the GIL beside the other worker's
+# draw: the 1024-path quarters of 3 rows (7 numbers a path and step) form 6
+# steps a call.
 _FACTORS = 49152
 
 # Most bytes of any one array a run sizes (see array_nbytes), a worker's
 # normals included: tcmv simulate refuses larger ones before it solves
 # instead of exhausting memory mid-run, and no more worker threads run
-# than their half blocks of normals pass it together.
+# than their quarter blocks of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Paths may explode under aggressive dollar strategies; more than this
@@ -86,15 +82,15 @@ MAX_BLOCK_BYTES = 512 * 2**20
 _MAX_EXPLODED_FRACTION = 1e-3
 
 
-def _half(n_paths: int) -> int:
-    """Paths of the largest half block a run draws: the first block's
-    first half, ceil(m / 2) of its m paths."""
-    return (min(n_paths, _BLOCK) + 1) // 2
+def _quarter(n_paths: int) -> int:
+    """Paths of the largest quarter block a run draws: the first block's
+    first quarter, ceil(m / 4) of its m paths."""
+    return (min(n_paths, _BLOCK) + 3) // 4
 
 
 def group_nbytes(cfg: SimConfig, n_factors: int) -> int:
-    """Bytes of Gaussian increments a worker holds: half a block."""
-    return _half(cfg.n_paths) * cfg.n_time_steps * n_factors * 8
+    """Bytes of Gaussian increments a worker holds: a quarter block."""
+    return _quarter(cfg.n_paths) * cfg.n_time_steps * n_factors * 8
 
 
 def array_nbytes(
@@ -105,8 +101,8 @@ def array_nbytes(
     n_rows rows.  The step table, the sampled coefficients, the step
     factors and the terminal wealth grow with the rows, which do not depend
     on how many gammas share a horizon; only the figure paths handed back
-    grow with the columns.  The figure path steps as a half block of one
-    path, so its factors are within the step factors of a half block.  A
+    grow with the columns.  The figure path steps as a quarter block of one
+    path, so its factors are within the step factors of a quarter block.  A
     worker's scratch holds at least one path of normals for its draw, which
     is within its Gaussian increments."""
     n = cfg.n_time_steps
@@ -114,9 +110,9 @@ def array_nbytes(
         "Gaussian increments per worker": group_nbytes(cfg, n_factors),
         "step table": n * n_rows * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
-        # the gains, shifts and products of as many steps as fit in
-        # _FACTORS, or of one step, at most 2 numbers a row and path
-        "step factors": max(_FACTORS, 2 * n_rows * _half(cfg.n_paths)) * 8,
+        # the multipliers, shifts and products of as many steps as fit in
+        # _FACTORS, or of one step, at most 3 numbers a row and path
+        "step factors": max(_FACTORS, 3 * n_rows * _quarter(cfg.n_paths)) * 8,
         "terminal wealth": n_rows * cfg.n_paths * 8,
         # the rows' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
@@ -242,10 +238,10 @@ class _Rows:
 
     def step_size(self, m: int) -> int:
         """Numbers of the factors :func:`_step_rows` forms for one step of
-        m paths: the gains of the gain rows, the shifts of the other rows
-        and the products of either."""
+        m paths: the multipliers of every row, the shifts of the rows other
+        than the gain rows and the products of either."""
         K, R = self.n_gains, len(self.rows)
-        return (R + max(K, R - K)) * m
+        return (R + (R - K) + max(K, R - K)) * m
 
     def factor_size(self, m: int) -> int:
         """Numbers of the factors of as many steps of m paths as fit in
@@ -282,9 +278,12 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     after the last step, which turns -0 into +0 as adding it every step
     would (an intercept row's x A + B may itself be -0, and is kept).  The
     factors A + C z and B + E z of as many steps as fit in the scratch are
-    formed together, one numpy call per term, then stepped one step at a
-    time.  Each row's operations are elementwise and those of the per-row
-    step, so its bits depend on its own coefficients alone.
+    formed together, one numpy call per term, into one multiplier of all R
+    rows (the gain factors, a copy of them for the paired intercept rows
+    and 1 + r dt for the G = 0 rows) and the shifts of the other rows, then
+    stepped one step at a time, two calls a step.  Each row's operations
+    are elementwise and those of the per-row step, so its bits depend on
+    its own coefficients alone.
     The factors go in a view of scratch where one is given, else in
     plan.factor_size(m) numbers.  With path, an (n + 1, R, m) array, x is
     kept at the start and after every step."""
@@ -293,25 +292,26 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
         scratch = np.empty(plan.factor_size(m))
     step = plan.step_size(m)
     c = min(len(table), scratch.size // step) if step else len(table)
-    gain = scratch[: c * K * m].reshape(c, K, m)
-    shift = scratch[c * K * m : c * R * m].reshape(c, R - K, m)
-    tmp = scratch[c * R * m :]
+    mult = scratch[: c * R * m].reshape(c, R, m)
+    shift = scratch[c * R * m : c * (2 * R - K) * m].reshape(c, R - K, m)
+    tmp = scratch[c * (2 * R - K) * m :]
     gain_tmp = tmp[: c * K * m].reshape(c, K, m)
     shift_tmp = tmp[: c * (R - K) * m].reshape(c, R - K, m)
-    head, tail, shared, fixed = x[:K], x[K:], x[K : K + J], x[K + J :]
+    tail = x[K:]
     if path is not None:
         path[0] = x
     with np.errstate():
         # to broadcast a (k, R, 1) entry against (k, 1, m) normals numpy
         # copies them through its ufunc buffer; with the least buffer it
-        # forms them in place, 1.5-2.5 times faster a call (a half block
-        # steps 1.3-1.5 times faster), and every operation is elementwise
+        # forms them in place, 1.5-2.5 times faster a call, and every
+        # operation is elementwise
         np.setbufsize(16)
         for first in range(0, len(table), c):
             coef, z = table[first : first + c], normals[first : first + c]
             k = len(coef)
-            gains, shifts, a = coef[:, :, :K], coef[:, :, K:], coef[:, 0, K + J :]
-            g, s = gain[:k], shift[:k]
+            gains, shifts = coef[:, :, :K], coef[:, :, K:]
+            mul, s = mult[:k], shift[:k]
+            g = mul[:, :K]
             np.multiply(gains[:, 2], z[:, :1], out=g)
             np.multiply(shifts[:, 2 + d], z[:, :1], out=s)
             for j in range(1, d):
@@ -319,21 +319,21 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
                 s += np.multiply(shifts[:, 2 + d + j], z[:, j : j + 1], out=shift_tmp[:k])
             g += gains[:, 0]
             s += shifts[:, 1]
+            mul[:, K : K + J] = g[:, :J]
+            mul[:, K + J :] = coef[:, 0, K + J :]
             for i in range(k):
-                head *= g[i]
-                shared *= g[i, :J]
-                fixed *= a[i]
+                x *= mul[i]
                 tail += s[i]
                 if path is not None:
                     path[first + i + 1] = x
-        head += 0.0
+        x[:K] += 0.0
         if path is not None:
             path[1:, :K] += 0.0
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
     """Threads that draw and step blocks, the calling one included: at most
-    the threads asked for, the blocks and the CPUs, and their half blocks
+    the threads asked for, the blocks and the CPUs, and their quarter blocks
     of nbytes of normals each fit in MAX_BLOCK_BYTES together; at least one."""
     return max(1, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes))
 
@@ -395,7 +395,7 @@ def simulate_models(
     terminal wealth is not finite are excluded; too many of them, or
     estimates beyond float64, raise SimulationExplosionError.  Blocks are
     drawn and stepped on :func:`_workers` threads, this one included, each
-    holding half a block of normals; every thread count gives identical
+    holding a quarter block of normals; every thread count gives identical
     reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
@@ -404,31 +404,32 @@ def simulate_models(
     starts = np.array(plan.starts)[:, None]
     n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
     terminal = np.empty((n_rows, cfg.n_paths))
-    width = _half(cfg.n_paths)
+    width = _quarter(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
-    # Each worker makes a block's stream once and draws it in two halves
-    # through its scratch, stepping the first half before it draws the
-    # second.  Threads draw side by side, as a Philox fill runs without the
-    # GIL, and step one half at a time: stepping's short numpy calls take
-    # the GIL every few microseconds, and two threads stepping at once were
-    # no faster than one stepping while the other draws.  The scratch holds
-    # the step factors of a half, and at least one path of the draw, which
+    # Each worker makes a block's stream once and draws it in four quarters
+    # through its scratch, stepping each quarter before it draws the next.
+    # Threads draw side by side, as a Philox fill runs without the GIL, and
+    # step one quarter at a time: stepping's short numpy calls take the GIL
+    # every few microseconds, and two threads stepping at once were no
+    # faster than one stepping while the other draws.  The scratch holds the
+    # step factors of a quarter, and at least one path of the draw, which
     # moves step-major through it as many whole paths at a time as fit.
     size = max(plan.factor_size(width), n_steps * d)
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
-        # one thread's buffers for the run: half a block's normals,
+        # one thread's buffers for the run: a quarter block's normals,
         # step-major, and the scratch the draw, then the step, goes through
         normals, scratch = np.empty(n_steps * d * width), np.empty(size)
 
         def run_block(block: int):
             stream = _stream(cfg.seed, block)
-            first, stop = block * _BLOCK, min(cfg.n_paths, (block + 1) * _BLOCK)
-            middle = first + (stop - first + 1) // 2
-            for lo, hi in ((first, middle), (middle, stop)):
-                if hi == lo:  # the second half of a block of one path
-                    return
+            first = block * _BLOCK
+            m = min(cfg.n_paths - first, _BLOCK)
+            cuts = [first + -(-q * m // 4) for q in range(5)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                if hi == lo:  # an empty quarter of a block of fewer than 4 paths
+                    continue
                 z = normals[: n_steps * d * (hi - lo)].reshape(n_steps, d, hi - lo)
                 _draw_paths(stream, z, scratch)
                 # the rows are stepped where their terminal wealth goes;

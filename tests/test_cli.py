@@ -378,25 +378,25 @@ class TestConfigParsing:
         assert "empirical_sup_error,bound" in capsys.readouterr().out
 
     def test_block_memory_bound(self, tmp_path, capsys):
-        # a worker holds half a block of normals: 2048 paths x 16384 steps
-        # x 2 factors x 8 bytes is exactly the bound
-        half = _BLOCK // 2
-        assert half == 2048 and MAX_BLOCK_BYTES == half * 16384 * 2 * 8
+        # a worker holds a quarter block of normals: 1024 paths x 32768
+        # steps x 2 factors x 8 bytes is exactly the bound
+        quarter = _BLOCK // 4
+        assert quarter == 1024 and MAX_BLOCK_BYTES == quarter * 32768 * 2 * 8
         path = tmp_path / "steps.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 16384"))
+                        .replace("n_time_steps = 100", "n_time_steps = 32768"))
         cli.check_simulation_size(load_config(str(path)))
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 16385"))
+                        .replace("n_time_steps = 100", "n_time_steps = 32769"))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "n_time_steps = 16385" in err and "Traceback" not in err
+        assert "n_time_steps = 32769" in err and "Traceback" not in err
         assert "need 512.1 MiB of Gaussian increments per worker" in err
-        assert _refused_mib(err) * 2**20 >= half * 16385 * 2 * 8 > MAX_BLOCK_BYTES
+        assert _refused_mib(err) * 2**20 >= quarter * 32769 * 2 * 8 > MAX_BLOCK_BYTES
         assert not (tmp_path / "out").exists()
 
     def test_block_memory_bound_uses_the_path_count(self, tmp_path):
-        # fewer paths than one block: a worker holds half of them
+        # fewer paths than one block: a worker holds a quarter of them
         path = tmp_path / "few.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 10")
                         .replace("n_time_steps = 100", "n_time_steps = 1000000"))
@@ -973,11 +973,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("n_paths, n_time_steps", [
         # two full Monte Carlo blocks and a partial one
         (9000, 20),
-        # a partial block in halves of 1025 and 1024 paths, and a block
-        # whose first half holds one path; a last call of steps cut short
-        # (the 2048-path halves form 4 steps a call)
+        # a partial block in quarters of 513 and 512 paths, and a last
+        # block of 1 or 3 paths, whose quarters are (1, 0, 0, 0) and
+        # (1, 1, 1, 0); a last call of steps cut short (the 1024-path
+        # quarters form 6 steps a call)
         (6145, 21),
         (4097, 21),
+        (4099, 21),
     ])
     def test_threads_give_same_output(self, tmp_path, monkeypatch, n_paths, n_time_steps):
         # as many workers as --threads and the blocks allow, whatever the CPUs
@@ -995,7 +997,7 @@ class TestSimulateCommand:
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
         # two gammas x two horizons share every block, each block's stream
-        # is made once for both its halves, and the figure paths of every
+        # is made once for its four quarters, and the figure paths of every
         # case share one draw of their own stream
         draws = []
 
@@ -1281,6 +1283,38 @@ class TestBankModelRange:
             "market validation error: coefficients exceed the float64 range of the "
             "bank-account model over the horizon T=10 at gamma=0.0001\n"))
         assert not out.exists()
+
+    # every check passes at a unit wealth, but model 1's mean e^{rT} x
+    # overflows on the wealth grid from x = 2.2, and so do models 2 and 3
+    ON_THE_WEALTH_GRID = {"alpha": "70.95, 70.93", "r": 70.9, "gamma": 3, "T": 10}
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize("command, code, err", [
+        ("solve", 3, "market validation error: coefficients exceed the float64 range in "
+                     "mean_variance_vs_wealth.csv at gamma=3 T=10 (model1)\n"),
+        ("bounds", 0, ""),
+        ("simulate", 0, ""),
+    ])
+    def test_a_wealth_grid_cell_beyond_float64_is_refused(
+        self, tmp_path, capsys, action, command, code, err
+    ):
+        # no inf is written and nothing warns: solve refuses the table it
+        # would write, with one line and no file left; bounds and simulate
+        # form no wealth grid, and the 50 Monte Carlo steps stay finite
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main([command, self.config(tmp_path, self.ON_THE_WEALTH_GRID),
+                         "--out-dir", str(out)]) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if command == "solve":
+            assert list(out.iterdir()) == []
+        elif command == "bounds":
+            assert captured.out.startswith("== gamma=3 T=10 ==\n")
+        else:
+            assert_finite_cells(out)
 
 
 STEEP_CFG = """\

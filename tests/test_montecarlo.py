@@ -25,6 +25,7 @@ from tcmv import (
 from tcmv import cli, montecarlo
 from tcmv.montecarlo import (
     _BLOCK,
+    _FACTORS,
     MAX_BLOCK_BYTES,
     _draw_paths,
     _report,
@@ -335,22 +336,23 @@ class TestSimulateModels:
     def test_each_worker_holds_one_block_buffer(
         self, diagonal_params, three_strategies, monkeypatch, threads
     ):
-        # each thread draws both halves of every block it takes into the
-        # one buffer of half a block it allocated for the run, and the run's
-        # traced peak stays below a quarter block more than the workers hold
+        # each thread draws the four quarters of every block it takes into
+        # the one buffer of a quarter block it allocated for the run, and the
+        # run's traced peak stays below half a quarter block more than the
+        # workers hold
         cfg = SimConfig(9000, 200, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         workers = _workers(threads, 3, group_nbytes(cfg, 2))
         assert workers == threads
-        assert group_nbytes(cfg, 2) == _BLOCK // 2 * 200 * 2 * 8
-        buffers, halves, draw = {}, [], montecarlo._draw_paths
+        assert group_nbytes(cfg, 2) == _BLOCK // 4 * 200 * 2 * 8
+        buffers, quarters, draw = {}, [], montecarlo._draw_paths
 
         def recorded(stream, out, piece):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
-            halves.append(out.shape[2])
+            quarters.append(out.shape[2])
             return draw(stream, out, piece)
 
         monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
@@ -363,8 +365,8 @@ class TestSimulateModels:
             tracemalloc.stop()
         assert reports == serial
         assert 1 <= len(buffers) <= workers
-        # blocks of 4096, 4096 and 808 paths, each in two halves
-        assert sorted(halves) == [404] * 2 + [2048] * 4
+        # blocks of 4096, 4096 and 808 paths, each in four quarters
+        assert sorted(quarters) == [202] * 4 + [1024] * 8
         held = [{id(b) for b in kept} for kept in buffers.values()]
         assert all(len(ids) == 1 for ids in held)
         assert len(set().union(*held)) == len(buffers)
@@ -372,19 +374,19 @@ class TestSimulateModels:
         assert workers * group_nbytes(cfg, 2) < peak < (workers + 0.5) * group_nbytes(cfg, 2)
 
     @pytest.mark.parametrize("n_paths", [1023, 1024])
-    def test_one_block_run_holds_half_its_normals(
+    def test_one_block_run_holds_a_quarter_of_its_normals(
         self, diagonal_params, three_strategies, monkeypatch, n_paths
     ):
-        # one block, drawn in halves of ceil(m / 2) and floor(m / 2) paths
-        # into one buffer of the first: the run's traced peak is about half
-        # the block's normals (one block makes one worker of two threads)
+        # one block of m paths, drawn in quarters cut at ceil(q m / 4) into
+        # one buffer of the first: the run's traced peak is about a quarter
+        # of the block's normals (one block makes one worker of two threads)
         cfg = SimConfig(n_paths, 400, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
-        halves, draw = [], montecarlo._draw_paths
+        quarters, draw = [], montecarlo._draw_paths
 
         def recorded(stream, out, piece):
-            halves.append(out.shape[2])
+            quarters.append(out.shape[2])
             return draw(stream, out, piece)
 
         monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
@@ -397,22 +399,49 @@ class TestSimulateModels:
         finally:
             tracemalloc.stop()
         assert reports == serial
-        assert halves == [(n_paths + 1) // 2, n_paths // 2]
+        assert quarters == {1023: [256, 256, 256, 255], 1024: [256] * 4}[n_paths]
         block = n_paths * 400 * 2 * 8
-        assert group_nbytes(cfg, 2) == 512 * 400 * 2 * 8
-        assert 0.5 * block < peak < 0.65 * block  # the scratch is 0.06 of it
+        assert group_nbytes(cfg, 2) == 256 * 400 * 2 * 8
+        assert 0.25 * block < peak < 0.4 * block  # the scratch is 0.06 of it
+
+    @pytest.mark.parametrize("n_paths, parts", [
+        (5, [2, 1, 1, 1]),
+        (4097, [1024] * 4 + [1]),
+        (4098, [1024] * 4 + [1, 1]),
+        (4099, [1024] * 4 + [1, 1, 1]),
+        (6145, [1024] * 4 + [513, 512, 512, 512]),
+    ])
+    def test_quarters_draw_every_path_once(
+        self, diagonal_params, three_strategies, monkeypatch, n_paths, parts
+    ):
+        # a block of m paths is drawn in the non-empty quarters cut at
+        # ceil(q m / 4), in order: a last block of 1, 2 or 3 paths skips its
+        # empty quarters, the last one or one between two of one path.  A
+        # path left unstepped can still report the reference's bits, where
+        # the run's terminal wealth reuses the reference run's memory
+        drawn, draw = [], montecarlo._draw_paths
+
+        def recorded(stream, out, piece):
+            drawn.append(out.shape[2])
+            return draw(stream, out, piece)
+
+        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        simulate_models(diagonal_params, columns, SimConfig(n_paths, 2, 31))
+        assert drawn == parts and sum(parts) == n_paths
 
     # one block of 4, 5, 1023, 1024 or 4095 paths; paths about half a block
-    # and one block, a half of one path (4097), two blocks and a partial
-    # one; one step and more
+    # and one block, a last block of 1, 2 or 3 paths (4097, 4098, 4099), whose
+    # empty quarters come last or between two of one path, two blocks and a
+    # partial one; one step and more
     @pytest.mark.parametrize("n_steps", [1, 3, 21])
     @pytest.mark.parametrize("n_paths", [4, 5, 1023, 1024, 2047, 2048, 2049, 4095, 4097,
-                                         6145, 9000])
+                                         4098, 4099, 6145, 9000])
     def test_groups_and_chunks_keep_the_bits_of_whole_blocks(
         self, diagonal_params, three_strategies, monkeypatch, n_paths, n_steps
     ):
         # each block drawn whole and stepped a step at a time by the
-        # reference reports bit for bit what the halves of blocks and the
+        # reference reports bit for bit what the quarters of blocks and the
         # steps formed a call do, at every thread count, in the run's own
         # scratch and in scratch cut to 1, 2 or 3 steps' factors or to all
         cfg = SimConfig(n_paths, n_steps, 31)
@@ -436,14 +465,15 @@ class TestSimulateModels:
                     assert simulate_models(diagonal_params, columns, cfg, threads) == expected
 
     def test_scratch_holds_one_path_of_the_draw(self):
-        # a G = 0 column steps one row of 2 factor numbers a path and step:
-        # the factors of 100 steps of a one-path half are 200 numbers, less
-        # than one path of the draw on 3 factors, which the scratch holds
+        # a G = 0 column steps one row of 3 factor numbers a path and step,
+        # as many as one path of the draw on 3 factors: past the 16384 steps
+        # of a one-path quarter that fit in _FACTORS, its factors are less
+        # than one path of the draw, which the scratch holds
         params = MarketParams([0.2, 0.12], [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]], 0.04)
         columns = {"": (Affine(np.zeros(2), np.array([0.5, -0.5])), ObjectiveSpec(2.0, 1.0))}
-        cfg = SimConfig(2, 100, 7)
+        cfg = SimConfig(2, 16385, 7)
         plan = montecarlo._Rows(columns, cfg.n_time_steps)
-        assert plan.factor_size(1) == 200 < cfg.n_time_steps * params.n_factors
+        assert plan.factor_size(1) == _FACTORS < cfg.n_time_steps * params.n_factors
         expected = reference_models(params, columns, cfg)
         for threads in (1, 2):
             assert simulate_models(params, columns, cfg, threads) == expected
@@ -674,11 +704,15 @@ SCRATCH_STEPS = st.none() | st.integers(1, 12)
 # the CLI's rows of two horizons on the figure paths' one path, all steps
 # a call, and a G with two intercept rows (its gain stepped twice) beside
 # one with none; fewer steps than fit in the scratch, and a last call cut
-# short
+# short; fewer paired intercept rows than gain rows (K = 2, J = 1), no G = 0
+# rows (K = 2, J = 1, R = 3) and only G = 0 rows (K = 0, R = 2)
 @example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, steps=40)
 @example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, steps=None)
 @example(m=3, n=3, d=3, shared=[1], own=1, seed=2, steps=4)
 @example(m=7, n=9, d=2, shared=[2, 1], own=2, seed=3, steps=4)
+@example(m=4, n=5, d=3, shared=[0, 1], own=1, seed=6, steps=2)
+@example(m=3, n=6, d=2, shared=[1, 2], own=0, seed=4, steps=None)
+@example(m=2, n=5, d=3, shared=[], own=2, seed=4, steps=3)
 @settings(max_examples=40, deadline=None)
 def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, steps):
     # the rows of a random plan stepped from step-major normals keep the
