@@ -280,7 +280,8 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     factors A + C z and B + E z of as many steps as fit in the scratch are
     formed together, one numpy call per term, into one multiplier of all R
     rows (the gain factors, a copy of them for the paired intercept rows
-    and 1 + r dt for the G = 0 rows) and the shifts of the other rows, then
+    and 1 + r dt for the G = 0 rows, the same at every step of their uniform
+    grid and so written once a call) and the shifts of the other rows, then
     stepped one step at a time, two calls a step.  Each row's operations
     are elementwise and those of the per-row step, so its bits depend on
     its own coefficients alone.
@@ -298,6 +299,8 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     gain_tmp = tmp[: c * K * m].reshape(c, K, m)
     shift_tmp = tmp[: c * (R - K) * m].reshape(c, R - K, m)
     tail = x[K:]
+    # once a call, not once a worker: the draw reuses the scratch between calls
+    mult[:, K + J :] = table[0, 0, K + J :]
     if path is not None:
         path[0] = x
     with np.errstate():
@@ -320,7 +323,6 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
             g += gains[:, 0]
             s += shifts[:, 1]
             mul[:, K : K + J] = g[:, :J]
-            mul[:, K + J :] = coef[:, 0, K + J :]
             for i in range(k):
                 x *= mul[i]
                 tail += s[i]

@@ -1415,14 +1415,22 @@ class TestEmitters:
         assert sorted(by_horizon) == sorted(cfg.horizons)
 
 
-def _fresh_interpreter(*args) -> str:
-    """Standard output of a new interpreter run on args, with tcmv taken from
-    the same source tree as these tests."""
+def _fresh_interpreter(*args, input: str | None = None) -> str:
+    """Standard output of a new interpreter run on args, and on input as its
+    standard input, with tcmv taken from the same source tree as these tests."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = subprocess.run([sys.executable, *args], input=input, env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
     return out.stdout
+
+
+def _after(probe: str, *args) -> str:
+    """The last line that probe, a line of Python, prints in a new
+    interpreter once args, a -c command or a -m module with its arguments,
+    has ended.  -i reads standard input then, where it is no terminal too,
+    and after a SystemExit, which it keeps in sys.last_value."""
+    return _fresh_interpreter("-i", *args, input=probe + "\n").splitlines()[-1]
 
 
 def test_import_loads_no_thread_pool():
@@ -1436,16 +1444,20 @@ class TestLazyEngine:
     """The Monte Carlo engine, and numpy.random with it, loads for simulate
     alone."""
 
-    @pytest.mark.parametrize("step", [
-        "import tcmv",
-        "import tcmv.cli; tcmv.cli.load_config(sys.argv[1])",
-        "from tcmv import cli; assert cli.main(['solve', sys.argv[1], '--out-dir', sys.argv[2]]) == 0",
-        "from tcmv import cli; assert cli.main(['bounds', sys.argv[1]]) == 0",
-    ], ids=["import", "load_config", "solve", "bounds"])
-    def test_solving_loads_no_engine(self, step, figure_cfg, tmp_path):
-        code = f"import sys\n{step}\nprint(sorted({{'tcmv.montecarlo', 'numpy.random'}} & set(sys.modules)))"
-        out = _fresh_interpreter("-c", code, figure_cfg, str(tmp_path / "out"))
-        assert out.splitlines()[-1] == "[]"
+    @pytest.mark.parametrize("args", [
+        ["-c", "import tcmv"],
+        ["-c", "import sys, tcmv.cli; tcmv.cli.load_config(sys.argv[1])"],
+        ["-c", "import sys, tcmv.cli; assert tcmv.cli.main(['solve', *sys.argv[1:]]) == 0"],
+        ["-c", "import sys, tcmv.cli; assert tcmv.cli.main(['bounds', *sys.argv[1:]]) == 0"],
+        ["-m", "tcmv.cli", "solve"],
+        ["-m", "tcmv.cli", "bounds"],
+    ], ids=["import", "load_config", "solve", "bounds", "module_solve", "module_bounds"])
+    def test_solving_loads_no_engine(self, args, figure_cfg, tmp_path):
+        # in process through main, and through python -m, which exits 0
+        probe = ("import sys; print(getattr(sys, 'last_value', None), "
+                 "sorted({'tcmv.montecarlo', 'numpy.random'} & set(sys.modules)))")
+        after = _after(probe, *args, figure_cfg, "--out-dir", str(tmp_path / "out"))
+        assert after == ("0 []" if args[0] == "-m" else "None []")
 
     def test_package_names_resolve_on_first_use(self):
         code = "\n".join([
@@ -1494,11 +1506,32 @@ class TestEntry:
         assert calls == ["freeze", "main"]
         assert exit_.value.code == 3
 
+    def test_keeps_openssl_out_before_main(self, monkeypatch):
+        # entry sets _hashlib to None where nothing loaded it, so that the
+        # numpy.random simulate imports takes hashlib's builtin hashes; a
+        # _hashlib already loaded stays
+        seen, loaded = [], object()
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(cli, "main", lambda argv=None: seen.append(sys.modules["_hashlib"]))
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                cli.entry()
+            monkeypatch.setitem(sys.modules, "_hashlib", loaded)
+        assert seen == [None, loaded]
+
     def test_main_does_not_freeze(self, figure_cfg, tmp_path, capsys):
         frozen = gc.get_freeze_count()
         assert main(["solve", figure_cfg, "--out-dir", str(tmp_path / "out")]) == 0
         assert main(["bounds", figure_cfg]) == 0
         assert gc.get_freeze_count() == frozen
+
+    def test_main_leaves_sys_modules_alone(self, monkeypatch, figure_cfg, tmp_path, capsys):
+        # in-process callers keep their imports: main blocks no module
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        for command in ("solve", "simulate", "bounds"):
+            assert main([command, figure_cfg, "--out-dir", str(tmp_path / command)]) == 0
+        assert "_hashlib" not in sys.modules
 
     def test_module_entry_solves(self, tmp_path):
         # python -m tcmv.cli writes, byte for byte, what main writes in process
@@ -1509,6 +1542,22 @@ class TestEntry:
             assert main(["solve", str(path), "--out-dir", str(in_process)]) == 0
         assert (module / "diagnostics.txt").stat().st_size > 0
         assert_same_files(module, in_process, SOLVE_FILES)
+
+    def test_module_entry_simulates(self, figure_cfg, tmp_path):
+        # python -m tcmv.cli simulate exits 0 and writes, byte for byte, what
+        # main writes in process, having imported numpy.random; where
+        # importing tcmv.cli leaves OpenSSL unloaded, so does the run
+        module, in_process = tmp_path / "module", tmp_path / "main"
+        probe = ("import sys; print(sys.last_value, 'numpy.random' in sys.modules, "
+                 "sys.modules.get('_hashlib') is None)")
+        after = _after(probe, "-W", "error::RuntimeWarning", "-m", "tcmv.cli", "simulate",
+                       figure_cfg, "--out-dir", str(module))
+        assert main(["simulate", figure_cfg, "--out-dir", str(in_process)]) == 0
+        assert_same_files(module, in_process, ["simulation_summary.csv",
+                                               "simulated_paths_g1_T1.csv",
+                                               "simulated_paths_g3_T1.csv"])
+        imported = _fresh_interpreter("-c", "import sys, tcmv.cli; print('_hashlib' in sys.modules)")
+        assert after == ("0 True True" if imported == "False\n" else "0 True False")
 
 
 class TestFormatting:

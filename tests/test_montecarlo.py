@@ -416,9 +416,7 @@ class TestSimulateModels:
     ):
         # a block of m paths is drawn in the non-empty quarters cut at
         # ceil(q m / 4), in order: a last block of 1, 2 or 3 paths skips its
-        # empty quarters, the last one or one between two of one path.  A
-        # path left unstepped can still report the reference's bits, where
-        # the run's terminal wealth reuses the reference run's memory
+        # empty quarters, the last one or one between two of one path
         drawn, draw = [], montecarlo._draw_paths
 
         def recorded(stream, out, piece):
@@ -450,7 +448,8 @@ class TestSimulateModels:
             for obj in (ObjectiveSpec(3.0, 1.0), ObjectiveSpec(1.0, 0.5))
             for name, strategy in three_strategies.items()
         }
-        expected = reference_models(diagonal_params, columns, cfg)
+        kept = []  # the reference's terminal wealth, alive across the engine's runs
+        expected = reference_models(diagonal_params, columns, cfg, kept)
         step_rows = montecarlo._step_rows
         for steps in (None, 1, 2, 3, n_steps):
 
@@ -474,7 +473,8 @@ class TestSimulateModels:
         cfg = SimConfig(2, 16385, 7)
         plan = montecarlo._Rows(columns, cfg.n_time_steps)
         assert plan.factor_size(1) == _FACTORS < cfg.n_time_steps * params.n_factors
-        expected = reference_models(params, columns, cfg)
+        kept = []
+        expected = reference_models(params, columns, cfg, kept)
         for threads in (1, 2):
             assert simulate_models(params, columns, cfg, threads) == expected
 
@@ -635,14 +635,19 @@ def reference_step(x, z, coef, work):
     x += shift
 
 
-def reference_models(params, columns, cfg):
+def reference_models(params, columns, cfg, kept):
     """The reports of simulate_models with every block of _BLOCK paths drawn
     whole from its stream and every row stepped one step at a time by
-    reference_step; the columns combine their rows as the engine does."""
+    reference_step; the columns combine their rows as the engine does.
+    Its terminal wealth goes into kept, which the caller holds across the
+    engine's runs: the engine takes its own from np.empty, which could
+    otherwise reuse this array and find the right bits in a path it left
+    unstepped."""
     n = cfg.n_time_steps
     plan = montecarlo._Rows(columns, n)
     table = _step_table(params, plan.rows, n)
     terminal = np.empty((len(plan.rows), cfg.n_paths))
+    kept.append(terminal)
     with np.errstate(over="ignore", invalid="ignore"):
         for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
             m = min(_BLOCK, cfg.n_paths - first)
