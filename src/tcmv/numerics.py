@@ -99,8 +99,9 @@ def forward_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-# Every Picard iteration starts from this constant; the constant start at 1
-# keeps the iterate sequence comparable to the factorial-tail error bound.
+# Picard iterations start from this constant unless given a start; the
+# constant start at 1 keeps the iterate sequence comparable to the
+# factorial-tail error bound.
 PICARD_START = 1.0
 
 
@@ -149,12 +150,13 @@ def picard_solve(
     step: Callable[[np.ndarray], np.ndarray],
     n_nodes: int,
     cfg: PicardConfig | None = None,
+    start: np.ndarray | None = None,
 ) -> PicardResult:
-    """Iterate x <- step(x) from the constant start until the sup-norm change
-    drops below tol, keeping every iterate for the error-bound tables.
-    Raises NonConvergenceError when the cap is hit."""
+    """Iterate x <- step(x) from start, by default the constant PICARD_START,
+    until the sup-norm change drops below tol, keeping every iterate for the
+    error-bound tables.  Raises NonConvergenceError when the cap is hit."""
     cfg = cfg or PicardConfig()
-    current = np.full(n_nodes, PICARD_START)
+    current = np.full(n_nodes, PICARD_START) if start is None else start
     history = [current]
     delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):

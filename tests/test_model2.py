@@ -17,8 +17,9 @@ from tcmv import (
     solve_model3,
 )
 from tcmv.cli import load_config
-from tcmv.model2 import gain_residual, portfolio_variance_rate
-from tcmv.numerics import tail_integrals
+from tcmv.errors import NonConvergenceError
+from tcmv.model2 import gain_equation_map, gain_march, gain_residual, portfolio_variance_rate
+from tcmv.numerics import picard_solve, tail_integrals
 from .conftest import gain_iterate_bounds, random_distinct_market
 
 # fraction of wealth in stock 1 at t=0 for the symmetric-volatility market
@@ -122,6 +123,42 @@ class TestGainEquation:
             for iterate in sol.history[1:]:
                 assert np.all(iterate >= lo - 1e-12)
                 assert np.all(iterate <= hi + 1e-12)
+
+
+
+class TestGainMarch:
+    """The discrete gain equation solved node by node from T: the fixed
+    point Picard converges to, and the start it falls back on where its
+    sweeps from the constant 1 outgrow max_iter."""
+
+    @pytest.mark.parametrize("alpha, sigma, T", [
+        ([0.2, 0.12], [[0.25, 0.0], [0.0, 0.25]], 3.0),  # figure1.cfg
+        ([0.15, 0.05], [[0.3, 0.1], [0.05, 0.2]], 10.0),  # correlated
+        ([0.6, 0.05], [[0.3, 0.1], [0.25, 0.15]], 3.0),  # steep, |k| up to 111
+    ])
+    def test_march_is_the_picard_fixed_point(self, alpha, sigma, T):
+        params, grid = MarketParams(alpha, sigma, 0.04), TimeGrid.default(T)
+        k = gain_march(params, grid)
+        picard = solve_model2(params, grid, PicardConfig(tol=1e-13, max_iter=300))
+        assert picard.iterations > 1
+        assert gain_residual(params, grid, k) <= 1e-13 * max(1.0, np.max(np.abs(k)))
+        assert np.max(np.abs(k - picard.k.values)) <= 1e-11 * max(1.0, np.max(np.abs(k)))
+
+    @pytest.mark.parametrize("alpha, sigma, T", [
+        ([0.0, 0.25], [[0.0, 0.125], [1e-3, 0.109375]], 3.0),  # theta~^2 T near 768
+        ([0.0, 0.5], [[0.0, 0.125], [0.0, 0.0]], 30.0),  # stock 2 riskless, theta~^2 T = 480
+    ])
+    def test_long_horizon_starts_from_the_march(self, alpha, sigma, T):
+        params = MarketParams(alpha, sigma, 0.04)
+        grid = TimeGrid.default(T, 200)
+        step = gain_equation_map(params, grid)
+        with pytest.raises(NonConvergenceError):
+            picard_solve(step, grid.n_nodes)
+        sol = solve_model2(params, grid)
+        march = gain_march(params, grid)
+        assert np.array_equal(sol.history[0], march)
+        assert sol.iterations == 1 and sol.delta < 1e-13
+        assert gain_residual(params, grid, sol.k.values) < 1e-13
 
 
 class TestValues:
