@@ -13,13 +13,12 @@ theta~^2 / gamma and theta~^2 / gamma^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError
 from .market import (MarketParams, _coeffs, _require_finite, factor_sum,
                      validate_distinct_volatility)
 from .numerics import (
@@ -50,56 +49,6 @@ def gain_equation_map(params: MarketParams, grid: TimeGrid):
         return (dalpha * np.expm1(-tail) - csig) / denom
 
     return step
-
-
-def gain_march(params: MarketParams, grid: TimeGrid) -> np.ndarray:
-    """The discrete gain equation's solution, marched node by node from T.
-
-    The map's fixed point has variance tails tau with tau_N = 0 and
-    phi(tau_i) = tau_i - (dt/2) f(tau_i) - tau_{i+1} - (dt/2) f(tau_{i+1}) = 0,
-    where f(tau) = |sigma_2 + k(tau) ds|^2 and k(tau) is the gain the map
-    forms from tail tau.  f' = 2 theta~^2 (1 - e^{-tau}) e^{-tau} lies in
-    [0, theta~^2 / 2], so while dt theta~^2 < 4 phi rises with slope in
-    [1 - dt theta~^2 / 4, 1], and Newton steps kept inside the bracket
-    [tau_{i+1}, tau_{i+1} + (dt/2) (f(tau_{i+1}) + f_max)], f_max =
-    f(0) + theta~^2, find the one root to the last bit.
-    """
-    s2, ds, denom, csig, dalpha = (np.asarray(v, dtype=float).tolist()
-                                   for v in _coeffs(params))
-    theta_sq = dalpha * dalpha / denom
-    half = 0.5 * grid.dt
-
-    def rate(tau: float) -> float:
-        k = (dalpha * math.expm1(-tau) - csig) / denom
-        return factor_sum([(s + k * d) ** 2 for s, d in zip(s2, ds)])
-
-    f_max = rate(0.0) + theta_sq
-    taus = np.zeros(grid.n_nodes)
-    tau = 0.0
-    f_tau = rate(tau)
-    for i in range(grid.n_steps - 1, -1, -1):
-        c = tau + half * f_tau
-        lo, hi = tau, c + half * f_max
-        # bisection alone narrows the bracket below one ulp in 100 halvings
-        for _ in range(100):
-            f_tau = rate(tau)
-            phi = tau - half * f_tau - c
-            if phi == 0.0:
-                break
-            if phi < 0.0:
-                lo = tau
-            else:
-                hi = tau
-            slope = 1.0 + grid.dt * theta_sq * math.expm1(-tau) * math.exp(-tau)
-            new = tau - phi / slope
-            if not lo < new < hi:
-                new = 0.5 * (lo + hi)
-            if new == tau:
-                break
-            tau = new
-        f_tau = rate(tau)
-        taus[i] = tau
-    return (dalpha * np.expm1(-taus) - csig) / denom
 
 
 def gain_residual(params: MarketParams, grid: TimeGrid, k: np.ndarray) -> float:
@@ -138,11 +87,10 @@ def solve_model2(
     (dt/2) f(tau) = c for the variance tail, f(tau) = sigma_mv^2 + theta~^2
     (1 - e^{-tau})^2 of slope at most theta~^2 / 2, with one root only below 4.
 
-    Picard starts from the constant PICARD_START.  Where theta~^2 T runs to
-    the hundreds its sweeps can grow for longer than max_iter before they
-    contract; then it starts again from gain_march, the discrete equation's
-    solution, which one sweep confirms.  NonConvergenceError only if that
-    fails too."""
+    Picard starts from the terminal value k(T) = -csig / denom = w1, the
+    weight of stock 1 in the minimum-variance portfolio, held constant; its
+    first sweep forms the variance rate f(w1) = sigma_mv^2 <= |sigma_2|^2.
+    NonConvergenceError when max_iter sweeps do not reach tol."""
     validate_distinct_volatility(params)
     _, _, denom, csig, dalpha = _coeffs(params)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,11 +105,8 @@ def solve_model2(
             f"grid too coarse for the market over the horizon T={grid.T:g}: "
             f"dt*theta~^2 = {coarseness:.6g} must be below 4, "
             f"which takes at least {least_steps:.15g} grid steps")
-    step = gain_equation_map(params, grid)
-    try:
-        result = picard_solve(step, grid.n_nodes, cfg)
-    except NonConvergenceError:
-        result = picard_solve(step, grid.n_nodes, cfg, gain_march(params, grid))
+    result = picard_solve(gain_equation_map(params, grid),
+                          np.full(grid.n_nodes, -csig / denom), cfg)
     return Model2Solution(
         params,
         grid,

@@ -73,8 +73,10 @@ def solve_k2(
     kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
 ) -> PicardResult:
     """Picard solve of the Volterra equation for k2, the check of the
-    closed form; it stops at the absolute tol of the gain solve."""
-    return picard_solve(intercept_equation_map(kernels, gamma), kernels.grid.n_nodes, cfg)
+    closed form, from k2's terminal value lam / gamma held constant; it
+    stops at the absolute tol of the gain solve."""
+    step = intercept_equation_map(kernels, gamma)  # refuses gamma <= 0
+    return picard_solve(step, np.full(kernels.grid.n_nodes, kernels.lam / gamma), cfg)
 
 
 def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> float:

@@ -99,12 +99,6 @@ def forward_integrals(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-# Picard iterations start from this constant unless given a start; the
-# constant start at 1 keeps the iterate sequence comparable to the
-# factorial-tail error bound.
-PICARD_START = 1.0
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     """Stopping rule of the successive-substitution iteration."""
@@ -143,20 +137,19 @@ class PicardResult:
     values: np.ndarray
     iterations: int
     delta: float  # final sup-norm change
-    history: list[np.ndarray]  # every iterate, the constant start included
+    history: list[np.ndarray]  # every iterate, the start included
 
 
 def picard_solve(
     step: Callable[[np.ndarray], np.ndarray],
-    n_nodes: int,
+    start: np.ndarray,
     cfg: PicardConfig | None = None,
-    start: np.ndarray | None = None,
 ) -> PicardResult:
-    """Iterate x <- step(x) from start, by default the constant PICARD_START,
-    until the sup-norm change drops below tol, keeping every iterate for the
+    """Iterate x <- step(x) from start, one value per grid node, until the
+    sup-norm change drops below tol, keeping every iterate for the
     error-bound tables.  Raises NonConvergenceError when the cap is hit."""
     cfg = cfg or PicardConfig()
-    current = np.full(n_nodes, PICARD_START) if start is None else start
+    current = start
     history = [current]
     delta = np.inf
     for iteration in range(1, cfg.max_iter + 1):

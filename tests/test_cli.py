@@ -1100,7 +1100,7 @@ class TestBoundsCommand:
 
 
     def test_overflowing_bound_constants_do_not_warn(self, tmp_path, capsys):
-        # the k1 bound constant K = 6220.5 at T = 3: e^{K T} and the
+        # the k1 bound constant K = 4474.5 at T = 3: e^{K T} and the
         # factorial tail beyond float64 once warned on numpy scalars; the
         # bound column is a deliberate inf
         path = tmp_path / "steep.cfg"
@@ -1115,7 +1115,7 @@ class TestBoundsCommand:
         for text in (captured.out, diagnostics):
             lines = text.splitlines()
             k1_table = lines[lines.index("k1 iterate error bound:") + 1 :][:12]
-            assert k1_table[0] == "K = 6220.49419543"
+            assert k1_table[0] == "K = 4474.51246967"
             assert [row.split(",")[2] for row in k1_table[2:]] == ["inf"] * 10
 
     def test_steep_market_k2_check_stops_at_tol(self, tmp_path):

@@ -18,7 +18,8 @@ from tcmv import (
 )
 from tcmv.cli import load_config
 from tcmv.errors import NonConvergenceError
-from tcmv.model2 import gain_equation_map, gain_march, gain_residual, portfolio_variance_rate
+from tcmv.market import _coeffs
+from tcmv.model2 import gain_equation_map, gain_residual, portfolio_variance_rate
 from tcmv.numerics import picard_solve, tail_integrals
 from .conftest import gain_iterate_bounds, random_distinct_market
 
@@ -126,38 +127,38 @@ class TestGainEquation:
 
 
 
-class TestGainMarch:
-    """The discrete gain equation solved node by node from T: the fixed
-    point Picard converges to, and the start it falls back on where its
-    sweeps from the constant 1 outgrow max_iter."""
+class TestTerminalStart:
+    """The gain solve starts from its terminal value k(T) = -csig / denom =
+    w1, the minimum-variance weight, held constant; where theta~^2 T runs
+    to the hundreds, sweeps from the constant 1 outgrow max_iter."""
 
     @pytest.mark.parametrize("alpha, sigma, T", [
         ([0.2, 0.12], [[0.25, 0.0], [0.0, 0.25]], 3.0),  # figure1.cfg
         ([0.15, 0.05], [[0.3, 0.1], [0.05, 0.2]], 10.0),  # correlated
         ([0.6, 0.05], [[0.3, 0.1], [0.25, 0.15]], 3.0),  # steep, |k| up to 111
     ])
-    def test_march_is_the_picard_fixed_point(self, alpha, sigma, T):
+    def test_solve_reaches_the_fixed_point_in_no_more_sweeps(self, alpha, sigma, T):
         params, grid = MarketParams(alpha, sigma, 0.04), TimeGrid.default(T)
-        k = gain_march(params, grid)
-        picard = solve_model2(params, grid, PicardConfig(tol=1e-13, max_iter=300))
-        assert picard.iterations > 1
+        cfg = PicardConfig(tol=1e-13, max_iter=300)
+        sol = solve_model2(params, grid, cfg)
+        from_one = picard_solve(gain_equation_map(params, grid), np.ones(grid.n_nodes), cfg)
+        k = sol.k.values
+        assert 1 < sol.iterations <= from_one.iterations
         assert gain_residual(params, grid, k) <= 1e-13 * max(1.0, np.max(np.abs(k)))
-        assert np.max(np.abs(k - picard.k.values)) <= 1e-11 * max(1.0, np.max(np.abs(k)))
 
     @pytest.mark.parametrize("alpha, sigma, T", [
         ([0.0, 0.25], [[0.0, 0.125], [1e-3, 0.109375]], 3.0),  # theta~^2 T near 768
         ([0.0, 0.5], [[0.0, 0.125], [0.0, 0.0]], 30.0),  # stock 2 riskless, theta~^2 T = 480
     ])
-    def test_long_horizon_starts_from_the_march(self, alpha, sigma, T):
+    def test_long_horizon_starts_from_the_terminal_value(self, alpha, sigma, T):
         params = MarketParams(alpha, sigma, 0.04)
         grid = TimeGrid.default(T, 200)
-        step = gain_equation_map(params, grid)
+        step, cfg = gain_equation_map(params, grid), PicardConfig(tol=1e-13)
         with pytest.raises(NonConvergenceError):
-            picard_solve(step, grid.n_nodes)
-        sol = solve_model2(params, grid)
-        march = gain_march(params, grid)
-        assert np.array_equal(sol.history[0], march)
-        assert sol.iterations == 1 and sol.delta < 1e-13
+            picard_solve(step, np.ones(grid.n_nodes), cfg)
+        sol = solve_model2(params, grid, cfg)
+        _, _, denom, csig, _ = _coeffs(params)
+        assert np.array_equal(sol.history[0], np.full(grid.n_nodes, -csig / denom))
         assert gain_residual(params, grid, sol.k.values) < 1e-13
 
 

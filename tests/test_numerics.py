@@ -93,31 +93,32 @@ class TestTailIntegrals:
 
 class TestPicardSolve:
     def test_identity_map_immediate(self):
-        result = picard_solve(lambda k: k, 11)
+        result = picard_solve(lambda k: k, np.ones(11))
         assert result.iterations == 1
         assert result.delta == 0.0
         assert np.all(result.values == 1.0)
 
     def test_affine_contraction(self):
         # fixed point of k -> 0.5 k + 1 is 2
-        result = picard_solve(lambda k: 0.5 * k + 1.0, 11, PicardConfig(tol=1e-12))
+        result = picard_solve(lambda k: 0.5 * k + 1.0, np.ones(11), PicardConfig(tol=1e-12))
         assert np.allclose(result.values, 2.0, atol=1e-11)
 
     def test_divergent_map_reported(self):
         with pytest.raises(NonConvergenceError) as err:
-            picard_solve(lambda k: 2.0 * k + 1.0, 5, PicardConfig(max_iter=10))
+            picard_solve(lambda k: 2.0 * k + 1.0, np.ones(5), PicardConfig(max_iter=10))
         assert err.value.iterations == 10
         assert err.value.last_delta > 0
 
     def test_residual_recheck(self):
         step = lambda k: 0.8 * np.tanh(k) + 0.1
         cfg = PicardConfig(tol=1e-11)
-        result = picard_solve(step, 7, cfg)
+        result = picard_solve(step, np.ones(7), cfg)
         assert np.max(np.abs(step(result.values) - result.values)) <= cfg.tol
 
     def test_history_records_start(self):
-        result = picard_solve(lambda k: 0.5 * k, 3)
-        assert np.all(result.history[0] == 1.0)
+        start = np.array([1.0, -2.0, 0.5])
+        result = picard_solve(lambda k: 0.5 * k, start)
+        assert result.history[0] is start
         assert len(result.history) == result.iterations + 1
 
 
