@@ -30,7 +30,7 @@ from .market import (
     validate_distinct_volatility,
 )
 from .model1 import Model1Solution, diagnose_one_factor, solve_model1
-from .model2 import Model2Solution, Model2Values, evaluate_model2, solve_model2
+from .model2 import Model2Solution, evaluate_model2, solve_model2
 from .model3 import Model3Solution, solve_model3
 from .numerics import (
     PicardConfig,
@@ -62,7 +62,6 @@ __all__ = [
     "MarketValidationError",
     "Model1Solution",
     "Model2Solution",
-    "Model2Values",
     "Model3Solution",
     "NonConvergenceError",
     "ObjectiveSpec",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, _require_finite, decorrelate
 from .model1 import Model1Solution, solve_model1
-from .model2 import Model2Solution, gain_moments, gain_residual
+from .model2 import Model2Solution, gain_residual, kernel_moments
 from .model3 import (
     Model3Solution,
     gain_bound_constant,
@@ -373,10 +373,11 @@ def _strategies(case: SolvedCase) -> dict:
 
 
 def _moments(case: SolvedCase) -> dict:
-    """Each model's terminal-wealth moments, mean(t, x), variance(t, x) and
-    value(t, x); model 2's are model 3's with k2 = 0, on the same kernels."""
-    model2 = gain_moments(case.m3.kernels, case.gamma)
-    return {**_model1(case), "model2": model2, "model3": case.m3.moments}
+    """Each model's MomentCoefficients; model 2's are model 3's with no
+    load, on the same kernels."""
+    model2 = kernel_moments(case.m3.kernels, case.gamma, 0.0)
+    model1 = {name: m1.moments for name, m1 in _model1(case).items()}
+    return {**model1, "model2": model2, "model3": case.m3.moments}
 
 
 def _paths_lines(T: float, records: dict, by_horizon: dict) -> list[str]:

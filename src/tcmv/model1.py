@@ -2,8 +2,9 @@
 
 The control is wealth-independent and available in closed form:
 u^(t) = (1/gamma) e^{-r(T-t)} (sigma sigma^T)^{-1} (alpha - r 1).
-The mean of terminal wealth and the value function are affine in wealth,
-and its variance does not depend on wealth.
+Its moments are model2.MomentCoefficients in closed form, with growth
+e^{r(T-t)}, c0 = 0 and the load theta^2 (T - t): the mean and the value
+are affine in wealth, and the variance does not depend on it.
 Risk aversion only scales the control, so the solution is its own Monte
 Carlo strategy: G = 0 and the control at gamma = 1 as intercept b1, which
 a column divides by its objective's gamma.
@@ -12,11 +13,13 @@ a column divides by its objective's gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SingularMarketError
-from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, _require_finite, square
+from .market import EQUAL_PRICE_OF_RISK_TOL, MarketParams, ObjectiveSpec, _require_finite
+from .model2 import MomentCoefficients
 
 # Condition-number threshold above which sigma sigma^T counts as singular.
 CONDITION_LIMIT = 1e10
@@ -48,29 +51,20 @@ class Model1Solution:
         b1 = self.unit_control(times)
         return np.zeros_like(b1), b1
 
-    def mean(self, t, x):
-        """E[X_T] = e^{r(T-t)} x + theta_sq (T - t) / gamma, broadcast over t and x."""
+    @cached_property
+    def moments(self) -> MomentCoefficients:
+        """The moment triple in closed form, on no grid: g = e^{r(T-t)}, c0 = 0
+        and the load theta_sq (T - t)."""
         r, T = self.params.r, self.obj.horizon_T
-        return np.exp(r * (T - t)) * x + self.theta_sq * (T - t) / self.obj.gamma
+        return MomentCoefficients(self.obj.gamma, lambda t: np.exp(r * (T - t)),
+                                  lambda t: np.zeros(np.shape(t)), self.theta_sq, lambda t: T - t)
 
-    def variance(self, t, x):
-        """Var[X_T] = theta_sq (T - t) / gamma^2, free of x but shaped as the mean."""
-        theta_sq, T = self.theta_sq, self.obj.horizon_T
-        # theta_sq = 0 carries no load, even where gamma^2 underflows to 0
-        load = theta_sq * (T - t) / square(self.obj.gamma) if theta_sq else 0.0
-        return np.full(np.broadcast_shapes(np.shape(t), np.shape(x)), load)
-
-    def value(self, t, x):
-        """V(t, x) = E[X_T] - (gamma/2) Var[X_T]."""
-        return self.mean(t, x) - 0.5 * self.obj.gamma * self.variance(t, x)
-
-    # perfbench's analytic moments read these two names; mean and variance
-    # are the interface every model shares.
+    # perfbench's analytic moments read these two names
     def expected_wealth(self, t, x):
-        return self.mean(t, x)
+        return self.moments.mean(t, x)
 
     def terminal_variance(self, t):
-        return self.variance(t, 0.0)
+        return self.moments.variance(t, 0.0)
 
 
 def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
@@ -79,9 +73,9 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
     A numerically singular covariance raises SingularMarketError, classified
     by diagnose_one_factor where that applies.  CoefficientRangeError where
     a value the solution forms at its extremes leaves float64: the control
-    at t = 0 and T, e^{-rT} w / gamma and w / gamma; the mean at t = 0 and
-    T and x = 0 and 1, with its load theta_sq T / gamma and e^{rT}; the
-    variance at t = 0 and T, theta_sq T / gamma^2.
+    at t = 0 and T, e^{-rT} w / gamma and w / gamma; the mean of its moment
+    triple at t = 0 and T and x = 0 and 1, with its growth e^{rT} and load
+    theta_sq T / gamma; the variance at t = 0 and T, theta_sq T / gamma^2.
     """
     cov = params.sigma @ params.sigma.T
     cond = np.linalg.cond(cov)
@@ -92,9 +86,9 @@ def solve_model1(params: MarketParams, obj: ObjectiveSpec) -> Model1Solution:
         excess = params.alpha - params.r
         weights = np.linalg.solve(cov, excess)
         solution = Model1Solution(params, obj, weights, float(excess @ weights))
-        ends = np.array([0.0, obj.horizon_T])
-        extremes = [solution.control(ends), solution.variance(ends, 0.0),
-                    solution.mean(ends[:, None], np.array([0.0, 1.0]))]
+        ends, moments = np.array([0.0, obj.horizon_T]), solution.moments
+        extremes = [solution.control(ends), moments.variance(ends, 0.0),
+                    moments.mean(ends[:, None], np.array([0.0, 1.0]))]
     _require_finite(f"of the bank-account model over the horizon T={obj.horizon_T:g} "
                     f"at gamma={obj.gamma:g}", *extremes)
     return solution

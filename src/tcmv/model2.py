@@ -1,25 +1,25 @@
 """Variance-only objective with two stocks and no bank account, and the
-moment layer it shares with the mean-variance model.
+moment triple of all three models.
 
 The equilibrium allocation is u^(t, x) = k(t) x where k solves a nonlinear
 backward integral equation.  The mean-variance model's gain k1 solves the
 same equation, so its wealth under u^ = k1 x + k2 is this model's with
-k2 = 0: one MomentCoefficients serves both.  Everything the moments need
-is in the KernelTables of k and free of risk aversion: I1(t,T)^{-1}, c0
-and the tail S(t) = int_t^T I2(v,T) dv, formed once per kernel build and
-shared by this model and every gamma of model 3, which scales S by
-theta~^2 / gamma and theta~^2 / gamma^2.
+k2 = 0.  Everything their MomentCoefficients need is in the KernelTables of
+k and free of risk aversion: I1(t,T)^{-1}, c0 and the tail S(t) = int_t^T
+I2(v,T) dv, formed once per kernel build and shared by this model, with no
+load, and every gamma of model 3, with the load theta~^2 S(t).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .market import (MarketParams, _coeffs, _require_finite, factor_sum,
+from .market import (MarketParams, _coeffs, _require_finite, factor_sum, square,
                      validate_distinct_volatility)
 from .numerics import (
     PicardConfig,
@@ -188,52 +188,56 @@ def build_kernels(
 
 @dataclass(frozen=True)
 class MomentCoefficients:
-    """Conditional moments of terminal wealth under u = k1 x + k2, for the
-    solved gain k1 of either no-bank model.
+    """Conditional moments of terminal wealth, the one form of all three
+    models, with g(t) the growth of a unit of wealth and L = sharpe_sq tail(t):
 
-    mean(t, x)     = I1(t,T)^{-1} x + mean_load(t)
-    variance(t, x) = I1(t,T)^{-2} c0(t) x^2 + variance_load(t)
-    with no x-linear term, because I3 vanishes at the solved k1.  The
-    mean-variance model's k2 = (lam / gamma) I1(t,T) I2(t,T) makes the loads
-    theta~^2 S(t) / gamma and theta~^2 S(t) / gamma^2; the variance-only
-    model is k2 = 0, where both vanish.
+    mean(t, x)     = g(t) x + L(t) / gamma
+    variance(t, x) = g(t)^2 c0(t) x^2 + L(t) / gamma^2
+    value(t, x)    = mean(t, x) - (gamma / 2) variance(t, x), the reward
+
+    Model 1 has g = e^{r(T-t)}, c0 = 0 and L = theta^2 (T - t); models 2
+    and 3 have g = I1(t,T)^{-1} and c0 of their gain's kernels, and L = 0
+    and theta~^2 S(t) (kernel_moments).
     """
 
-    grid: TimeGrid
     gamma: float
-    c0: SampledFunction
-    i1_inv: SampledFunction  # I1(t,T)^{-1}
-    mean_load: SampledFunction
-    variance_load: SampledFunction
+    growth: Callable  # g(t)
+    c0: Callable
+    sharpe_sq: float  # theta^2, theta~^2, or 0 for no load
+    tail: Callable  # T - t or S(t)
+
+    @cached_property
+    def scales(self) -> tuple[float, float]:
+        """sharpe_sq / gamma and sharpe_sq / gamma^2, numpy scalars that
+        overflow to inf; no Sharpe ratio carries no load, even where
+        gamma^2 underflows to 0."""
+        if not self.sharpe_sq:
+            return 0.0, 0.0
+        load = np.float64(self.sharpe_sq)
+        with np.errstate(over="ignore", divide="ignore"):
+            return load / self.gamma, load / square(self.gamma)
 
     def mean(self, t, x):
-        return self.i1_inv(t) * x + self.mean_load(t)
+        return self.growth(t) * x + self.scales[0] * self.tail(t)
 
     def variance(self, t, x):
-        inv = self.i1_inv(t)
-        return inv * inv * (self.c0(t) * x * x) + self.variance_load(t)
+        g = self.growth(t)
+        # g (g c0 x^2): where c0 = 0, an overflowing g^2 would give inf * 0
+        return g * (g * (self.c0(t) * x * x)) + self.scales[1] * self.tail(t)
 
     def value(self, t, x):
         return self.mean(t, x) - 0.5 * self.gamma * self.variance(t, x)
 
 
-class Model2Values(MomentCoefficients):
-    """The moments of u = k x, whose objective is the variance alone."""
-
-    def value(self, t, x):
-        return -0.5 * self.gamma * self.variance(t, x)
-
-
-def gain_moments(kernels: KernelTables, gamma: float) -> Model2Values:
-    """Moments of the gain alone: the kernels' c0 and I1(t,T)^{-1}, k2 = 0."""
+def kernel_moments(kernels: KernelTables, gamma: float, sharpe_sq: float) -> MomentCoefficients:
+    """Moments of u = k1 x + k2 on the kernels of the solved k1, where I3 = 0
+    leaves no x-linear term: g = I1(t,T)^{-1}, the kernels' c0 and the load
+    sharpe_sq S(t), 0 for model 2's k2 = 0, theta~^2 for model 3's phi_1 / gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    zero = SampledFunction.constant(kernels.grid, 0.0)
-    return Model2Values(kernels.grid, float(gamma), kernels.c0, kernels.i1_inv, zero, zero)
+    return MomentCoefficients(float(gamma), kernels.i1_inv, kernels.c0, sharpe_sq, kernels.i2_tail)
 
 
-def evaluate_model2(
-    params: MarketParams, k: SampledFunction, gamma: float
-) -> Model2Values:
+def evaluate_model2(params: MarketParams, k: SampledFunction, gamma: float) -> MomentCoefficients:
     """Terminal wealth moments and value of a solved k."""
-    return gain_moments(build_kernels(params, k, k.grid), gamma)
+    return kernel_moments(build_kernels(params, k, k.grid), gamma, 0.0)

@@ -9,10 +9,11 @@ At the solved k1 that equation's kernel I3 vanishes, so k2 is its own
 forcing term: k2 = phi_1 / gamma with phi_1 = lam I1(t,T) I2(t,T), and
 risk aversion is a scale factor.  solve_horizon solves k1 and builds the
 kernels once per horizon; every gamma then takes phi_1 / gamma and the
-moments mean = I1(t,T)^{-1} x + theta~^2 S(t) / gamma and variance =
-I1(t,T)^{-2} c0(t) x^2 + theta~^2 S(t) / gamma^2, with S(t) = int_t^T
-I2(v,T) dv, and forms no integral of its own.  The moment layer lives in
-model2, which is this model with k2 = 0.  Model3Solution.k2_solve keeps the
+moment triple of model2.MomentCoefficients with growth I1(t,T)^{-1}, the
+kernels' c0 and the load theta~^2 S(t), S(t) = int_t^T I2(v,T) dv: mean =
+I1(t,T)^{-1} x + theta~^2 S(t) / gamma and variance = I1(t,T)^{-2} c0(t)
+x^2 + theta~^2 S(t) / gamma^2.  It forms no integral of its own, and model
+2 is the same triple with no load.  Model3Solution.k2_solve keeps the
 Volterra equation as the check: its Picard solve runs on first use, for
 the diagnostics, the bound tables and the tests, never on the way to the
 closed form.  Each solution is its own Monte Carlo strategy, G = (k1,
@@ -36,12 +37,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .market import MarketParams, ObjectiveSpec, _coeffs, _require_finite, factor_sum, square
+from .market import MarketParams, ObjectiveSpec, _coeffs, _require_finite, factor_sum
 from .model2 import (
     KernelTables,
     Model2Solution,
     MomentCoefficients,
     build_kernels,
+    kernel_moments,
     solve_model2,
 )
 from .numerics import (
@@ -103,23 +105,18 @@ def intercept(kernels: KernelTables, gamma: float) -> SampledFunction:
 
 
 def moments(kernels: KernelTables, gamma: float) -> MomentCoefficients:
-    """The moments of one gamma: the kernels' gamma-free c0, I1(t,T)^{-1}
-    and S, with the loads theta~^2 S / gamma and theta~^2 S / gamma^2;
-    CoefficientRangeError when a tiny gamma takes a load beyond float64.
+    """The moments of one gamma, with the load theta~^2 S; CoefficientRangeError
+    when a tiny gamma takes theta~^2 S / gamma or / gamma^2 beyond float64 at
+    t = 0, where S is largest.
 
     Valid only for the kernels of the solved k1, where I3 = 0.
     """
     where = _where(kernels, gamma)
-    theta_sq, tail = kernels.theta_sq, kernels.i2_tail.values
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # theta~^2 = 0 carries no load, even where gamma^2 underflows to 0
-        loads = [(theta_sq / scale if theta_sq else 0.0) * tail
-                 for scale in (gamma, square(gamma))]
+    m = kernel_moments(kernels, gamma, kernels.theta_sq)
+    with np.errstate(over="ignore"):
+        loads = [scale * kernels.i2_tail.values[0] for scale in m.scales]
     _require_finite(where, *loads)
-    return MomentCoefficients(
-        kernels.grid, float(gamma), kernels.c0, kernels.i1_inv,
-        *(SampledFunction(kernels.grid, load) for load in loads),
-    )
+    return m
 
 
 @dataclass(frozen=True)

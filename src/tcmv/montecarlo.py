@@ -269,11 +269,13 @@ class _Rows:
 
 
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Rows,
-               scratch: np.ndarray | None = None, path: np.ndarray | None = None):
+               scratch: np.ndarray | None = None, path: np.ndarray | None = None,
+               starts: np.ndarray | None = None):
     """x <- x A + B in place for every step of the table, for x the (R, m)
-    rows of plan on m paths and normals their (n, d, m) standard normals,
-    step-major.  A gain row's A multiplies it and the intercept row paired
-    with it; a G = 0 row's A + C z is its entry 1 + r dt, as C = +0.  A gain
+    rows of plan on m paths, first set to starts where given, and normals
+    their (n, d, m) standard normals, step-major.  A gain row's A multiplies
+    it and the intercept row paired with it; a G = 0 row's A + C z is its
+    entry 1 + r dt, as C = +0.  A gain
     row's B + E z is +0 and is not formed: +0 is added to the gain rows once
     after the last step, which turns -0 into +0 as adding it every step
     would (an intercept row's x A + B may itself be -0, and is kept).  The
@@ -298,6 +300,8 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     tmp = scratch[c * (2 * R - K) * m :]
     gain_tmp = tmp[: c * K * m].reshape(c, K, m)
     shift_tmp = tmp[: c * (R - K) * m].reshape(c, R - K, m)
+    if starts is not None:
+        x[...] = starts
     tail = x[K:]
     # once a call, not once a worker: the draw reuses the scratch between calls
     mult[:, K + J :] = table[0, 0, K + J :]
@@ -405,7 +409,8 @@ def simulate_models(
     table = _step_table(params, plan.rows, n_steps)
     starts = np.array(plan.starts)[:, None]
     n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
-    terminal = np.empty((n_rows, cfg.n_paths))
+    # NaN until stepped: a path left unstepped is excluded, or raises
+    terminal = np.full((n_rows, cfg.n_paths), np.nan)
     width = _quarter(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
     # Each worker makes a block's stream once and draws it in four quarters
@@ -439,8 +444,7 @@ def simulate_models(
                 # is excluded at the end, so it must not warn
                 x = terminal[:, lo:hi]
                 with stepping, np.errstate(over="ignore", invalid="ignore"):
-                    x[...] = starts
-                    _step_rows(x, table, z, plan, scratch)
+                    _step_rows(x, table, z, plan, scratch, starts=starts)
 
         return run_block
 

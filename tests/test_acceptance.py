@@ -183,7 +183,7 @@ def test_08_monte_carlo_consistency():
     v2 = evaluate_model2(DIAGONAL, s2.k, 3.0)
     s3 = solve_model3(DIAGONAL, obj, grid)
     strategies = {"model1": s1, "model2": s2, "model3": s3}
-    moments = {"model1": s1, "model2": v2, "model3": s3.moments}
+    moments = {"model1": s1.moments, "model2": v2, "model3": s3.moments}
     columns = {name: (strategy, obj) for name, strategy in strategies.items()}
     reports = simulate_models(DIAGONAL, columns, cfg, threads=2)
     ok = True

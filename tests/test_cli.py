@@ -963,6 +963,26 @@ class TestSimulateCommand:
         assert lines[len(rows):] == [f"wrote {loud / name}" for name in names]
         assert_same_files(loud, quiet, names)
 
+    @pytest.mark.parametrize("name", ["figure1", "section4"])
+    def test_analytic_value_is_the_simulated_reward(self, tmp_path, name):
+        # each column's analytic value(0, x0) = mean - (gamma/2) variance is
+        # the reward its Monte Carlo column estimates, model 2's included
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(shipped_config(name, n_steps=200, n_paths=4096, n_time_steps=100))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+        header, rows = _read_rows(out / "simulation_summary.csv")
+        summary = {tuple(row[:3]): dict(zip(header, row)) for row in rows}
+        cfg = load_config(str(path))
+        checked = set()
+        for case in cli._solve_all(cfg):
+            for model, m in cli._moments(case).items():
+                key = (fmt(case.gamma), fmt(case.T), model)
+                reward, se = float(summary[key]["reward"]), float(summary[key]["se_reward"])
+                assert abs(reward - m.value(0.0, cfg.sim.x0)) <= 3.0 * se, key
+                checked.add(key)
+        assert checked == set(summary) and len(checked) in (3, 12)
+
     def test_emits_summary_and_paths(self, figure_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", figure_cfg, "--out-dir", str(out)]) == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from tcmv import (
@@ -37,8 +37,8 @@ class TestClosedForm:
         p = MarketParams([0.04, 0.04], [[0.3, 0.0], [0.0, 0.2]], 0.04)
         sol = solve_model1(p, ObjectiveSpec(gamma, 1.0))
         assert np.allclose(sol.control(0.0), 0.0)
-        assert sol.value(0.3, 1.7) == pytest.approx(np.exp(0.04 * 0.7) * 1.7)
-        assert not np.any(sol.variance(np.linspace(0.0, 1.0, 5), 1.7))
+        assert sol.moments.value(0.3, 1.7) == pytest.approx(np.exp(0.04 * 0.7) * 1.7)
+        assert not np.any(sol.moments.variance(np.linspace(0.0, 1.0, 5), 1.7))
 
     def test_terminal_control(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)
@@ -52,8 +52,8 @@ class TestClosedForm:
     def test_theta_sq_and_value(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)
         assert sol.theta_sq == pytest.approx(0.16**2 / 0.09 + 0.08**2 / 0.04)
-        assert sol.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 6, abs=1e-5)
-        assert sol.mean(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 3, abs=1e-5)
+        assert sol.moments.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 6, abs=1e-5)
+        assert sol.moments.mean(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.44444 / 3, abs=1e-5)
 
     def test_first_order_condition_residual(self, diagonal_params, objective):
         # at the optimum: (alpha - r 1) = gamma e^{r(T-t)} sigma sigma^T u
@@ -79,17 +79,17 @@ class TestClosedForm:
     def test_variance_penalty_nonnegative(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)
         for t in np.linspace(0.0, 1.0, 7):
-            gap = sol.mean(t, 1.3) - sol.value(t, 1.3)
+            gap = sol.moments.mean(t, 1.3) - sol.moments.value(t, 1.3)
             assert gap == pytest.approx(sol.theta_sq * (1.0 - t) / 6)
             assert gap >= 0.0
-            assert sol.variance(t, 1.3) >= 0.0
+            assert sol.moments.variance(t, 1.3) >= 0.0
 
     def test_moments_are_shaped_like_wealth(self, diagonal_params, objective):
         # the interface of MomentCoefficients: mean affine and variance
         # constant in x, each an array of x's shape
         sol = solve_model1(diagonal_params, objective)
-        x = np.linspace(0.1, 5.0, 7)
-        mean, variance, value = sol.mean(0.4, x), sol.variance(0.4, x), sol.value(0.4, x)
+        x, m = np.linspace(0.1, 5.0, 7), sol.moments
+        mean, variance, value = m.mean(0.4, x), m.variance(0.4, x), m.value(0.4, x)
         assert mean.shape == variance.shape == value.shape == x.shape
         assert np.all(variance == sol.theta_sq * (1.0 - 0.4) / 9.0)
         assert np.array_equal(value, mean - 1.5 * variance)
@@ -98,8 +98,8 @@ class TestClosedForm:
     def test_named_delegations_agree(self, diagonal_params, objective):
         sol = solve_model1(diagonal_params, objective)
         for t in (0.0, 0.4, 1.0):
-            assert sol.expected_wealth(t, 1.3) == sol.mean(t, 1.3)
-            assert sol.terminal_variance(t) == sol.variance(t, 1.3)
+            assert sol.expected_wealth(t, 1.3) == sol.moments.mean(t, 1.3)
+            assert sol.terminal_variance(t) == sol.moments.variance(t, 1.3)
 
     def test_general_dimension(self):
         rng = np.random.default_rng(4)
@@ -151,13 +151,40 @@ class TestClosedForm:
             refused = True
         assert refused != in_range
 
+    @given(bank_markets(), st.floats(0.0, 1.0), st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    # g = e^{699}: g^2 overflows, and the variance's c0 = 0 must give 0, not inf * 0
+    @example(((0.2, 0.12), (0.02, 0.0, 0.0, 0.02), 23.3, 30.0, 3.0), 0.0, 5.0)
+    def test_triple_is_the_closed_form(self, market, fraction, x):
+        alpha, sigma, r, T, gamma = market
+        sigma = np.reshape(sigma, (2, 2))
+        assume(np.linalg.cond(sigma @ sigma.T) <= CONDITION_LIMIT)
+        try:
+            sol = solve_model1(MarketParams(alpha, sigma, r), ObjectiveSpec(gamma, T))
+        except CoefficientRangeError:
+            reject()
+        m, t = sol.moments, fraction * T
+        load = sol.theta_sq * (T - t)
+        with np.errstate(over="ignore"):
+            growth = np.exp(r * (T - t)) * x
+        assume(np.isfinite(growth))  # the range check forms the mean at x = 1 only
+        # relative to the magnitude, floored at the least normal float64,
+        # below which a load of a subnormal theta_sq keeps fewer digits
+        tiny = np.finfo(float).tiny
+        mean = growth + load / gamma
+        assert abs(m.mean(t, x) - mean) <= 1e-15 * max(abs(growth) + abs(load / gamma), tiny)
+        with np.errstate(over="raise", invalid="raise"):
+            variance = m.variance(t, np.array([0.0, x, 1e150]))
+        assert np.all(variance == variance[0])
+        assert abs(variance[0] - load / gamma**2) <= 1e-15 * max(abs(load / gamma**2), tiny)
+
     @pytest.mark.parametrize("r", [70.0, -70.0])
     def test_large_bank_rate_in_range(self, diagonal_params, r):
         # e^{|r| T} = e^700 still fits: the moments and the control are finite
         p = MarketParams(diagonal_params.alpha, diagonal_params.sigma, r)
         sol = solve_model1(p, ObjectiveSpec(1.0, 10.0))
-        assert np.isfinite(sol.mean(0.0, 1.0))
-        assert np.isfinite(sol.variance(0.0, 1.0))
+        assert np.isfinite(sol.moments.mean(0.0, 1.0))
+        assert np.isfinite(sol.moments.variance(0.0, 1.0))
         assert np.all(np.isfinite(sol.control(0.0))) and np.any(sol.control(0.0) != 0.0)
 
 
@@ -176,7 +203,7 @@ class TestSingularCovariance:
         one = solve_model1(MarketParams([0.2], [[0.3, 0.0]], 0.04), ObjectiveSpec(1.0, 1.0))
         assert 0.3 * one.control(1.0)[0] == pytest.approx(0.16 / 0.3)
         # V and g keep the closed-form shape with that theta
-        assert one.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.5 * (0.16 / 0.3) ** 2)
+        assert one.moments.value(0.0, 1.0) == pytest.approx(np.exp(0.04) + 0.5 * (0.16 / 0.3) ** 2)
 
     def test_unequal_price_of_risk_is_arbitrage(self):
         p = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.3, 0.0]], 0.04)

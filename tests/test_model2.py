@@ -162,13 +162,18 @@ class TestTerminalStart:
         assert gain_residual(params, grid, sol.k.values) < 1e-13
 
 
+def objective(vals, t, x):
+    """Model 2's own objective, the variance alone: -(gamma/2) Var[X_T]."""
+    return -0.5 * vals.gamma * vals.variance(t, x)
+
+
 class TestValues:
     def test_terminal_boundary(self, symmetric_params, unit_grid):
         sol = solve_model2(symmetric_params, unit_grid)
         vals = evaluate_model2(symmetric_params, sol.k, 3.0)
         assert vals.mean(1.0, 2.3) == pytest.approx(2.3)
         assert vals.variance(1.0, 2.3) == pytest.approx(0.0, abs=1e-15)
-        assert vals.value(1.0, 2.3) == pytest.approx(0.0, abs=1e-15)
+        assert objective(vals, 1.0, 2.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_deterministic_degenerate_case(self, unit_grid):
         # k = 0 and a riskless second stock: wealth compounds at alpha_2
@@ -192,19 +197,21 @@ class TestValues:
         sol = solve_model2(symmetric_params, unit_grid)
         v1 = evaluate_model2(symmetric_params, sol.k, 1.0)
         v7 = evaluate_model2(symmetric_params, sol.k, 7.0)
-        assert np.array_equal(v1.i1_inv.values, v7.i1_inv.values)
+        assert np.array_equal(v1.growth.values, v7.growth.values)
         assert np.array_equal(v1.c0.values, v7.c0.values)
         t = unit_grid.nodes
-        assert np.allclose(7.0 * v1.value(t, 1.0), v7.value(t, 1.0))
-        # value multiplier is nonpositive, variance nonnegative
-        assert np.all(v1.value(t, 1.0) <= 0.0)
+        assert np.allclose(7.0 * objective(v1, t, 1.0), objective(v7, t, 1.0))
+        # the objective's multiplier is nonpositive, variance nonnegative
+        assert np.all(objective(v1, t, 1.0) <= 0.0)
         assert np.all(v1.c0.values >= 0.0)
 
     def test_variance_matches_value_identity(self, symmetric_params, unit_grid):
+        # the value is the mean-variance reward of the column, so the
+        # variance-only objective is what it adds to the mean
         sol = solve_model2(symmetric_params, unit_grid)
         vals = evaluate_model2(symmetric_params, sol.k, 3.0)
         for t in (0.0, 0.5):
-            assert vals.value(t, 1.5) == pytest.approx(
+            assert vals.value(t, 1.5) - vals.mean(t, 1.5) == pytest.approx(
                 -0.5 * 3.0 * vals.variance(t, 1.5)
             )
 
@@ -225,4 +232,4 @@ def test_moments_match_reference_quadrature(name, seed, T):
     assert np.max(np.abs(vals.mean(t, 1.0) / ref["a"] - 1.0)) <= 1e-13
     variance = vals.variance(t, 1.0)
     assert np.max(np.abs(variance - ref["var_factor"])) <= 1e-12 * np.max(ref["var_factor"])
-    assert np.max(np.abs(vals.value(t, 1.0) - ref["A"])) <= 1e-12 * np.max(np.abs(ref["A"]))
+    assert np.max(np.abs(objective(vals, t, 1.0) - ref["A"])) <= 1e-12 * np.max(np.abs(ref["A"]))

@@ -200,14 +200,16 @@ class TestGainAndIntercept:
                 (one.kernels.cum_drift, alone.kernels.cum_drift),
                 (one.kernels.cum_vol, alone.kernels.cum_vol),
                 (one.kernels.h, alone.kernels.h),
+                (one.moments.growth.values, alone.moments.growth.values),
                 (one.moments.c0.values, alone.moments.c0.values),
-                (one.moments.i1_inv.values, alone.moments.i1_inv.values),
-                (one.moments.mean_load.values, alone.moments.mean_load.values),
-                (one.moments.variance_load.values, alone.moments.variance_load.values),
+                (one.moments.tail.values, alone.moments.tail.values),
+                (one.moments.scales, alone.moments.scales),
                 *zip(one.gain.history, alone.gain.history, strict=True),
                 *zip(one.k2_solve.history, alone.k2_solve.history, strict=True),
             ]:
                 assert np.array_equal(a, b)
+            assert (one.moments.gamma, one.moments.sharpe_sq) == (gamma, one.kernels.theta_sq)
+            assert (alone.moments.gamma, alone.moments.sharpe_sq) == (gamma, one.kernels.theta_sq)
             # a shared gain keeps its iterates, so both bound tables can be formed
             assert gain_bound_constant(
                 symmetric_params, unit_grid, one.gain.history
@@ -304,7 +306,7 @@ class TestMoments:
             assert m.variance(1.0, x) == pytest.approx(0.0, abs=1e-14)
             assert m.value(1.0, x) == pytest.approx(x)
         assert m.c0.values[-1] == 0.0
-        assert m.mean_load.values[-1] == m.variance_load.values[-1] == 0.0
+        assert m.mean(1.0, 0.0) == m.variance(1.0, 0.0) == 0.0  # the loads
 
     def test_frozen_reference_moments(self, figure_solution):
         m = figure_solution.moments
@@ -347,8 +349,8 @@ class TestMoments:
         s = solve_model3(p, ObjectiveSpec(gamma, 1.0), unit_grid)
         vals2 = evaluate_model2(p, s.k1, gamma)
         assert not np.any(s.k2.values)
-        assert not np.any(s.moments.mean_load.values) and not np.any(s.moments.variance_load.values)
         t = unit_grid.nodes
+        assert not np.any(s.moments.mean(t, 0.0)) and not np.any(s.moments.variance(t, 0.0))
         for x in (0.5, 1.0, 2.0, 3.7):
             assert np.array_equal(s.moments.mean(t, x), vals2.mean(t, x))
             assert np.array_equal(s.moments.variance(t, x), vals2.variance(t, x))
@@ -742,8 +744,8 @@ class TestBankAccountLimit:
         zero = (1e-12 * bank) ** 2
         assert_matches(model2.mean(t, x), bank, 0.0, rtol)
         assert_matches(model2.variance(t, x), 0.0, zero)
-        assert_matches(s3.moments.mean(t, x), m1.mean(t, x), 0.0, rtol)
-        assert_matches(s3.moments.variance(t, x), m1.variance(t, x), zero)
+        assert_matches(s3.moments.mean(t, x), m1.moments.mean(t, x), 0.0, rtol)
+        assert_matches(s3.moments.variance(t, x), m1.moments.variance(t, x), zero)
 
     def test_dollars_leave_the_closed_form_at_first_order_off_the_line(self):
         # sigma2 = eps (0, 1) is off the line c sigma1 for eps > 0: stock 2

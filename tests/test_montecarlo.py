@@ -151,7 +151,7 @@ class TestSyntheticBank:
         bank = np.prod(np.full(cfg.n_time_steps, 1.0 + rho * obj.horizon_T / cfg.n_time_steps))
         assert abs(reports[2].mean_estimate - bank) <= 1e-13 * bank
         assert reports[2].variance_estimate <= 1e-24
-        m1 = solve_model1(MarketParams([alpha1], [s1], rho), obj)
+        m1 = solve_model1(MarketParams([alpha1], [s1], rho), obj).moments
         model3 = reports[3]
         assert abs(model3.mean_estimate - m1.mean(0.0, cfg.x0)) <= 3 * model3.se_mean
         assert abs(model3.variance_estimate - m1.variance(0.0, cfg.x0)) <= 3 * model3.se_variance
@@ -428,6 +428,23 @@ class TestSimulateModels:
         simulate_models(diagonal_params, columns, SimConfig(n_paths, 2, 31))
         assert drawn == parts and sum(parts) == n_paths
 
+    def test_an_unstepped_quarter_raises(self, diagonal_params, three_strategies, monkeypatch):
+        # a quarter the engine leaves unstepped keeps the NaN it starts
+        # from, not its start values or the bits of a freed array, so its
+        # 1024 paths count as exploded
+        step_rows, calls = montecarlo._step_rows, []
+
+        def skip_second(x, *args, **kwargs):
+            calls.append(x.shape[1])
+            if len(calls) != 2:
+                step_rows(x, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_step_rows", skip_second)
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        with pytest.raises(SimulationExplosionError, match="^1024 of 4096 paths went non-finite"):
+            simulate_models(diagonal_params, columns, SimConfig(4096, 10, 5))
+        assert calls == [1024] * 4
+
     # one block of 4, 5, 1023, 1024 or 4095 paths; paths about half a block
     # and one block, a last block of 1, 2 or 3 paths (4097, 4098, 4099), whose
     # empty quarters come last or between two of one path, two blocks and a
@@ -448,14 +465,13 @@ class TestSimulateModels:
             for obj in (ObjectiveSpec(3.0, 1.0), ObjectiveSpec(1.0, 0.5))
             for name, strategy in three_strategies.items()
         }
-        kept = []  # the reference's terminal wealth, alive across the engine's runs
-        expected = reference_models(diagonal_params, columns, cfg, kept)
+        expected = reference_models(diagonal_params, columns, cfg)
         step_rows = montecarlo._step_rows
         for steps in (None, 1, 2, 3, n_steps):
 
-            def cut(x, table, normals, plan, scratch=None, path=None):
+            def cut(x, table, normals, plan, scratch=None, path=None, starts=None):
                 given = np.empty(steps * plan.step_size(x.shape[1]))
-                return step_rows(x, table, normals, plan, given, path)
+                return step_rows(x, table, normals, plan, given, path, starts)
 
             with monkeypatch.context() as patch:
                 if steps is not None:
@@ -473,8 +489,7 @@ class TestSimulateModels:
         cfg = SimConfig(2, 16385, 7)
         plan = montecarlo._Rows(columns, cfg.n_time_steps)
         assert plan.factor_size(1) == _FACTORS < cfg.n_time_steps * params.n_factors
-        kept = []
-        expected = reference_models(params, columns, cfg, kept)
+        expected = reference_models(params, columns, cfg)
         for threads in (1, 2):
             assert simulate_models(params, columns, cfg, threads) == expected
 
@@ -635,19 +650,14 @@ def reference_step(x, z, coef, work):
     x += shift
 
 
-def reference_models(params, columns, cfg, kept):
+def reference_models(params, columns, cfg):
     """The reports of simulate_models with every block of _BLOCK paths drawn
     whole from its stream and every row stepped one step at a time by
-    reference_step; the columns combine their rows as the engine does.
-    Its terminal wealth goes into kept, which the caller holds across the
-    engine's runs: the engine takes its own from np.empty, which could
-    otherwise reuse this array and find the right bits in a path it left
-    unstepped."""
+    reference_step; the columns combine their rows as the engine does."""
     n = cfg.n_time_steps
     plan = montecarlo._Rows(columns, n)
     table = _step_table(params, plan.rows, n)
     terminal = np.empty((len(plan.rows), cfg.n_paths))
-    kept.append(terminal)
     with np.errstate(over="ignore", invalid="ignore"):
         for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
             m = min(_BLOCK, cfg.n_paths - first)
