@@ -220,8 +220,9 @@ def load_config(path: str, out_dir_override: str | None = None) -> ScenarioConfi
 def check_simulation_size(cfg: ScenarioConfig):
     """ConfigError when a simulate run has fewer than _MIN_PATHS paths for
     its standard errors, or when any array it would allocate passes
-    MAX_BLOCK_BYTES.  Models 1 to 3 make 3 columns per case, stepped as 3
-    rows per horizon; montecarlo.array_nbytes sizes the arrays."""
+    MAX_BLOCK_BYTES.  Models 1 to 3 make 3 columns per case, stepped as 2
+    row pairs per horizon; montecarlo.array_nbytes sizes the arrays, of
+    which the figure paths are formed only for the simulated_paths table."""
     _engine()
     sim = cfg.sim
     if sim.n_paths < _MIN_PATHS:
@@ -229,14 +230,17 @@ def check_simulation_size(cfg: ScenarioConfig):
             f"n_paths = {sim.n_paths}: the Monte Carlo standard errors need "
             f"at least {_MIN_PATHS} paths"
         )
-    n_rows = 3 * len(cfg.horizons)
-    n_columns = n_rows * len(cfg.gammas)
-    for what, nbytes in array_nbytes(sim, *cfg.params.sigma.shape, n_rows, n_columns).items():
+    n_pairs = 2 * len(cfg.horizons)
+    n_columns = 3 * len(cfg.horizons) * len(cfg.gammas)
+    sizes = array_nbytes(sim, *cfg.params.sigma.shape, n_pairs, n_columns)
+    if "simulated_paths" not in cfg.tables:
+        del sizes["figure paths"]
+    for what, nbytes in sizes.items():
         if nbytes > MAX_BLOCK_BYTES:
             # rounded up, so that a size just past the limit does not read as it
             raise ConfigError(
                 f"n_paths = {sim.n_paths} and n_time_steps = {sim.n_time_steps} over "
-                f"{n_columns} Monte Carlo columns on {n_rows} rows need "
+                f"{n_columns} Monte Carlo columns on {n_pairs} row pairs need "
                 f"{math.ceil(nbytes * 10 / 2**20) / 10:.1f} MiB of {what}, "
                 f"above the {MAX_BLOCK_BYTES // 2**20} MiB limit per array"
             )

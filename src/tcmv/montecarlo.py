@@ -13,15 +13,17 @@ Risk aversion is a scale factor: a Strategy gives G and the intercept b1
 at gamma = 1, and a column takes b = b1 / gamma with its objective's gamma.
 Each step is x <- A x + B with A from G alone and B linear in b, so
 terminal wealth is x0 Y + Z / gamma, where the row Y steps the gain (b = 0)
-from 1 and the row Z steps (G, b1) from 0.
-The engine steps each distinct row once, however many columns share it:
-per horizon Y (the gain k1 of models 2 and 3), Z3 (model 3's unit
-intercept) and Z1 (model 1 at gamma = 1, whose G = 0).  A gain G = 0 needs
-no row: its Y is the compounding prod (1 + r dt).  Each column combines its
-rows at the end: model 2 = x0 Y, model 3 = x0 Y + Z3 / gamma and model 1 =
-x0 prod (1 + r dt) + Z1 / gamma.  Each step forms each distinct factor
-once: Y and Z3 share one gain A, Z1's A is 1 + r dt and Y's B is 0.
-The figure paths step the same rows through the same recurrence, as one
+from 1 and the row Z steps (G, b1) from 0: a row pair that shares its
+multiplier A.  The engine steps one pair for each distinct (T, G, b1),
+however many columns share it: per horizon two, model 3's (the gain k1
+and its unit intercept) and model 1's (G = 0 and its control at
+gamma = 1), whose Y is the bank account's growth prod (1 + r dt).  A
+column with b1 = 0 reads the Y of a pair of its own G, as model 2 reads
+model 3's, and has a pair of its own only where no such pair exists.
+Each column combines its pair at the end: model 2 = x0 Y and models 1
+and 3 = x0 Y + Z / gamma.  Each step forms a pair's factors once: A + C z,
+which Y and Z share and which is 1 + r dt where G = 0, and Z's B + E z.
+The figure paths step the same pairs through the same recurrence, as one
 block of one path that keeps its rows at every node.
 
 Randomness contract: Gaussian increments come from counter-based Philox
@@ -67,7 +69,7 @@ _BLOCK = 4096
 # per factor term over as many steps as fit, before it steps them one at a
 # time: 384 KiB of scratch.  Forming several steps a call keeps down the
 # numpy calls a path, each a turn at the GIL beside the other worker's
-# draw: the 1024-path quarters of 3 rows (7 numbers a path and step) form 6
+# draw: the 1024-path quarters of 2 pairs (6 numbers a path and step) form 8
 # steps a call.
 _FACTORS = 49152
 
@@ -94,28 +96,28 @@ def group_nbytes(cfg: SimConfig, n_factors: int) -> int:
 
 
 def array_nbytes(
-    cfg: SimConfig, n_stocks: int, n_factors: int, n_rows: int, n_columns: int
+    cfg: SimConfig, n_stocks: int, n_factors: int, n_pairs: int, n_columns: int
 ) -> dict[str, int]:
     """Bytes of each array that :func:`simulate_models` and
     :func:`reproduce_figure_paths` size for n_columns columns stepped as
-    n_rows rows.  The step table, the sampled coefficients, the step
-    factors and the terminal wealth grow with the rows, which do not depend
-    on how many gammas share a horizon; only the figure paths handed back
-    grow with the columns.  The figure path steps as a quarter block of one
+    n_pairs row pairs.  The step table, the sampled coefficients, the step
+    factors and the terminal wealth grow with the pairs, which do not
+    depend on how many gammas share a horizon; only the figure paths handed
+    back grow with the columns.  The figure path steps as a quarter block of one
     path, so its factors are within the step factors of a quarter block.  A
     worker's scratch holds at least one path of normals for its draw, which
     is within its Gaussian increments."""
     n = cfg.n_time_steps
     return {
         "Gaussian increments per worker": group_nbytes(cfg, n_factors),
-        "step table": n * n_rows * (2 + 2 * n_factors) * 8,
-        "sampled strategy coefficients": (n + 1) * n_rows * 2 * n_stocks * 8,
+        "step table": n * n_pairs * (2 + 2 * n_factors) * 8,
+        "sampled strategy coefficients": (n + 1) * n_pairs * 2 * n_stocks * 8,
         # the multipliers, shifts and products of as many steps as fit in
-        # _FACTORS, or of one step, at most 3 numbers a row and path
-        "step factors": max(_FACTORS, 3 * n_rows * _quarter(cfg.n_paths)) * 8,
-        "terminal wealth": n_rows * cfg.n_paths * 8,
-        # the rows' wealth, and each column's wealth and dollars
-        "figure paths": (n + 1) * (n_rows + n_columns * (1 + n_stocks)) * 8,
+        # _FACTORS, or of one step, 3 numbers a pair and path
+        "step factors": max(_FACTORS, 3 * n_pairs * _quarter(cfg.n_paths)) * 8,
+        "terminal wealth": 2 * n_pairs * cfg.n_paths * 8,
+        # the pairs' wealth, and each column's wealth and dollars
+        "figure paths": (n + 1) * (2 * n_pairs + n_columns * (1 + n_stocks)) * 8,
     }
 
 
@@ -171,8 +173,8 @@ def _loaded(coef: np.ndarray, load: np.ndarray) -> np.ndarray:
 
 
 def _step_table(params: MarketParams, rows: list[tuple], n: int) -> np.ndarray:
-    """Per step and row (G, b, dt), with G and b at the n + 1 nodes: an
-    (n, 2 + 2d, R, 1) array of 1 + a dt, beta dt, c sqrt(dt) and e sqrt(dt)
+    """Per step and entry (G, b, dt) of rows (a row pair's G and b1 in the
+    engine), with G and b at the n + 1 nodes: an (n, 2 + 2d, R, 1) array of 1 + a dt, beta dt, c sqrt(dt) and e sqrt(dt)
     at the node each step starts from.  Each entry is written into the
     table in place, so the build needs little memory beyond the table.
     Sums over the stocks are elementwise, not BLAS, like those of
@@ -193,55 +195,62 @@ def _step_table(params: MarketParams, rows: list[tuple], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Column:
-    """One column's wealth x0 Y + Z / gamma: Y is the row ``gain`` stepped
-    from 1, or the compounding of horizon T where G = 0, and Z the row
-    ``intercept`` stepped from 0, absent where b1 = 0."""
+    """One column's wealth x0 Y + Z / gamma, from the rows of a pair: Y is
+    row ``gain`` and Z row ``intercept``, absent where b1 = 0."""
 
     T: float
     gamma: float
-    gain: int | None
+    gain: int
     intercept: int | None
+
+    def wealth(self, x0: float, rows: np.ndarray) -> np.ndarray:
+        """x0 Y + Z / gamma from the rows' values (rows on the first axis)."""
+        x = x0 * rows[self.gain]
+        if self.intercept is None:
+            return x
+        z = rows[self.intercept] / self.gamma
+        z += x  # x0 Y + Z / gamma, as addition commutes
+        return z
 
 
 class _Rows:
     """Every column sampled on its own grid of n uniform steps on [0, T] and
-    split into rows: the nodes of each distinct T, each distinct row's
-    (G, b, dt) and start value, and each column's _Column.  Rows are keyed
-    by their sampled values, so the columns that share a gain or a unit
-    intercept on one horizon share its row.  They are ordered by how they
-    step: n_gains gain rows (G != 0, b = 0, from 1); n_shared intercept rows
-    (from 0) of a G != 0, the j-th paired with gain row j, so that a G with
-    two intercept rows has its gain row twice; the intercept rows of G = 0."""
+    split into row pairs: the nodes of each distinct T, each pair's
+    (G, b1, dt) and each column's _Column.  A pair is keyed by its sampled
+    values, so the columns that share a gain and a unit intercept on one
+    horizon share it.  A column with b1 = 0 reads the Y of the first pair of
+    its G with b1 != 0; only a G without one gets a pair of its own, b1 = 0.
+    The n_gains pairs of G != 0 come first, then those of G = 0.  Of the 2P
+    rows of P pairs, row j is pair j's Y and row P + j its Z."""
 
     def __init__(self, columns: dict, n: int):
-        self.n, self.grids, gains, shared, fixed, met = n, {}, {}, {}, {}, []
+        self.n, self.grids, pairs, met = n, {}, {}, []
         for strategy, obj in columns.values():
             T = obj.horizon_T
             if T not in self.grids:
                 self.grids[T] = np.linspace(0.0, T, n + 1)
             G, b1 = strategy.unit_coefficients(self.grids[T])
-            gain = (T, G.tobytes()) if G.any() else None
-            intercept = (T, G.tobytes(), b1.tobytes()) if b1.any() else None
-            if gain:
-                gains.setdefault(gain, (G, np.zeros_like(G), T / n))
-            if intercept:
-                (shared if gain else fixed).setdefault(intercept, (G, b1, T / n))
-            met.append((T, float(obj.gamma), gain, intercept))
-        slots = [k[:2] for k in shared]
-        slots += [k for k in gains if k not in slots]
-        keys = slots + list(shared) + list(fixed)
-        index = {k: i for i, k in reversed(list(enumerate(keys)))}  # a key's first row
-        self.rows = [gains[k] for k in slots] + list(shared.values()) + list(fixed.values())
-        self.starts = [1.0] * len(slots) + [0.0] * (len(shared) + len(fixed))
-        self.n_gains, self.n_shared = len(slots), len(shared)
-        self.columns = [_Column(T, g, index.get(y), index.get(z)) for T, g, y, z in met]
+            key = (T, G.tobytes(), b1.tobytes() if b1.any() else None)
+            pairs.setdefault(key, (G, b1, T / n))
+            met.append((T, float(obj.gamma), key))
+        gains = {}  # the first pair of each (T, G), one with b1 != 0 where there is one
+        for key in sorted(pairs, key=lambda k: k[2] is None):
+            gains.setdefault(key[:2], key)
+        keys = [k for k in pairs if k[2] is not None or gains[k[:2]] == k]
+        keys.sort(key=lambda k: not pairs[k][0].any())  # stable: G != 0 first
+        index = {k: i for i, k in enumerate(keys)}
+        self.rows = [pairs[k] for k in keys]
+        self.n_gains = sum(bool(G.any()) for G, _, _ in self.rows)
+        self.columns = [
+            _Column(T, g, index.get(k, index[gains[k[:2]]]),
+                    None if k[2] is None else len(keys) + index[k])
+            for T, g, k in met
+        ]
 
     def step_size(self, m: int) -> int:
         """Numbers of the factors :func:`_step_rows` forms for one step of
-        m paths: the multipliers of every row, the shifts of the rows other
-        than the gain rows and the products of either."""
-        K, R = self.n_gains, len(self.rows)
-        return (R + (R - K) + max(K, R - K)) * m
+        m paths: the multipliers, the shifts and the products of every pair."""
+        return 3 * len(self.rows) * m
 
     def factor_size(self, m: int) -> int:
         """Numbers of the factors of as many steps of m paths as fit in
@@ -249,66 +258,45 @@ class _Rows:
         step = self.step_size(m)
         return min(self.n, max(1, _FACTORS // step)) * step if step else 0
 
-    def compounding(self, r: float) -> dict:
-        """prod (1 + r dt) at every node of each horizon, the Y of G = 0:
-        the product the gain row of G = 0 would step, in its order."""
-        steps = {T: np.full(self.n, 1.0 + r * (T / self.n)) for T in self.grids}
-        with np.errstate(over="ignore"):  # inf explodes the G = 0 columns, the only readers
-            return {T: np.concatenate([[1.0], np.multiply.accumulate(a)]) for T, a in steps.items()}
-
-    def combine(self, x0: float, column: _Column, values: np.ndarray, compounding: dict):
-        """x0 Y + Z / gamma of one column, from the rows' values (rows on the
-        first axis) and the compounding of its horizon at the same points."""
-        y = compounding[column.T] if column.gain is None else values[column.gain]
-        x = np.broadcast_to(x0 * y, values.shape[1:])
-        if column.intercept is None:
-            return x
-        z = values[column.intercept] / column.gamma
-        z += x  # x0 Y + Z / gamma, as addition commutes
-        return z
-
 
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Rows,
-               scratch: np.ndarray | None = None, path: np.ndarray | None = None,
-               starts: np.ndarray | None = None):
-    """x <- x A + B in place for every step of the table, for x the (R, m)
-    rows of plan on m paths, first set to starts where given, and normals
-    their (n, d, m) standard normals, step-major.  A gain row's A multiplies
-    it and the intercept row paired with it; a G = 0 row's A + C z is its
-    entry 1 + r dt, as C = +0.  A gain
-    row's B + E z is +0 and is not formed: +0 is added to the gain rows once
-    after the last step, which turns -0 into +0 as adding it every step
-    would (an intercept row's x A + B may itself be -0, and is kept).  The
-    factors A + C z and B + E z of as many steps as fit in the scratch are
-    formed together, one numpy call per term, into one multiplier of all R
-    rows (the gain factors, a copy of them for the paired intercept rows
-    and 1 + r dt for the G = 0 rows, the same at every step of their uniform
-    grid and so written once a call) and the shifts of the other rows, then
-    stepped one step at a time, two calls a step.  Each row's operations
-    are elementwise and those of the per-row step, so its bits depend on
-    its own coefficients alone.
+               scratch: np.ndarray | None = None, path: np.ndarray | None = None):
+    """x <- x A + B in place for every step of the table, for x the (2P, m)
+    rows of plan's P pairs on m paths, set first to 1 for each Y and 0 for
+    each Z, and normals their (n, d, m) standard normals, step-major.  A
+    pair's A + C z multiplies its Y and its Z; a G = 0 pair's is its entry
+    1 + r dt, as C = +0.  Y's B + E z is +0 and is not formed: +0 is added
+    to the Y rows once after the last step, which turns -0 into +0 as adding
+    it every step would (a Z row's x A + B may itself be -0, and is kept).
+    The factors A + C z and B + E z of as many steps as fit in the scratch
+    are formed together, one numpy call per term, into one multiplier of
+    the P pairs (1 + r dt for the G = 0 pairs, the same at every step of
+    their uniform grid and so written once a call) and the shifts of the Z
+    rows, then stepped one step at a time, two calls a step.  Each row's
+    operations are elementwise and those of the per-row step, so its bits
+    depend on its own coefficients alone.
     The factors go in a view of scratch where one is given, else in
-    plan.factor_size(m) numbers.  With path, an (n + 1, R, m) array, x is
+    plan.factor_size(m) numbers.  With path, an (n + 1, 2P, m) array, x is
     kept at the start and after every step."""
-    (R, m), d, K, J = x.shape, normals.shape[1], plan.n_gains, plan.n_shared
+    (R, m), d, K = x.shape, normals.shape[1], plan.n_gains
+    P = R // 2
     if scratch is None:
         scratch = np.empty(plan.factor_size(m))
     step = plan.step_size(m)
     c = min(len(table), scratch.size // step) if step else len(table)
-    mult = scratch[: c * R * m].reshape(c, R, m)
-    shift = scratch[c * R * m : c * (2 * R - K) * m].reshape(c, R - K, m)
-    tmp = scratch[c * (2 * R - K) * m :]
+    mult = scratch[: c * P * m].reshape(c, P, m)
+    shift = scratch[c * P * m : 2 * c * P * m].reshape(c, P, m)
+    tmp = scratch[2 * c * P * m : 3 * c * P * m]
     gain_tmp = tmp[: c * K * m].reshape(c, K, m)
-    shift_tmp = tmp[: c * (R - K) * m].reshape(c, R - K, m)
-    if starts is not None:
-        x[...] = starts
-    tail = x[K:]
+    shift_tmp = tmp.reshape(c, P, m)
+    x[:P], x[P:] = 1.0, 0.0
+    pairs, z_rows = x.reshape(2, P, m), x[P:]
     # once a call, not once a worker: the draw reuses the scratch between calls
-    mult[:, K + J :] = table[0, 0, K + J :]
+    mult[:, K:] = table[0, 0, K:]
     if path is not None:
         path[0] = x
     with np.errstate():
-        # to broadcast a (k, R, 1) entry against (k, 1, m) normals numpy
+        # to broadcast a (k, P, 1) entry against (k, 1, m) normals numpy
         # copies them through its ufunc buffer; with the least buffer it
         # forms them in place, 1.5-2.5 times faster a call, and every
         # operation is elementwise
@@ -316,25 +304,22 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
         for first in range(0, len(table), c):
             coef, z = table[first : first + c], normals[first : first + c]
             k = len(coef)
-            gains, shifts = coef[:, :, :K], coef[:, :, K:]
-            mul, s = mult[:k], shift[:k]
-            g = mul[:, :K]
+            gains, g, s = coef[:, :, :K], mult[:k, :K], shift[:k]
             np.multiply(gains[:, 2], z[:, :1], out=g)
-            np.multiply(shifts[:, 2 + d], z[:, :1], out=s)
+            np.multiply(coef[:, 2 + d], z[:, :1], out=s)
             for j in range(1, d):
                 g += np.multiply(gains[:, 2 + j], z[:, j : j + 1], out=gain_tmp[:k])
-                s += np.multiply(shifts[:, 2 + d + j], z[:, j : j + 1], out=shift_tmp[:k])
+                s += np.multiply(coef[:, 2 + d + j], z[:, j : j + 1], out=shift_tmp[:k])
             g += gains[:, 0]
-            s += shifts[:, 1]
-            mul[:, K : K + J] = g[:, :J]
+            s += coef[:, 1]
             for i in range(k):
-                x *= mul[i]
-                tail += s[i]
+                pairs *= mult[i]
+                z_rows += s[i]
                 if path is not None:
                     path[first + i + 1] = x
-        x[:K] += 0.0
+        x[:P] += 0.0
         if path is not None:
-            path[1:, :K] += 0.0
+            path[1:, :P] += 0.0
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
@@ -407,10 +392,9 @@ def simulate_models(
     n_steps, d = cfg.n_time_steps, params.n_factors
     plan = _Rows(columns, n_steps)
     table = _step_table(params, plan.rows, n_steps)
-    starts = np.array(plan.starts)[:, None]
-    n_blocks, n_rows = -(-cfg.n_paths // _BLOCK), len(plan.rows)
+    n_blocks = -(-cfg.n_paths // _BLOCK)
     # NaN until stepped: a path left unstepped is excluded, or raises
-    terminal = np.full((n_rows, cfg.n_paths), np.nan)
+    terminal = np.full((2 * len(plan.rows), cfg.n_paths), np.nan)
     width = _quarter(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
     # Each worker makes a block's stream once and draws it in four quarters
@@ -444,19 +428,17 @@ def simulate_models(
                 # is excluded at the end, so it must not warn
                 x = terminal[:, lo:hi]
                 with stepping, np.errstate(over="ignore", invalid="ignore"):
-                    _step_rows(x, table, z, plan, scratch, starts=starts)
+                    _step_rows(x, table, z, plan, scratch)
 
         return run_block
 
-    if n_rows:  # columns without rows only compound, and need no normals
-        _run_blocks(worker, n_blocks, workers)
+    _run_blocks(worker, n_blocks, workers)
 
-    final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
     reports = {}
     for key, column in zip(columns, plan.columns):
         # as in the stepping, an exploded row must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            values = plan.combine(cfg.x0, column, terminal, final)
+            values = column.wealth(cfg.x0, terminal)
         alive = np.isfinite(values)
         n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
         if n_excluded > _MAX_EXPLODED_FRACTION * cfg.n_paths:
@@ -554,14 +536,15 @@ def reproduce_figure_paths(
         w = np.vstack([np.zeros(d), np.cumsum(z * np.sqrt(T / n_steps), axis=0)])
         prices[T] = np.exp(times[:, None] * log_drift[None, :] + w @ params.sigma.T)
 
-    wealth = np.empty((n_steps + 1, len(plan.rows), 1))
-    _step_rows(np.array(plan.starts)[:, None], table, z[:, :, None], plan, path=wealth)
+    n_rows = 2 * len(plan.rows)
+    wealth = np.empty((n_steps + 1, n_rows, 1))
+    with np.errstate(over="ignore"):  # an overflowed row makes its columns' paths inf
+        _step_rows(np.empty((n_rows, 1)), table, z[:, :, None], plan, path=wealth)
     rows = wealth[:, :, 0].T
-    compounding = plan.compounding(params.r)
     records = {}
     for (key, (strategy, _)), column in zip(columns.items(), plan.columns):
         times = plan.grids[column.T]
-        path = plan.combine(cfg.x0, column, rows, compounding)
+        path = column.wealth(cfg.x0, rows)
         G, b1 = strategy.unit_coefficients(times)
         dollars = G * path[:, None] + b1 / column.gamma
         records[key] = PathRecord(times, prices[column.T], path, dollars)

@@ -405,10 +405,10 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("name, n_paths, n_time_steps, what, size", [
-        # 4,000,000 steps x 6 rows (3 per horizon) x (2 + 2 d) float64s
-        ("figure1.cfg", 4, 4_000_000, "of step table", "1098.7 MiB"),
-        # 3 rows x 100,000,000 paths
-        ("section4.cfg", 100_000_000, 1, "of terminal wealth", "2288.9 MiB"),
+        # 4,000,000 steps x 4 row pairs (2 per horizon) x (2 + 2 d) float64s
+        ("figure1.cfg", 4, 4_000_000, "of step table", "732.5 MiB"),
+        # 4 rows (2 pairs) x 100,000,000 paths
+        ("section4.cfg", 100_000_000, 1, "of terminal wealth", "3051.8 MiB"),
     ])
     def test_run_memory_bound(self, tmp_path, capsys, name, n_paths, n_time_steps, what, size):
         # each block fits, but another array of the run does not; refused
@@ -426,17 +426,17 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_run_memory_bound_at_the_limit(self, tmp_path):
-        # 3 rows x n_paths x 8 bytes: just at and just above 512 MiB
-        limit = MAX_BLOCK_BYTES // 24
+        # 4 rows (2 pairs) x n_paths x 8 bytes: just at and just above 512 MiB
+        limit = MAX_BLOCK_BYTES // 32
         path = tmp_path / "paths.cfg"
         text = FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1")
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit}"))
         cli.check_simulation_size(load_config(str(path)))
         path.write_text(text.replace("n_paths = 2000", f"n_paths = {limit + 1}"))
-        with pytest.raises(ConfigError, match="3 Monte Carlo columns on 3 rows need 512.1 MiB "
-                           "of terminal") as refused:
+        with pytest.raises(ConfigError, match="3 Monte Carlo columns on 2 row pairs need "
+                           "512.1 MiB of terminal") as refused:
             cli.check_simulation_size(load_config(str(path)))
-        assert _refused_mib(str(refused.value)) * 2**20 >= 24 * (limit + 1) > MAX_BLOCK_BYTES
+        assert _refused_mib(str(refused.value)) * 2**20 >= 32 * (limit + 1) > MAX_BLOCK_BYTES
 
     def test_run_memory_bound_applies_to_simulate_alone(self, tmp_path, capsys, monkeypatch):
         # solve and bounds never simulate, so a path count no Monte Carlo
@@ -455,8 +455,34 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "sim")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: n_paths = 1000000000 and n_time_steps = 100 over "
-                              "6 Monte Carlo columns on 3 rows need 22888.2 MiB of terminal wealth")
+                              "6 Monte Carlo columns on 2 row pairs need 30517.6 MiB of "
+                              "terminal wealth")
         assert not (tmp_path / "sim").exists()
+
+    def test_figure_paths_count_only_where_their_table_is_written(self, tmp_path, monkeypatch):
+        # 15 gammas x 16 horizons at 32000 steps of 8 paths: the figure
+        # paths alone pass the limit, and only the simulated_paths table
+        # forms them.  The check simulates nothing
+        def refuse(*args, **kwargs):
+            pytest.fail("a Monte Carlo array was allocated")
+
+        monkeypatch.setattr(cli, "simulate_models", refuse)
+        monkeypatch.setattr(cli, "reproduce_figure_paths", refuse)
+        gammas = ", ".join(str(g) for g in range(1, 16))
+        horizons = ", ".join(str(T) for T in range(1, 17))
+        text = (FIGURE_CFG.replace("gamma = 1, 3", f"gamma = {gammas}")
+                .replace("T = 1\n", f"T = {horizons}\n")
+                .replace("n_paths = 2000", "n_paths = 8")
+                .replace("n_time_steps = 100", "n_time_steps = 32000"))
+        path = tmp_path / "wide.cfg"
+        path.write_text(re.sub(r"(?m)^tables = .*", "tables = k_curves", text))
+        cfg = load_config(str(path))
+        assert cfg.tables == ("k_curves",) and len(cfg.gammas) * len(cfg.horizons) == 240
+        cli.check_simulation_size(cfg)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="720 Monte Carlo columns on 32 row pairs need "
+                           "543.0 MiB of figure paths"):
+            cli.check_simulation_size(load_config(str(path)))
 
 
     @pytest.mark.parametrize(
@@ -996,7 +1022,7 @@ class TestSimulateCommand:
         # a partial block in quarters of 513 and 512 paths, and a last
         # block of 1 or 3 paths, whose quarters are (1, 0, 0, 0) and
         # (1, 1, 1, 0); a last call of steps cut short (the 1024-path
-        # quarters form 6 steps a call)
+        # quarters form 8 steps a call)
         (6145, 21),
         (4097, 21),
         (4099, 21),

@@ -850,8 +850,9 @@ def near_bank_markets(draw):
 
 class TestNearSyntheticBank:
     """The gain solve from its terminal value converges within the default
-    max_iter near the synthetic bank, wherever the grid is fine enough for
-    the market and the kernel tables stay finite."""
+    max_iter near the synthetic bank, wherever dt theta~^2 <= 2 and the
+    kernel tables stay finite.  Each sweep contracts by about
+    dt theta~^2 / 4, so the sweeps slow down as dt theta~^2 nears 4."""
 
     @given(near_bank_markets())
     @settings(max_examples=40, deadline=None)
@@ -862,11 +863,24 @@ class TestNearSyntheticBank:
         params = MarketParams(drifts, sigma, 0.04)
         grid = TimeGrid.default(T, 200)
         _, _, denom, _, dalpha = _coeffs(params)
-        assume(grid.dt * dalpha * dalpha / denom < 4.0)
+        assume(grid.dt * dalpha * dalpha / denom <= 2.0)
         cfg = PicardConfig()
         k = solve_model2(params, grid, cfg).k
         try:
             build_kernels(params, k, grid)
         except CoefficientRangeError:
             reject()
+        assert gain_residual(params, grid, k.values) <= 10.0 * cfg.tol
+
+    def test_gain_solve_slows_near_dt_theta_sq_4(self):
+        # dt theta~^2 = 3.70: the sweep contracts by about 0.88 and needs
+        # 204 sweeps, more than the default max_iter; given 400 it converges
+        params = MarketParams((-3.4104630672876866, 0.0), ((0.0, 0.5), (0.01, 0.625)), 0.04)
+        grid = TimeGrid.default(3.0, 200)
+        _, _, denom, _, dalpha = _coeffs(params)
+        assert 3.69 < grid.dt * dalpha * dalpha / denom < 3.71
+        with pytest.raises(NonConvergenceError):
+            solve_model2(params, grid, PicardConfig())
+        cfg = PicardConfig(max_iter=400)
+        k = solve_model2(params, grid, cfg).k
         assert gain_residual(params, grid, k.values) <= 10.0 * cfg.tol

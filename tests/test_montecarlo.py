@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -469,9 +470,9 @@ class TestSimulateModels:
         step_rows = montecarlo._step_rows
         for steps in (None, 1, 2, 3, n_steps):
 
-            def cut(x, table, normals, plan, scratch=None, path=None, starts=None):
+            def cut(x, table, normals, plan, scratch=None, path=None):
                 given = np.empty(steps * plan.step_size(x.shape[1]))
-                return step_rows(x, table, normals, plan, given, path, starts)
+                return step_rows(x, table, normals, plan, given, path)
 
             with monkeypatch.context() as patch:
                 if steps is not None:
@@ -480,7 +481,7 @@ class TestSimulateModels:
                     assert simulate_models(diagonal_params, columns, cfg, threads) == expected
 
     def test_scratch_holds_one_path_of_the_draw(self):
-        # a G = 0 column steps one row of 3 factor numbers a path and step,
+        # a G = 0 column steps one pair of 3 factor numbers a path and step,
         # as many as one path of the draw on 3 factors: past the 16384 steps
         # of a one-path quarter that fit in _FACTORS, its factors are less
         # than one path of the draw, which the scratch holds
@@ -650,27 +651,41 @@ def reference_step(x, z, coef, work):
     x += shift
 
 
+def row_table(table):
+    """The per-row table of a table of row pairs: each pair's Y row steps
+    with its gain, B = E = +0, and then each pair's Z row with all of it."""
+    d = (table.shape[1] - 2) // 2
+    gains = table.copy()
+    gains[:, 1] = gains[:, 2 + d :] = 0.0
+    return np.concatenate([gains, table], axis=2)
+
+
+def pair_starts(plan, m):
+    """The 2P rows of plan's pairs on m paths at their start: Y 1, Z 0."""
+    P = len(plan.rows)
+    return np.repeat([1.0, 0.0], P * m).reshape(2 * P, m)
+
+
 def reference_models(params, columns, cfg):
     """The reports of simulate_models with every block of _BLOCK paths drawn
     whole from its stream and every row stepped one step at a time by
     reference_step; the columns combine their rows as the engine does."""
     n = cfg.n_time_steps
     plan = montecarlo._Rows(columns, n)
-    table = _step_table(params, plan.rows, n)
-    terminal = np.empty((len(plan.rows), cfg.n_paths))
+    table = row_table(_step_table(params, plan.rows, n))
+    terminal = np.empty((2 * len(plan.rows), cfg.n_paths))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, first in enumerate(range(0, cfg.n_paths, _BLOCK)):
             m = min(_BLOCK, cfg.n_paths - first)
             z = _stream(cfg.seed, block).standard_normal((m, n, params.n_factors))
-            x = np.repeat(np.array(plan.starts)[:, None], m, axis=1)
+            x = pair_starts(plan, m)
             work = np.empty((3, *x.shape))
             for i in range(n):
                 reference_step(x, z[:, i].T, table[i], work)
             terminal[:, first : first + m] = x
-        final = {T: path[-1] for T, path in plan.compounding(params.r).items()}
         reports = {}
         for key, column in zip(columns, plan.columns):
-            values = plan.combine(cfg.x0, column, terminal, final)
+            values = column.wealth(cfg.x0, terminal)
             alive = np.isfinite(values)
             n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
             reports[key] = _report(values[alive] if n_excluded else values, column.gamma,
@@ -681,7 +696,8 @@ def reference_models(params, columns, cfg):
 def random_plan(rng, n, d, shared, own):
     """A market of 2 stocks on d factors and the _Rows of n steps of random
     Affine columns, in random order: one gain G per entry of shared, with
-    that many intercepts of its G, and own intercepts of G = 0.
+    that many intercepts of its G or, for 0, one column of b = 0, and own
+    intercepts of G = 0.
     Each coefficient array is scaled by 0, -0, 1 or 1e200, so a gain may
     vanish, signed zeros meet, and wealth may overflow."""
     sigma = {1: [[0.3], [0.1]], 2: [[0.25, 0.0], [0.0, 0.2]], 3: [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]]}
@@ -716,11 +732,11 @@ SCRATCH_STEPS = st.none() | st.integers(1, 12)
 
 
 @given(st.integers(1, 300), *PLANS, SCRATCH_STEPS)
-# the CLI's rows of two horizons on the figure paths' one path, all steps
-# a call, and a G with two intercept rows (its gain stepped twice) beside
-# one with none; fewer steps than fit in the scratch, and a last call cut
-# short; fewer paired intercept rows than gain rows (K = 2, J = 1), no G = 0
-# rows (K = 2, J = 1, R = 3) and only G = 0 rows (K = 0, R = 2)
+# the figure paths' one path, all steps a call (P = 4 pairs, K = 1 of
+# them of G != 0); columns of b1 = 0 that read a shared Y or own a pair,
+# cash columns among them (P = 5, K = 3); fewer steps than fit in the
+# scratch, and a last call cut short; no G = 0 pair (P = K = 2) and only
+# G = 0 pairs (P = 2, K = 0)
 @example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, steps=40)
 @example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, steps=None)
 @example(m=3, n=3, d=3, shared=[1], own=1, seed=2, steps=4)
@@ -730,27 +746,28 @@ SCRATCH_STEPS = st.none() | st.integers(1, 12)
 @example(m=2, n=5, d=3, shared=[], own=2, seed=4, steps=3)
 @settings(max_examples=40, deadline=None)
 def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, steps):
-    # the rows of a random plan stepped from step-major normals keep the
-    # bits of the reference on the per-row table at every step, overflow
-    # and signed zeros too, in their own buffers or in given scratch of
-    # some steps' factors, past which nothing is written
+    # the pairs of a random plan stepped from step-major normals keep the
+    # bits of the per-row reference at every node, overflow and signed
+    # zeros too, kept in a path or not, in their own buffers or in given
+    # scratch of some steps' factors, past which nothing is written
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
-    R = len(plan.rows)
     table = _step_table(params, plan.rows, n)
     normals = rng.normal(size=(n, d, m))
-    x = rng.normal(size=(R, m)) * rng.choice([0.0, -0.0, 1.0], size=(R, m))
-    ref, whole, work = x.copy(), x.copy(), np.empty((3, R, m))
+    ref = pair_starts(plan, m)
+    x, whole, path = np.empty_like(ref), np.empty_like(ref), np.full((n + 1, *ref.shape), np.nan)
+    rows, work = row_table(table), np.empty((3, *ref.shape))
     given = None if steps is None else np.full(steps * plan.step_size(m) + 1, np.nan)
     bufsize = np.getbufsize()
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            montecarlo._step_rows(x, table[i : i + 1], normals[i : i + 1], plan, given)
-            reference_step(ref, normals[i], table[i], work)
-            assert same_bits(x, ref)
+        montecarlo._step_rows(x, table, normals, plan, given, path)
         montecarlo._step_rows(whole, table, normals, plan, given)
         assert np.getbufsize() == bufsize  # the stepping keeps its buffer size to itself
-    assert same_bits(whole, ref)
+        assert same_bits(path[0], ref)
+        for i in range(n):
+            reference_step(ref, normals[i], rows[i], work)
+            assert same_bits(path[i + 1], ref)
+    assert same_bits(x, ref) and same_bits(whole, ref)
     assert given is None or np.isnan(given[-1])
 
 
@@ -761,51 +778,82 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, st
 @settings(max_examples=40, deadline=None)
 def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed, steps):
     # the figure path, a whole run of one path that keeps its rows at every
-    # node, steps each row bit for bit as the block stepping does at m = 1,
-    # in its own scratch (every step a call) or in some steps' scratch
+    # node, holds at each node the bits of the block stepping at m = 1 over
+    # the steps up to it, in its own scratch (every step a call) or in some
+    # steps' scratch
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     table = _step_table(params, plan.rows, n)
     z = rng.normal(size=(n, d, 1))
-    x = np.array(plan.starts).reshape(-1, 1)
-    path = np.full((n + 1, len(plan.rows), 1), np.nan)
+    x = np.empty((2 * len(plan.rows), 1))
+    path = np.full((n + 1, *x.shape), np.nan)
     given = None if steps is None else np.empty(steps * plan.step_size(1))
     with np.errstate(over="ignore", invalid="ignore"):
-        montecarlo._step_rows(x.copy(), table, z, plan, given, path=path)
-        assert same_bits(path[0], x)
+        montecarlo._step_rows(x, table, z, plan, given, path=path)
+        assert same_bits(path[0], pair_starts(plan, 1))
         for i in range(n):
-            montecarlo._step_rows(x, table[i : i + 1], z[i : i + 1], plan)
+            montecarlo._step_rows(x, table[: i + 1], z[: i + 1], plan)
             assert same_bits(path[i + 1], x)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
 def test_gain_rows_turn_negative_zero_positive(steps):
-    # a gain row that meets a zero gain factor from below holds -0, which
-    # the +0 shift of the per-row step turns +0; intercept rows keep a -0
-    # that their own x A + B makes.  The table is set by hand: the gain
-    # row's A + C z is -1, then 0, then 0.5, with B = C = E = +0; its
-    # intercept row shares that A, and the intercept rows' B and E are -0,
-    # on normals of 1, from starts of -0
+    # a Y row that meets a zero gain factor from below holds -0, which the
+    # +0 shift of the per-row step turns +0; a Z row keeps a -0 that its
+    # own x A + B makes.  The table is set by hand: the gain pair's A + C z
+    # is -1, then 0, then 0.5, the G = 0 pair's 1.01, with C = +0 and both
+    # pairs' B and E -0, on normals of 1
     G, b, obj = np.array([0.5, 0.5]), np.array([1.0, -1.0]), ObjectiveSpec(1.0, 1.0)
     columns = {0: (Affine(G, 0 * b), obj), 1: (Affine(G, b), obj), 2: (Affine(0 * G, b), obj)}
     plan = montecarlo._Rows(columns, 5)
-    assert (plan.n_gains, plan.n_shared, len(plan.rows)) == (1, 1, 3)
-    table = np.zeros((5, 4, 3, 1))
-    table[:, 0, :2, 0] = np.array([-1.0, 0.0, 0.5, 0.5, 0.5])[:, None]
-    table[:, 0, 2, 0] = 1.01
-    table[:, 1, 1:] = table[:, 3, 1:] = -0.0
-    z, x = np.ones((5, 1, 2)), np.array([[1.0] * 2, [-0.0] * 2, [-0.0] * 2])
-    ref, work = x.copy(), np.empty((3, 3, 2))
-    path = np.full((6, 3, 2), np.nan)
+    assert (plan.n_gains, len(plan.rows)) == (1, 2)
+    table = np.zeros((5, 4, 2, 1))
+    table[:, 0, 0, 0] = [-1.0, 0.0, 0.5, 0.5, 0.5]
+    table[:, 0, 1, 0] = 1.01
+    table[:, 1] = table[:, 3] = -0.0
+    z, x = np.ones((5, 1, 2)), np.empty((4, 2))
+    ref, work = pair_starts(plan, 2), np.empty((3, 4, 2))
+    path = np.full((6, 4, 2), np.nan)
     montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(2)), path)
-    assert same_bits(path[0], [[1.0] * 2, [-0.0] * 2, [-0.0] * 2])
+    assert same_bits(path[0], ref)
     for i in range(5):
-        reference_step(ref, z[i], table[i], work)
+        reference_step(ref, z[i], row_table(table)[i], work)
         assert same_bits(path[i + 1], ref)
-    # the gain row +0 from the second step on, the fixed row -0 throughout
+    # the gain's Y +0 from the second step on, its Z -0 throughout
     assert same_bits(path[2:, 0], np.zeros((4, 2)))
     assert same_bits(path[1:, 2], np.full((5, 2), -0.0))
     assert same_bits(x, ref) and same_bits(x, path[-1])
+
+
+@given(st.floats(-0.9, 2.0), st.floats(0.01, 30.0), st.integers(1, 400))
+# 1 + r dt below zero, and a product that overflows to inf
+@example(r=-0.9, T=30.0, n=3)
+@example(r=1e3, T=30.0, n=400)
+@settings(max_examples=30, deadline=None)
+def test_cash_pair_steps_the_sequential_product(r, T, n):
+    # the Y of a G = 0 pair is np.multiply.accumulate of 1 + r dt, bit for
+    # bit, at every node of the figure path and at the end of each quarter
+    # of the block pass; the figure pass overflows to inf without a warning
+    params = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.2]], r)
+    cash = {"": (Affine(np.zeros(2), np.zeros(2)), ObjectiveSpec(2.0, T))}
+    with np.errstate(over="ignore"):
+        growth = np.multiply.accumulate(np.full(n, 1.0 + r * (T / n)))
+    with np.errstate(invalid="ignore"):  # no dollars times an inf wealth
+        path = reproduce_figure_paths(params, cash, SimConfig(4, n, 7))[""]
+    assert same_bits(path.wealth, np.concatenate([[1.0], growth]))
+    ends, step_rows = [], montecarlo._step_rows
+
+    def recorded(x, *args, **kwargs):
+        step_rows(x, *args, **kwargs)
+        ends.append(x[0].copy())
+
+    with mock.patch.object(montecarlo, "_step_rows", recorded):
+        try:
+            simulate_models(params, cash, SimConfig(5, n, 7))
+        except SimulationExplosionError:
+            assert np.isinf(growth[-1])
+    assert [e.size for e in ends] == [2, 1, 1, 1]
+    assert all(same_bits(e, np.full(e.shape, growth[-1])) for e in ends)
 
 
 @given(
@@ -995,58 +1043,51 @@ def cli_columns(cases):
 
 class TestRows:
     """Risk aversion is a scale factor: the columns of one horizon share
-    three rows, however many gammas there are."""
+    two row pairs, however many gammas there are."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         return cli_run("figure1.cfg:5x2", tmp_path_factory)
 
-    def test_five_gammas_by_two_horizons_step_six_rows(self, run):
+    def test_five_gammas_by_two_horizons_step_four_pairs(self, run):
         cfg, cases = run
         columns = cli_columns(cases)
         assert len(columns) == 30
         plan = montecarlo._Rows(columns, 50)
-        assert len(plan.rows) == 6
-        # per horizon, Y from 1 and Z3 and Z1 from 0
-        assert sorted(plan.starts) == [0.0] * 4 + [1.0] * 2
-        assert _step_table(cfg.params, plan.rows, 50).shape == (50, 6, 6, 1)
+        assert len(plan.rows) == 4
+        assert _step_table(cfg.params, plan.rows, 50).shape == (50, 6, 4, 1)
 
-    def test_rows_are_ordered_by_how_they_step(self, run):
-        # the gain rows Y first, then the Z3 of their G in their order, then
-        # the Z1 of G = 0, each horizon in the order it was met; the table is
-        # built in that order
+    def test_pairs_are_ordered_by_how_they_step(self, run):
+        # model 3's pairs of G != 0 first, then model 1's of G = 0, each
+        # horizon in the order it was met; the table is built in that order
         cfg, cases = run
         plan = montecarlo._Rows(cli_columns(cases), 50)
         G, b, dt = zip(*plan.rows)
-        assert plan.n_gains == plan.n_shared == 2
-        assert [g.any() for g in G] == [True] * 4 + [False] * 2
-        assert [c.any() for c in b] == [False] * 2 + [True] * 4
-        assert plan.starts == [1.0] * 2 + [0.0] * 4
-        assert dt == (1 / 50, 0.5 / 50) * 3
-        assert same_bits(G[2:4], G[:2])
+        assert plan.n_gains == 2
+        assert [g.any() for g in G] == [True] * 2 + [False] * 2
+        assert all(c.any() for c in b)
+        assert dt == (1 / 50, 0.5 / 50) * 2
         table = _step_table(cfg.params, plan.rows, 50)
         for j, row in enumerate(plan.rows):
             assert same_bits(table[:, :, j], _step_table(cfg.params, [row], 50)[:, :, 0])
 
-    def test_intercept_rows_follow_their_gain_row(self):
-        # columns met intercept first: each intercept row of a gain follows
-        # in the order met, paired with a gain row of its G in the same
-        # order, a second intercept of one G with a second copy of its gain;
-        # then the gain rows no intercept shares and the intercepts of G = 0
+    def test_columns_read_their_pairs(self):
+        # one pair for each distinct (G, b1), those of G != 0 first in the
+        # order met; a column with b1 = 0 reads the Y of the first pair of
+        # its G, and only a G without one gets a pair of its own.  Of the
+        # 2P rows, row j is pair j's Y and row P + j its Z
         G1, G2, zero, b = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2)
         obj = ObjectiveSpec(2.0, 1.0)
-        strategies = [Affine(zero, b), Affine(G1, b), Affine(G2, 0 * b), Affine(G1, 2 * b),
-                      Affine(2 * G2, 3 * b), Affine(G2, 0 * b)]
+        strategies = [Affine(zero, b), Affine(G1, 0 * b), Affine(G1, b), Affine(G2, 0 * b),
+                      Affine(G1, 2 * b), Affine(2 * G2, 3 * b), Affine(G2, 0 * b)]
         plan = montecarlo._Rows({i: (s, obj) for i, s in enumerate(strategies)}, 4)
         assert [(row[0][0].tolist(), row[1][0].tolist()) for row in plan.rows] == [
-            (G1.tolist(), [0.0, 0.0]), (G1.tolist(), [0.0, 0.0]), ((2 * G2).tolist(), [0.0, 0.0]),
-            (G2.tolist(), [0.0, 0.0]), (G1.tolist(), b.tolist()), (G1.tolist(), (2 * b).tolist()),
+            (G1.tolist(), b.tolist()), (G2.tolist(), [0.0, 0.0]), (G1.tolist(), (2 * b).tolist()),
             ((2 * G2).tolist(), (3 * b).tolist()), (zero.tolist(), b.tolist()),
         ]
-        assert plan.starts == [1.0] * 4 + [0.0] * 4
-        assert plan.n_gains == 4 and plan.n_shared == 3
+        assert plan.n_gains == 4
         assert [(c.gain, c.intercept) for c in plan.columns] == [
-            (None, 7), (0, 4), (3, None), (0, 5), (2, 6), (3, None)
+            (4, 9), (0, None), (0, 5), (1, None), (2, 7), (3, 8), (1, None)
         ]
 
     def test_rows_match_the_per_column_reference_loop(self, run):
@@ -1059,7 +1100,7 @@ class TestRows:
 
     @pytest.mark.parametrize("x0", [1.0, 2.5])
     def test_model2_shares_the_gain_row_of_model3(self, run, x0):
-        # model 2 is x0 Y on the row model 3 combines with Z3 / gamma
+        # model 2 is x0 Y on the pair model 3 combines with Z / gamma
         cfg, cases = run
         columns = cli_columns(cases)
         sim = SimConfig(300, 20, 3, x0)
@@ -1072,12 +1113,13 @@ class TestRows:
                 alone = simulate(cfg.params, Affine(G, np.zeros_like(G)), obj, sim)
                 assert reports[i, name] == alone
 
-    def test_column_without_rows_compounds_at_the_bank_rate(self, diagonal_params):
-        # G = 0 and b = 0: no row is stepped, and every path holds
-        # x0 prod (1 + r dt), the product a stepped row of G = 0 makes
+    def test_cash_column_compounds_at_the_bank_rate(self, diagonal_params):
+        # G = 0 and b = 0: the column's own pair steps its Y, and every path
+        # holds x0 prod (1 + r dt)
         idle = Affine(np.zeros(2), np.zeros(2))
         obj, cfg = ObjectiveSpec(2.0, 1.5), SimConfig(300, 40, 7, 2.5)
-        assert montecarlo._Rows({"idle": (idle, obj)}, 40).rows == []
+        plan = montecarlo._Rows({"idle": (idle, obj)}, 40)
+        assert len(plan.rows) == 1 and plan.n_gains == 0
         report = simulate(diagonal_params, idle, obj, cfg)
         growth = 1.0
         for _ in range(40):
@@ -1088,36 +1130,15 @@ class TestRows:
         assert path.wealth[-1] == 2.5 * growth and not path.dollars.any()
 
     def test_no_rows_step_in_any_scratch(self, diagonal_params):
-        # no row takes no factor a step: the steps a call are not derived
-        # by dividing the scratch by zero, and nothing is stepped
-        idle = Affine(np.zeros(2), np.zeros(2))
-        plan = montecarlo._Rows({"idle": (idle, ObjectiveSpec(2.0, 1.5))}, 40)
+        # a plan of no columns has no pair, and no pair takes no factor a
+        # step: the steps a call are not derived by dividing the scratch by
+        # zero, and nothing is stepped
+        plan = montecarlo._Rows({}, 40)
         assert plan.step_size(7) == plan.factor_size(7) == 0
         table = _step_table(diagonal_params, plan.rows, 40)
         for scratch in (None, np.empty(0), np.empty(5)):
             x, path = np.empty((0, 7)), np.empty((41, 0, 7))
             montecarlo._step_rows(x, table, np.zeros((40, 2, 7)), plan, scratch, path)
-
-    def test_run_without_rows_draws_no_block(self, diagonal_params, monkeypatch):
-        # a run whose every column compounds at the bank rate steps no row,
-        # so it makes no block's stream; its figure paths still make theirs
-        draws = []
-
-        def counted(seed, block):
-            draws.append(block)
-            return stream(seed, block)
-
-        stream = montecarlo._stream
-        monkeypatch.setattr(montecarlo, "_stream", counted)
-        idle = Affine(np.zeros(2), np.zeros(2))
-        columns = {"idle": (idle, ObjectiveSpec(2.0, 1.5))}
-        cfg = SimConfig(9000, 40, 7, 2.5)
-        report = simulate_models(diagonal_params, columns, cfg, 2)["idle"]
-        assert draws == [] and report.n_effective == 9000
-        growth = (1.0 + diagonal_params.r * 1.5 / 40) ** 40
-        assert report.mean_estimate == pytest.approx(2.5 * growth)
-        reproduce_figure_paths(diagonal_params, columns, cfg)
-        assert draws == [2**63]
 
     def test_step_table_build_peak(self, run):
         # each row is written into the preallocated table: the build peaks
@@ -1132,7 +1153,7 @@ class TestRows:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert table.shape[2] == 6
+        assert table.shape[2] == 4
         assert peak <= 1.3 * table.nbytes
 
 
