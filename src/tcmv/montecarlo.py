@@ -21,8 +21,9 @@ gamma = 1), whose Y is the bank account's growth prod (1 + r dt).  A
 column with b1 = 0 reads the Y of a pair of its own G, as model 2 reads
 model 3's, and has a pair of its own only where no such pair exists.
 Each column combines its pair at the end: model 2 = x0 Y and models 1
-and 3 = x0 Y + Z / gamma.  Each step forms a pair's factors once: A + C z,
-which Y and Z share and which is 1 + r dt where G = 0, and Z's B + E z.
+and 3 = x0 Y + Z / gamma.  Each step forms a pair's factors once, alike for
+every pair: A + C z, which Y and Z share (1 + r dt where G = 0, as C = +0
+there), and Z's B + E z.
 The figure paths step the same pairs through the same recurrence, as one
 block of one path that keeps its rows at every node.
 
@@ -220,8 +221,8 @@ class _Rows:
     values, so the columns that share a gain and a unit intercept on one
     horizon share it.  A column with b1 = 0 reads the Y of the first pair of
     its G with b1 != 0; only a G without one gets a pair of its own, b1 = 0.
-    The n_gains pairs of G != 0 come first, then those of G = 0.  Of the 2P
-    rows of P pairs, row j is pair j's Y and row P + j its Z."""
+    The pairs are in the order their columns are met.  Of the 2P rows of P
+    pairs, row j is pair j's Y and row P + j its Z."""
 
     def __init__(self, columns: dict, n: int):
         self.n, self.grids, pairs, met = n, {}, {}, []
@@ -237,10 +238,8 @@ class _Rows:
         for key in sorted(pairs, key=lambda k: k[2] is None):
             gains.setdefault(key[:2], key)
         keys = [k for k in pairs if k[2] is not None or gains[k[:2]] == k]
-        keys.sort(key=lambda k: not pairs[k][0].any())  # stable: G != 0 first
         index = {k: i for i, k in enumerate(keys)}
         self.rows = [pairs[k] for k in keys]
-        self.n_gains = sum(bool(G.any()) for G, _, _ in self.rows)
         self.columns = [
             _Column(T, g, index.get(k, index[gains[k[:2]]]),
                     None if k[2] is None else len(keys) + index[k])
@@ -269,30 +268,23 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     to the Y rows once after the last step, which turns -0 into +0 as adding
     it every step would (a Z row's x A + B may itself be -0, and is kept).
     The factors A + C z and B + E z of as many steps as fit in the scratch
-    are formed together, one numpy call per term, into one multiplier of
-    the P pairs (1 + r dt for the G = 0 pairs, the same at every step of
-    their uniform grid and so written once a call) and the shifts of the Z
-    rows, then stepped one step at a time, two calls a step.  Each row's
-    operations are elementwise and those of the per-row step, so its bits
-    depend on its own coefficients alone.
+    are formed together, one numpy call per term for all P pairs alike, into
+    one multiplier a pair and the shifts of the Z rows, then stepped one
+    step at a time, two calls a step.  Each row's operations are elementwise
+    and those of the per-row step, so its bits depend on its own
+    coefficients alone.
     The factors go in a view of scratch where one is given, else in
     plan.factor_size(m) numbers.  With path, an (n + 1, 2P, m) array, x is
     kept at the start and after every step."""
-    (R, m), d, K = x.shape, normals.shape[1], plan.n_gains
+    (R, m), d = x.shape, normals.shape[1]
     P = R // 2
     if scratch is None:
         scratch = np.empty(plan.factor_size(m))
     step = plan.step_size(m)
     c = min(len(table), scratch.size // step) if step else len(table)
-    mult = scratch[: c * P * m].reshape(c, P, m)
-    shift = scratch[c * P * m : 2 * c * P * m].reshape(c, P, m)
-    tmp = scratch[2 * c * P * m : 3 * c * P * m]
-    gain_tmp = tmp[: c * K * m].reshape(c, K, m)
-    shift_tmp = tmp.reshape(c, P, m)
+    mult, shift, tmp = scratch[: 3 * c * P * m].reshape(3, c, P, m)
     x[:P], x[P:] = 1.0, 0.0
     pairs, z_rows = x.reshape(2, P, m), x[P:]
-    # once a call, not once a worker: the draw reuses the scratch between calls
-    mult[:, K:] = table[0, 0, K:]
     if path is not None:
         path[0] = x
     with np.errstate():
@@ -304,16 +296,16 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
         for first in range(0, len(table), c):
             coef, z = table[first : first + c], normals[first : first + c]
             k = len(coef)
-            gains, g, s = coef[:, :, :K], mult[:k, :K], shift[:k]
-            np.multiply(gains[:, 2], z[:, :1], out=g)
+            g, s, t = mult[:k], shift[:k], tmp[:k]
+            np.multiply(coef[:, 2], z[:, :1], out=g)
             np.multiply(coef[:, 2 + d], z[:, :1], out=s)
             for j in range(1, d):
-                g += np.multiply(gains[:, 2 + j], z[:, j : j + 1], out=gain_tmp[:k])
-                s += np.multiply(coef[:, 2 + d + j], z[:, j : j + 1], out=shift_tmp[:k])
-            g += gains[:, 0]
+                g += np.multiply(coef[:, 2 + j], z[:, j : j + 1], out=t)
+                s += np.multiply(coef[:, 2 + d + j], z[:, j : j + 1], out=t)
+            g += coef[:, 0]
             s += coef[:, 1]
             for i in range(k):
-                pairs *= mult[i]
+                pairs *= g[i]
                 z_rows += s[i]
                 if path is not None:
                     path[first + i + 1] = x
@@ -335,7 +327,9 @@ def _run_blocks(worker: Callable[[], Callable[[int], None]], n_blocks: int, work
     buffers, then runs work on the next block not yet taken until none is
     left.  One worker runs every block on the calling thread, in order.
     work guards what it shares: :func:`simulate_models` draws side by side
-    and steps under a lock, which measured as fast as stepping side by side.
+    and steps under a lock: 0.306-0.312 s against 0.334-0.348 s stepping
+    side by side, 2 threads on simulate_wide's config on 2 vCPUs (medians of
+    12 alternating in-process runs, three sessions).
 
     An exception on any thread stops every thread after its block, and is
     raised here once all have ended.
@@ -546,6 +540,8 @@ def reproduce_figure_paths(
         times = plan.grids[column.T]
         path = column.wealth(cfg.x0, rows)
         G, b1 = strategy.unit_coefficients(times)
-        dollars = G * path[:, None] + b1 / column.gamma
+        live = (G != 0) | np.isfinite(path[:, None])  # G = 0 holds no stock, whatever the wealth
+        dollars = np.multiply(G, path[:, None], out=np.zeros(G.shape), where=live)
+        dollars += b1 / column.gamma
         records[key] = PathRecord(times, prices[column.T], path, dollars)
     return records

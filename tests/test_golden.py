@@ -1,10 +1,9 @@
 """Golden outputs of the shipped configs, shrunk, and of the steep market,
 against the files recorded in tests/golden:
 
-- ``tcmv simulate --threads 1`` on figure1.cfg and section4.cfg at 4097
-  paths (one full block and a one-path block) of 50 steps, in
-  tests/golden/<config>;
-- ``tcmv simulate --threads 1`` on the configs of the benchmark's
+- ``tcmv simulate`` on figure1.cfg and section4.cfg at 4097 paths (one
+  full block and a one-path block) of 50 steps, in tests/golden/<config>;
+- ``tcmv simulate`` on the configs of the benchmark's
   simulate_wide and simulate_narrow workloads at benchmark seed 1, with
   fewer steps: simulate_wide's 32768 paths (eight full blocks) of 50 steps
   and simulate_narrow's 1024 paths (one partial block, four cases) of 100,
@@ -15,7 +14,9 @@ against the files recorded in tests/golden:
   and T = 3), in tests/golden/solve/<config>.
 
 On the numpy version and platform recorded in tests/golden/recorded.json
-every file must match byte for byte.  Elsewhere vectorised functions such
+every file must match byte for byte.  Each simulate set runs at
+``--threads 1`` and again at ``--threads 2``, with two CPUs whatever the
+machine has, against the same files.  Elsewhere vectorised functions such
 as exp may round differently, so there each numeric cell may move by at
 most 1e-10 relative, and every text cell must be equal; a cell is what
 commas, spaces and '=' separate, so a number inside a diagnostics or
@@ -82,9 +83,9 @@ def recorded_on() -> dict:
             "simd": simd}
 
 
-def run(name: str, tmp: Path) -> dict[str, bytes]:
-    """The files of golden set name, run in tmp: simulate --threads 1's, or
-    solve's with the stdout of bounds as bounds.txt."""
+def run(name: str, tmp: Path, threads: int = 1) -> dict[str, bytes]:
+    """The files of golden set name, run in tmp: simulate's on that many
+    threads, or solve's with the stdout of bounds as bounds.txt."""
     command, config, keys = SETS[name]
     text = (resources.files("tcmv") / "configs" / f"{config}.cfg").read_text()
     for key, value in keys.items():
@@ -92,7 +93,7 @@ def run(name: str, tmp: Path) -> dict[str, bytes]:
         assert count == 1, f"{config}.cfg sets {key} once"
     cfg, out = tmp / f"{name.replace('/', '_')}.cfg", tmp / name
     cfg.write_text(text)
-    assert main([command, str(cfg), "--threads", "1", "--out-dir", str(out)]) == 0
+    assert main([command, str(cfg), "--threads", str(threads), "--out-dir", str(out)]) == 0
     got = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     if command == "solve":
         stdout = io.StringIO()
@@ -136,9 +137,7 @@ def summary(file: str, expected: bytes, got: bytes) -> str:
     return f"{file}: {n} cells moved, largest relative change {worst:.3g} ({same})"
 
 
-@pytest.mark.parametrize("name", SETS)
-def test_outputs_match_the_golden_files(name, tmp_path):
-    got = run(name, tmp_path)
+def check(name: str, got: dict[str, bytes]):
     expected = {f.name: f.read_bytes() for f in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(expected)
     exact = json.loads((GOLDEN / "recorded.json").read_text()) == recorded_on()
@@ -148,6 +147,18 @@ def test_outputs_match_the_golden_files(name, tmp_path):
         if (got[file] != data if exact else moved(data, got[file])[1] > RTOL)
     ]
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_outputs_match_the_golden_files(name, tmp_path):
+    check(name, run(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", [name for name, (command, *_) in SETS.items()
+                                  if command == "simulate"])
+def test_simulate_outputs_match_the_golden_files_at_two_threads(name, tmp_path, monkeypatch):
+    monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 2)
+    check(name, run(name, tmp_path, threads=2))
 
 
 def test_moved_counts_cells_and_their_largest_change():

@@ -155,6 +155,10 @@ class TestClosedForm:
     @settings(max_examples=300, deadline=None)
     # g = e^{699}: g^2 overflows, and the variance's c0 = 0 must give 0, not inf * 0
     @example(((0.2, 0.12), (0.02, 0.0, 0.0, 0.02), 23.3, 30.0, 3.0), 0.0, 5.0)
+    # theta_sq = 1.6e-309 and a load of 4.7e-310 at gamma = 100, 4.7e-309 at
+    # gamma = 10: subnormal, 6e-323 off the reference at T - t = 30
+    @example(((0.0, 0.0), (0.0, 0.4, 0.4, 0.0), 1.1195614245865296e-155, 30.0, 100.0), 0.0, 0.0)
+    @example(((0.0, 0.0), (0.0, 0.4, 0.4, 0.0), 1.1195614245865296e-155, 30.0, 10.0), 0.0, 0.0)
     def test_triple_is_the_closed_form(self, market, fraction, x):
         alpha, sigma, r, T, gamma = market
         sigma = np.reshape(sigma, (2, 2))
@@ -164,19 +168,26 @@ class TestClosedForm:
         except CoefficientRangeError:
             reject()
         m, t = sol.moments, fraction * T
-        load = sol.theta_sq * (T - t)
         with np.errstate(over="ignore"):
             growth = np.exp(r * (T - t)) * x
         assume(np.isfinite(growth))  # the range check forms the mean at x = 1 only
-        # relative to the magnitude, floored at the least normal float64,
-        # below which a load of a subnormal theta_sq keeps fewer digits
-        tiny = np.finfo(float).tiny
-        mean = growth + load / gamma
-        assert abs(m.mean(t, x) - mean) <= 1e-15 * max(abs(growth) + abs(load / gamma), tiny)
+        # A product or quotient is off by at most 2^-53 of itself, or, below
+        # the least normal, by at most half the least subnormal, 2^-1075.
+        # The triple forms the load (theta_sq / gamma) (T - t): its quotient's
+        # error times T - t, then the product's own; the reference
+        # theta_sq ((T - t) / gamma) rounds once there.  So the two differ
+        # by a few 2^-53 of the magnitude, within 1e-15 of it, plus
+        # (T - t + 2) 2^-1075, at most (T - t + 1) 2^-1074; so do the
+        # variance and its reference, with gamma^2 for gamma
+        tail = T - t
+        floor = (tail + 1) * 2.0**-1074
+        load = sol.theta_sq * (tail / gamma)
+        assert abs(m.mean(t, x) - (growth + load)) <= 1e-15 * (abs(growth) + abs(load)) + floor
         with np.errstate(over="raise", invalid="raise"):
             variance = m.variance(t, np.array([0.0, x, 1e150]))
         assert np.all(variance == variance[0])
-        assert abs(variance[0] - load / gamma**2) <= 1e-15 * max(abs(load / gamma**2), tiny)
+        load = sol.theta_sq * (tail / gamma**2)
+        assert abs(variance[0] - load) <= 1e-15 * abs(load) + floor
 
     @pytest.mark.parametrize("r", [70.0, -70.0])
     def test_large_bank_rate_in_range(self, diagonal_params, r):

@@ -732,11 +732,11 @@ SCRATCH_STEPS = st.none() | st.integers(1, 12)
 
 
 @given(st.integers(1, 300), *PLANS, SCRATCH_STEPS)
-# the figure paths' one path, all steps a call (P = 4 pairs, K = 1 of
-# them of G != 0); columns of b1 = 0 that read a shared Y or own a pair,
-# cash columns among them (P = 5, K = 3); fewer steps than fit in the
-# scratch, and a last call cut short; no G = 0 pair (P = K = 2) and only
-# G = 0 pairs (P = 2, K = 0)
+# the figure paths' one path, all steps a call (P = 4 pairs, 3 of them
+# of G = 0); columns of b1 = 0 that read a shared Y or own a pair, cash
+# columns among them (P = 5, 2 of G = 0); fewer steps than fit in the
+# scratch, and a last call cut short; no G = 0 pair (P = 2) and only G = 0
+# pairs (P = 2)
 @example(m=1, n=40, d=2, shared=[1, 1], own=2, seed=0, steps=40)
 @example(m=5, n=10, d=2, shared=[2, 0, 1], own=1, seed=1, steps=None)
 @example(m=3, n=3, d=3, shared=[1], own=1, seed=2, steps=4)
@@ -806,7 +806,7 @@ def test_gain_rows_turn_negative_zero_positive(steps):
     G, b, obj = np.array([0.5, 0.5]), np.array([1.0, -1.0]), ObjectiveSpec(1.0, 1.0)
     columns = {0: (Affine(G, 0 * b), obj), 1: (Affine(G, b), obj), 2: (Affine(0 * G, b), obj)}
     plan = montecarlo._Rows(columns, 5)
-    assert (plan.n_gains, len(plan.rows)) == (1, 2)
+    assert [G.any() for G, _, _ in plan.rows] == [True, False]  # in the order met
     table = np.zeros((5, 4, 2, 1))
     table[:, 0, 0, 0] = [-1.0, 0.0, 0.5, 0.5, 0.5]
     table[:, 0, 1, 0] = 1.01
@@ -825,6 +825,34 @@ def test_gain_rows_turn_negative_zero_positive(steps):
     assert same_bits(x, ref) and same_bits(x, path[-1])
 
 
+@pytest.mark.parametrize("steps", [1, 4, 6])
+def test_every_step_reads_its_own_entry(steps):
+    # every pair's multiplier is formed from its own step's entry, a G = 0
+    # pair's too: the table is set by hand, the gain pair's A and C and the
+    # G = 0 pair's A changing from step to step, the G = 0 pair's C +0 and
+    # both pairs' B and E -0, on normals of both signs.  Every node keeps
+    # the bits of the per-step reference, so the Z rows keep their signed
+    # zeros, and both signs show
+    G, b, obj = np.array([0.5, 0.5]), np.array([1.0, -1.0]), ObjectiveSpec(1.0, 1.0)
+    plan = montecarlo._Rows({0: (Affine(G, b), obj), 1: (Affine(0 * G, b), obj)}, 6)
+    table = np.full((6, 6, 2, 1), -0.0)
+    table[:, 0, 0, 0] = [1.25, 0.5, -1.5, 2.0, 0.75, -0.25]
+    table[:, 2:4, 0, 0] = [[0.1, -0.2], [-0.3, 0.05], [0.2, 0.2], [0.0, -0.1], [0.4, 0.3], [-0.1, 0.1]]
+    table[:, 0, 1, 0] = [1.01, -0.5, 3.0, -2.0, 0.5, 1.5]
+    table[:, 2:4, 1] = 0.0
+    z = np.array([[[1.0, -0.5, 2.0], [-1.5, 0.25, 1.0]], [[-2.0, 1.0, -0.5], [0.5, -1.0, 1.5]]] * 3)
+    ref, work = pair_starts(plan, 3), np.empty((3, 4, 3))
+    x, path = np.empty((4, 3)), np.full((7, 4, 3), np.nan)
+    montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(3)), path)
+    assert same_bits(path[0], ref)
+    for i in range(6):
+        reference_step(ref, z[i], row_table(table)[i], work)
+        assert same_bits(path[i + 1], ref)
+    assert same_bits(x, ref)
+    zeros = path[1:, 2:]
+    assert not zeros.any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
 @given(st.floats(-0.9, 2.0), st.floats(0.01, 30.0), st.integers(1, 400))
 # 1 + r dt below zero, and a product that overflows to inf
 @example(r=-0.9, T=30.0, n=3)
@@ -838,8 +866,7 @@ def test_cash_pair_steps_the_sequential_product(r, T, n):
     cash = {"": (Affine(np.zeros(2), np.zeros(2)), ObjectiveSpec(2.0, T))}
     with np.errstate(over="ignore"):
         growth = np.multiply.accumulate(np.full(n, 1.0 + r * (T / n)))
-    with np.errstate(invalid="ignore"):  # no dollars times an inf wealth
-        path = reproduce_figure_paths(params, cash, SimConfig(4, n, 7))[""]
+    path = reproduce_figure_paths(params, cash, SimConfig(4, n, 7))[""]
     assert same_bits(path.wealth, np.concatenate([[1.0], growth]))
     ends, step_rows = [], montecarlo._step_rows
 
@@ -979,6 +1006,16 @@ class TestFigurePaths:
         # variance-only model holds less of the high-drift stock throughout
         assert np.all(paths["model2"].dollars[:, 0] <= paths["model3"].dollars[:, 0] + 1e-12)
 
+    def test_cash_column_holds_no_stock_of_an_overflowed_wealth(self):
+        # G = 0 and b1 = 0 at r = 1000: the wealth overflows to inf, and the
+        # column still holds b1 / gamma = 0 dollars at every node, without
+        # a warning of 0 times inf
+        params = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.2]], 1000.0)
+        cash = {"": (Affine(np.zeros(2), np.zeros(2)), ObjectiveSpec(2.0, 30.0))}
+        path = reproduce_figure_paths(params, cash, SimConfig(8, 400, 7))[""]
+        assert np.isinf(path.wealth[-1])
+        assert same_bits(path.dollars, np.zeros((401, 2)))
+
     def test_model1_borrows_at_start(self, diagonal_params, strategies):
         columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
         model1 = reproduce_figure_paths(diagonal_params, columns, SimConfig(1, 50, 5))["model1"]
@@ -1057,23 +1094,23 @@ class TestRows:
         assert len(plan.rows) == 4
         assert _step_table(cfg.params, plan.rows, 50).shape == (50, 6, 4, 1)
 
-    def test_pairs_are_ordered_by_how_they_step(self, run):
-        # model 3's pairs of G != 0 first, then model 1's of G = 0, each
-        # horizon in the order it was met; the table is built in that order
+    def test_pairs_are_ordered_as_met(self, run):
+        # each horizon's pairs in the order its columns are met, model 1's
+        # of G = 0 before model 3's of G != 0; the table is built in that
+        # order
         cfg, cases = run
         plan = montecarlo._Rows(cli_columns(cases), 50)
         G, b, dt = zip(*plan.rows)
-        assert plan.n_gains == 2
-        assert [g.any() for g in G] == [True] * 2 + [False] * 2
+        assert [g.any() for g in G] == [False, True] * 2
         assert all(c.any() for c in b)
-        assert dt == (1 / 50, 0.5 / 50) * 2
+        assert dt == (1 / 50,) * 2 + (0.5 / 50,) * 2
         table = _step_table(cfg.params, plan.rows, 50)
         for j, row in enumerate(plan.rows):
             assert same_bits(table[:, :, j], _step_table(cfg.params, [row], 50)[:, :, 0])
 
     def test_columns_read_their_pairs(self):
-        # one pair for each distinct (G, b1), those of G != 0 first in the
-        # order met; a column with b1 = 0 reads the Y of the first pair of
+        # one pair for each distinct (G, b1), in the order met, G = 0 or
+        # not; a column with b1 = 0 reads the Y of the first pair of
         # its G, and only a G without one gets a pair of its own.  Of the
         # 2P rows, row j is pair j's Y and row P + j its Z
         G1, G2, zero, b = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.zeros(2), np.ones(2)
@@ -1082,12 +1119,11 @@ class TestRows:
                       Affine(G1, 2 * b), Affine(2 * G2, 3 * b), Affine(G2, 0 * b)]
         plan = montecarlo._Rows({i: (s, obj) for i, s in enumerate(strategies)}, 4)
         assert [(row[0][0].tolist(), row[1][0].tolist()) for row in plan.rows] == [
-            (G1.tolist(), b.tolist()), (G2.tolist(), [0.0, 0.0]), (G1.tolist(), (2 * b).tolist()),
-            ((2 * G2).tolist(), (3 * b).tolist()), (zero.tolist(), b.tolist()),
+            (zero.tolist(), b.tolist()), (G1.tolist(), b.tolist()), (G2.tolist(), [0.0, 0.0]),
+            (G1.tolist(), (2 * b).tolist()), ((2 * G2).tolist(), (3 * b).tolist()),
         ]
-        assert plan.n_gains == 4
         assert [(c.gain, c.intercept) for c in plan.columns] == [
-            (4, 9), (0, None), (0, 5), (1, None), (2, 7), (3, 8), (1, None)
+            (0, 5), (1, None), (1, 6), (2, None), (3, 8), (4, 9), (2, None)
         ]
 
     def test_rows_match_the_per_column_reference_loop(self, run):
@@ -1119,7 +1155,7 @@ class TestRows:
         idle = Affine(np.zeros(2), np.zeros(2))
         obj, cfg = ObjectiveSpec(2.0, 1.5), SimConfig(300, 40, 7, 2.5)
         plan = montecarlo._Rows({"idle": (idle, obj)}, 40)
-        assert len(plan.rows) == 1 and plan.n_gains == 0
+        assert len(plan.rows) == 1 and not plan.rows[0][0].any()
         report = simulate(diagonal_params, idle, obj, cfg)
         growth = 1.0
         for _ in range(40):
