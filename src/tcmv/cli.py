@@ -16,7 +16,7 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +110,7 @@ def _rows(prefix: str, *columns) -> str:
     return (row * n) % tuple(cells)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     params: MarketParams
     gammas: list[float]
     horizons: list[float]
@@ -246,8 +245,7 @@ def check_simulation_size(cfg: ScenarioConfig):
             )
 
 
-@dataclass
-class SolvedCase:
+class SolvedCase(NamedTuple):
     gamma: float
     T: float
     m1: Model1Solution | None  # None on a singular covariance

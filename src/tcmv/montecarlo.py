@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -130,8 +129,7 @@ class Strategy(Protocol):
     def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     mean_estimate: float
     variance_estimate: float
     reward_estimate: float  # mean - (gamma/2) variance
@@ -194,8 +192,7 @@ def _step_table(params: MarketParams, rows: list[tuple], n: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class _Column:
+class _Column(NamedTuple):
     """One column's wealth x0 Y + Z / gamma, from the rows of a pair: Y is
     row ``gain`` and Z row ``intercept``, absent where b1 = 0."""
 
@@ -205,12 +202,15 @@ class _Column:
     intercept: int | None
 
     def wealth(self, x0: float, rows: np.ndarray) -> np.ndarray:
-        """x0 Y + Z / gamma from the rows' values (rows on the first axis)."""
-        x = x0 * rows[self.gain]
-        if self.intercept is None:
-            return x
-        z = rows[self.intercept] / self.gamma
-        z += x  # x0 Y + Z / gamma, as addition commutes
+        """x0 Y + Z / gamma from the rows' values (rows on the first axis);
+        inf or nan without a warning where a row overflowed, as a path
+        explodes: the Monte Carlo pass excludes it, the figure pass keeps it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x0 * rows[self.gain]
+            if self.intercept is None:
+                return x
+            z = rows[self.intercept] / self.gamma
+            z += x  # x0 Y + Z / gamma, as addition commutes
         return z
 
 
@@ -430,9 +430,7 @@ def simulate_models(
 
     reports = {}
     for key, column in zip(columns, plan.columns):
-        # as in the stepping, an exploded row must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = column.wealth(cfg.x0, terminal)
+        values = column.wealth(cfg.x0, terminal)
         alive = np.isfinite(values)
         n_excluded = cfg.n_paths - int(np.count_nonzero(alive))
         if n_excluded > _MAX_EXPLODED_FRACTION * cfg.n_paths:
@@ -446,7 +444,7 @@ def simulate_models(
         # refused below, so the overflow must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             report = _report(values[alive] if n_excluded else values, column.gamma, n_excluded)
-        if not np.all(np.isfinite(astuple(report))):
+        if not np.all(np.isfinite(report)):
             moments = (report.mean_estimate, report.variance_estimate,
                        report.se_mean, report.se_variance)
             raise SimulationExplosionError(
@@ -474,10 +472,11 @@ def simulate(
 def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationReport:
     n = values.size
     mean = float(np.mean(values))
-    centered = values - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    c = values - mean
+    s = c * c  # the powers as products: c**3 and c**4 would call pow per value
+    m2 = float(np.mean(s))
+    m3 = float(np.mean(s * c))
+    m4 = float(np.mean(s * s))
     var = m2 * n / (n - 1) if n > 1 else 0.0
     se_mean = np.sqrt(var / n) if n > 1 else 0.0
     # delta-method standard error of the sample variance
@@ -493,8 +492,7 @@ def _report(values: np.ndarray, gamma: float, n_excluded: int) -> SimulationRepo
     )
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One column's common-noise path: the grid and stock prices of its T,
     shared by the columns of that T, and its own wealth and stock dollars."""
 

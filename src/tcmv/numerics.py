@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -132,8 +132,7 @@ class SimConfig:
             raise ValueError(f"initial wealth x0 must be finite, got {self.x0}")
 
 
-@dataclass(frozen=True)
-class PicardResult:
+class PicardResult(NamedTuple):
     values: np.ndarray
     iterations: int
     delta: float  # final sup-norm change

@@ -11,7 +11,13 @@ against the files recorded in tests/golden:
 - ``tcmv solve``, with the stdout of ``tcmv bounds`` as bounds.txt, at 100
   grid steps a year on figure1.cfg, section4.cfg and the steep market
   (section4.cfg at alpha = (0.6, 0.05), sigma = [[0.3, 0.1], [0.25, 0.15]]
-  and T = 3), in tests/golden/solve/<config>.
+  and T = 3), in tests/golden/solve/<config>;
+- ``tcmv solve`` and ``tcmv bounds`` on the configs of the three benchmark
+  workloads at 20 grid steps a year and on one gamma each, in
+  tests/golden/solve/<workload>: solve_long's gamma = 10 on both its
+  horizons (T = 5 and 10), simulate_wide's one case (gamma = 3, T = 1) and
+  simulate_narrow's gamma = 1 at T = 3.  At 100 steps a year, all cases,
+  they would take about 510 KB.
 
 On the numpy version and platform recorded in tests/golden/recorded.json
 every file must match byte for byte.  Each simulate set runs at
@@ -58,6 +64,8 @@ SOLVE = {"n_steps": 100}
 WIDE = {"n_paths": 32768, "n_time_steps": 50, "seed": 1107356370439459513}
 NARROW = {"n_paths": 1024, "n_time_steps": 100, "seed": 1026366774454091144}
 STEEP = {"alpha": "0.6, 0.05", "sigma": "0.3 0.1; 0.25 0.15", "T": 3}
+# the solve goldens of the workloads: fewer steps a year, one gamma each
+BENCH_SOLVE = {"n_steps": 20}
 # directory under tests/golden: (command, shipped config, the keys it sets)
 SETS = {
     "figure1": ("simulate", "figure1", SIMULATE),
@@ -67,6 +75,9 @@ SETS = {
     "solve/figure1": ("solve", "figure1", SOLVE),
     "solve/section4": ("solve", "section4", SOLVE),
     "solve/steep": ("solve", "section4", {**SOLVE, **STEEP}),
+    "solve/solve_long": ("solve", "figure1", {**BENCH_SOLVE, "gamma": 10, "T": "5, 10"}),
+    "solve/simulate_wide": ("solve", "section4", BENCH_SOLVE),
+    "solve/simulate_narrow": ("solve", "figure1", {**BENCH_SOLVE, "gamma": 1, "T": 3}),
 }
 RTOL = 1e-10
 

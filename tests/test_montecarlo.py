@@ -88,10 +88,21 @@ class TestSimulate:
         assert np.isfinite(huge.reward_estimate) and np.isfinite(huge.se_reward)
         assert huge.se_reward == pytest.approx(1e150 * small.se_reward, rel=1e-12)
         # where the plain form is finite it is kept, bit for bit
-        n, mean = values.size, values.mean()
-        m3 = float(np.mean((values - mean) ** 3))
+        n, c = values.size, values - values.mean()
+        m3 = float(np.mean(c * c * c))  # as _report forms it: (c c) c
         plain = small.se_mean**2 + (0.5 * 1e150 * small.se_variance) ** 2 - 1e150 * m3 / n
         assert small.se_reward == np.sqrt(plain)
+
+    def test_central_moments_exact_in_float64(self):
+        # 0.25 +- 1.5: every power of a deviation is exact, so m3 = 0 and
+        # m4 = 1.5**4 = 5.0625, and the errors are their formulas bit for bit
+        n, gamma = 8, 3.0
+        report = _report(np.array([-1.25, 1.75] * (n // 2)), gamma, 0)
+        var = 2.25 * n / (n - 1)
+        assert (report.mean_estimate, report.variance_estimate) == (0.25, var)
+        assert report.se_variance == np.sqrt((5.0625 - (n - 3) / (n - 1) * var**2) / n)
+        assert report.se_reward == np.sqrt(
+            report.se_mean**2 + (0.5 * gamma * report.se_variance) ** 2 - gamma * 0.0 / n)
 
     def test_model2_moments_within_three_se(self, symmetric_params, unit_grid):
         for params in (symmetric_params, TWO_STOCKS_ON_THREE_FACTORS):
@@ -1015,6 +1026,16 @@ class TestFigurePaths:
         path = reproduce_figure_paths(params, cash, SimConfig(8, 400, 7))[""]
         assert np.isinf(path.wealth[-1])
         assert same_bits(path.dollars, np.zeros((401, 2)))
+
+    def test_cash_column_of_opposite_infinities_is_nan_without_a_warning(self):
+        # G = 0 and b1 = (1, 1) at r = 1000: x0 Y overflows to inf and Z / gamma
+        # to -inf, so the wealth is nan, with no 'invalid value' warning,
+        # and the column still holds b1 / gamma dollars at every node
+        params = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.2]], 1000.0)
+        cash = {"": (Affine(np.zeros(2), np.ones(2)), ObjectiveSpec(2.0, 30.0))}
+        path = reproduce_figure_paths(params, cash, SimConfig(8, 400, 7))[""]
+        assert not np.isfinite(path.wealth[-1])
+        assert same_bits(path.dollars, np.full((401, 2), 0.5))
 
     def test_model1_borrows_at_start(self, diagonal_params, strategies):
         columns = columns_of(strategies, ObjectiveSpec(3.0, 1.0))
