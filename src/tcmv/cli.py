@@ -28,14 +28,15 @@ from .errors import (
     SingularMarketError,
 )
 from .market import CorrelationSpec, MarketParams, ObjectiveSpec, _require_finite, decorrelate
-from .model1 import Model1Solution, solve_model1
-from .model2 import Model2Solution, gain_residual, kernel_moments
+from .model1 import solve_model1
+from .model2 import Equilibrium, Model2Solution, gain_residual
 from .model3 import (
     Model3Solution,
     gain_bound_constant,
     intercept_bound_constant,
     intercept_residual,
     iterate_sup_errors,
+    no_bank_equilibria,
     solve_horizon,
 )
 from .numerics import DEFAULT_STEPS_PER_YEAR, PicardConfig, SimConfig, TimeGrid, convergence_bound
@@ -248,9 +249,9 @@ def check_simulation_size(cfg: ScenarioConfig):
 class SolvedCase(NamedTuple):
     gamma: float
     T: float
-    m1: Model1Solution | None  # None on a singular covariance
+    models: dict[str, Equilibrium]  # model1 on a regular covariance, model2, model3
     m1_note: str  # model 1's diagnostics line: theta_sq, or why it has no solution
-    m3: Model3Solution  # m3.gain is model 2; gain and kernels are one per horizon
+    m3: Model3Solution  # model 3's solver record; gain and kernels are one per horizon
 
 
 def _solve_all(cfg: ScenarioConfig) -> list[SolvedCase]:
@@ -264,10 +265,12 @@ def _solve_all(cfg: ScenarioConfig) -> list[SolvedCase]:
         for T, solutions in zip(cfg.horizons, by_horizon):
             try:
                 m1 = solve_model1(cfg.params, ObjectiveSpec(gamma, T))
+                models = {"model1": Equilibrium(m1, m1.moments)}
                 m1_note = f"theta_sq={fmt(m1.theta_sq)}"
             except SingularMarketError as exc:
-                m1, m1_note = None, str(exc)
-            cases.append(SolvedCase(gamma, T, m1, m1_note, solutions[i]))
+                models, m1_note = {}, str(exc)
+            m3 = solutions[i]
+            cases.append(SolvedCase(gamma, T, {**models, **no_bank_equilibria(m3)}, m1_note, m3))
     return cases
 
 
@@ -344,7 +347,7 @@ def _allocation_lines(cases: list[SolvedCase]):
     yield "gamma,T,model,x,u1,u2,prop1,prop2\n"
     x, x_text = _WEALTH_GRID[:, None], fmt_column(_WEALTH_GRID)
     for case in cases:
-        for model, strategy in _strategies(case).items():
+        for model, (strategy, _) in case.models.items():
             G, b1 = strategy.unit_coefficients(np.zeros(1))
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 u = G * x + b1 / case.gamma
@@ -357,29 +360,11 @@ def _mean_variance_lines(cases: list[SolvedCase]):
     yield "gamma,T,model,x,mean,variance\n"
     x, x_text = _WEALTH_GRID, fmt_column(_WEALTH_GRID)
     for case in cases:
-        for model, m in _moments(case).items():
+        for model, (_, m) in case.models.items():
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 mean, variance = m.mean(0.0, x), m.variance(0.0, x)
             _require_finite_cells("mean_variance_vs_wealth.csv", case, model, mean, variance)
             yield _rows(f"{fmt(case.gamma)},{fmt(case.T)},{model},", x_text, mean, variance)
-
-
-def _model1(case: SolvedCase) -> dict:
-    """Model 1's entry of a case's dicts: none on a singular covariance."""
-    return {} if case.m1 is None else {"model1": case.m1}
-
-
-def _strategies(case: SolvedCase) -> dict:
-    """Each model's Monte Carlo strategy."""
-    return {**_model1(case), "model2": case.m3.gain, "model3": case.m3}
-
-
-def _moments(case: SolvedCase) -> dict:
-    """Each model's MomentCoefficients; model 2's are model 3's with no
-    load, on the same kernels."""
-    model2 = kernel_moments(case.m3.kernels, case.gamma, 0.0)
-    model1 = {name: m1.moments for name, m1 in _model1(case).items()}
-    return {**model1, "model2": model2, "model3": case.m3.moments}
 
 
 def _paths_lines(T: float, records: dict, by_horizon: dict) -> list[str]:
@@ -475,11 +460,10 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     lines = ["gamma,T,model,mean,variance,reward,se_mean,se_variance,se_reward,n_excluded\n"]
     with _Emitter(cfg.out_dir, verbose) as emitter:
         # every (case, model) column in one pass, figure paths included
-        strategies = [_strategies(case) for case in cases]
         columns = {
-            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
+            (i, name): (equilibrium.strategy, ObjectiveSpec(case.gamma, case.T))
             for i, case in enumerate(cases)
-            for name, strategy in strategies[i].items()
+            for name, equilibrium in case.models.items()
         }
         reports = simulate_models(cfg.params, columns, cfg.sim, threads)
         for (i, name), report in reports.items():
@@ -500,7 +484,7 @@ def run_simulate(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
             by_horizon = {}
             for i, case in enumerate(cases):
                 suffix = f"_g{fmt(case.gamma)}_T{fmt(case.T)}" if len(cases) > 1 else ""
-                records = {name: paths[i, name] for name in strategies[i]}
+                records = {name: paths[i, name] for name in case.models}
                 emitter.write(f"simulated_paths{suffix}.csv", _paths_lines(case.T, records, by_horizon))
     return 0
 

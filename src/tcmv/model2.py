@@ -1,5 +1,5 @@
 """Variance-only objective with two stocks and no bank account, and the
-moment triple of all three models.
+moment triple and Equilibrium record of all three models.
 
 The equilibrium allocation is u^(t, x) = k(t) x where k solves a nonlinear
 backward integral equation.  The mean-variance model's gain k1 solves the
@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .numerics import (
     picard_solve,
     tail_integrals,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import Strategy
 
 
 def portfolio_variance_rate(params: MarketParams, k: np.ndarray) -> np.ndarray:
@@ -227,6 +231,14 @@ class MomentCoefficients:
 
     def value(self, t, x):
         return self.mean(t, x) - 0.5 * self.gamma * self.variance(t, x)
+
+
+class Equilibrium(NamedTuple):
+    """One model's equilibrium at one (gamma, T): its Monte Carlo strategy,
+    (G, b1) at gamma = 1, and its moment triple at that gamma."""
+
+    strategy: Strategy  # anything with unit_coefficients; named, not imported
+    moments: MomentCoefficients
 
 
 def kernel_moments(kernels: KernelTables, gamma: float, sharpe_sq: float) -> MomentCoefficients:

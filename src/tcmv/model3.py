@@ -39,6 +39,7 @@ import numpy as np
 
 from .market import MarketParams, ObjectiveSpec, _coeffs, _require_finite, factor_sum
 from .model2 import (
+    Equilibrium,
     KernelTables,
     Model2Solution,
     MomentCoefficients,
@@ -173,6 +174,17 @@ def solve_horizon(
     ]
 
 
+def no_bank_equilibria(solution: Model3Solution) -> dict[str, Equilibrium]:
+    """Models 2 and 3 at the solution's gamma.  Model 2 is model 3 with no
+    load: its strategy is the gain, and its moments are the same triple on
+    the same kernels with sharpe_sq = 0."""
+    model2 = kernel_moments(solution.kernels, solution.obj.gamma, 0.0)
+    return {
+        "model2": Equilibrium(solution.gain, model2),
+        "model3": Equilibrium(solution, solution.moments),
+    }
+
+
 def solve_model3(
     params: MarketParams,
     obj: ObjectiveSpec,
@@ -182,15 +194,6 @@ def solve_model3(
     """One gamma of :func:`solve_horizon`: k1 -> kernels -> k2 and moments."""
     grid = grid or TimeGrid.default(obj.horizon_T)
     return solve_horizon(params, [obj.gamma], grid, cfg)[0]
-
-
-def control(solution: Model3Solution, t: float, x: float) -> tuple[float, float]:
-    """Dollar amounts (stock 1, stock 2); linear interpolation between nodes."""
-    T = solution.grid.T
-    if t < 0.0 or t > T:
-        raise ValueError(f"time {t} outside [0, {T}]")
-    u1 = solution.k1(t) * x + solution.k2(t)
-    return float(u1), float(x - u1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from tcmv import (
     solve_model2,
     solve_model3,
 )
-from tcmv import model3
 from tcmv.model2 import gain_residual
 from tcmv.model3 import (
     gain_bound_constant,
@@ -86,7 +85,7 @@ def test_03_degenerate_asset_equivalence():
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 100):
         closed_form = 0.16 * np.exp(-0.04 * (1.0 - t)) / (3.0 * 0.09)
-        u1, _ = model3.control(s, t, 1.0)
+        u1 = s.k1(t) + s.k2(t)
         worst = max(worst, abs(u1 - closed_form))
     ok = k1_ok and worst < 1e-8
     _report(3, "riskless second asset reduces to single-stock closed form", ok,

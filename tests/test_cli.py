@@ -117,7 +117,7 @@ def reference_allocation_lines(cases):
     """allocation_vs_wealth.csv one fmt call per cell, with b = b1 / gamma."""
     lines = ["gamma,T,model,x,u1,u2,prop1,prop2"]
     for case in cases:
-        for model, strategy in cli._strategies(case).items():
+        for model, (strategy, _) in case.models.items():
             G, b1 = strategy.unit_coefficients(np.zeros(1))
             b = b1 / case.gamma
             for x, (u1, u2) in zip(cli._WEALTH_GRID, G * cli._WEALTH_GRID[:, None] + b):
@@ -134,7 +134,8 @@ def reference_mean_variance_lines(cases):
     lines = ["gamma,T,model,x,mean,variance"]
     for case in cases:
         model2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
-        for model, m in {**cli._moments(case), "model2": model2}.items():
+        moments = {model: equilibrium.moments for model, equilibrium in case.models.items()}
+        for model, m in {**moments, "model2": model2}.items():
             for x in cli._WEALTH_GRID:
                 lines.append(
                     f"{fmt(case.gamma)},{fmt(case.T)},{model},{fmt(x)},"
@@ -147,10 +148,9 @@ def reference_paths_lines(cfg, case):
     """One case's simulated_paths file one fmt call per cell, from the
     figure paths of that case's columns alone."""
     obj = ObjectiveSpec(case.gamma, case.T)
-    strategies = cli._strategies(case)
-    columns = {name: (strategy, obj) for name, strategy in strategies.items()}
+    columns = {name: (equilibrium.strategy, obj) for name, equilibrium in case.models.items()}
     paths = montecarlo.reproduce_figure_paths(cfg.params, columns, cfg.sim)
-    names = list(strategies)
+    names = list(case.models)
     header = ["t", "price1", "price2"]
     for name in names:
         header += [f"{name}_wealth", f"{name}_u1", f"{name}_u2"]
@@ -1002,7 +1002,7 @@ class TestSimulateCommand:
         cfg = load_config(str(path))
         checked = set()
         for case in cli._solve_all(cfg):
-            for model, m in cli._moments(case).items():
+            for model, (_, m) in case.models.items():
                 key = (fmt(case.gamma), fmt(case.T), model)
                 reward, se = float(summary[key]["reward"]), float(summary[key]["se_reward"])
                 assert abs(reward - m.value(0.0, cfg.sim.x0)) <= 3.0 * se, key
@@ -1447,15 +1447,14 @@ class TestEmitters:
         # one figure-path call over every column of the run, as tcmv
         # simulate makes it, formatted case by case
         cfg, cases = solved
-        strategies = [cli._strategies(case) for case in cases]
         columns = {
-            (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
-            for i, case in enumerate(cases) for name, strategy in strategies[i].items()
+            (i, name): (equilibrium.strategy, ObjectiveSpec(case.gamma, case.T))
+            for i, case in enumerate(cases) for name, equilibrium in case.models.items()
         }
         paths = montecarlo.reproduce_figure_paths(cfg.params, columns, cfg.sim)
         by_horizon = {}
         for i, case in enumerate(cases):
-            records = {name: paths[i, name] for name in strategies[i]}
+            records = {name: paths[i, name] for name in case.models}
             text = "".join(cli._paths_lines(case.T, records, by_horizon))
             assert_same_text(text, reference_paths_lines(cfg, case))
         assert sorted(by_horizon) == sorted(cfg.horizons)

@@ -541,27 +541,25 @@ class TestRangeRefusal:
 
 
 class TestControl:
+    """u1 = k1(t) x + k2(t) dollars in stock 1 and x - u1 in stock 2."""
+
     def test_terminal_allocation_exceeds_wealth(self, figure_solution):
-        u1, u2 = model3.control(figure_solution, 1.0, 1.0)
+        u1 = figure_solution.k1(1.0) + figure_solution.k2(1.0)
         assert u1 == pytest.approx(1.14, abs=1e-9)
-        assert u2 == pytest.approx(-0.14, abs=1e-9)  # short position
+        assert 1.0 - u1 == pytest.approx(-0.14, abs=1e-9)  # short position
 
     def test_zero_wealth_gives_intercept(self, figure_solution):
-        u1, _ = model3.control(figure_solution, 0.4, 0.0)
-        assert u1 == pytest.approx(figure_solution.k2(0.4))
+        # the strategy's dollars at x = 0 are b1 / gamma = (k2, -k2)
+        _, b1 = figure_solution.unit_coefficients(np.array([0.4]))
+        k2 = figure_solution.k2(0.4)
+        assert b1[0] / figure_solution.obj.gamma == pytest.approx([k2, -k2], rel=1e-12)
 
     def test_symmetric_equal_drift_half_split(self, unit_grid):
         p = MarketParams([0.12, 0.12], [[0.25, 0.0], [0.0, 0.25]])
         s = solve_model3(p, ObjectiveSpec(1.0, 1.0), unit_grid)
-        u1, u2 = model3.control(s, 0.5, 2.0)
+        u1 = s.k1(0.5) * 2.0 + s.k2(0.5)
         assert u1 == pytest.approx(1.0, abs=1e-9)
-        assert u2 == pytest.approx(1.0, abs=1e-9)
-
-    def test_out_of_domain_rejected(self, figure_solution):
-        with pytest.raises(ValueError):
-            model3.control(figure_solution, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            model3.control(figure_solution, -0.1, 1.0)
+        assert 2.0 - u1 == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_asset_matches_bank_account_model(self, unit_grid):
         # riskless second stock: the allocation must agree with the
@@ -571,7 +569,7 @@ class TestControl:
         assert np.max(np.abs(s.k1.values)) < 1e-10
         for t in np.linspace(0.0, 1.0, 100):
             expected = 0.16 * np.exp(-0.04 * (1.0 - t)) / (3.0 * 0.09)
-            u1, _ = model3.control(s, t, 1.7)
+            u1 = s.k1(t) * 1.7 + s.k2(t)
             assert u1 == pytest.approx(expected, abs=1e-8)
 
 
@@ -628,7 +626,7 @@ class TestCrossModel:
         p3 = MarketParams([0.2, 0.04], [[0.3, 0.0], [0.0, 0.0]], 0.04)
         s3 = solve_model3(p3, ObjectiveSpec(3.0, 1.0), unit_grid)
         for t in (0.0, 0.5, 1.0):
-            u1, _ = model3.control(s3, t, 1.0)
+            u1 = s3.k1(t) + s3.k2(t)
             assert u1 == pytest.approx(sol1.control(t)[0], abs=1e-8)
 
 

@@ -1094,8 +1094,8 @@ def cli_run(name, tmp_path_factory):
 def cli_columns(cases):
     """The (case, model) columns of tcmv simulate."""
     return {
-        (i, name): (strategy, ObjectiveSpec(case.gamma, case.T))
-        for i, case in enumerate(cases) for name, strategy in cli._strategies(case).items()
+        (i, name): (equilibrium.strategy, ObjectiveSpec(case.gamma, case.T))
+        for i, case in enumerate(cases) for name, equilibrium in case.models.items()
     }
 
 
@@ -1225,15 +1225,15 @@ class TestFigurePathsOnePass:
 
     def test_every_column_matches_the_per_case_reference(self, run):
         cfg, cases = run
-        strategies = [cli._strategies(case) for case in cases]
         columns = cli_columns(cases)
         paths = reproduce_figure_paths(cfg.params, columns, cfg.sim)
         assert list(paths) == list(columns)
         for i, case in enumerate(cases):
+            strategies = {name: equilibrium.strategy for name, equilibrium in case.models.items()}
             ref = reference_figure_paths(
-                cfg.params, ObjectiveSpec(case.gamma, case.T), strategies[i], cfg.sim
+                cfg.params, ObjectiveSpec(case.gamma, case.T), strategies, cfg.sim
             )
-            for name in strategies[i]:
+            for name in strategies:
                 record = paths[i, name]
                 assert same_bits(record.times, ref.times)
                 assert same_bits(record.prices, ref.prices)
