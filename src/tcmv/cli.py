@@ -518,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: the config's outputs.directory)")
         cmd.add_argument("--threads", type=int, default=1,
                          help="simulate draws and steps Monte Carlo path "
-                         "blocks on min(N, CPUs, blocks, quarter blocks of "
-                         "normals that fit in 512 MiB) worker threads, this "
-                         "one included; solve and bounds accept it and run "
-                         "on one thread")
+                         "blocks, in groups of at most 512 paths, on min(N, "
+                         "CPUs, blocks, groups of normals that fit in 512 "
+                         "MiB) worker threads, this one included; solve and "
+                         "bounds accept it and run on one thread")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 

@@ -31,11 +31,11 @@ Randomness contract: Gaussian increments come from counter-based Philox
 streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
 order and thread count.  Blocks are independent, so each worker thread
-takes the next block, makes its stream once and draws it in four quarters
-into its own step-major buffer, stepping each quarter before it draws the
-next; the draws run side by side, the stepping one quarter at a time.  A
-quarter's draw moves step-major through the worker's step-factor scratch,
-whole paths at a time and at least one.
+takes the next block, makes its stream once and draws it in groups of at
+most 512 paths into its own step-major buffer, stepping each group before
+it draws the next; the draws run side by side, the stepping one group at a
+time.  A group's draw moves step-major through the worker's step-factor
+scratch, whole paths at a time and at least one.
 The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
 levels, not logs: dollar strategies with an intercept can legitimately
@@ -60,23 +60,26 @@ if TYPE_CHECKING:
 
 # Fixed block size of the per-block Philox streams; part of the
 # reproducibility contract, do not make it configurable.  A worker draws and
-# steps each block of m paths in four quarters, cut at ceil(q m / 4) for
-# q = 0, ..., 4 and skipping empty ones, the block's stream continued from
-# one to the next, so that it holds a quarter block's normals.
+# steps each block of m paths in g = max(4, ceil(m / _GROUP)) groups, cut at
+# ceil(q m / g) for q = 0, ..., g and skipping empty ones, the block's stream
+# continued from one to the next, so that it holds one group's normals: a
+# full block in eight groups of 512 paths, one of 2048 paths or fewer in
+# quarters.
 _BLOCK = 4096
+_GROUP = 512
 
 # Numbers of the step factors _step_rows forms in one call, one numpy call
 # per factor term over as many steps as fit, before it steps them one at a
 # time: 384 KiB of scratch.  Forming several steps a call keeps down the
 # numpy calls a path, each a turn at the GIL beside the other worker's
-# draw: the 1024-path quarters of 2 pairs (6 numbers a path and step) form 8
+# draw: the 512-path groups of 2 pairs (6 numbers a path and step) form 16
 # steps a call.
 _FACTORS = 49152
 
 # Most bytes of any one array a run sizes (see array_nbytes), a worker's
 # normals included: tcmv simulate refuses larger ones before it solves
 # instead of exhausting memory mid-run, and no more worker threads run
-# than their quarter blocks of normals pass it together.
+# than their groups of normals pass it together.
 MAX_BLOCK_BYTES = 512 * 2**20
 
 # Paths may explode under aggressive dollar strategies; more than this
@@ -84,15 +87,22 @@ MAX_BLOCK_BYTES = 512 * 2**20
 _MAX_EXPLODED_FRACTION = 1e-3
 
 
-def _quarter(n_paths: int) -> int:
-    """Paths of the largest quarter block a run draws: the first block's
-    first quarter, ceil(m / 4) of its m paths."""
-    return (min(n_paths, _BLOCK) + 3) // 4
+def _cuts(m: int) -> list[int]:
+    """Where a block of m paths is cut into its groups: at ceil(q m / g)
+    for q = 0, ..., g, g = max(4, ceil(m / _GROUP)), so that no group holds
+    more than _GROUP paths and the first is the widest."""
+    g = max(4, -(-m // _GROUP))
+    return [-(-q * m // g) for q in range(g + 1)]
+
+
+def _width(n_paths: int) -> int:
+    """Paths of the widest group a run draws: the first block's first."""
+    return _cuts(min(n_paths, _BLOCK))[1]
 
 
 def group_nbytes(cfg: SimConfig, n_factors: int) -> int:
-    """Bytes of Gaussian increments a worker holds: a quarter block."""
-    return _quarter(cfg.n_paths) * cfg.n_time_steps * n_factors * 8
+    """Bytes of Gaussian increments a worker holds: its widest group."""
+    return _width(cfg.n_paths) * cfg.n_time_steps * n_factors * 8
 
 
 def array_nbytes(
@@ -103,8 +113,8 @@ def array_nbytes(
     n_pairs row pairs.  The step table, the sampled coefficients, the step
     factors and the terminal wealth grow with the pairs, which do not
     depend on how many gammas share a horizon; only the figure paths handed
-    back grow with the columns.  The figure path steps as a quarter block of one
-    path, so its factors are within the step factors of a quarter block.  A
+    back grow with the columns.  The figure path steps as a group of one
+    path, so its factors are within the step factors of a group.  A
     worker's scratch holds at least one path of normals for its draw, which
     is within its Gaussian increments."""
     n = cfg.n_time_steps
@@ -114,7 +124,7 @@ def array_nbytes(
         "sampled strategy coefficients": (n + 1) * n_pairs * 2 * n_stocks * 8,
         # the multipliers, shifts and products of as many steps as fit in
         # _FACTORS, or of one step, 3 numbers a pair and path
-        "step factors": max(_FACTORS, 3 * n_pairs * _quarter(cfg.n_paths)) * 8,
+        "step factors": max(_FACTORS, 3 * n_pairs * _width(cfg.n_paths)) * 8,
         "terminal wealth": 2 * n_pairs * cfg.n_paths * 8,
         # the pairs' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (2 * n_pairs + n_columns * (1 + n_stocks)) * 8,
@@ -269,10 +279,14 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     it every step would (a Z row's x A + B may itself be -0, and is kept).
     The factors A + C z and B + E z of as many steps as fit in the scratch
     are formed together, one numpy call per term for all P pairs alike, into
-    one multiplier a pair and the shifts of the Z rows, then stepped one
-    step at a time, two calls a step.  Each row's operations are elementwise
-    and those of the per-row step, so its bits depend on its own
-    coefficients alone.
+    one multiplier a pair and the shifts of the Z rows.  The Z rows are then
+    stepped one step at a time, two calls a step, in an array of their own
+    that is copied into x after the last step, and the Y rows take the
+    steps' multipliers g0, ..., g(k-1) in one left fold, ((Y g0) g1) ...,
+    the products of stepping them one at a time (with path, accumulated
+    into its nodes, the last of which goes on to the next call's fold).
+    Each row's operations are elementwise and those of the per-row step, so
+    its bits depend on its own coefficients alone.
     The factors go in a view of scratch where one is given, else in
     plan.factor_size(m) numbers.  With path, an (n + 1, 2P, m) array, x is
     kept at the start and after every step."""
@@ -284,7 +298,9 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     c = min(len(table), scratch.size // step) if step else len(table)
     mult, shift, tmp = scratch[: 3 * c * P * m].reshape(3, c, P, m)
     x[:P], x[P:] = 1.0, 0.0
-    pairs, z_rows = x.reshape(2, P, m), x[P:]
+    # a call on a contiguous array of the Z rows takes half the time it
+    # does on rows of x that lie apart in memory
+    y_rows, z_rows = x[:P], np.zeros((P, m))
     if path is not None:
         path[0] = x
     with np.errstate():
@@ -305,19 +321,26 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
             g += coef[:, 0]
             s += coef[:, 1]
             for i in range(k):
-                pairs *= g[i]
+                z_rows *= g[i]
                 z_rows += s[i]
                 if path is not None:
-                    path[first + i + 1] = x
-        x[:P] += 0.0
+                    path[first + i + 1, P:] = z_rows
+            np.multiply(y_rows, g[0], out=g[0])  # spent on Z, g[0] starts the fold of Y
+            if path is None:
+                np.multiply.reduce(g[:k], axis=0, out=y_rows)
+            else:
+                np.multiply.accumulate(g[:k], axis=0, out=path[first + 1 : first + k + 1, :P])
+                y_rows[...] = path[first + k, :P]
+        y_rows += 0.0
+        x[P:] = z_rows
         if path is not None:
             path[1:, :P] += 0.0
 
 
 def _workers(threads: int, n_blocks: int, nbytes: int) -> int:
     """Threads that draw and step blocks, the calling one included: at most
-    the threads asked for, the blocks and the CPUs, and their quarter blocks
-    of nbytes of normals each fit in MAX_BLOCK_BYTES together; at least one."""
+    the threads asked for, the blocks and the CPUs, and their groups of
+    nbytes of normals each fit in MAX_BLOCK_BYTES together; at least one."""
     return max(1, min(threads, n_blocks, os.cpu_count() or 1, MAX_BLOCK_BYTES // nbytes))
 
 
@@ -380,7 +403,7 @@ def simulate_models(
     terminal wealth is not finite are excluded; too many of them, or
     estimates beyond float64, raise SimulationExplosionError.  Blocks are
     drawn and stepped on :func:`_workers` threads, this one included, each
-    holding a quarter block of normals; every thread count gives identical
+    holding one group of normals; every thread count gives identical
     reports.
     """
     n_steps, d = cfg.n_time_steps, params.n_factors
@@ -389,31 +412,30 @@ def simulate_models(
     n_blocks = -(-cfg.n_paths // _BLOCK)
     # NaN until stepped: a path left unstepped is excluded, or raises
     terminal = np.full((2 * len(plan.rows), cfg.n_paths), np.nan)
-    width = _quarter(cfg.n_paths)
+    width = _width(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
-    # Each worker makes a block's stream once and draws it in four quarters
-    # through its scratch, stepping each quarter before it draws the next.
-    # Threads draw side by side, as a Philox fill runs without the GIL, and
-    # step one quarter at a time: stepping's short numpy calls take the GIL
-    # every few microseconds, and two threads stepping at once were no
-    # faster than one stepping while the other draws.  The scratch holds the
-    # step factors of a quarter, and at least one path of the draw, which
-    # moves step-major through it as many whole paths at a time as fit.
+    # Each worker makes a block's stream once and draws it in groups through
+    # its scratch, stepping each group before it draws the next.  Threads
+    # draw side by side, as a Philox fill runs without the GIL, and step one
+    # group at a time: stepping's short numpy calls take the GIL every few
+    # microseconds, and two threads stepping at once were no faster than
+    # one stepping while the other draws.  The scratch holds the step
+    # factors of a group, and at least one path of the draw, which moves
+    # step-major through it as many whole paths at a time as fit.
     size = max(plan.factor_size(width), n_steps * d)
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
-        # one thread's buffers for the run: a quarter block's normals,
-        # step-major, and the scratch the draw, then the step, goes through
+        # one thread's buffers for the run: a group's normals, step-major,
+        # and the scratch the draw, then the step, goes through
         normals, scratch = np.empty(n_steps * d * width), np.empty(size)
 
         def run_block(block: int):
             stream = _stream(cfg.seed, block)
             first = block * _BLOCK
-            m = min(cfg.n_paths - first, _BLOCK)
-            cuts = [first + -(-q * m // 4) for q in range(5)]
+            cuts = [first + c for c in _cuts(min(cfg.n_paths - first, _BLOCK))]
             for lo, hi in zip(cuts, cuts[1:]):
-                if hi == lo:  # an empty quarter of a block of fewer than 4 paths
+                if hi == lo:  # an empty group of a block of fewer than 4 paths
                     continue
                 z = normals[: n_steps * d * (hi - lo)].reshape(n_steps, d, hi - lo)
                 _draw_paths(stream, z, scratch)

@@ -378,30 +378,37 @@ class TestConfigParsing:
         assert "empirical_sup_error,bound" in capsys.readouterr().out
 
     def test_block_memory_bound(self, tmp_path, capsys):
-        # a worker holds a quarter block of normals: 1024 paths x 32768
-        # steps x 2 factors x 8 bytes is exactly the bound
-        quarter = _BLOCK // 4
-        assert quarter == 1024 and MAX_BLOCK_BYTES == quarter * 32768 * 2 * 8
+        # a worker holds a group of at most 512 paths of normals: 512 paths
+        # x 65536 steps x 2 factors x 8 bytes is exactly the bound.  The
+        # check refuses one step more before main is run, which would
+        # otherwise simulate the whole run
+        group = 512
+        assert _BLOCK == 8 * group and MAX_BLOCK_BYTES == group * 65536 * 2 * 8
         path = tmp_path / "steps.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 32768"))
+                        .replace("n_time_steps = 100", "n_time_steps = 65536"))
         cli.check_simulation_size(load_config(str(path)))
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 100000")
-                        .replace("n_time_steps = 100", "n_time_steps = 32769"))
+                        .replace("n_time_steps = 100", "n_time_steps = 65537"))
+        with pytest.raises(ConfigError):
+            cli.check_simulation_size(load_config(str(path)))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "n_time_steps = 32769" in err and "Traceback" not in err
+        assert "n_time_steps = 65537" in err and "Traceback" not in err
         assert "need 512.1 MiB of Gaussian increments per worker" in err
-        assert _refused_mib(err) * 2**20 >= quarter * 32769 * 2 * 8 > MAX_BLOCK_BYTES
+        assert _refused_mib(err) * 2**20 >= group * 65537 * 2 * 8 > MAX_BLOCK_BYTES
         assert not (tmp_path / "out").exists()
 
     def test_block_memory_bound_uses_the_path_count(self, tmp_path):
-        # fewer paths than one block: a worker holds a quarter of them
+        # a run of 2048 paths or fewer is held a quarter at a time: 3 of
+        # 10 paths, 500 of 2000
         path = tmp_path / "few.cfg"
         path.write_text(FIGURE_CFG.replace("n_paths = 2000", "n_paths = 10")
                         .replace("n_time_steps = 100", "n_time_steps = 1000000"))
         cli.check_simulation_size(load_config(str(path)))
         path.write_text(FIGURE_CFG.replace("n_time_steps = 100", "n_time_steps = 1000000"))
+        with pytest.raises(ConfigError, match="7629.4 MiB of Gaussian increments per worker"):
+            cli.check_simulation_size(load_config(str(path)))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("name, n_paths, n_time_steps, what, size", [
@@ -1019,11 +1026,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("n_paths, n_time_steps", [
         # two full Monte Carlo blocks and a partial one
         (9000, 20),
-        # a partial block in quarters of 513 and 512 paths, and a last
-        # block of 1 or 3 paths, whose quarters are (1, 0, 0, 0) and
-        # (1, 1, 1, 0); a last call of steps cut short (the 1024-path
-        # quarters form 8 steps a call)
+        # a partial block of 2049 or 2905 paths in five or six groups, and
+        # a last block of 1 or 3 paths, whose quarters are (1, 0, 0, 0) and
+        # (1, 1, 1, 0); a last call of steps cut short (the 512-path groups
+        # form 16 steps a call)
         (6145, 21),
+        (7001, 21),
         (4097, 21),
         (4099, 21),
     ])
@@ -1043,7 +1051,7 @@ class TestSimulateCommand:
 
     def test_each_block_is_drawn_once_per_run(self, tmp_path, monkeypatch):
         # two gammas x two horizons share every block, each block's stream
-        # is made once for its four quarters, and the figure paths of every
+        # is made once for all its groups, and the figure paths of every
         # case share one draw of their own stream
         draws = []
 

@@ -1,5 +1,5 @@
 """Metamorphic relations over every model's Equilibrium record, as tcmv
-builds them (cli._solve_all): two changes of the inputs that leave the
+builds them (cli._solve_all): three changes of the inputs that leave the
 problem the same, checked on figure1.cfg's market and on hypothesis
 markets, models 1, 2 and 3 alike.
 
@@ -9,12 +9,18 @@ markets, models 1, 2 and 3 alike.
   (0, x) stay.
 - Wealth units: x -> l x with gamma -> gamma / l scales each model's
   dollars u = G x + b1 / gamma and its mean by l, and its variance by l^2.
+- Time units: alpha -> c alpha, sigma -> sqrt(c) sigma, r -> c r and
+  T -> T / c at the same number of grid steps leave each model's dollars
+  and its mean and variance at t = 0 as they are.
 
 Bounds, relative to the largest magnitude compared, from the gaps measured
 on 1000 markets of the kind drawn below: at most 6.7e-15 under relabelling
-(2.1e-16 on figure1.cfg) and 1.3e-15 under a change of wealth units.  Model
-1's weights are a linear solve with the covariance's rows permuted, so its
-b1 gap grows with cond(sigma sigma^T); the markets keep that at most 100.
+(2.1e-16 on figure1.cfg), 1.3e-15 under a change of wealth units, and
+7.4e-15 under a change of time units at c = 2 or 12 (5.8e-16 on
+figure1.cfg).  At c = 1/4 every scaled number is exact, a power of 2 times
+the unscaled one, and every bit is kept.  Model 1's weights are a linear
+solve with the covariance's rows permuted, so its b1 gap grows with
+cond(sigma sigma^T); the markets keep that at most 100.
 """
 
 from importlib import resources
@@ -29,6 +35,10 @@ from tcmv.market import MarketParams
 
 RELABEL_RTOL = 1e-13
 UNITS_RTOL = 1e-14
+TIME_RTOL = 5e-14
+
+# time units: a power of 2, and two that round
+TIME_SCALES = [0.25, 2.0, 12.0]
 
 WEALTH = np.linspace(0.1, 5.0, 50)
 
@@ -108,6 +118,23 @@ def check_wealth_units(cfg, ell):
                          ell**2 * eq.moments.variance(0.0, x), UNITS_RTOL)
 
 
+def check_time_units(cfg, c):
+    p = cfg.params
+    scaled = cfg._replace(params=MarketParams(c * p.alpha, np.sqrt(c) * p.sigma, c * p.r),
+                          horizons=[T / c for T in cfg.horizons],
+                          steps_per_year=round(c * cfg.steps_per_year))
+    rtol = 0.0 if c == 0.25 else TIME_RTOL
+    for case, twin_case, eq, twin in pairs(cfg, scaled):
+        assert twin_case.m3.grid.n_steps == case.m3.grid.n_steps
+        G, b1 = (v[0] for v in eq.strategy.unit_coefficients(np.zeros(1)))
+        G_c, b1_c = (v[0] for v in twin.strategy.unit_coefficients(np.zeros(1)))
+        for x in WEALTH:
+            assert_close(G_c * x + b1_c / twin_case.gamma, G * x + b1 / case.gamma, rtol)
+            for moment in ("mean", "variance"):
+                assert_close(getattr(twin.moments, moment)(0.0, x),
+                             getattr(eq.moments, moment)(0.0, x), rtol)
+
+
 def test_relabelling_the_stocks_on_figure1():
     check_relabelling(figure1())
 
@@ -115,6 +142,11 @@ def test_relabelling_the_stocks_on_figure1():
 @pytest.mark.parametrize("ell", [0.01, 0.3, 3.7, 250.0])
 def test_wealth_units_on_figure1(ell):
     check_wealth_units(figure1(), ell)
+
+
+@pytest.mark.parametrize("c", TIME_SCALES)
+def test_time_units_on_figure1(c):
+    check_time_units(figure1(), c)
 
 
 @given(markets())
@@ -127,3 +159,11 @@ def test_relabelling_the_stocks(cfg):
 @settings(max_examples=40, deadline=None)
 def test_wealth_units(cfg, ell):
     check_wealth_units(cfg, ell)
+
+
+@given(markets(), st.sampled_from(TIME_SCALES))
+@settings(max_examples=40, deadline=None)
+def test_time_units(cfg, c):
+    # T a multiple of 0.01, so that 100 steps a year of T and 100 c of T / c
+    # round to the same grid, not to either side of a half step
+    check_time_units(cfg._replace(horizons=[round(T, 2) for T in cfg.horizons]), c)

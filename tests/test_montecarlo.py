@@ -348,23 +348,23 @@ class TestSimulateModels:
     def test_each_worker_holds_one_block_buffer(
         self, diagonal_params, three_strategies, monkeypatch, threads
     ):
-        # each thread draws the four quarters of every block it takes into
-        # the one buffer of a quarter block it allocated for the run, and the
-        # run's traced peak stays below half a quarter block more than the
-        # workers hold
+        # each thread draws the groups of every block it takes into the one
+        # buffer of a group it allocated for the run, and the run's traced
+        # peak stays below half a group more than the workers hold: their
+        # normals and their scratch
         cfg = SimConfig(9000, 200, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         workers = _workers(threads, 3, group_nbytes(cfg, 2))
         assert workers == threads
-        assert group_nbytes(cfg, 2) == _BLOCK // 4 * 200 * 2 * 8
-        buffers, quarters, draw = {}, [], montecarlo._draw_paths
+        assert group_nbytes(cfg, 2) == 512 * 200 * 2 * 8
+        buffers, groups, draw = {}, [], montecarlo._draw_paths
 
         def recorded(stream, out, piece):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
-            quarters.append(out.shape[2])
+            groups.append(out.shape[2])
             return draw(stream, out, piece)
 
         monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
@@ -377,13 +377,14 @@ class TestSimulateModels:
             tracemalloc.stop()
         assert reports == serial
         assert 1 <= len(buffers) <= workers
-        # blocks of 4096, 4096 and 808 paths, each in four quarters
-        assert sorted(quarters) == [202] * 4 + [1024] * 8
+        # blocks of 4096, 4096 and 808 paths, in eight, eight and four groups
+        assert sorted(groups) == [202] * 4 + [512] * 16
         held = [{id(b) for b in kept} for kept in buffers.values()]
         assert all(len(ids) == 1 for ids in held)
         assert len(set().union(*held)) == len(buffers)
         assert all(b.nbytes == group_nbytes(cfg, 2) for kept in buffers.values() for b in kept)
-        assert workers * group_nbytes(cfg, 2) < peak < (workers + 0.5) * group_nbytes(cfg, 2)
+        per_worker = group_nbytes(cfg, 2) + 8 * montecarlo._Rows(columns, 200).factor_size(512)
+        assert workers * per_worker < peak < workers * per_worker + 0.5 * group_nbytes(cfg, 2)
 
     @pytest.mark.parametrize("n_paths", [1023, 1024])
     def test_one_block_run_holds_a_quarter_of_its_normals(
@@ -418,17 +419,22 @@ class TestSimulateModels:
 
     @pytest.mark.parametrize("n_paths, parts", [
         (5, [2, 1, 1, 1]),
-        (4097, [1024] * 4 + [1]),
-        (4098, [1024] * 4 + [1, 1]),
-        (4099, [1024] * 4 + [1, 1, 1]),
-        (6145, [1024] * 4 + [513, 512, 512, 512]),
+        (2048, [512] * 4),
+        (4097, [512] * 8 + [1]),
+        (4098, [512] * 8 + [1, 1]),
+        (4099, [512] * 8 + [1, 1, 1]),
+        (6145, [512] * 8 + [410, 410, 410, 410, 409]),
+        (7001, [512] * 8 + [485] + [484] * 5),
+        (8191, [512] * 8 + [512] * 7 + [511]),
     ])
-    def test_quarters_draw_every_path_once(
+    def test_groups_draw_every_path_once(
         self, diagonal_params, three_strategies, monkeypatch, n_paths, parts
     ):
-        # a block of m paths is drawn in the non-empty quarters cut at
-        # ceil(q m / 4), in order: a last block of 1, 2 or 3 paths skips its
-        # empty quarters, the last one or one between two of one path
+        # a block of m paths is drawn in the non-empty groups cut at
+        # ceil(q m / g), g = max(4, ceil(m / 512)), in order: quarters up to
+        # 2048 paths, and as many groups as keep each within 512 paths past
+        # that; a last block of 1, 2 or 3 paths skips its empty groups, the
+        # last one or one between two of one path
         drawn, draw = [], montecarlo._draw_paths
 
         def recorded(stream, out, piece):
@@ -440,10 +446,10 @@ class TestSimulateModels:
         simulate_models(diagonal_params, columns, SimConfig(n_paths, 2, 31))
         assert drawn == parts and sum(parts) == n_paths
 
-    def test_an_unstepped_quarter_raises(self, diagonal_params, three_strategies, monkeypatch):
-        # a quarter the engine leaves unstepped keeps the NaN it starts
-        # from, not its start values or the bits of a freed array, so its
-        # 1024 paths count as exploded
+    def test_an_unstepped_group_raises(self, diagonal_params, three_strategies, monkeypatch):
+        # a group the engine leaves unstepped keeps the NaN it starts from,
+        # not its start values or the bits of a freed array, so its 512
+        # paths count as exploded
         step_rows, calls = montecarlo._step_rows, []
 
         def skip_second(x, *args, **kwargs):
@@ -453,14 +459,15 @@ class TestSimulateModels:
 
         monkeypatch.setattr(montecarlo, "_step_rows", skip_second)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
-        with pytest.raises(SimulationExplosionError, match="^1024 of 4096 paths went non-finite"):
+        with pytest.raises(SimulationExplosionError, match="^512 of 4096 paths went non-finite"):
             simulate_models(diagonal_params, columns, SimConfig(4096, 10, 5))
-        assert calls == [1024] * 4
+        assert calls == [512] * 8
 
     # one block of 4, 5, 1023, 1024 or 4095 paths; paths about half a block
-    # and one block, a last block of 1, 2 or 3 paths (4097, 4098, 4099), whose
-    # empty quarters come last or between two of one path, two blocks and a
-    # partial one; one step and more
+    # (in quarters up to 2048, in five groups at 2049) and one block, a last
+    # block of 1, 2 or 3 paths (4097, 4098, 4099), whose empty groups come
+    # last or between two of one path, two blocks and a partial one; one
+    # step and more
     @pytest.mark.parametrize("n_steps", [1, 3, 21])
     @pytest.mark.parametrize("n_paths", [4, 5, 1023, 1024, 2047, 2048, 2049, 4095, 4097,
                                          4098, 4099, 6145, 9000])
@@ -468,7 +475,7 @@ class TestSimulateModels:
         self, diagonal_params, three_strategies, monkeypatch, n_paths, n_steps
     ):
         # each block drawn whole and stepped a step at a time by the
-        # reference reports bit for bit what the quarters of blocks and the
+        # reference reports bit for bit what the groups of blocks and the
         # steps formed a call do, at every thread count, in the run's own
         # scratch and in scratch cut to 1, 2 or 3 steps' factors or to all
         cfg = SimConfig(n_paths, n_steps, 31)
@@ -494,7 +501,7 @@ class TestSimulateModels:
     def test_scratch_holds_one_path_of_the_draw(self):
         # a G = 0 column steps one pair of 3 factor numbers a path and step,
         # as many as one path of the draw on 3 factors: past the 16384 steps
-        # of a one-path quarter that fit in _FACTORS, its factors are less
+        # of a one-path group that fit in _FACTORS, its factors are less
         # than one path of the draw, which the scratch holds
         params = MarketParams([0.2, 0.12], [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]], 0.04)
         columns = {"": (Affine(np.zeros(2), np.array([0.5, -0.5])), ObjectiveSpec(2.0, 1.0))}
@@ -871,7 +878,7 @@ def test_every_step_reads_its_own_entry(steps):
 @settings(max_examples=30, deadline=None)
 def test_cash_pair_steps_the_sequential_product(r, T, n):
     # the Y of a G = 0 pair is np.multiply.accumulate of 1 + r dt, bit for
-    # bit, at every node of the figure path and at the end of each quarter
+    # bit, at every node of the figure path and at the end of each group
     # of the block pass; the figure pass overflows to inf without a warning
     params = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.2]], r)
     cash = {"": (Affine(np.zeros(2), np.zeros(2)), ObjectiveSpec(2.0, T))}
