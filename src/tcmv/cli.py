@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import model3
 from .errors import (
     ConfigError,
     MarketValidationError,
@@ -39,7 +40,8 @@ from .model3 import (
     no_bank_equilibria,
     solve_horizon,
 )
-from .numerics import DEFAULT_STEPS_PER_YEAR, PicardConfig, SimConfig, TimeGrid, convergence_bound
+from .numerics import (DEFAULT_STEPS_PER_YEAR, PicardConfig, PicardResult, SimConfig, TimeGrid,
+                       convergence_bound)
 
 _ALL_TABLES = (
     "k_curves",
@@ -328,7 +330,7 @@ def _k_curves_lines(cases: list[SolvedCase]):
     # once per horizon, k2 once per case
     yield "gamma,T,t,k_model2,k1,k2\n"
     shared = {
-        T: [f"{t},{k},{k}" for t, k in zip(fmt_column(m2.grid.nodes), fmt_column(m2.k.values))]
+        T: [f"{t},{k},{k}" for t, k in zip(fmt_column(m2.k.grid.nodes), fmt_column(m2.k.values))]
         for T, m2 in _gains(cases).items()
     }
     for case in cases:
@@ -397,19 +399,22 @@ def _gains(cases: list[SolvedCase]) -> dict[float, Model2Solution]:
 def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, float]:
     """k1 iterate error-bound constant per horizon; it does not depend on gamma."""
     return {
-        T: gain_bound_constant(cfg.params, m2.grid, m2.history)
+        T: gain_bound_constant(cfg.params, m2.k.grid, m2.solve.history)
         for T, m2 in _gains(cases).items()
     }
 
 
-def _bound_tables(case: SolvedCase, k1_bound: float) -> list[str]:
-    """The k1 and k2 iterate error-bound tables of one case; the k2 table
-    measures the Picard iterates against their own limit."""
-    m3, k2_solve = case.m3, case.m3.k2_solve
+def _bound_tables(cfg: ScenarioConfig, case: SolvedCase, k1_bound: float) -> tuple[PicardResult, list[str]]:
+    """The k2 check of one case, the Picard solve of its Volterra equation,
+    and the k1 and k2 iterate error-bound tables; the k2 table measures the
+    check's iterates against their own limit.  solve_k2 is looked up on
+    tcmv.model3 at each call."""
+    m3 = case.m3
+    k2_solve = model3.solve_k2(m3.kernels, case.gamma, cfg.picard)
     k2_bound = intercept_bound_constant(m3.kernels, k2_solve.history)
-    return [
+    return k2_solve, [
         "k1 iterate error bound:",
-        *bound_table_text(m3.gain.history, m3.k1.values, k1_bound, case.T),
+        *bound_table_text(m3.gain.solve.history, m3.k1.values, k1_bound, case.T),
         "k2 iterate error bound:",
         *bound_table_text(k2_solve.history, k2_solve.values, k2_bound, case.T),
     ]
@@ -417,25 +422,26 @@ def _bound_tables(case: SolvedCase, k1_bound: float) -> list[str]:
 
 def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]):
     residuals = {
-        T: gain_residual(cfg.params, m2.grid, m2.k.values)
+        T: gain_residual(cfg.params, m2.k.grid, m2.k.values)
         for T, m2 in _gains(cases).items()
     }
     k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
-        lines = [f"== gamma={fmt(case.gamma)} T={fmt(case.T)} =="]
-        lines.append(f"model1: {case.m1_note}")
-        gain, k2_solve = case.m3.gain, case.m3.k2_solve
+        gain = case.m3.gain.solve
         gain_text = (
             f"iterations={gain.iterations} delta={fmt(gain.delta)} "
             f"residual={fmt(residuals[case.T])}"
         )
+        k2_solve, bound_lines = _bound_tables(cfg, case, k1_bounds[case.T])
         k2_res = intercept_residual(case.m3.kernels, case.gamma, k2_solve.values)
-        lines += [
+        lines = [
+            f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==",
+            f"model1: {case.m1_note}",
             f"model2 k: {gain_text}",
             f"model3 k1: {gain_text}",
             f"model3 k2: iterations={k2_solve.iterations} "
             f"delta={fmt(k2_solve.delta)} residual={fmt(k2_res)}",
-            *_bound_tables(case, k1_bounds[case.T]),
+            *bound_lines,
             "",
         ]
         yield "\n".join(lines) + "\n"
@@ -494,7 +500,7 @@ def run_bounds(cfg: ScenarioConfig, threads: int, verbose: bool) -> int:
     k1_bounds = _gain_bounds(cfg, cases)
     for case in cases:
         print(f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==")
-        print("\n".join(_bound_tables(case, k1_bounds[case.T])))
+        print("\n".join(_bound_tables(cfg, case, k1_bounds[case.T])[1]))
     return 0
 
 

@@ -12,8 +12,7 @@ a column divides by its objective's gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +28,7 @@ SHARED_RISK_CONSTRAINT = "shared-risk-constraint"
 ARBITRAGE = "arbitrage"
 
 
-@dataclass(frozen=True)
-class Model1Solution:
+class Model1Solution(NamedTuple):
     params: MarketParams
     obj: ObjectiveSpec
     weights: np.ndarray  # (sigma sigma^T)^{-1} (alpha - r 1)
@@ -51,7 +49,7 @@ class Model1Solution:
         b1 = self.unit_control(times)
         return np.zeros_like(b1), b1
 
-    @cached_property
+    @property
     def moments(self) -> MomentCoefficients:
         """The moment triple in closed form, on no grid: g = e^{r(T-t)}, c0 = 0
         and the load theta_sq (T - t)."""

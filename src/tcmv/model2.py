@@ -8,13 +8,16 @@ k2 = 0.  Everything their MomentCoefficients need is in the KernelTables of
 k and free of risk aversion: I1(t,T)^{-1}, c0 and the tail S(t) = int_t^T
 I2(v,T) dv, formed once per kernel build and shared by this model, with no
 load, and every gamma of model 3, with the load theta~^2 S(t).
+
+The records are named tuples of values, each fact held once:
+Model2Solution holds the market, k on its grid (k.grid) and its solve's
+PicardResult; what a record derives, the moments' scales and the kernels'
+M3, is a property formed on each read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -24,6 +27,7 @@ from .market import (MarketParams, _coeffs, _require_finite, factor_sum, square,
                      validate_distinct_volatility)
 from .numerics import (
     PicardConfig,
+    PicardResult,
     SampledFunction,
     TimeGrid,
     forward_integrals,
@@ -60,14 +64,10 @@ def gain_residual(params: MarketParams, grid: TimeGrid, k: np.ndarray) -> float:
     return float(np.max(np.abs(gain_equation_map(params, grid)(k) - k)))
 
 
-@dataclass(frozen=True)
-class Model2Solution:
+class Model2Solution(NamedTuple):
     params: MarketParams
-    grid: TimeGrid
-    k: SampledFunction  # fraction of wealth in stock 1
-    iterations: int
-    delta: float
-    history: list[np.ndarray]  # the Picard iterates, the start included
+    k: SampledFunction  # fraction of wealth in stock 1, on the solve's grid
+    solve: PicardResult  # its Picard solve: sweeps, final delta, every iterate
 
     def unit_coefficients(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The Monte Carlo strategy u = k x: G = (k, 1 - k) and b1 = 0 at
@@ -111,20 +111,12 @@ def solve_model2(
             f"which takes at least {least_steps:.15g} grid steps")
     result = picard_solve(gain_equation_map(params, grid),
                           np.full(grid.n_nodes, -csig / denom), cfg)
-    return Model2Solution(
-        params,
-        grid,
-        SampledFunction(grid, result.values),
-        result.iterations,
-        result.delta,
-        result.history,
-    )
+    return Model2Solution(params, SampledFunction(grid, result.values), result)
 
 
-@dataclass(frozen=True)
-class KernelTables:
+class KernelTables(NamedTuple):
     """Exponential kernels of a gain k1, stored separably, and the tables
-    the moments and the intercept check read, each formed once.
+    the moments and the intercept check read.
 
     I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
     I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
@@ -134,7 +126,7 @@ class KernelTables:
 
     I1 and I2 give the moments of wealth under u = k1 x; the mean-variance
     model's intercept equation adds I3.  build_kernels forms every table
-    below once, with A = cum_drift and B = cum_vol.
+    below once, with A = cum_drift and B = cum_vol; M3 reads the factors.
     """
 
     grid: TimeGrid
@@ -156,7 +148,7 @@ class KernelTables:
         """dalpha^2 / denom, the squared Sharpe ratio of long stock 1, short stock 2."""
         return self.lam * self.dalpha
 
-    @cached_property
+    @property
     def M3(self) -> float:
         """sup over grid pairs t <= v of |I1(t,v) I3(t,v)| = max_v |g(v)|
         max_{t<=v} f(t), in O(N)."""
@@ -190,8 +182,7 @@ def build_kernels(
     )
 
 
-@dataclass(frozen=True)
-class MomentCoefficients:
+class MomentCoefficients(NamedTuple):
     """Conditional moments of terminal wealth, the one form of all three
     models, with g(t) the growth of a unit of wealth and L = sharpe_sq tail(t):
 
@@ -210,7 +201,7 @@ class MomentCoefficients:
     sharpe_sq: float  # theta^2, theta~^2, or 0 for no load
     tail: Callable  # T - t or S(t)
 
-    @cached_property
+    @property
     def scales(self) -> tuple[float, float]:
         """sharpe_sq / gamma and sharpe_sq / gamma^2, numpy scalars that
         overflow to inf; no Sharpe ratio carries no load, even where

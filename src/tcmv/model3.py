@@ -13,12 +13,13 @@ moment triple of model2.MomentCoefficients with growth I1(t,T)^{-1}, the
 kernels' c0 and the load theta~^2 S(t), S(t) = int_t^T I2(v,T) dv: mean =
 I1(t,T)^{-1} x + theta~^2 S(t) / gamma and variance = I1(t,T)^{-2} c0(t)
 x^2 + theta~^2 S(t) / gamma^2.  It forms no integral of its own, and model
-2 is the same triple with no load.  Model3Solution.k2_solve keeps the
-Volterra equation as the check: its Picard solve runs on first use, for
-the diagnostics, the bound tables and the tests, never on the way to the
-closed form.  Each solution is its own Monte Carlo strategy, G = (k1,
-1 - k1) and b1 = (phi_1, -phi_1), the intercept at gamma = 1; its gain,
-the Model2Solution, is model 2's, with b1 = 0.
+2 is the same triple with no load.  Model3Solution is a plain record of
+these values.  The Volterra equation stays the check of the closed form,
+outside the record: solve_k2 runs its Picard solve only when called, once
+per (gamma, T) case for diagnostics.txt and for the bounds command, never
+on the way to the closed form.  Each solution is its own Monte Carlo
+strategy, G = (k1, 1 - k1) and b1 = (phi_1, -phi_1), the intercept at
+gamma = 1; its gain, the Model2Solution, is model 2's, with b1 = 0.
 
 Every Volterra kernel is separable in (t, v), so each is generated from a
 single cumulative integral and every Picard sweep runs in O(N).  With A =
@@ -32,8 +33,7 @@ e^{B(v)-B(T)} makes g and so I3 vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,16 +120,15 @@ def moments(kernels: KernelTables, gamma: float) -> MomentCoefficients:
     return m
 
 
-@dataclass(frozen=True)
-class Model3Solution:
-    params: MarketParams
+class Model3Solution(NamedTuple):
+    """One gamma of a horizon; the market and the grid are the gain's,
+    gain.params and gain.k.grid."""
+
     obj: ObjectiveSpec
-    grid: TimeGrid
     gain: Model2Solution  # k1 is the variance-only gain, free of gamma
     kernels: KernelTables
     k2: SampledFunction  # the closed form phi_1 / gamma
     moments: MomentCoefficients
-    picard: PicardConfig | None = None
 
     @property
     def k1(self) -> SampledFunction:
@@ -141,13 +140,6 @@ class Model3Solution:
         2) each.  Every gamma of a horizon shares phi_1, and so its rows."""
         phi = self.kernels.unit_intercept(times)
         return self.gain.unit_coefficients(times)[0], np.stack([phi, -phi], axis=-1)
-
-    @cached_property
-    def k2_solve(self) -> PicardResult:
-        """The Picard solve of the Volterra equation for k2, run on first
-        use: the check of the closed form, and the iterates of the k2
-        error-bound table."""
-        return solve_k2(self.kernels, self.obj.gamma, self.picard)
 
 
 def solve_horizon(
@@ -166,10 +158,8 @@ def solve_horizon(
     gain = solve_model2(params, grid, cfg)
     kernels = build_kernels(params, gain.k, grid)
     return [
-        Model3Solution(
-            params, ObjectiveSpec(gamma, grid.T), grid, gain, kernels,
-            intercept(kernels, gamma), moments(kernels, gamma), cfg,
-        )
+        Model3Solution(ObjectiveSpec(gamma, grid.T), gain, kernels,
+                       intercept(kernels, gamma), moments(kernels, gamma))
         for gamma in gammas
     ]
 

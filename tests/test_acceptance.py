@@ -27,6 +27,7 @@ from tcmv.model3 import (
     intercept_bound_constant,
     intercept_residual,
     iterate_sup_errors,
+    solve_k2,
 )
 from tcmv.montecarlo import reproduce_figure_paths
 from tcmv.numerics import convergence_bound
@@ -153,17 +154,13 @@ def test_06_residuals_and_grid_convergence():
 
 def test_07_iterate_error_bound_domination():
     grid = TimeGrid(1.0, 1000)
-    s = solve_model3(
-        SYMMETRIC,
-        ObjectiveSpec(1.0, 1.0),
-        grid,
-        PicardConfig(tol=1e-13, max_iter=300),
-    )
-    k1_history, k2_history = s.gain.history, s.k2_solve.history
+    cfg = PicardConfig(tol=1e-13, max_iter=300)
+    s = solve_model3(SYMMETRIC, ObjectiveSpec(1.0, 1.0), grid, cfg)
+    k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, 1.0, cfg)
     ok = True
     for history, solution, K in (
         (k1_history, s.k1.values, gain_bound_constant(SYMMETRIC, grid, k1_history)),
-        (k2_history, s.k2_solve.values, intercept_bound_constant(s.kernels, k2_history)),
+        (k2_solve.history, k2_solve.values, intercept_bound_constant(s.kernels, k2_solve.history)),
     ):
         errors = iterate_sup_errors(history, solution)
         for n in range(1, 11):
@@ -235,7 +232,7 @@ def test_10_randomized_property_suite():
         elif p.alpha[0] < p.alpha[1]:
             ok &= bool(np.all(diffs <= 1e-12))
         lo, hi = gain_iterate_bounds(p)
-        for iterate in s.gain.history[1:]:
+        for iterate in s.gain.solve.history[1:]:
             ok &= bool(np.all(iterate >= lo - 1e-10) and np.all(iterate <= hi + 1e-10))
         for t in np.linspace(0.0, 1.0, 5):
             for x in np.linspace(0.1, 10.0, 8):

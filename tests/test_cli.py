@@ -103,7 +103,7 @@ def reference_k_curves_lines(cases):
     """k_curves.csv one fmt call per cell, as the emitter once wrote it."""
     lines = ["gamma,T,t,k_model2,k1,k2"]
     for case in cases:
-        nodes = case.m3.grid.nodes
+        nodes = case.m3.k2.grid.nodes
         k_m2, k1, k2 = case.m3.gain.k.values, case.m3.k1.values, case.m3.k2.values
         for i, t in enumerate(nodes):
             lines.append(
@@ -133,7 +133,7 @@ def reference_mean_variance_lines(cases):
     model 2 evaluated once per case from its own gain."""
     lines = ["gamma,T,model,x,mean,variance"]
     for case in cases:
-        model2 = evaluate_model2(case.m3.params, case.m3.gain.k, case.gamma)
+        model2 = evaluate_model2(case.m3.gain.params, case.m3.gain.k, case.gamma)
         moments = {model: equilibrium.moments for model, equilibrium in case.models.items()}
         for model, m in {**moments, "model2": model2}.items():
             for x in cli._WEALTH_GRID:
@@ -652,13 +652,13 @@ class TestSolveCommand:
     def test_kernels_are_built_once_per_horizon(self, tmp_path, monkeypatch):
         # every build constructs one KernelTables, whichever module calls it
         horizons = []
-        init = KernelTables.__init__
+        new = KernelTables.__new__
 
-        def counting(self, grid, *rest):
+        def counting(cls, grid, *rest):
             horizons.append(grid.T)
-            init(self, grid, *rest)
+            return new(cls, grid, *rest)
 
-        monkeypatch.setattr(KernelTables, "__init__", counting)
+        monkeypatch.setattr(KernelTables, "__new__", counting)
         path = tmp_path / "cases.cfg"
         path.write_text(FIGURE_CFG.replace("gamma = 1, 3", "gamma = 1, 3, 10")
                         .replace("T = 1", "T = 1, 0.5"))
@@ -1069,15 +1069,6 @@ class TestSimulateCommand:
         n_blocks = -(-9000 // _BLOCK)
         assert sorted(draws) == list(range(n_blocks)) + [2**63]
 
-    def test_runs_no_intercept_solve(self, figure_cfg, tmp_path, monkeypatch):
-        # k2 is the closed form; its Picard check runs for the diagnostics
-        # and the bound tables, which simulate does not write
-        def refuse(*args, **kwargs):
-            pytest.fail("the k2 Picard solve ran")
-
-        monkeypatch.setattr(model3, "picard_solve", refuse)
-        assert main(["simulate", figure_cfg, "--out-dir", str(tmp_path / "out")]) == 0
-
     def test_overflowing_moments_are_an_explosion(self, tmp_path, capsys):
         # every path stays finite, but its square overflows float64
         path = tmp_path / "x0.cfg"
@@ -1152,6 +1143,29 @@ class TestBoundsCommand:
                 assert n >= 1  # bound table starts at the first sweep
                 assert emp <= bound
 
+    @pytest.mark.parametrize("keys", [
+        {},  # figure1.cfg
+        {"n_steps": 20, "gamma": 10, "T": "5, 10"},  # the solve_long golden
+    ])
+    def test_prints_the_tables_of_the_diagnostics(self, keys, tmp_path, capsys):
+        # each printer runs the k2 check of a case itself; case for case
+        # both print the same k1 and k2 tables
+        def bound_tables(text):
+            """Each case's header line and its lines from the k1 table on."""
+            cases = re.split(r"^(?===)", text, flags=re.M)[1:]
+            return [(case.partition("\n")[0], case[case.index("k1 iterate error bound:"):].strip())
+                    for case in cases]
+
+        path = tmp_path / "case.cfg"
+        path.write_text(shipped_config("figure1", **keys))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["bounds", str(path)]) == 0
+        printed = bound_tables(capsys.readouterr().out)
+        written = bound_tables((tmp_path / "out" / "diagnostics.txt").read_text())
+        cfg = load_config(str(path))
+        assert len(printed) == len(cfg.gammas) * len(cfg.horizons)
+        assert all("\nk2 iterate error bound:\n" in tables for _, tables in printed)
+        assert printed == written
 
     def test_overflowing_bound_constants_do_not_warn(self, tmp_path, capsys):
         # the k1 bound constant K = 4474.5 at T = 3: e^{K T} and the

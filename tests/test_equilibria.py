@@ -125,7 +125,7 @@ def check_time_units(cfg, c):
                           steps_per_year=round(c * cfg.steps_per_year))
     rtol = 0.0 if c == 0.25 else TIME_RTOL
     for case, twin_case, eq, twin in pairs(cfg, scaled):
-        assert twin_case.m3.grid.n_steps == case.m3.grid.n_steps
+        assert twin_case.m3.k2.grid.n_steps == case.m3.k2.grid.n_steps
         G, b1 = (v[0] for v in eq.strategy.unit_coefficients(np.zeros(1)))
         G_c, b1_c = (v[0] for v in twin.strategy.unit_coefficients(np.zeros(1)))
         for x in WEALTH:

@@ -121,7 +121,7 @@ class TestGainEquation:
             p = random_distinct_market(rng)
             sol = solve_model2(p, unit_grid, PicardConfig(max_iter=500))
             lo, hi = gain_iterate_bounds(p)
-            for iterate in sol.history[1:]:
+            for iterate in sol.solve.history[1:]:
                 assert np.all(iterate >= lo - 1e-12)
                 assert np.all(iterate <= hi + 1e-12)
 
@@ -143,7 +143,7 @@ class TestTerminalStart:
         sol = solve_model2(params, grid, cfg)
         from_one = picard_solve(gain_equation_map(params, grid), np.ones(grid.n_nodes), cfg)
         k = sol.k.values
-        assert 1 < sol.iterations <= from_one.iterations
+        assert 1 < sol.solve.iterations <= from_one.iterations
         assert gain_residual(params, grid, k) <= 1e-13 * max(1.0, np.max(np.abs(k)))
 
     @pytest.mark.parametrize("alpha, sigma, T", [
@@ -158,7 +158,7 @@ class TestTerminalStart:
             picard_solve(step, np.ones(grid.n_nodes), cfg)
         sol = solve_model2(params, grid, cfg)
         _, _, denom, csig, _ = _coeffs(params)
-        assert np.array_equal(sol.history[0], np.full(grid.n_nodes, -csig / denom))
+        assert np.array_equal(sol.solve.history[0], np.full(grid.n_nodes, -csig / denom))
         assert gain_residual(params, grid, sol.k.values) < 1e-13
 
 

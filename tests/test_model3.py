@@ -34,7 +34,7 @@ from tcmv.model3 import (
     solve_k2,
 )
 from tcmv.numerics import SampledFunction, convergence_bound, forward_integrals, picard_solve
-from .conftest import constant_gain_equal_drifts, random_distinct_market
+from .conftest import constant_gain_equal_drifts, random_distinct_market, shipped_config
 
 # intercept at t=0 for the symmetric-volatility market with
 # alpha = (0.2, 0.12), sigma = 0.25 I, gamma = 1, T = 1; frozen from a
@@ -130,8 +130,8 @@ def assert_moments_match_reference(s, rel=1e-12):
     formula of reference_moments at its own k2, on every node.  The
     reference runs in extended precision (where the platform has it): in
     float64 its long cumulative sums alone drift by ~1e-12 on some markets."""
-    ref = reference_moments(s.params, s.kernels, s.k2.values, np.longdouble)
-    t, inv = s.grid.nodes, ref["i1_inv"]
+    ref = reference_moments(s.gain.params, s.kernels, s.k2.values, np.longdouble)
+    t, inv = s.k2.grid.nodes, ref["i1_inv"]
     for x in (0.0, 0.5, 1.0, 3.0):
         mean = inv * (x + ref["drift_load"])
         variance = inv**2 * (ref["c0"] * x * x + ref["c1"] * x + ref["c2"])
@@ -183,7 +183,8 @@ class TestGainAndIntercept:
         m2 = solve_model2(symmetric_params, unit_grid)
         m3 = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
         assert np.array_equal(m3.k1.values, m2.k.values)
-        assert (m3.gain.iterations, m3.gain.delta) == (m2.iterations, m2.delta)
+        gain, alone = m3.gain.solve, m2.solve
+        assert (gain.iterations, gain.delta) == (alone.iterations, alone.delta)
 
     def test_shared_gain_is_bitwise_identical(self, symmetric_params, unit_grid):
         shared = solve_horizon(symmetric_params, [1.0, 3.0], unit_grid)
@@ -192,7 +193,8 @@ class TestGainAndIntercept:
         for gamma, one in zip((1.0, 3.0), shared, strict=True):
             alone = solve_model3(symmetric_params, ObjectiveSpec(gamma, 1.0), unit_grid)
             assert one.obj == alone.obj
-            for a, b in (one.gain, alone.gain), (one.k2_solve, alone.k2_solve):
+            checks = [solve_k2(s.kernels, gamma) for s in (one, alone)]
+            for a, b in (one.gain.solve, alone.gain.solve), checks:
                 assert (a.iterations, a.delta) == (b.iterations, b.delta)
             for a, b in [
                 (one.k1.values, alone.k1.values),
@@ -204,16 +206,16 @@ class TestGainAndIntercept:
                 (one.moments.c0.values, alone.moments.c0.values),
                 (one.moments.tail.values, alone.moments.tail.values),
                 (one.moments.scales, alone.moments.scales),
-                *zip(one.gain.history, alone.gain.history, strict=True),
-                *zip(one.k2_solve.history, alone.k2_solve.history, strict=True),
+                *zip(one.gain.solve.history, alone.gain.solve.history, strict=True),
+                *zip(checks[0].history, checks[1].history, strict=True),
             ]:
                 assert np.array_equal(a, b)
             assert (one.moments.gamma, one.moments.sharpe_sq) == (gamma, one.kernels.theta_sq)
             assert (alone.moments.gamma, alone.moments.sharpe_sq) == (gamma, one.kernels.theta_sq)
             # a shared gain keeps its iterates, so both bound tables can be formed
             assert gain_bound_constant(
-                symmetric_params, unit_grid, one.gain.history
-            ) == gain_bound_constant(symmetric_params, unit_grid, alone.gain.history)
+                symmetric_params, unit_grid, one.gain.solve.history
+            ) == gain_bound_constant(symmetric_params, unit_grid, alone.gain.solve.history)
 
     def test_gamma_linearity(self, symmetric_params, unit_grid):
         base = solve_model3(symmetric_params, ObjectiveSpec(1.0, 1.0), unit_grid)
@@ -235,13 +237,13 @@ class TestGainAndIntercept:
     def test_kernels_built_once(self, symmetric_params, unit_grid, monkeypatch):
         # every build constructs one KernelTables, whichever module calls it
         built = []
-        init = KernelTables.__init__
+        new = KernelTables.__new__
 
-        def counting(self, grid, *rest):
+        def counting(cls, grid, *rest):
             built.append(grid)
-            init(self, grid, *rest)
+            return new(cls, grid, *rest)
 
-        monkeypatch.setattr(KernelTables, "__init__", counting)
+        monkeypatch.setattr(KernelTables, "__new__", counting)
         solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
         assert built == [unit_grid]
 
@@ -324,7 +326,7 @@ class TestMoments:
             np.random.default_rng(100 + seed)
         )
         s = solve_model3(p, ObjectiveSpec(2.0, 1.0), TimeGrid(1.0, 500))
-        ref = reference_moments(s.params, s.kernels, s.k2.values)
+        ref = reference_moments(s.gain.params, s.kernels, s.k2.values)
         assert np.array_equal(s.moments.c0.values, ref["c0"])
         assert_moments_match_reference(s)
         assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(np.sqrt(ref["c0"] * ref["c2"]))
@@ -382,7 +384,7 @@ class TestClosedFormIntercept:
             assert np.max(np.abs(s.k2.values * gamma - unit.values)) <= 2 * eps * np.max(
                 np.abs(unit.values)
             )
-            picard = s.k2_solve.values
+            picard = solve_k2(s.kernels, gamma, cfg).values
             assert np.max(np.abs(s.k2.values - picard)) <= 1e-12 * np.max(np.abs(picard))
             # the residual is the discrete I3 term, the gain solve's error
             # times about theta~^2 T |k2|, which a k1 solved to 1e-12 leaves
@@ -411,9 +413,10 @@ class TestClosedFormIntercept:
         grid = TimeGrid(T, int(500 * T))
         self.check_horizon(params, grid, PicardConfig(tol=1e-12, max_iter=500))
 
-    def test_closed_form_runs_no_solve(self, symmetric_params, unit_grid, monkeypatch):
-        # k2 and the moments need no Picard solve; k2_solve runs once, on
-        # first use
+    @pytest.fixture
+    def k2_solves(self, monkeypatch):
+        """The calls of model3.picard_solve, which only the k2 check makes:
+        the gain's Picard solve is model2's."""
         solve, calls = model3.picard_solve, []
 
         def counted(*args, **kwargs):
@@ -421,10 +424,23 @@ class TestClosedFormIntercept:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(model3, "picard_solve", counted)
-        s = solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
-        assert calls == []
-        assert s.k2_solve is s.k2_solve
-        assert len(calls) == 1
+        return calls
+
+    def test_closed_form_runs_no_solve(self, symmetric_params, unit_grid, k2_solves):
+        # k2 and the moments need no Picard solve
+        solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
+        solve_horizon(symmetric_params, [1.0, 3.0, 10.0], unit_grid)
+        assert k2_solves == []
+
+    @pytest.mark.parametrize("command, per_case", [("solve", 1), ("bounds", 1), ("simulate", 0)])
+    def test_commands_run_the_check_once_per_case(self, tmp_path, k2_solves, command, per_case):
+        # diagnostics.txt and the bound tables run it once per (gamma, T)
+        # case; simulate writes neither
+        path = tmp_path / "cases.cfg"
+        path.write_text(shipped_config("figure1", gamma="1, 3, 10", T="1, 0.5", n_steps=50,
+                                       n_paths=64, n_time_steps=5))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(k2_solves) == 6 * per_case
 
 
 # alpha = (0.6, 0.05), sigma = [[0.3, 0.1], [0.25, 0.15]]: theta~ = 7.8, and
@@ -515,10 +531,10 @@ class TestRangeRefusal:
             warnings.simplefilter("error")
             try:
                 (s,) = solve_horizon(params, [gamma], grid)
-                history = s.k2_solve.history
+                history = solve_k2(s.kernels, gamma).history
                 gain_residual(params, grid, s.k1.values)
                 intercept_residual(s.kernels, gamma, s.k2.values)
-                gain_bound_constant(params, grid, s.gain.history)
+                gain_bound_constant(params, grid, s.gain.solve.history)
                 intercept_bound_constant(s.kernels, history)
             except ConfigError:
                 return
@@ -575,16 +591,13 @@ class TestControl:
 
 class TestIterateErrorBound:
     def test_bound_dominates_both_solves(self, symmetric_params, unit_grid):
-        s = solve_model3(
-            symmetric_params,
-            ObjectiveSpec(1.0, 1.0),
-            unit_grid,
-            PicardConfig(tol=1e-13, max_iter=300),
-        )
-        k1_history, k2_history = s.gain.history, s.k2_solve.history
+        cfg = PicardConfig(tol=1e-13, max_iter=300)
+        s = solve_model3(symmetric_params, ObjectiveSpec(1.0, 1.0), unit_grid, cfg)
+        k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, 1.0, cfg)
         cases = [
             (k1_history, s.k1.values, gain_bound_constant(symmetric_params, unit_grid, k1_history)),
-            (k2_history, s.k2_solve.values, intercept_bound_constant(s.kernels, k2_history)),
+            (k2_solve.history, k2_solve.values,
+             intercept_bound_constant(s.kernels, k2_solve.history)),
         ]
         for history, solution, K in cases:
             errors = iterate_sup_errors(history, solution)
@@ -605,14 +618,11 @@ class TestIterateErrorBound:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = random_distinct_market(rng)
-            s = solve_model3(
-                p,
-                ObjectiveSpec(2.0, 1.0),
-                unit_grid,
-                PicardConfig(tol=1e-13, max_iter=500),
-            )
-            K = intercept_bound_constant(s.kernels, s.k2_solve.history)
-            errors = iterate_sup_errors(s.k2_solve.history, s.k2_solve.values)
+            cfg = PicardConfig(tol=1e-13, max_iter=500)
+            s = solve_model3(p, ObjectiveSpec(2.0, 1.0), unit_grid, cfg)
+            k2_solve = solve_k2(s.kernels, 2.0, cfg)
+            K = intercept_bound_constant(s.kernels, k2_solve.history)
+            errors = iterate_sup_errors(k2_solve.history, k2_solve.values)
             for n in range(1, min(10, len(errors)) + 1):
                 assert errors[n - 1] <= convergence_bound(K, 1.0, n)
 
@@ -637,7 +647,7 @@ class TestFactorCount:
 
     @staticmethod
     def assert_same_solutions(got, expected, rel):
-        t = got[0].grid.nodes
+        t = got[0].k2.grid.nodes
         for a, b in zip(got, expected, strict=True):
             pairs = [(a.k1.values, b.k1.values), (a.k2.values, b.k2.values)]
             for x in (0.5, 1.0, 2.0):
@@ -826,7 +836,7 @@ class TestSteepSyntheticBank:
         with pytest.raises(NonConvergenceError):
             picard_solve(gain_equation_map(params, grid), np.ones(grid.n_nodes))
         sol = solve_model2(params, grid)
-        assert sol.iterations == 1 and np.all(sol.k.values == -7.0)
+        assert sol.solve.iterations == 1 and np.all(sol.k.values == -7.0)
 
 
 @st.composite
