@@ -53,8 +53,9 @@ _ALL_TABLES = (
 # wealth lattice used by the per-wealth tables
 _WEALTH_GRID = np.linspace(0.1, 5.0, 50)
 
-# Most solver grid steps of one horizon: each Picard iterate, all of which
-# are kept for the error-bound tables, is 8 bytes a node (8 MB here).
+# Most solver grid steps of one horizon.  A horizon holds its gain's Picard
+# iterates, all kept for the error-bound tables, six kernel tables and one
+# k2 per gamma: 8 bytes a node each, 8 MB here.
 MAX_GRID_STEPS = 10**6
 
 # The variance's standard error needs more than three paths.
@@ -405,12 +406,12 @@ def _gain_bounds(cfg: ScenarioConfig, cases: list[SolvedCase]) -> dict[float, fl
 
 
 def _bound_tables(cfg: ScenarioConfig, case: SolvedCase, k1_bound: float) -> tuple[PicardResult, list[str]]:
-    """The k2 check of one case, the Picard solve of its Volterra equation,
-    and the k1 and k2 iterate error-bound tables; the k2 table measures the
-    check's iterates against their own limit.  solve_k2 is looked up on
-    tcmv.model3 at each call."""
+    """The k2 check of one case, the Picard solve of the Volterra equation
+    forced by the case's closed form k2, and the k1 and k2 iterate
+    error-bound tables; the k2 table measures the check's iterates against
+    their own limit.  solve_k2 is looked up on tcmv.model3 at each call."""
     m3 = case.m3
-    k2_solve = model3.solve_k2(m3.kernels, case.gamma, cfg.picard)
+    k2_solve = model3.solve_k2(m3.kernels, m3.k2, cfg.picard)
     k2_bound = intercept_bound_constant(m3.kernels, k2_solve.history)
     return k2_solve, [
         "k1 iterate error bound:",
@@ -433,7 +434,7 @@ def _diagnostics_lines(cfg: ScenarioConfig, cases: list[SolvedCase]):
             f"residual={fmt(residuals[case.T])}"
         )
         k2_solve, bound_lines = _bound_tables(cfg, case, k1_bounds[case.T])
-        k2_res = intercept_residual(case.m3.kernels, case.gamma, k2_solve.values)
+        k2_res = intercept_residual(case.m3.kernels, case.m3.k2, k2_solve.values)
         lines = [
             f"== gamma={fmt(case.gamma)} T={fmt(case.T)} ==",
             f"model1: {case.m1_note}",

@@ -11,8 +11,9 @@ load, and every gamma of model 3, with the load theta~^2 S(t).
 
 The records are named tuples of values, each fact held once:
 Model2Solution holds the market, k on its grid (k.grid) and its solve's
-PicardResult; what a record derives, the moments' scales and the kernels'
-M3, is a property formed on each read.
+PicardResult, whose final iterate is the array k.values; what a record
+derives, the moments' scales and the kernels' M3, is a property formed on
+each read.
 """
 
 from __future__ import annotations
@@ -116,25 +117,23 @@ def solve_model2(
 
 class KernelTables(NamedTuple):
     """Exponential kernels of a gain k1, stored separably, and the tables
-    the moments and the intercept check read.
+    the moments and the intercept check read.  With A(t) = int_0^t {a2 +
+    k1 (a1-a2)} and B(t) = int_0^t of the portfolio variance rate,
 
-    I1(t,v) = exp(cum_drift[t] - cum_drift[v]),
-    I2(t,v) = exp(cum_vol[t] - cum_vol[v]),
+    I1(t,v) = exp(A(t) - A(v)),
+    I2(t,v) = exp(B(t) - B(v)),
     I3(t,v) = dalpha * I2(t,T) - h(v) * I2(t,v),
     with h(v) = dalpha + ds . {sigma_2 + k1(v) ds}, ds = sigma_1 - sigma_2,
     summed over the factors.
 
     I1 and I2 give the moments of wealth under u = k1 x; the mean-variance
     model's intercept equation adds I3.  build_kernels forms every table
-    below once, with A = cum_drift and B = cum_vol; M3 reads the factors.
+    below once from A, B and h, which it does not keep; M3 reads the factors.
     """
 
     grid: TimeGrid
     lam: float  # dalpha / denom
     dalpha: float
-    cum_drift: np.ndarray  # int_0^t {a2 + k1 (a1-a2)}
-    cum_vol: np.ndarray  # int_0^t of the portfolio variance rate
-    h: np.ndarray
     i1_inv: SampledFunction  # I1(t,T)^{-1} = e^{A(T)-A(t)}
     c0: SampledFunction  # e^{B(T)-B(t)} - 1: the x^2 coefficient of the variance
     unit_intercept: SampledFunction  # phi_1 = lam I1(t,T) I2(t,T), k2 at gamma = 1
@@ -156,13 +155,11 @@ class KernelTables(NamedTuple):
         return float(np.max(np.abs(g) * np.maximum.accumulate(f)))
 
 
-def build_kernels(
-    params: MarketParams, k1: SampledFunction, grid: TimeGrid
-) -> KernelTables:
-    """Kernel tables of the gain k1; CoefficientRangeError when one of the
-    tables, I1(t,T)^{-1}, c0, phi_1, S, f or g, leaves the float64 range."""
+def build_kernels(params: MarketParams, k1: SampledFunction) -> KernelTables:
+    """Kernel tables of the gain k1 on its grid; CoefficientRangeError when a
+    table, I1(t,T)^{-1}, c0, phi_1, S, f or g, leaves the float64 range."""
     s2, ds, denom, _, dalpha = _coeffs(params)
-    k = k1.values
+    k, grid = k1.values, k1.grid
     a = forward_integrals(params.alpha[1] + k * dalpha, grid.dt)
     b = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
     h = sum((d * (s + k * d) for s, d in zip(s2, ds)), dalpha)
@@ -176,7 +173,7 @@ def build_kernels(
         g = np.exp(-a) * (dalpha * np.exp(-b[-1]) - h * np.exp(-b))
     _require_finite(f"over the horizon T={grid.T:g}", i1_inv, c0, phi, tail, f, g)
     return KernelTables(
-        grid, lam, dalpha, a, b, h,
+        grid, lam, dalpha,
         *(SampledFunction(grid, table) for table in (i1_inv, c0, phi, tail)),
         (f, g),
     )
@@ -243,4 +240,4 @@ def kernel_moments(kernels: KernelTables, gamma: float, sharpe_sq: float) -> Mom
 
 def evaluate_model2(params: MarketParams, k: SampledFunction, gamma: float) -> MomentCoefficients:
     """Terminal wealth moments and value of a solved k."""
-    return kernel_moments(build_kernels(params, k, k.grid), gamma, 0.0)
+    return kernel_moments(build_kernels(params, k), gamma, 0.0)

@@ -22,10 +22,10 @@ strategy, G = (k1, 1 - k1) and b1 = (phi_1, -phi_1), the intercept at
 gamma = 1; its gain, the Model2Solution, is model 2's, with b1 = 0.
 
 Every Volterra kernel is separable in (t, v), so each is generated from a
-single cumulative integral and every Picard sweep runs in O(N).  With A =
-cum_drift and B = cum_vol, the check's kernel is I1(t,v) I3(t,v) = f(t)
-g(v), where f(t) = e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)}
-- h(v) e^{-B(v)}} (KernelTables.kernel_factors): a sweep of the check is
+single cumulative integral and every Picard sweep runs in O(N).  With A
+and B of KernelTables, the check's kernel is I1(t,v) I3(t,v) = f(t) g(v),
+where f(t) = e^{A(t)+B(t)} > 0 and g(v) = e^{-A(v)} {dalpha e^{-B(T)} -
+h(v) e^{-B(v)}} (KernelTables.kernel_factors): a sweep of the check is
 phi_1 / gamma + lam f(t) int_t^T g k2, one tail integral, and the supremum
 behind the k2 error bound is O(N) too.  At the solved k1, h(v) = dalpha
 e^{B(v)-B(T)} makes g and so I3 vanish.
@@ -58,33 +58,33 @@ from .numerics import (
 )
 
 
-def intercept_equation_map(kernels: KernelTables, gamma: float):
+def intercept_equation_map(kernels: KernelTables, k2: SampledFunction):
     """Picard map of k2(t) = phi(t) + lam int_t^T I1(t,v) I3(t,v) k2(v) dv,
-    with phi the closed form phi_1 / gamma.  The kernel is f(t) g(v), so a
-    sweep is one tail integral."""
-    phi = intercept(kernels, gamma).values
+    whose forcing term phi is the closed form k2 = phi_1 / gamma itself.
+    The kernel is f(t) g(v), so a sweep is one tail integral."""
+    phi = k2.values
     f, g = kernels.kernel_factors
     lam, dt = kernels.lam, kernels.grid.dt
 
-    def step(k2: np.ndarray) -> np.ndarray:
-        return phi + lam * f * tail_integrals(g * k2, dt)
+    def step(iterate: np.ndarray) -> np.ndarray:
+        return phi + lam * f * tail_integrals(g * iterate, dt)
 
     return step
 
 
 def solve_k2(
-    kernels: KernelTables, gamma: float, cfg: PicardConfig | None = None
+    kernels: KernelTables, k2: SampledFunction, cfg: PicardConfig | None = None
 ) -> PicardResult:
-    """Picard solve of the Volterra equation for k2, the check of the
-    closed form, from k2's terminal value lam / gamma held constant; it
-    stops at the absolute tol of the gain solve."""
-    step = intercept_equation_map(kernels, gamma)  # refuses gamma <= 0
-    return picard_solve(step, np.full(kernels.grid.n_nodes, kernels.lam / gamma), cfg)
+    """Picard solve of the Volterra equation forced by the closed form k2,
+    its check, from k2's terminal value lam / gamma held constant; it stops
+    at the absolute tol of the gain solve."""
+    start = np.full(kernels.grid.n_nodes, k2.values[-1])
+    return picard_solve(intercept_equation_map(kernels, k2), start, cfg)
 
 
-def intercept_residual(kernels: KernelTables, gamma: float, k2: np.ndarray) -> float:
-    """Sup-norm defect of k2 substituted back into the Volterra equation."""
-    return float(np.max(np.abs(intercept_equation_map(kernels, gamma)(k2) - k2)))
+def intercept_residual(kernels: KernelTables, k2: SampledFunction, candidate: np.ndarray) -> float:
+    """Sup-norm defect of candidate in the Volterra equation forced by k2."""
+    return float(np.max(np.abs(intercept_equation_map(kernels, k2)(candidate) - candidate)))
 
 
 def _where(kernels: KernelTables, gamma: float) -> str:
@@ -156,7 +156,7 @@ def solve_horizon(
     ``kernels`` object, and with it phi_1 and S.
     """
     gain = solve_model2(params, grid, cfg)
-    kernels = build_kernels(params, gain.k, grid)
+    kernels = build_kernels(params, gain.k)
     return [
         Model3Solution(ObjectiveSpec(gamma, grid.T), gain, kernels,
                        intercept(kernels, gamma), moments(kernels, gamma))

@@ -54,7 +54,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function of time sampled at the grid nodes; linear between nodes."""
+    """A function of time sampled at the grid nodes; linear between nodes.
+    It holds a float array as given, no copy, and makes it read-only."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -67,7 +68,6 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

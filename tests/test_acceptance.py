@@ -131,7 +131,7 @@ def test_06_residuals_and_grid_convergence():
     res = max(
         gain_residual(SYMMETRIC, fine, m2.k.values),
         gain_residual(SYMMETRIC, fine, s.k1.values),
-        intercept_residual(s.kernels, 1.0, s.k2.values),
+        intercept_residual(s.kernels, s.k2, s.k2.values),
     )
 
     def k_curves(n_steps):
@@ -156,7 +156,7 @@ def test_07_iterate_error_bound_domination():
     grid = TimeGrid(1.0, 1000)
     cfg = PicardConfig(tol=1e-13, max_iter=300)
     s = solve_model3(SYMMETRIC, ObjectiveSpec(1.0, 1.0), grid, cfg)
-    k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, 1.0, cfg)
+    k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, s.k2, cfg)
     ok = True
     for history, solution, K in (
         (k1_history, s.k1.values, gain_bound_constant(SYMMETRIC, grid, k1_history)),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -44,29 +45,50 @@ MEAN_AT_ZERO = 1.2229899581022097
 VAR_AT_ZERO = 0.09407671998680726
 
 
-def kernel_row(kernels, i) -> np.ndarray:
-    """I1(t_i,v) I3(t_i,v) for the nodes v >= t_i, formed unfactored: I1(t,v)
-    = e^{A(t)-A(v)}, I2(t,v) = e^{B(t)-B(v)} and I3(t,v) = dalpha I2(t,T) -
-    h(v) I2(t,v), A = cum_drift and B = cum_vol."""
-    a, b = kernels.cum_drift, kernels.cum_vol
-    i1 = np.exp(a[i] - a[i:])
-    return i1 * (kernels.dalpha * np.exp(b[i] - b[-1]) - kernels.h[i:] * np.exp(b[i] - b[i:]))
+def shipped(name):
+    """The shipped config name, loaded."""
+    with resources.as_file(resources.files("tcmv") / "configs" / name) as path:
+        return load_config(str(path))
 
 
-def brute_force_M3(kernels) -> float:
+def gain_integrals(params, k1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, h) of the gain k1, formed from the market in float64 as the
+    kernels' inputs are, not read from the kernels under test: A(t) =
+    int_0^t {a2 + k1 (a1-a2)}, B(t) = int_0^t of the portfolio variance
+    rate and h(v) = dalpha + ds . {sigma_2 + k1(v) ds}."""
+    s2, ds, _, _, dalpha = _coeffs(params)
+    k, dt = k1.values, k1.grid.dt
+    a = forward_integrals(params.alpha[1] + k * dalpha, dt)
+    b = forward_integrals(portfolio_variance_rate(params, k), dt)
+    h = sum((d * (s + k * d) for s, d in zip(s2, ds)), dalpha)
+    return a, b, h
+
+
+def kernel_rows(params, k1):
+    """I1(t_i,v) I3(t_i,v) for the nodes v >= t_i, row i = 0 .. N, formed
+    unfactored: I1(t,v) = e^{A(t)-A(v)}, I2(t,v) = e^{B(t)-B(v)} and
+    I3(t,v) = dalpha I2(t,T) - h(v) I2(t,v) (gain_integrals)."""
+    a, b, h = gain_integrals(params, k1)
+    dalpha = _coeffs(params)[4]
+    for i in range(k1.grid.n_nodes):
+        i1 = np.exp(a[i] - a[i:])
+        yield i1 * (dalpha * np.exp(b[i] - b[-1]) - h[i:] * np.exp(b[i] - b[i:]))
+
+
+def brute_force_M3(params, k1) -> float:
     """Reference O(N^2) sup over grid pairs t <= v of |I1(t,v) I3(t,v)|."""
-    return max(float(np.max(np.abs(kernel_row(kernels, i))))
-               for i in range(kernels.grid.n_nodes))
+    return max(float(np.max(np.abs(row))) for row in kernel_rows(params, k1))
 
 
-def direct_intercept_sweep(kernels, phi, k2) -> np.ndarray:
+def direct_intercept_sweep(params, k1, phi, k2) -> np.ndarray:
     """Reference O(N^2) sweep of the intercept equation: phi(t_i) + lam
     times the trapezoid over v >= t_i of I1(t_i,v) I3(t_i,v) k2(v)."""
-    dt = kernels.grid.dt
+    _, _, denom, _, dalpha = _coeffs(params)
+    dt = k1.grid.dt
     out = np.array(phi, dtype=float)
-    for i in range(kernels.grid.n_steps):
-        y = kernel_row(kernels, i) * k2[i:]
-        out[i] += kernels.lam * np.sum(0.5 * dt * (y[:-1] + y[1:]))
+    for i, row in enumerate(kernel_rows(params, k1)):
+        y = row * k2[i:]
+        out[i] += dalpha / denom * np.sum(0.5 * dt * (y[:-1] + y[1:]))
     return out
 
 
@@ -86,9 +108,9 @@ def _forward(values, dt):
     return out
 
 
-def reference_moments(params, kernels, k2: np.ndarray, dtype=float) -> dict[str, np.ndarray]:
+def reference_moments(params, k1, k2: np.ndarray, dtype=float) -> dict[str, np.ndarray]:
     """Reference moment coefficients for a general pair (k1, k2), evaluated
-    in dtype.
+    in dtype from the float64 integrals of gain_integrals.
 
     variance = I1(t,T)^{-2} {c0 x^2 + c1 x + c2} with
     c1 = -2 I2(t,T)^{-1} int_t^T I1 I3 k2 and
@@ -96,10 +118,10 @@ def reference_moments(params, kernels, k2: np.ndarray, dtype=float) -> dict[str,
                        - 2 dalpha int_t^T I1 I3 k2 (int_t^v I1 k2 dw) dv};
     the terms that carry I3 vanish only at the solved k1.
     """
-    dt = kernels.grid.dt
+    dt = k1.grid.dt
     _, _, denom, _, dalpha = _coeffs(params)
-    cum_a, cum_b = kernels.cum_drift.astype(dtype), kernels.cum_vol.astype(dtype)
-    h, k2 = kernels.h.astype(dtype), np.asarray(k2, dtype=dtype)
+    cum_a, cum_b, h = (x.astype(dtype) for x in gain_integrals(params, k1))
+    k2 = np.asarray(k2, dtype=dtype)
     inv_a = np.exp(-cum_a)
     inv_b = np.exp(-cum_b)
     i2_tT = np.exp(cum_b - cum_b[-1])
@@ -130,7 +152,7 @@ def assert_moments_match_reference(s, rel=1e-12):
     formula of reference_moments at its own k2, on every node.  The
     reference runs in extended precision (where the platform has it): in
     float64 its long cumulative sums alone drift by ~1e-12 on some markets."""
-    ref = reference_moments(s.gain.params, s.kernels, s.k2.values, np.longdouble)
+    ref = reference_moments(s.gain.params, s.k1, s.k2.values, np.longdouble)
     t, inv = s.k2.grid.nodes, ref["i1_inv"]
     for x in (0.0, 0.5, 1.0, 3.0):
         mean = inv * (x + ref["drift_load"])
@@ -193,15 +215,15 @@ class TestGainAndIntercept:
         for gamma, one in zip((1.0, 3.0), shared, strict=True):
             alone = solve_model3(symmetric_params, ObjectiveSpec(gamma, 1.0), unit_grid)
             assert one.obj == alone.obj
-            checks = [solve_k2(s.kernels, gamma) for s in (one, alone)]
+            checks = [solve_k2(s.kernels, s.k2) for s in (one, alone)]
             for a, b in (one.gain.solve, alone.gain.solve), checks:
                 assert (a.iterations, a.delta) == (b.iterations, b.delta)
             for a, b in [
                 (one.k1.values, alone.k1.values),
                 (one.k2.values, alone.k2.values),
-                (one.kernels.cum_drift, alone.kernels.cum_drift),
-                (one.kernels.cum_vol, alone.kernels.cum_vol),
-                (one.kernels.h, alone.kernels.h),
+                *zip(one.kernels.kernel_factors, alone.kernels.kernel_factors, strict=True),
+                *((getattr(one.kernels, name).values, getattr(alone.kernels, name).values)
+                  for name in ("i1_inv", "c0", "unit_intercept", "i2_tail")),
                 (one.moments.growth.values, alone.moments.growth.values),
                 (one.moments.c0.values, alone.moments.c0.values),
                 (one.moments.tail.values, alone.moments.tail.values),
@@ -247,15 +269,19 @@ class TestGainAndIntercept:
         solve_model3(symmetric_params, ObjectiveSpec(2.0, 1.0), unit_grid)
         assert built == [unit_grid]
 
-    def test_intercept_map_rejects_nonpositive_gamma(self, figure_solution):
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_closed_form_rejects_nonpositive_gamma(self, figure_solution, gamma):
+        # the check takes k2 and no gamma; the closed form refuses it
         with pytest.raises(ValueError):
-            intercept_equation_map(figure_solution.kernels, 0.0)
+            model3.intercept(figure_solution.kernels, gamma)
+        with pytest.raises(ValueError):
+            model3.moments(figure_solution.kernels, gamma)
 
     def test_residuals(self, symmetric_params, unit_grid):
         cfg = PicardConfig(tol=1e-11)
         s = solve_model3(symmetric_params, ObjectiveSpec(3.0, 1.0), unit_grid, cfg)
         assert gain_residual(symmetric_params, unit_grid, s.k1.values) < 1e-9
-        assert intercept_residual(s.kernels, 3.0, s.k2.values) < 1e-9
+        assert intercept_residual(s.kernels, s.k2, s.k2.values) < 1e-9
 
     def test_monotone_k1(self, symmetric_params, unit_grid):
         # alpha_1 > alpha_2: nondecreasing; flipped drifts: nonincreasing
@@ -266,6 +292,32 @@ class TestGainAndIntercept:
         assert np.all(np.diff(sf.k1.values) <= 1e-14)
 
 
+class TestOneOwner:
+    """Each solved array has one owner: the gain is its solve's final
+    iterate, and the kernels keep only the tables that are read."""
+
+    def test_the_gain_is_its_solves_final_iterate(self, figure_solution):
+        solve = figure_solution.gain.solve
+        assert figure_solution.k1.values is solve.values is solve.history[-1]
+
+    def test_a_horizon_holds_its_iterates_six_tables_and_a_k2_per_gamma(self):
+        # 100 001 nodes, so that an N-node array dwarfs every small object
+        params, gammas = shipped("figure1.cfg").params, [1.0, 3.0, 10.0]
+        grid = TimeGrid(1.0, 100_000)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solutions = solve_horizon(params, gammas, grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        arrays = len(solutions[0].gain.solve.history) + 6 + len(gammas)
+        assert held == pytest.approx(arrays * 8 * grid.n_nodes, rel=0.01)
+
+
 class TestKernels:
     def test_zero_gain_drift_kernel(self, unit_grid):
         # k1 = 0 and alpha_2 = 0.12 make I1 over the full horizon e^{-0.12},
@@ -273,7 +325,7 @@ class TestKernels:
         p = MarketParams([0.2, 0.04], [[0.3, 0.0], [0.0, 0.0]], 0.04)
         k1 = solve_model2(p, unit_grid).k
         p12 = MarketParams([0.2, 0.12], [[0.3, 0.0], [0.0, 0.0]], 0.04)
-        kernels = build_kernels(p12, k1, unit_grid)
+        kernels = build_kernels(p12, k1)
         assert kernels.i1_inv.values[0] == pytest.approx(np.exp(0.12), abs=1e-10)
 
     @pytest.mark.parametrize("shape", ["constant", "linear"])
@@ -288,14 +340,16 @@ class TestKernels:
             values = np.full(grid.n_nodes, 0.3)
         else:
             values = np.linspace(-0.5, 1.2, grid.n_nodes)
-        kernels = build_kernels(p, SampledFunction(grid, values), grid)
-        expected = brute_force_M3(kernels)
+        k1 = SampledFunction(grid, values)
+        kernels = build_kernels(p, k1)
+        expected = brute_force_M3(p, k1)
         assert expected > 1e-3
         assert kernels.M3 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_M3_matches_brute_force_at_solution(self, figure_solution):
         # at the solved k1 the kernel vanishes up to roundoff
-        expected = brute_force_M3(figure_solution.kernels)
+        s = figure_solution
+        expected = brute_force_M3(s.gain.params, s.k1)
         assert expected < 1e-12
         assert abs(figure_solution.kernels.M3 - expected) < 1e-13
 
@@ -326,7 +380,7 @@ class TestMoments:
             np.random.default_rng(100 + seed)
         )
         s = solve_model3(p, ObjectiveSpec(2.0, 1.0), TimeGrid(1.0, 500))
-        ref = reference_moments(s.gain.params, s.kernels, s.k2.values)
+        ref = reference_moments(s.gain.params, s.k1, s.k2.values)
         assert np.array_equal(s.moments.c0.values, ref["c0"])
         assert_moments_match_reference(s)
         assert np.max(np.abs(ref["c1"])) <= 1e-10 * np.max(np.sqrt(ref["c0"] * ref["c2"]))
@@ -334,10 +388,10 @@ class TestMoments:
     def test_general_formula_has_linear_term_off_equilibrium(self, symmetric_params):
         # a constant k1 = 0.3 does not solve the gain equation, so I3 != 0
         grid = TimeGrid(1.0, 500)
-        kernels = build_kernels(
-            symmetric_params, SampledFunction.constant(grid, 0.3), grid
-        )
-        ref = reference_moments(symmetric_params, kernels, solve_k2(kernels, 2.0).values)
+        k1 = SampledFunction.constant(grid, 0.3)
+        kernels = build_kernels(symmetric_params, k1)
+        k2 = solve_k2(kernels, model3.intercept(kernels, 2.0)).values
+        ref = reference_moments(symmetric_params, k1, k2)
         assert np.max(np.abs(ref["c1"])) > 1e-3 * np.max(
             np.sqrt(ref["c0"] * np.abs(ref["c2"]))
         )
@@ -384,20 +438,19 @@ class TestClosedFormIntercept:
             assert np.max(np.abs(s.k2.values * gamma - unit.values)) <= 2 * eps * np.max(
                 np.abs(unit.values)
             )
-            picard = solve_k2(s.kernels, gamma, cfg).values
+            picard = solve_k2(s.kernels, s.k2, cfg).values
             assert np.max(np.abs(s.k2.values - picard)) <= 1e-12 * np.max(np.abs(picard))
             # the residual is the discrete I3 term, the gain solve's error
             # times about theta~^2 T |k2|, which a k1 solved to 1e-12 leaves
             # at up to 6e-11 where |k2| reaches 830: 10 x the default tol up
             # to |k2| = 1000, and relative to |k2| beyond
             k2_max = np.max(np.abs(s.k2.values))
-            assert intercept_residual(s.kernels, gamma, s.k2.values) <= 1e-12 * max(1e3, k2_max)
+            assert intercept_residual(s.kernels, s.k2, s.k2.values) <= 1e-12 * max(1e3, k2_max)
             assert_moments_match_reference(s)
 
     @pytest.mark.parametrize("name", ["figure1.cfg", "section4.cfg"])
     def test_shipped_markets(self, name):
-        with resources.as_file(resources.files("tcmv") / "configs" / name) as path:
-            cfg = load_config(str(path))
+        cfg = shipped(name)
         for T in cfg.horizons:
             grid = TimeGrid(T, int(round(cfg.steps_per_year * T)))
             self.check_horizon(cfg.params, grid, cfg.picard)
@@ -453,21 +506,21 @@ class TestInterceptCheck:
     f(t) int_t^T g k2 over the kernel factors (f, g), one tail integral."""
 
     @staticmethod
-    def kernels_of(market, grid):
-        """(kernels, gamma) of a shipped config by name, the steep market,
-        a constant k1 = 0.3 off equilibrium, or a random market by seed."""
+    def gain_of(market, grid):
+        """(params, k1, gamma) of a shipped config by name, the steep
+        market, a constant k1 = 0.3 off equilibrium, or a random market by
+        seed."""
         if isinstance(market, int):
             params, gamma = random_distinct_market(np.random.default_rng(market)), 2.0
         elif market == "steep":
             params, gamma = STEEP, 3.0
         elif market == "off equilibrium":
             params = MarketParams([0.2, 0.12], [[0.25, 0.0], [0.0, 0.25]], 0.04)
-            return build_kernels(params, SampledFunction.constant(grid, 0.3), grid), 2.0
+            return params, SampledFunction.constant(grid, 0.3), 2.0
         else:
-            with resources.as_file(resources.files("tcmv") / "configs" / market) as path:
-                cfg = load_config(str(path))
+            cfg = shipped(market)
             params, gamma = cfg.params, cfg.gammas[0]
-        return solve_model3(params, ObjectiveSpec(gamma, grid.T), grid).kernels, gamma
+        return params, solve_model2(params, grid).k, gamma
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.2, 5.0))
     @settings(max_examples=20, deadline=None)
@@ -477,14 +530,25 @@ class TestInterceptCheck:
     @example("off equilibrium", 1.0)  # I1 I3 does not vanish: M3 = 0.025
     def test_sweep_matches_direct_quadrature(self, market, T):
         grid = TimeGrid.default(T, 200)
-        kernels, gamma = self.kernels_of(market, grid)
-        sweep = intercept_equation_map(kernels, gamma)
-        phi = model3.intercept(kernels, gamma).values
+        params, k1, gamma = self.gain_of(market, grid)
+        kernels = build_kernels(params, k1)
+        closed_form = model3.intercept(kernels, gamma)
+        sweep, phi = intercept_equation_map(kernels, closed_form), closed_form.values
         # the check's fixed point and its start, k2's terminal value held constant
         for k2 in phi, np.full(grid.n_nodes, phi[-1]):
-            got, expected = sweep(k2), direct_intercept_sweep(kernels, phi, k2)
+            got, expected = sweep(k2), direct_intercept_sweep(params, k1, phi, k2)
             scale = np.max(np.abs(phi)) + abs(kernels.lam) * kernels.M3 * T * np.max(np.abs(k2))
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.2, 5.0), st.floats(0.1, 50.0))
+    @settings(max_examples=20, deadline=None)
+    def test_the_check_starts_at_lam_over_gamma(self, seed, T, gamma):
+        # k2's terminal value is phi_1(T) / gamma = lam e^0 e^0 / gamma
+        params = random_distinct_market(np.random.default_rng(seed))
+        (s,) = solve_horizon(params, [gamma], TimeGrid.default(T, 200))
+        start = solve_k2(s.kernels, s.k2).history[0]
+        expected = np.full(s.k2.grid.n_nodes, s.kernels.lam / gamma)
+        assert start.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-9])
     def test_steep_market_converges_at_the_absolute_tol(self, gamma):
@@ -493,19 +557,15 @@ class TestInterceptCheck:
         # two integrals of the size of k2
         s = solve_model3(STEEP, ObjectiveSpec(3.0, 3.0))
         cfg = PicardConfig()
-        result = solve_k2(s.kernels, gamma, cfg)
+        result = solve_k2(s.kernels, model3.intercept(s.kernels, gamma), cfg)
         assert result.iterations <= 3
         assert result.delta < cfg.tol
 
 
 def kernel_exponent(params, grid) -> float:
     """The largest exponent the kernel tables take, recomputed from the
-    solved gain: A(T) - A, A - A(T), B(T) - B, A + B and -A, A = cum_drift
-    and B = cum_vol."""
-    k = solve_model2(params, grid).k.values
-    dalpha = _coeffs(params)[4]
-    a = forward_integrals(params.alpha[1] + k * dalpha, grid.dt)
-    b = forward_integrals(portfolio_variance_rate(params, k), grid.dt)
+    solved gain: A(T) - A, A - A(T), B(T) - B, A + B and -A (gain_integrals)."""
+    a, b, _ = gain_integrals(params, solve_model2(params, grid).k)
     return float(max(np.max(e) for e in (a[-1] - a, a - a[-1], b[-1] - b, a + b, -a)))
 
 
@@ -531,9 +591,9 @@ class TestRangeRefusal:
             warnings.simplefilter("error")
             try:
                 (s,) = solve_horizon(params, [gamma], grid)
-                history = solve_k2(s.kernels, gamma).history
+                history = solve_k2(s.kernels, s.k2).history
                 gain_residual(params, grid, s.k1.values)
-                intercept_residual(s.kernels, gamma, s.k2.values)
+                intercept_residual(s.kernels, s.k2, s.k2.values)
                 gain_bound_constant(params, grid, s.gain.solve.history)
                 intercept_bound_constant(s.kernels, history)
             except ConfigError:
@@ -593,7 +653,7 @@ class TestIterateErrorBound:
     def test_bound_dominates_both_solves(self, symmetric_params, unit_grid):
         cfg = PicardConfig(tol=1e-13, max_iter=300)
         s = solve_model3(symmetric_params, ObjectiveSpec(1.0, 1.0), unit_grid, cfg)
-        k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, 1.0, cfg)
+        k1_history, k2_solve = s.gain.solve.history, solve_k2(s.kernels, s.k2, cfg)
         cases = [
             (k1_history, s.k1.values, gain_bound_constant(symmetric_params, unit_grid, k1_history)),
             (k2_solve.history, k2_solve.values,
@@ -620,7 +680,7 @@ class TestIterateErrorBound:
             p = random_distinct_market(rng)
             cfg = PicardConfig(tol=1e-13, max_iter=500)
             s = solve_model3(p, ObjectiveSpec(2.0, 1.0), unit_grid, cfg)
-            k2_solve = solve_k2(s.kernels, 2.0, cfg)
+            k2_solve = solve_k2(s.kernels, s.k2, cfg)
             K = intercept_bound_constant(s.kernels, k2_solve.history)
             errors = iterate_sup_errors(k2_solve.history, k2_solve.values)
             for n in range(1, min(10, len(errors)) + 1):
@@ -875,7 +935,7 @@ class TestNearSyntheticBank:
         cfg = PicardConfig()
         k = solve_model2(params, grid, cfg).k
         try:
-            build_kernels(params, k, grid)
+            build_kernels(params, k)
         except CoefficientRangeError:
             reject()
         assert gain_residual(params, grid, k.values) <= 10.0 * cfg.tol

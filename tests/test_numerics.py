@@ -40,6 +40,14 @@ class TestSampledFunction:
         grid = TimeGrid(1.0, 4)
         assert SampledFunction.constant(grid, 3.0)(0.37) == 3.0
 
+    def test_holds_the_float_array_it_is_given(self):
+        grid = TimeGrid(1.0, 10)
+        values = np.linspace(0.0, 1.0, grid.n_nodes)
+        f = SampledFunction(grid, values)
+        assert f.values is values and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             SampledFunction(TimeGrid(1.0, 10), np.zeros(5))
