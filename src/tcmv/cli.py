@@ -528,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "blocks, in groups of at most 512 paths, on min(N, "
                          "CPUs, blocks, groups of normals that fit in 512 "
                          "MiB) worker threads, this one included; solve and "
-                         "bounds accept it and run on one thread")
+                         "bounds accept it and run on one thread.  N below 1 "
+                         "is a config error")
         cmd.add_argument("--verbose", action="store_true")
     return parser
 
@@ -536,8 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1; got {args.threads}")
         cfg = load_config(args.config, args.out_dir)
-        return _COMMANDS[args.command](cfg, max(1, args.threads), args.verbose)
+        return _COMMANDS[args.command](cfg, args.threads, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,10 +32,11 @@ streams keyed by (seed, block index) over fixed-size path blocks, so the
 same seed and config give bit-identical results regardless of evaluation
 order and thread count.  Blocks are independent, so each worker thread
 takes the next block, makes its stream once and draws it in groups of at
-most 512 paths into its own step-major buffer, stepping each group before
-it draws the next; the draws run side by side, the stepping one group at a
-time.  A group's draw moves step-major through the worker's step-factor
-scratch, whole paths at a time and at least one.
+most 512 paths, each in one call into its own buffer, path by path as the
+stream yields them, stepping each group before it draws the next; the
+draws run side by side, the stepping one group at a time.  The stepping
+gathers each chunk of steps of a group's normals step-major into the
+worker's step-factor scratch.
 The figure paths of every column share one more stream, keyed by
 (seed, 2**63) and drawn once per call.  The wealth SDE is simulated in
 levels, not logs: dollar strategies with an intercept can legitimately
@@ -70,10 +71,10 @@ _GROUP = 512
 
 # Numbers of the step factors _step_rows forms in one call, one numpy call
 # per factor term over as many steps as fit, before it steps them one at a
-# time: 384 KiB of scratch.  Forming several steps a call keeps down the
-# numpy calls a path, each a turn at the GIL beside the other worker's
-# draw: the 512-path groups of 2 pairs (6 numbers a path and step) form 16
-# steps a call.
+# time, beside their normals: 384 KiB of scratch.  Forming several steps a
+# call keeps down the numpy calls a path, each a turn at the GIL beside the
+# other worker's draw: the 512-path groups of 2 pairs on 2 factors (6
+# factor numbers and 2 normals a path and step) form 12 steps a call.
 _FACTORS = 49152
 
 # Most bytes of any one array a run sizes (see array_nbytes), a worker's
@@ -114,17 +115,16 @@ def array_nbytes(
     factors and the terminal wealth grow with the pairs, which do not
     depend on how many gammas share a horizon; only the figure paths handed
     back grow with the columns.  The figure path steps as a group of one
-    path, so its factors are within the step factors of a group.  A
-    worker's scratch holds at least one path of normals for its draw, which
-    is within its Gaussian increments."""
+    path, so its factors are within the step factors of a group."""
     n = cfg.n_time_steps
     return {
         "Gaussian increments per worker": group_nbytes(cfg, n_factors),
         "step table": n * n_pairs * (2 + 2 * n_factors) * 8,
         "sampled strategy coefficients": (n + 1) * n_pairs * 2 * n_stocks * 8,
         # the multipliers, shifts and products of as many steps as fit in
-        # _FACTORS, or of one step, 3 numbers a pair and path
-        "step factors": max(_FACTORS, 3 * n_pairs * _width(cfg.n_paths)) * 8,
+        # _FACTORS, or of one step, 3 numbers a pair and path, and the
+        # steps' normals, n_factors a path
+        "step factors": max(_FACTORS, (3 * n_pairs + n_factors) * _width(cfg.n_paths)) * 8,
         "terminal wealth": 2 * n_pairs * cfg.n_paths * 8,
         # the pairs' wealth, and each column's wealth and dollars
         "figure paths": (n + 1) * (2 * n_pairs + n_columns * (1 + n_stocks)) * 8,
@@ -152,24 +152,6 @@ class SimulationReport(NamedTuple):
 
 def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-
-
-def _draw_paths(stream: np.random.Generator, out: np.ndarray, piece: np.ndarray):
-    """Fill out, an (n, d, m) array, with stream's next m paths of normals,
-    drawn as shape (m, n, d), one path's steps after another, and stored
-    step-major: out[i, j, p] is path p's normal of step i and factor j.  The
-    stream is drawn into piece, a flat scratch that holds at least one path
-    (a worker's step-factor scratch), as many whole paths at a time as fit,
-    and each piece is moved into out while it is still in the cache; filled
-    one piece, or one call, after another, the stream gives the bits of one
-    fill."""
-    n, d, m = out.shape
-    per = min(m, piece.size // (n * d))
-    for first in range(0, m, per):
-        k = min(per, m - first)
-        z = piece[: k * n * d].reshape(k, n, d)
-        stream.standard_normal(out=z)
-        out[:, :, first : first + k] = z.transpose(1, 2, 0)
 
 
 def _loaded(coef: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -256,29 +238,31 @@ class _Rows:
             for T, g, k in met
         ]
 
-    def step_size(self, m: int) -> int:
-        """Numbers of the factors :func:`_step_rows` forms for one step of
-        m paths: the multipliers, the shifts and the products of every pair."""
-        return 3 * len(self.rows) * m
+    def step_size(self, m: int, d: int) -> int:
+        """Numbers :func:`_step_rows` holds for one step of m paths on d
+        factors: the multipliers, the shifts and the products of every pair,
+        and the step's normals."""
+        return (3 * len(self.rows) + d) * m
 
-    def factor_size(self, m: int) -> int:
-        """Numbers of the factors of as many steps of m paths as fit in
+    def factor_size(self, m: int, d: int) -> int:
+        """Numbers of as many steps of m paths on d factors as fit in
         _FACTORS, at least one and at most n."""
-        step = self.step_size(m)
-        return min(self.n, max(1, _FACTORS // step)) * step if step else 0
+        step = self.step_size(m, d)
+        return min(self.n, max(1, _FACTORS // step)) * step
 
 
 def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Rows,
                scratch: np.ndarray | None = None, path: np.ndarray | None = None):
     """x <- x A + B in place for every step of the table, for x the (2P, m)
     rows of plan's P pairs on m paths, set first to 1 for each Y and 0 for
-    each Z, and normals their (n, d, m) standard normals, step-major.  A
+    each Z, and normals their (m, n, d) standard normals, path by path.  A
     pair's A + C z multiplies its Y and its Z; a G = 0 pair's is its entry
     1 + r dt, as C = +0.  Y's B + E z is +0 and is not formed: +0 is added
     to the Y rows once after the last step, which turns -0 into +0 as adding
     it every step would (a Z row's x A + B may itself be -0, and is kept).
     The factors A + C z and B + E z of as many steps as fit in the scratch
-    are formed together, one numpy call per term for all P pairs alike, into
+    are formed together, from those steps' normals copied step-major beside
+    them, one numpy call per term for all P pairs alike, into
     one multiplier a pair and the shifts of the Z rows.  The Z rows are then
     stepped one step at a time, two calls a step, in an array of their own
     that is copied into x after the last step, and the Y rows take the
@@ -288,15 +272,15 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
     Each row's operations are elementwise and those of the per-row step, so
     its bits depend on its own coefficients alone.
     The factors go in a view of scratch where one is given, else in
-    plan.factor_size(m) numbers.  With path, an (n + 1, 2P, m) array, x is
+    plan.factor_size(m, d) numbers.  With path, an (n + 1, 2P, m) array, x is
     kept at the start and after every step."""
-    (R, m), d = x.shape, normals.shape[1]
+    (R, m), d = x.shape, normals.shape[2]
     P = R // 2
     if scratch is None:
-        scratch = np.empty(plan.factor_size(m))
-    step = plan.step_size(m)
-    c = min(len(table), scratch.size // step) if step else len(table)
+        scratch = np.empty(plan.factor_size(m, d))
+    c = min(len(table), scratch.size // plan.step_size(m, d))
     mult, shift, tmp = scratch[: 3 * c * P * m].reshape(3, c, P, m)
+    chunk = scratch[3 * c * P * m : (3 * P + d) * c * m].reshape(c, d, m)
     x[:P], x[P:] = 1.0, 0.0
     # a call on a contiguous array of the Z rows takes half the time it
     # does on rows of x that lie apart in memory
@@ -310,9 +294,10 @@ def _step_rows(x: np.ndarray, table: np.ndarray, normals: np.ndarray, plan: _Row
         # operation is elementwise
         np.setbufsize(16)
         for first in range(0, len(table), c):
-            coef, z = table[first : first + c], normals[first : first + c]
+            coef = table[first : first + c]
             k = len(coef)
-            g, s, t = mult[:k], shift[:k], tmp[:k]
+            g, s, t, z = mult[:k], shift[:k], tmp[:k], chunk[:k]
+            z[...] = normals[:, first : first + k].transpose(1, 2, 0)
             np.multiply(coef[:, 2], z[:, :1], out=g)
             np.multiply(coef[:, 2 + d], z[:, :1], out=s)
             for j in range(1, d):
@@ -414,21 +399,18 @@ def simulate_models(
     terminal = np.full((2 * len(plan.rows), cfg.n_paths), np.nan)
     width = _width(cfg.n_paths)
     workers = _workers(threads, n_blocks, group_nbytes(cfg, d))
-    # Each worker makes a block's stream once and draws it in groups through
-    # its scratch, stepping each group before it draws the next.  Threads
+    # Each worker makes a block's stream once and draws it in groups, one
+    # call a group, stepping each group before it draws the next.  Threads
     # draw side by side, as a Philox fill runs without the GIL, and step one
     # group at a time: stepping's short numpy calls take the GIL every few
     # microseconds, and two threads stepping at once were no faster than
-    # one stepping while the other draws.  The scratch holds the step
-    # factors of a group, and at least one path of the draw, which moves
-    # step-major through it as many whole paths at a time as fit.
-    size = max(plan.factor_size(width), n_steps * d)
+    # one stepping while the other draws.
     stepping = threading.Lock()
 
     def worker() -> Callable[[int], None]:
-        # one thread's buffers for the run: a group's normals, step-major,
-        # and the scratch the draw, then the step, goes through
-        normals, scratch = np.empty(n_steps * d * width), np.empty(size)
+        # one thread's buffers for the run: a group's normals, path by path,
+        # and the scratch of the step factors
+        normals, scratch = np.empty(width * n_steps * d), np.empty(plan.factor_size(width, d))
 
         def run_block(block: int):
             stream = _stream(cfg.seed, block)
@@ -437,8 +419,8 @@ def simulate_models(
             for lo, hi in zip(cuts, cuts[1:]):
                 if hi == lo:  # an empty group of a block of fewer than 4 paths
                     continue
-                z = normals[: n_steps * d * (hi - lo)].reshape(n_steps, d, hi - lo)
-                _draw_paths(stream, z, scratch)
+                z = normals[: (hi - lo) * n_steps * d].reshape(hi - lo, n_steps, d)
+                stream.standard_normal(out=z)
                 # the rows are stepped where their terminal wealth goes;
                 # overflow is how a path explodes, and its non-finite wealth
                 # is excluded at the end, so it must not warn
@@ -540,8 +522,7 @@ def reproduce_figure_paths(
     n_steps, d = cfg.n_time_steps, params.n_factors
     plan = _Rows(columns, n_steps)
     table = _step_table(params, plan.rows, n_steps)
-    # separate key namespace from the block streams used by simulate_models();
-    # one path drawn in C order is already step-major
+    # separate key namespace from the block streams used by simulate_models()
     z = _stream(cfg.seed, 2**63).standard_normal((n_steps, d))
 
     log_drift = params.alpha - 0.5 * np.sum(params.sigma**2, axis=1)
@@ -553,7 +534,7 @@ def reproduce_figure_paths(
     n_rows = 2 * len(plan.rows)
     wealth = np.empty((n_steps + 1, n_rows, 1))
     with np.errstate(over="ignore"):  # an overflowed row makes its columns' paths inf
-        _step_rows(np.empty((n_rows, 1)), table, z[:, :, None], plan, path=wealth)
+        _step_rows(np.empty((n_rows, 1)), table, z[None], plan, path=wealth)
     rows = wealth[:, :, 0].T
     records = {}
     for (key, (strategy, _)), column in zip(columns.items(), plan.columns):

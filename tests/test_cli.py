@@ -523,6 +523,17 @@ class TestConfigParsing:
         assert {row[2] for row in rows} >= {"model2", "model3"}
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "bounds"])
+def test_threads_below_one_is_config_error(figure_cfg, tmp_path, capsys, command, threads):
+    # refused before the config is read: one stderr line, no output directory
+    out = tmp_path / "out"
+    assert main([command, figure_cfg, "--out-dir", str(out), "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --threads must be at least 1; got {threads}\n"
+    assert captured.out == "" and not out.exists()
+
+
 class TestOutputDirectory:
     def test_existing_file_is_config_error(self, figure_cfg, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -1029,7 +1040,7 @@ class TestSimulateCommand:
         # a partial block of 2049 or 2905 paths in five or six groups, and
         # a last block of 1 or 3 paths, whose quarters are (1, 0, 0, 0) and
         # (1, 1, 1, 0); a last call of steps cut short (the 512-path groups
-        # form 16 steps a call)
+        # form 12 steps a call)
         (6145, 21),
         (7001, 21),
         (4097, 21),

@@ -21,13 +21,14 @@ against the files recorded in tests/golden:
 
 On the numpy version and platform recorded in tests/golden/recorded.json
 every file must match byte for byte.  Each simulate set runs at
-``--threads 1`` and again at ``--threads 2``, with two CPUs whatever the
-machine has, against the same files.  Elsewhere vectorised functions such
-as exp may round differently, so there each numeric cell may move by at
-most 1e-10 relative, and every text cell must be equal; a cell is what
-commas, spaces and '=' separate, so a number inside a diagnostics or
-bounds line counts as a cell too.  A failure names the file, how many
-cells moved and the largest relative change.
+``--threads 1``, again at ``--threads 2`` with two CPUs whatever the
+machine has, and at ``--threads 3`` with four, against the same files.
+Elsewhere vectorised functions such as exp may round differently, so
+there each numeric cell may move by at most 1e-10 relative, and every
+text cell must be equal; a cell is what commas, spaces and '=' separate,
+so a number inside a diagnostics or bounds line counts as a cell too.  A
+failure names the file, how many cells moved and the largest relative
+change.
 
 Rewrite the goldens from the checkout, printing that summary per file, with
 
@@ -170,6 +171,14 @@ def test_outputs_match_the_golden_files(name, tmp_path):
 def test_simulate_outputs_match_the_golden_files_at_two_threads(name, tmp_path, monkeypatch):
     monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 2)
     check(name, run(name, tmp_path, threads=2))
+
+
+@pytest.mark.parametrize("name", [name for name, (command, *_) in SETS.items()
+                                  if command == "simulate"])
+def test_simulate_outputs_match_the_golden_files_at_three_threads(name, tmp_path, monkeypatch):
+    # three workers take simulate_wide's eight blocks in yet another order
+    monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
+    check(name, run(name, tmp_path, threads=3))
 
 
 def test_moved_counts_cells_and_their_largest_change():

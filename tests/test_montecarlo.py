@@ -28,7 +28,7 @@ from tcmv.montecarlo import (
     _BLOCK,
     _FACTORS,
     MAX_BLOCK_BYTES,
-    _draw_paths,
+    _cuts,
     _report,
     _step_table,
     _stream,
@@ -250,6 +250,26 @@ def columns_of(strategies, obj):
     return {name: (strategy, obj) for name, strategy in strategies.items()}
 
 
+class HookedStream:
+    """Block ``block``'s stream, whose draws call hook(block, out) once out
+    is filled: standard_normal(out=...) is the one call the engine makes of
+    a block stream."""
+
+    def __init__(self, seed, block, hook):
+        self.stream, self.block, self.hook = _stream(seed, block), block, hook
+
+    def standard_normal(self, *, out):
+        self.stream.standard_normal(out=out)
+        self.hook(self.block, out)
+
+
+def hook_draws(monkeypatch, hook):
+    """Has every block stream simulate_models makes call hook(block, out)
+    after each of its draws."""
+    monkeypatch.setattr(montecarlo, "_stream",
+                        lambda seed, block: HookedStream(seed, block, hook))
+
+
 class TestSimulateModels:
     # two full Philox blocks and a partial one
     CFG = SimConfig(9000, 20, 31)
@@ -323,19 +343,19 @@ class TestSimulateModels:
     def test_worker_exception_propagates_and_no_thread_survives(
         self, diagonal_params, three_strategies, monkeypatch
     ):
-        # a draw that fails on a thread other than the caller's: the error
-        # leaves simulate_models once every worker has ended
+        # a block stream's draw that fails on a thread other than the
+        # caller's: the error leaves simulate_models once every worker has
+        # ended
         caller, taken = threading.current_thread(), threading.Event()
-        draw = montecarlo._draw_paths
 
-        def failing(stream, out, piece):
+        def failing(block, out):
             if threading.current_thread() is caller:
                 taken.wait(10.0)  # a worker thread takes a block first
-                return draw(stream, out, piece)
+                return
             taken.set()
-            raise RuntimeError(f"worker failed on a group of {out.shape[2]} paths")
+            raise RuntimeError(f"worker failed on a group of {len(out)} paths")
 
-        monkeypatch.setattr(montecarlo, "_draw_paths", failing)
+        hook_draws(monkeypatch, failing)
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         before = set(threading.enumerate())
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
@@ -359,15 +379,14 @@ class TestSimulateModels:
         workers = _workers(threads, 3, group_nbytes(cfg, 2))
         assert workers == threads
         assert group_nbytes(cfg, 2) == 512 * 200 * 2 * 8
-        buffers, groups, draw = {}, [], montecarlo._draw_paths
+        buffers, groups = {}, []
 
-        def recorded(stream, out, piece):
+        def recorded(block, out):
             # the buffer itself is kept, so a new one cannot reuse its address
             buffers.setdefault(threading.get_ident(), []).append(out.base)
-            groups.append(out.shape[2])
-            return draw(stream, out, piece)
+            groups.append(len(out))
 
-        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
+        hook_draws(monkeypatch, recorded)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -383,7 +402,7 @@ class TestSimulateModels:
         assert all(len(ids) == 1 for ids in held)
         assert len(set().union(*held)) == len(buffers)
         assert all(b.nbytes == group_nbytes(cfg, 2) for kept in buffers.values() for b in kept)
-        per_worker = group_nbytes(cfg, 2) + 8 * montecarlo._Rows(columns, 200).factor_size(512)
+        per_worker = group_nbytes(cfg, 2) + 8 * montecarlo._Rows(columns, 200).factor_size(512, 2)
         assert workers * per_worker < peak < workers * per_worker + 0.5 * group_nbytes(cfg, 2)
 
     @pytest.mark.parametrize("n_paths", [1023, 1024])
@@ -396,13 +415,8 @@ class TestSimulateModels:
         cfg = SimConfig(n_paths, 400, 31)
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         serial = simulate_models(diagonal_params, columns, cfg)
-        quarters, draw = [], montecarlo._draw_paths
-
-        def recorded(stream, out, piece):
-            quarters.append(out.shape[2])
-            return draw(stream, out, piece)
-
-        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
+        quarters = []
+        hook_draws(monkeypatch, lambda block, out: quarters.append(len(out)))
         monkeypatch.setattr("tcmv.montecarlo.os.cpu_count", lambda: 4)
         tracemalloc.start()
         try:
@@ -435,13 +449,8 @@ class TestSimulateModels:
         # 2048 paths, and as many groups as keep each within 512 paths past
         # that; a last block of 1, 2 or 3 paths skips its empty groups, the
         # last one or one between two of one path
-        drawn, draw = [], montecarlo._draw_paths
-
-        def recorded(stream, out, piece):
-            drawn.append(out.shape[2])
-            return draw(stream, out, piece)
-
-        monkeypatch.setattr(montecarlo, "_draw_paths", recorded)
+        drawn = []
+        hook_draws(monkeypatch, lambda block, out: drawn.append(len(out)))
         columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
         simulate_models(diagonal_params, columns, SimConfig(n_paths, 2, 31))
         assert drawn == parts and sum(parts) == n_paths
@@ -489,7 +498,7 @@ class TestSimulateModels:
         for steps in (None, 1, 2, 3, n_steps):
 
             def cut(x, table, normals, plan, scratch=None, path=None):
-                given = np.empty(steps * plan.step_size(x.shape[1]))
+                given = np.empty(steps * plan.step_size(x.shape[1], normals.shape[2]))
                 return step_rows(x, table, normals, plan, given, path)
 
             with monkeypatch.context() as patch:
@@ -498,19 +507,28 @@ class TestSimulateModels:
                 for threads in (1, 2, 3):
                     assert simulate_models(diagonal_params, columns, cfg, threads) == expected
 
-    def test_scratch_holds_one_path_of_the_draw(self):
-        # a G = 0 column steps one pair of 3 factor numbers a path and step,
-        # as many as one path of the draw on 3 factors: past the 16384 steps
-        # of a one-path group that fit in _FACTORS, its factors are less
-        # than one path of the draw, which the scratch holds
-        params = MarketParams([0.2, 0.12], [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1]], 0.04)
-        columns = {"": (Affine(np.zeros(2), np.array([0.5, -0.5])), ObjectiveSpec(2.0, 1.0))}
-        cfg = SimConfig(2, 16385, 7)
-        plan = montecarlo._Rows(columns, cfg.n_time_steps)
-        assert plan.factor_size(1) == _FACTORS < cfg.n_time_steps * params.n_factors
-        expected = reference_models(params, columns, cfg)
-        for threads in (1, 2):
-            assert simulate_models(params, columns, cfg, threads) == expected
+    @pytest.mark.parametrize("n_paths", [5, 4099, 9000])
+    def test_each_group_is_one_draw_of_the_block_stream(
+        self, diagonal_params, three_strategies, monkeypatch, n_paths
+    ):
+        # each non-empty group of a block is one call of its stream, into an
+        # (m, n, d) buffer that holds the group's paths of the block's one
+        # C-order fill, cut at _cuts: 200 steps of 2 factors, so that far
+        # fewer than 512 paths of them fit in the step factors' budget
+        cfg = SimConfig(n_paths, 200, 31)
+        assert 512 * 200 * 2 > _FACTORS
+        draws = []
+        hook_draws(monkeypatch, lambda block, out: draws.append((block, out.copy())))
+        columns = columns_of(three_strategies, ObjectiveSpec(3.0, 1.0))
+        simulate_models(diagonal_params, columns, cfg)
+        expected = []
+        for block, first in enumerate(range(0, n_paths, _BLOCK)):
+            m = min(_BLOCK, n_paths - first)
+            fill = _stream(cfg.seed, block).standard_normal((m, 200, 2))
+            cuts = _cuts(m)
+            expected += [(block, fill[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        assert [block for block, _ in draws] == [block for block, _ in expected]
+        assert all(same_bits(out, group) for (_, out), (_, group) in zip(draws, expected))
 
     @pytest.mark.parametrize("n_paths", [1000, 9000])
     def test_more_threads_than_blocks(self, diagonal_params, three_strategies, n_paths):
@@ -764,18 +782,18 @@ SCRATCH_STEPS = st.none() | st.integers(1, 12)
 @example(m=2, n=5, d=3, shared=[], own=2, seed=4, steps=3)
 @settings(max_examples=40, deadline=None)
 def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, steps):
-    # the pairs of a random plan stepped from step-major normals keep the
-    # bits of the per-row reference at every node, overflow and signed
-    # zeros too, kept in a path or not, in their own buffers or in given
-    # scratch of some steps' factors, past which nothing is written
+    # the pairs of a random plan stepped from normals drawn path by path
+    # keep the bits of the per-row reference at every node, overflow and
+    # signed zeros too, kept in a path or not, in their own buffers or in
+    # given scratch of some steps' factors, past which nothing is written
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     table = _step_table(params, plan.rows, n)
-    normals = rng.normal(size=(n, d, m))
+    normals = rng.normal(size=(m, n, d))
     ref = pair_starts(plan, m)
     x, whole, path = np.empty_like(ref), np.empty_like(ref), np.full((n + 1, *ref.shape), np.nan)
     rows, work = row_table(table), np.empty((3, *ref.shape))
-    given = None if steps is None else np.full(steps * plan.step_size(m) + 1, np.nan)
+    given = None if steps is None else np.full(steps * plan.step_size(m, d) + 1, np.nan)
     bufsize = np.getbufsize()
     with np.errstate(over="ignore", invalid="ignore"):
         montecarlo._step_rows(x, table, normals, plan, given, path)
@@ -783,7 +801,7 @@ def test_step_rows_matches_the_per_step_reference(m, n, d, shared, own, seed, st
         assert np.getbufsize() == bufsize  # the stepping keeps its buffer size to itself
         assert same_bits(path[0], ref)
         for i in range(n):
-            reference_step(ref, normals[i], rows[i], work)
+            reference_step(ref, normals[:, i].T, rows[i], work)
             assert same_bits(path[i + 1], ref)
     assert same_bits(x, ref) and same_bits(whole, ref)
     assert given is None or np.isnan(given[-1])
@@ -802,15 +820,15 @@ def test_path_factors_step_as_the_blocks_do(n, d, shared, own, seed, steps):
     rng = np.random.default_rng(seed)
     params, plan = random_plan(rng, n, d, shared, own)
     table = _step_table(params, plan.rows, n)
-    z = rng.normal(size=(n, d, 1))
+    z = rng.normal(size=(1, n, d))
     x = np.empty((2 * len(plan.rows), 1))
     path = np.full((n + 1, *x.shape), np.nan)
-    given = None if steps is None else np.empty(steps * plan.step_size(1))
+    given = None if steps is None else np.empty(steps * plan.step_size(1, d))
     with np.errstate(over="ignore", invalid="ignore"):
         montecarlo._step_rows(x, table, z, plan, given, path=path)
         assert same_bits(path[0], pair_starts(plan, 1))
         for i in range(n):
-            montecarlo._step_rows(x, table[: i + 1], z[: i + 1], plan)
+            montecarlo._step_rows(x, table[: i + 1], z[:, : i + 1], plan)
             assert same_bits(path[i + 1], x)
 
 
@@ -829,13 +847,13 @@ def test_gain_rows_turn_negative_zero_positive(steps):
     table[:, 0, 0, 0] = [-1.0, 0.0, 0.5, 0.5, 0.5]
     table[:, 0, 1, 0] = 1.01
     table[:, 1] = table[:, 3] = -0.0
-    z, x = np.ones((5, 1, 2)), np.empty((4, 2))
+    z, x = np.ones((2, 5, 1)), np.empty((4, 2))
     ref, work = pair_starts(plan, 2), np.empty((3, 4, 2))
     path = np.full((6, 4, 2), np.nan)
-    montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(2)), path)
+    montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(2, 1)), path)
     assert same_bits(path[0], ref)
     for i in range(5):
-        reference_step(ref, z[i], row_table(table)[i], work)
+        reference_step(ref, z[:, i].T, row_table(table)[i], work)
         assert same_bits(path[i + 1], ref)
     # the gain's Y +0 from the second step on, its Z -0 throughout
     assert same_bits(path[2:, 0], np.zeros((4, 2)))
@@ -858,10 +876,12 @@ def test_every_step_reads_its_own_entry(steps):
     table[:, 2:4, 0, 0] = [[0.1, -0.2], [-0.3, 0.05], [0.2, 0.2], [0.0, -0.1], [0.4, 0.3], [-0.1, 0.1]]
     table[:, 0, 1, 0] = [1.01, -0.5, 3.0, -2.0, 0.5, 1.5]
     table[:, 2:4, 1] = 0.0
+    # each step's (d, m) normals, drawn path by path as (m, n, d)
     z = np.array([[[1.0, -0.5, 2.0], [-1.5, 0.25, 1.0]], [[-2.0, 1.0, -0.5], [0.5, -1.0, 1.5]]] * 3)
     ref, work = pair_starts(plan, 3), np.empty((3, 4, 3))
     x, path = np.empty((4, 3)), np.full((7, 4, 3), np.nan)
-    montecarlo._step_rows(x, table, z, plan, np.empty(steps * plan.step_size(3)), path)
+    drawn = np.ascontiguousarray(z.transpose(2, 0, 1))
+    montecarlo._step_rows(x, table, drawn, plan, np.empty(steps * plan.step_size(3, 2)), path)
     assert same_bits(path[0], ref)
     for i in range(6):
         reference_step(ref, z[i], row_table(table)[i], work)
@@ -905,25 +925,21 @@ def test_cash_pair_steps_the_sequential_product(r, T, n):
     st.integers(1, 9),
     st.integers(1, 30),
     st.integers(1, 3),
-    st.integers(1, 12),
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**63),
     st.lists(st.integers(0, 9), max_size=4),
 )
 @settings(max_examples=40, deadline=None)
-def test_draw_block_is_the_block_stream_step_major(m, n, d, per, seed, block, cuts):
-    # drawn a piece of whole paths at a time, the stream gives the bits of
-    # one C-order fill of (m, n, d), moved step-major; so it does drawn in
-    # groups of uneven sizes, one call after another on the same stream
-    out = np.empty((n, d, m))
-    _draw_paths(_stream(seed, block), out, np.empty(per * n * d + per % 2))
-    fill = _stream(seed, block).standard_normal((m, n, d)).transpose(1, 2, 0).copy()
-    assert same_bits(out, fill)
+def test_groups_drawn_in_turn_are_the_block_stream(m, n, d, seed, block, cuts):
+    # drawn in groups of uneven sizes, one call after another into buffers
+    # of their own, the stream gives the bits of one C-order fill of
+    # (m, n, d)
+    fill = _stream(seed, block).standard_normal((m, n, d))
     stream, edges = _stream(seed, block), sorted({0, m, *(c for c in cuts if c < m)})
     for first, stop in zip(edges, edges[1:]):
-        group = np.empty((n, d, stop - first))
-        _draw_paths(stream, group, np.empty(per * n * d))
-        assert same_bits(group, fill[:, :, first:stop])
+        group = np.empty((stop - first, n, d))
+        stream.standard_normal(out=group)
+        assert same_bits(group, fill[first:stop])
 
 
 def reference_figure_paths(params, obj, strategies, cfg):
@@ -1195,14 +1211,14 @@ class TestRows:
 
     def test_no_rows_step_in_any_scratch(self, diagonal_params):
         # a plan of no columns has no pair, and no pair takes no factor a
-        # step: the steps a call are not derived by dividing the scratch by
-        # zero, and nothing is stepped
+        # step, only the step's normals: nothing is stepped, in the plan's
+        # own scratch, one step's or all steps'
         plan = montecarlo._Rows({}, 40)
-        assert plan.step_size(7) == plan.factor_size(7) == 0
+        assert plan.step_size(7, 2) == 14 and plan.factor_size(7, 2) == 40 * 14
         table = _step_table(diagonal_params, plan.rows, 40)
-        for scratch in (None, np.empty(0), np.empty(5)):
+        for scratch in (None, np.empty(14), np.empty(40 * 14)):
             x, path = np.empty((0, 7)), np.empty((41, 0, 7))
-            montecarlo._step_rows(x, table, np.zeros((40, 2, 7)), plan, scratch, path)
+            montecarlo._step_rows(x, table, np.zeros((7, 40, 2)), plan, scratch, path)
 
     def test_step_table_build_peak(self, run):
         # each row is written into the preallocated table: the build peaks
